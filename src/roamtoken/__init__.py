@@ -12,17 +12,13 @@ from .chain import (
     Lazy,
     OutDegreeReciprocal,
     TailConstants,
-    TokenPosition,
     apply_rule,
     chain_floor,
     exact_mean_transition_matrix,
-    hitting_tail_bound,
     hitting_time_samples,
     is_irreducible,
     mean_transition_matrix,
-    rule_floor,
     stationary_distribution,
-    step_token,
     tail_constants,
 )
 from .errors import (
@@ -43,9 +39,7 @@ from .graphs import (
     generate_backbone_with_degree,
     generate_geometric_backbone,
     is_strongly_connected,
-    next_adjacency,
     relative_degree,
-    sequentially_connected_with_self_loops,
     window_union_connected,
 )
 from .harness import (

@@ -17,19 +17,13 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import UnsupportedProcess
-from .graphs import (
-    DeterministicSequence,
-    GraphSpec,
-    IidFailureGraph,
-    StaticGraph,
-    as_adjacency,
-    is_strongly_connected,
-    next_adjacency,
-)
+from .graphs import DeterministicSequence, GraphSpec, as_adjacency, is_strongly_connected
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_MEAN_SAMPLES = 100_000
 MAX_EXACT_ROW_EDGES = 20
+# Failure outcomes of one row weighted per call, bounding the enumeration's memory.
+_OUTCOME_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -55,43 +49,37 @@ class Lazy:
 TransitionRule = Union[OutDegreeReciprocal, Lazy]
 
 
-@dataclass(frozen=True)
-class TokenPosition:
-    node: int
-    t: int
+def transition_rows(rule: TransitionRule, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Transition weights out of each walker's node, the one place ``rule`` is applied.
+
+    ``rows[r]`` is the boolean out-edge row of walker ``r``'s node ``pos[r]``;
+    the result's row ``r`` is the probability of each destination.  A node
+    with no outgoing edge holds the token with probability one.
+    """
+    walkers, n = rows.shape
+    out = rows.sum(axis=1)
+    has_out = out > 0
+    probs = np.zeros((walkers, n))
+    if isinstance(rule, OutDegreeReciprocal):
+        probs[has_out] = rows[has_out] / out[has_out, None]
+    elif isinstance(rule, Lazy):
+        factor = (1.0 - rule.delta_self) / np.where(has_out, out, 1)
+        probs[has_out] = rows[has_out] * factor[has_out, None]
+        probs[has_out, pos[has_out]] = rule.delta_self
+    else:
+        raise TypeError(f"unknown transition rule {type(rule).__name__}")
+    probs[~has_out, pos[~has_out]] = 1.0
+    return probs
 
 
 def apply_rule(rule: TransitionRule, a: np.ndarray) -> np.ndarray:
     """The row-stochastic transition matrix induced by ``rule`` on adjacency ``a``."""
     a = as_adjacency(a)
-    n = a.shape[0]
-    out = a.sum(axis=1)
-    q = np.zeros((n, n))
-    has_out = out > 0
-    if isinstance(rule, OutDegreeReciprocal):
-        q[has_out] = a[has_out] / out[has_out, None]
-    elif isinstance(rule, Lazy):
-        factor = (1.0 - rule.delta_self) / np.where(has_out, out, 1)
-        q[has_out] = a[has_out] * factor[has_out, None]
-        q[has_out, np.arange(n)[has_out]] = rule.delta_self
-    else:
-        raise TypeError(f"unknown transition rule {type(rule).__name__}")
-    q[~has_out, np.arange(n)[~has_out]] = 1.0
+    q = transition_rows(rule, a, np.arange(a.shape[0]))
     dev = np.abs(q.sum(axis=1) - 1.0).max()
     if dev > ROW_SUM_TOL:
         raise RuntimeError(f"transition rows deviate from stochastic by {dev:.3e}")
     return q
-
-
-def rule_floor(rule: TransitionRule, n: int) -> float:
-    """Guaranteed lower bound on any positive entry the rule can produce."""
-    if n <= 1:
-        return 1.0
-    if isinstance(rule, OutDegreeReciprocal):
-        return 1.0 / (n - 1)
-    if isinstance(rule, Lazy):
-        return min(rule.delta_self, (1.0 - rule.delta_self) / (n - 1))
-    raise TypeError(f"unknown transition rule {type(rule).__name__}")
 
 
 def chain_floor(q: np.ndarray) -> float:
@@ -114,23 +102,6 @@ def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum <= scaled[..., None]).sum(axis=-1)
 
 
-def step_token(
-    pos: TokenPosition, a: np.ndarray, rule: TransitionRule, rng: np.random.Generator
-) -> TokenPosition:
-    """Advance the token one tick along the realized adjacency.
-
-    Consumes exactly one uniform from ``rng``.  The destination is verified to
-    be an existing edge or a sanctioned self-hold.
-    """
-    q = apply_rule(rule, a)
-    cum = np.cumsum(q[pos.node])
-    u = rng.random()
-    nxt = int(_sample_rows(cum, np.asarray(u)))
-    if nxt != pos.node and not a[pos.node, nxt]:
-        raise RuntimeError(f"token jumped a nonexistent edge {pos.node}->{nxt}")
-    return TokenPosition(nxt, pos.t + 1)
-
-
 def mean_transition_matrix(
     spec: GraphSpec,
     rule: TransitionRule,
@@ -143,19 +114,17 @@ def mean_transition_matrix(
     estimated by Monte Carlo over ``samples`` realizations.  Undefined for
     deterministic sequences.
     """
-    if isinstance(spec, StaticGraph):
-        return apply_rule(rule, spec.backbone)
     if isinstance(spec, DeterministicSequence):
         raise UnsupportedProcess("mean transition matrix is undefined for deterministic sequences")
-    if not isinstance(spec, IidFailureGraph):
-        raise TypeError(f"unknown graph spec {type(spec).__name__}")
+    if not spec.draws:
+        return apply_rule(rule, spec.adjacency(0, np.empty(0)))
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
     total = np.zeros((spec.n, spec.n))
     for _ in range(samples):
-        total += apply_rule(rule, next_adjacency(spec, 0, rng))
+        total += apply_rule(rule, spec.adjacency(0, rng.random(spec.draws)))
     q = total / samples
     dev = np.abs(q.sum(axis=1) - 1.0).max()
     if dev > 1e-9:
@@ -170,12 +139,10 @@ def exact_mean_transition_matrix(spec: GraphSpec, rule: TransitionRule) -> np.nd
     the enumeration runs per row over its 2^out-degree outcomes; rows with more
     than MAX_EXACT_ROW_EDGES outgoing backbone edges are rejected.
     """
-    if isinstance(spec, StaticGraph):
-        return apply_rule(rule, spec.backbone)
     if isinstance(spec, DeterministicSequence):
         raise UnsupportedProcess("mean transition matrix is undefined for deterministic sequences")
-    if not isinstance(spec, IidFailureGraph):
-        raise TypeError(f"unknown graph spec {type(spec).__name__}")
+    if not spec.draws:
+        return apply_rule(rule, spec.adjacency(0, np.empty(0)))
     n = spec.n
     p = spec.p_fail
     q = np.zeros((n, n))
@@ -186,25 +153,15 @@ def exact_mean_transition_matrix(spec: GraphSpec, rule: TransitionRule) -> np.nd
             raise UnsupportedProcess(
                 f"node {i} has {k} outgoing edges; exact enumeration capped at {MAX_EXACT_ROW_EDGES}"
             )
-        if k == 0:
-            q[i, i] = 1.0
-            continue
-        for mask in range(1 << k):
-            kept = [dests[b] for b in range(k) if mask >> b & 1]
-            prob = (1.0 - p) ** len(kept) * p ** (k - len(kept))
-            if prob == 0.0:
-                continue
-            if not kept:
-                q[i, i] += prob
-            elif isinstance(rule, OutDegreeReciprocal):
-                for d in kept:
-                    q[i, d] += prob / len(kept)
-            elif isinstance(rule, Lazy):
-                q[i, i] += prob * rule.delta_self
-                for d in kept:
-                    q[i, d] += prob * (1.0 - rule.delta_self) / len(kept)
-            else:
-                raise TypeError(f"unknown transition rule {type(rule).__name__}")
+        # bit b of an outcome's index says whether edge i -> dests[b] survives
+        for start in range(0, 1 << k, _OUTCOME_BLOCK):
+            outcomes = np.arange(start, min(start + _OUTCOME_BLOCK, 1 << k))
+            kept = (outcomes[:, None] >> np.arange(k)) & 1 == 1
+            rows = np.zeros((len(outcomes), n), dtype=bool)
+            rows[:, dests] = kept
+            up = kept.sum(axis=1)
+            prob = (1.0 - p) ** up * p ** (k - up)
+            q[i] += prob @ transition_rows(rule, rows, np.full(len(outcomes), i))
     return q
 
 
@@ -236,50 +193,19 @@ def bulk_step(
     rule: TransitionRule,
     u: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized token step for many walkers given their realized out-edge rows.
+    """Token step for many walkers given their realized out-edge rows.
 
-    ``rows[r]`` is the boolean out-edge row of walker ``r``'s current node;
-    arithmetic mirrors ``apply_rule`` exactly so scalar and batched paths
-    produce identical destinations from identical uniforms.
+    ``rows[r]`` is the boolean out-edge row of walker ``r``'s current node and
+    ``u[r]`` its move uniform.  The scalar episode steps its one walker through
+    here too, so scalar and batched paths produce identical destinations from
+    identical uniforms.  Every move is verified to follow an existing edge or
+    to be a sanctioned self-hold.
     """
-    walkers, n = rows.shape
-    out = rows.sum(axis=1)
-    has_out = out > 0
-    probs = np.zeros((walkers, n))
-    if isinstance(rule, OutDegreeReciprocal):
-        probs[has_out] = rows[has_out] / out[has_out, None]
-    elif isinstance(rule, Lazy):
-        factor = (1.0 - rule.delta_self) / np.where(has_out, out, 1)
-        probs[has_out] = rows[has_out] * factor[has_out, None]
-        probs[has_out, pos[has_out]] = rule.delta_self
-    else:
-        raise TypeError(f"unknown transition rule {type(rule).__name__}")
-    probs[~has_out, pos[~has_out]] = 1.0
-    nxt = _sample_rows(np.cumsum(probs, axis=1), u)
+    nxt = _sample_rows(np.cumsum(transition_rows(rule, rows, pos), axis=1), u)
     moved = nxt != pos
     if moved.any() and not rows[moved, nxt[moved]].all():
         raise RuntimeError("token jumped a nonexistent edge in a batched step")
     return nxt
-
-
-def realized_rows(
-    spec: GraphSpec, t: int, pos: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Out-edge rows at the walkers' positions, one independent graph per walker."""
-    if isinstance(spec, StaticGraph):
-        return spec.backbone[pos]
-    if isinstance(spec, DeterministicSequence):
-        return next_adjacency(spec, t, rng)[pos]
-    if isinstance(spec, IidFailureGraph):
-        u = rng.random((len(pos), len(spec.edges)))
-        present = u < (1.0 - spec.p_fail)
-        src_match = spec.edges[:, 0][None, :] == pos[:, None]
-        rows = np.zeros((len(pos), spec.n), dtype=bool)
-        sel = present & src_match
-        walker_idx, edge_idx = np.nonzero(sel)
-        rows[walker_idx, spec.edges[edge_idx, 1]] = True
-        return rows
-    raise TypeError(f"unknown graph spec {type(spec).__name__}")
 
 
 def hitting_time_samples(
@@ -306,6 +232,7 @@ def hitting_time_samples(
     target_mask = np.zeros(n, dtype=bool)
     target_mask[targets] = True
     pos = np.full(trials, int(start))
+    ar = np.arange(trials)
     alive = np.ones(trials, dtype=bool)
     tail = np.zeros(horizon + 1)
     for t in range(horizon + 1):
@@ -314,7 +241,8 @@ def hitting_time_samples(
         tail[t] = alive.mean()
         if t == horizon:
             break
-        rows = realized_rows(spec, t, pos, rng)
+        a = spec.adjacency(t, rng.random((trials, spec.draws)))
+        rows = np.broadcast_to(a, (trials, n, n))[ar, pos]
         pos = bulk_step(pos, rows, rule, rng.random(trials))
     return tail
 
@@ -324,16 +252,14 @@ class TailConstants:
     """Exponential envelope ``c1 * exp(-c2 * t)`` for token hitting tails.
 
     ``epsilon`` is the probability floor for entering any target set within a
-    block of ``m`` ticks.  ``c1_alt`` is an alternative (smaller) leading
-    constant sometimes quoted for windowed processes; the dominance checks use
-    ``c1``, which the blockwise argument actually yields.
+    block of ``m`` ticks; ``c1`` is the leading constant the blockwise argument
+    yields.
     """
 
     epsilon: float
     m: int
     c1: float
     c2: float
-    c1_alt: float
 
 
 def tail_constants(delta: float, m: int) -> TailConstants:
@@ -344,28 +270,10 @@ def tail_constants(delta: float, m: int) -> TailConstants:
         raise ValueError("block length must be >= 1")
     eps = delta**m
     if eps >= 1.0:
-        return TailConstants(1.0, m, math.inf, math.inf, 0.0)
+        return TailConstants(1.0, m, math.inf, math.inf)
     c1 = 1.0 / (1.0 - eps)
     c2 = -math.log1p(-eps) / m
-    return TailConstants(eps, m, c1, c2, 1.0 - eps)
-
-
-def hitting_tail_bound(n: int, delta: float, t: int, t0: int) -> float:
-    """Upper bound on P(first target entry after t), from the n-step entry floor.
-
-    Evaluates ``(1 - delta^n) ** ((t - t0)/n - 1)`` clipped to 1 from above.
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if t < t0:
-        raise ValueError("t must be >= t0")
-    eps = delta**n
-    if eps >= 1.0:
-        return 1.0 if t == t0 else 0.0
-    expo = (t - t0) / n - 1.0
-    return min(1.0, (1.0 - eps) ** expo)
+    return TailConstants(eps, m, c1, c2)
 
 
 def nonvisit_bound(consts: TailConstants, t: np.ndarray | float) -> np.ndarray:

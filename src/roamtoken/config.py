@@ -132,8 +132,14 @@ def validate_config(cfg: dict) -> None:
     if not isinstance(dim, int) or dim < 1:
         raise ConfigError("model.L: must be a positive integer")
     theta = _require(model, "theta", "model")
-    if not isinstance(theta, list) or len(theta) != dim:
+    if (
+        not isinstance(theta, list)
+        or len(theta) != dim
+        or not all(isinstance(v, (int, float)) for v in theta)
+    ):
         raise ConfigError(f"model.theta: must be a list of {dim} numbers")
+    if sum(v * v for v in theta) == 0:
+        raise ConfigError("model.theta: must be nonzero (metrics are normalized by ||theta||^2)")
     agents = _require(model, "agents", "model")
     if not isinstance(agents, list) or not agents:
         raise ConfigError("model.agents: must be a nonempty list")

@@ -16,8 +16,8 @@ import numpy as np
 from ._streams import SeedLike, trial_seed_for
 from .baseline import CiConfig
 from .chain import TransitionRule, bulk_step
-from .errors import NonFiniteMetric, SequenceExhausted, SolveFailed
-from .graphs import DeterministicSequence, GraphSpec, IidFailureGraph, StaticGraph
+from .errors import NonFiniteMetric, SolveFailed
+from .graphs import GraphSpec, StaticGraph
 from .observation import GlobalModel, central_solver
 from .token import AlphaSchedule
 
@@ -35,6 +35,7 @@ class TokenTrials:
     last_seen_mean_sq: np.ndarray | None = None
     visited_count: np.ndarray | None = None
     central_sq_err: np.ndarray | None = None
+    holder_trial0: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -107,13 +108,19 @@ class _TrialBlocks:
                 )
         else:
             self.noise = None
-        if isinstance(spec, IidFailureGraph):
-            n_edges = len(spec.edges)
-            self.graph_u = np.stack([g.random((length, n_edges)) for g in self.graph_gens])
+        if spec.draws:
+            self.graph_u = np.stack([g.random((length, spec.draws)) for g in self.graph_gens])
         else:
-            self.graph_u = None
+            self.graph_u = np.empty((self.trials, length, 0))
         if self.need_move:
             self.move_u = np.stack([g.random(length) for g in self.move_gens])
+
+    def adjacency(self, ti: int, t: int) -> np.ndarray:
+        """Realized adjacency at tick ``t`` (offset ``ti`` in the loaded chunk).
+
+        Shape (trials, n, n), or the shared (n, n) frame when the process draws nothing.
+        """
+        return self.spec.adjacency(t, self.graph_u[:, ti])
 
 
 class _MeasurementMap:
@@ -138,44 +145,6 @@ class _MeasurementMap:
         if self.all_scalar:
             return self.h_theta + z * self.scale
         return self.h_theta + z @ self.chol_block.T
-
-
-def _frame_at(spec: DeterministicSequence, t: int) -> np.ndarray:
-    if spec.cycle:
-        return spec.frames[t % len(spec.frames)]
-    if t >= len(spec.frames):
-        raise SequenceExhausted(f"no frame for t={t}; sequence has {len(spec.frames)}")
-    return spec.frames[t]
-
-
-def _adjacency_rows(
-    spec: GraphSpec, blocks: _TrialBlocks, ti: int, t: int, pos: np.ndarray
-) -> np.ndarray:
-    """Each walker's realized out-edge row for the move at tick ``t``."""
-    if isinstance(spec, StaticGraph):
-        return spec.backbone[pos]
-    if isinstance(spec, DeterministicSequence):
-        return _frame_at(spec, t)[pos]
-    present = blocks.graph_u[:, ti, :] < (1.0 - spec.p_fail)
-    src_match = spec.edges[:, 0][None, :] == pos[:, None]
-    rows = np.zeros((len(pos), spec.n), dtype=bool)
-    walker_idx, edge_idx = np.nonzero(present & src_match)
-    rows[walker_idx, spec.edges[edge_idx, 1]] = True
-    return rows
-
-
-def _full_adjacency(
-    spec: GraphSpec, blocks: _TrialBlocks, ti: int, t: int, trials: int
-) -> np.ndarray:
-    """Realized adjacency per trial as float: (trials, n, n), or (n, n) when shared."""
-    if isinstance(spec, StaticGraph):
-        return spec.backbone.astype(float)
-    if isinstance(spec, DeterministicSequence):
-        return _frame_at(spec, t).astype(float)
-    present = blocks.graph_u[:, ti, :] < (1.0 - spec.p_fail)
-    a = np.zeros((trials, spec.n, spec.n))
-    a[:, spec.edges[:, 0], spec.edges[:, 1]] = present
-    return a
 
 
 def run_token_trials(
@@ -219,6 +188,7 @@ def run_token_trials(
     last_seen = np.zeros((R, size)) if "last_seen" in record else None
     visit_counts = np.zeros((R, size), dtype=np.int16) if "visited" in record else None
     central_sq = np.zeros((R, size)) if include_central else None
+    holder0 = np.zeros(size, dtype=np.int64)
     if include_central:
         solve_central = central_solver(model.agents)
         sigma_c = model.sigma_c
@@ -259,6 +229,7 @@ def run_token_trials(
             err = s - theta
             sq = (err * err).sum(axis=1)
             last_seen_err[ar, pos] = sq
+            holder0[t] = pos[0]
             if sq_err is not None:
                 sq_err[:, t] = sq
             if last_seen is not None:
@@ -276,7 +247,7 @@ def run_token_trials(
                 c_err = c_est - theta
                 central_sq[:, t] = (c_err * c_err).sum(axis=1)
 
-            rows = _adjacency_rows(spec, blocks, ti, t, pos)
+            rows = np.broadcast_to(blocks.adjacency(ti, t), (R, n, n))[ar, pos]
             pos = bulk_step(pos, rows, rule, blocks.move_u[:, ti])
 
     return TokenTrials(
@@ -287,6 +258,7 @@ def run_token_trials(
         last_seen_mean_sq=last_seen,
         visited_count=visit_counts,
         central_sq_err=central_sq,
+        holder_trial0=holder0,
     )
 
 
@@ -374,7 +346,7 @@ def run_ci_trials(
                     for i, sl in enumerate(slices):
                         resid_i = y[:, sl] - s[:, i, :] @ model.agents[i].H.T
                         innovation[:, i, :] = resid_i @ g_fold[i].T
-                adj = _full_adjacency(spec, blocks, ti, t, R)
+                adj = blocks.adjacency(ti, t).astype(float)
                 deg = adj.sum(axis=-1)
                 consensus = deg[..., None] * s - adj @ s
                 s = s - cfg.beta(t) * consensus + cfg.alpha(t) * innovation
@@ -421,6 +393,6 @@ def run_chain_trials(
             gap[t] = 1.0 - visited.all(axis=1).mean()
             if t == horizon:
                 break
-            rows = _adjacency_rows(spec, blocks, ti, t, pos)
+            rows = np.broadcast_to(blocks.adjacency(ti, t), (R, n, n))[ar, pos]
             pos = bulk_step(pos, rows, rule, blocks.move_u[:, ti])
     return ChainTrials(trials=R, horizon=horizon, n=n, nonvisit_frac=nonvisit, gap_frac=gap)

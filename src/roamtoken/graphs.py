@@ -4,6 +4,14 @@ Adjacency matrices are plain boolean ndarrays with a zero diagonal; row ``i``
 holds the outward edges of node ``i``.  Three process kinds are supported:
 a static graph, i.i.d. per-edge failures of a fixed backbone, and an explicit
 deterministic frame sequence (optionally cycled).
+
+Every process kind offers the same primitive.  ``spec.draws`` is the number of
+uniforms the process consumes per tick: one per backbone edge, in row-major
+edge order (``len(spec.edges)`` for i.i.d. failures, 0 for the other kinds).
+``spec.adjacency(t, u)`` maps a ``(..., draws)`` block of uniforms to the
+boolean ``(..., n, n)`` adjacency in force at tick ``t``.  Static and
+deterministic processes ignore ``u`` and return their shared frame, which
+callers must not modify.
 """
 
 from __future__ import annotations
@@ -20,9 +28,17 @@ DEFAULT_MAX_RETRIES = 1000
 
 
 def as_adjacency(a: np.ndarray | Sequence) -> np.ndarray:
-    """Validate and normalize an adjacency matrix to a boolean array."""
+    """Validate and normalize an adjacency matrix to a boolean array.
+
+    Entries must be 0/1 or False/True; anything else (0.5, NaN, -1) is
+    rejected rather than read as an edge.
+    """
     arr = np.asarray(a)
-    arr = arr.astype(bool)
+    if arr.dtype != bool:
+        bad = arr[(arr != 0) & (arr != 1)]
+        if bad.size:
+            raise ValueError(f"adjacency entries must be 0 or 1, got {bad.flat[0]}")
+        arr = arr.astype(bool)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {arr.shape}")
     if arr.shape[0] < 1:
@@ -37,6 +53,7 @@ class StaticGraph:
     """The same adjacency at every tick."""
 
     backbone: np.ndarray
+    draws = 0
 
     def __post_init__(self) -> None:
         self.backbone = as_adjacency(self.backbone)
@@ -44,6 +61,9 @@ class StaticGraph:
     @property
     def n(self) -> int:
         return self.backbone.shape[0]
+
+    def adjacency(self, t: int, u: np.ndarray) -> np.ndarray:
+        return self.backbone
 
 
 @dataclass(eq=False)
@@ -70,6 +90,17 @@ class IidFailureGraph:
     def n(self) -> int:
         return self.backbone.shape[0]
 
+    @property
+    def draws(self) -> int:
+        return len(self.edges)
+
+    def adjacency(self, t: int, u: np.ndarray) -> np.ndarray:
+        """Edge ``k`` of ``edges`` is up where ``u[..., k] < 1 - p_fail``."""
+        present = np.asarray(u) < (1.0 - self.p_fail)
+        a = np.zeros(present.shape[:-1] + (self.n, self.n), dtype=bool)
+        a[..., self.edges[:, 0], self.edges[:, 1]] = present
+        return a
+
 
 @dataclass(eq=False)
 class DeterministicSequence:
@@ -77,6 +108,7 @@ class DeterministicSequence:
 
     frames: list[np.ndarray]
     cycle: bool = False
+    draws = 0
 
     def __post_init__(self) -> None:
         if not self.frames:
@@ -91,32 +123,15 @@ class DeterministicSequence:
     def n(self) -> int:
         return self.frames[0].shape[0]
 
+    def adjacency(self, t: int, u: np.ndarray) -> np.ndarray:
+        if self.cycle:
+            return self.frames[t % len(self.frames)]
+        if t >= len(self.frames):
+            raise SequenceExhausted(f"no frame for t={t}; sequence has {len(self.frames)}")
+        return self.frames[t]
+
 
 GraphSpec = Union[StaticGraph, IidFailureGraph, DeterministicSequence]
-
-
-def next_adjacency(spec: GraphSpec, t: int, rng: np.random.Generator) -> np.ndarray:
-    """The adjacency in force at tick ``t``.
-
-    For IidFailureGraph this consumes exactly one uniform block of size
-    ``len(spec.edges)`` from ``rng``; the other kinds consume nothing.
-    """
-    if isinstance(spec, StaticGraph):
-        return spec.backbone.copy()
-    if isinstance(spec, IidFailureGraph):
-        u = rng.random(len(spec.edges))
-        present = u < (1.0 - spec.p_fail)
-        a = np.zeros_like(spec.backbone)
-        kept = spec.edges[present]
-        a[kept[:, 0], kept[:, 1]] = True
-        return a
-    if isinstance(spec, DeterministicSequence):
-        if spec.cycle:
-            return spec.frames[t % len(spec.frames)].copy()
-        if t >= len(spec.frames):
-            raise SequenceExhausted(f"no frame for t={t}; sequence has {len(spec.frames)}")
-        return spec.frames[t].copy()
-    raise TypeError(f"unknown graph spec {type(spec).__name__}")
 
 
 def _reachable_from(a: np.ndarray, start: int) -> np.ndarray:
@@ -225,27 +240,6 @@ def window_union_connected(frames: Sequence[np.ndarray], b: int) -> bool:
     return True
 
 
-def sequentially_connected_with_self_loops(frames: Sequence[np.ndarray], i: int, j: int) -> bool:
-    """True iff some node path reaches ``j`` from ``i`` stepping through the frames in order.
-
-    Step ``k`` either follows an edge of frame ``k`` or pauses at the current
-    node, and the path may use at most ``len(frames)`` steps.
-    """
-    if not frames:
-        raise ValueError("need at least one frame")
-    n = np.asarray(frames[0]).shape[0]
-    reach = np.zeros(n, dtype=bool)
-    reach[i] = True
-    if reach[j]:
-        return True
-    for f in frames:
-        f = np.asarray(f, dtype=bool)
-        reach = reach | f[reach].any(axis=0)
-        if reach[j]:
-            return True
-    return False
-
-
 def sequential_reachability(frames: Sequence[np.ndarray]) -> np.ndarray:
     """All-pairs matrix of sequential connectivity with self-loops over ``frames``."""
     n = np.asarray(frames[0]).shape[0]
@@ -282,8 +276,15 @@ def read_frames_csv(path, n: int, count: int | None = None) -> list[np.ndarray]:
     """
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((int(row["t"]), int(row["from"]), int(row["to"])))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            t, src, dst = int(row["t"]), int(row["from"]), int(row["to"])
+            if t < 0 or not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(
+                    f"{path} line {reader.line_num}: need t >= 0 and node ids in [0, {n}), "
+                    f"got t={t} from={src} to={dst}"
+                )
+            rows.append((t, src, dst))
     n_frames = count if count is not None else (max((t for t, _, _ in rows), default=-1) + 1)
     if n_frames < 1:
         raise ValueError(f"{path}: no frames")

@@ -44,12 +44,11 @@ from .errors import MissingTrace, NonFiniteMetric, UnsupportedProcess
 from .graphs import (
     DeterministicSequence,
     GraphSpec,
-    next_adjacency,
     sequential_reachability,
     window_union_connected,
 )
 from .observation import GlobalModel
-from .token import AlphaSchedule, run_episode, write_trace_csv
+from .token import AlphaSchedule, EpisodeTrace, run_episode, write_trace_csv
 
 Z_95 = 1.96
 ALGORITHMS = ("token", "ci", "central")
@@ -384,7 +383,7 @@ def check_rule_support(
     """Sampled adjacencies: rows must be stochastic and supported by real edges."""
     violations: list[str] = []
     for k in range(samples):
-        a = next_adjacency(spec, k, rng)
+        a = spec.adjacency(k, rng.random(spec.draws))
         q = np.asarray(rule_apply(a))
         dev = float(np.abs(q.sum(axis=1) - 1.0).max())
         if dev > 1e-12:
@@ -455,6 +454,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
     metrics: dict[str, MetricSeries] = {}
     ci_best: CiConfig | None = None
     grid_result: GridSearchResult | None = None
+    trace: EpisodeTrace | None = None
 
     want_central = "central" in config.algorithms
     if "token" in config.algorithms:
@@ -471,6 +471,14 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
         )
         metrics["rmse_token"] = rmse_token(token)
         metrics["rmse_token_last_seen"] = rmse_last_seen(token)
+        trace = EpisodeTrace(
+            horizon=token.horizon,
+            theta=token.theta,
+            holder=token.holder_trial0,
+            visited_count=token.visited_count[0],
+            token_sq_err=token.sq_err[0],
+            mean_last_seen_sq_err=token.last_seen_mean_sq[0],
+        )
         if config.trials >= 2:
             metrics["optimality_ratio_token"] = optimality_ratio(
                 token, config.model, name="optimality_ratio_token"
@@ -531,16 +539,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             metrics_path = out / "metrics.csv"
             write_metrics_csv(metrics_path, metrics)
             files.append(metrics_path)
-            if "token" in config.algorithms:
-                trace = run_episode(
-                    config.model,
-                    config.graph,
-                    config.rule,
-                    config.schedule,
-                    horizon=config.horizon,
-                    start_node=config.start_node,
-                    seed=trial_seed_for(config.seed, 0),
-                )
+            if trace is not None:
                 trace_path = out / "trace_trial0.csv"
                 write_trace_csv(trace, trace_path)
                 files.append(trace_path)

@@ -20,9 +20,9 @@ import numpy as np
 
 from ._linalg import solve_spd
 from ._streams import SeedLike, episode_streams
-from .chain import TokenPosition, TransitionRule, step_token
+from .chain import TransitionRule, bulk_step
 from .errors import SolveFailed
-from .graphs import GraphSpec, next_adjacency
+from .graphs import GraphSpec
 from .observation import AgentModel, GlobalModel, sample_measurements
 
 ESTIMATE_RTOL = 1e-8
@@ -225,8 +225,9 @@ def run_episode(
         if x_hist is not None:
             x_hist[t] = [st.x for st in states]
 
-        a = next_adjacency(spec, t, streams.graph)
-        payload.position = step_token(TokenPosition(node, t), a, rule, streams.move).node
+        a = spec.adjacency(t, streams.graph.random(spec.draws))
+        nxt = bulk_step(np.array([node]), a[[node]], rule, streams.move.random(1))
+        payload.position = int(nxt[0])
 
     return EpisodeTrace(
         horizon=horizon,

@@ -11,19 +11,15 @@ from roamtoken import (
     Lazy,
     OutDegreeReciprocal,
     StaticGraph,
-    TokenPosition,
     UnsupportedProcess,
     apply_rule,
     chain_floor,
     exact_mean_transition_matrix,
-    hitting_tail_bound,
     hitting_time_samples,
     is_irreducible,
     is_strongly_connected,
     mean_transition_matrix,
-    rule_floor,
     stationary_distribution,
-    step_token,
     tail_constants,
 )
 from roamtoken.chain import bulk_step, nonvisit_bound, write_tail_csv
@@ -78,21 +74,25 @@ def test_rows_stochastic_and_supported(n, seed, lazy):
     off = q.copy()
     np.fill_diagonal(off, 0.0)
     assert not ((off > 0) & ~a).any()
-    floor = rule_floor(rule, n)
+    # smallest positive weight either rule can produce on n nodes
+    floor = min(0.3, 0.7 / (n - 1)) if lazy else 1.0 / (n - 1)
     positive = q[q > 0]
     assert positive.min() >= floor - 1e-15
     if lazy:
         assert np.diagonal(q).min() >= 0.3 - 1e-15
 
 
+def _step_one(node, a, rule, rng):
+    # one walker through bulk_step, as the scalar episode steps its token
+    return int(bulk_step(np.array([node]), a[[node]], rule, rng.random(1))[0])
+
+
 def test_step_token_follows_single_edge_and_self_holds():
     rng = np.random.default_rng(0)
     a = _adj(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-    nxt = step_token(TokenPosition(0, 0), a, OutDegreeReciprocal(), rng)
-    assert (nxt.node, nxt.t) == (1, 1)
+    assert _step_one(0, a, OutDegreeReciprocal(), rng) == 1
     isolated = _adj(2, [(1, 0)])
-    nxt = step_token(TokenPosition(0, 0), isolated, OutDegreeReciprocal(), rng)
-    assert nxt.node == 0
+    assert _step_one(0, isolated, OutDegreeReciprocal(), rng) == 0
 
 
 def test_step_token_empirical_frequencies_match_rule():
@@ -101,11 +101,11 @@ def test_step_token_empirical_frequencies_match_rule():
     rule = OutDegreeReciprocal()
     q = apply_rule(rule, a)
     counts = np.zeros((5, 5))
-    pos = TokenPosition(0, 0)
+    pos = 0
     steps = 100_000
     for _ in range(steps):
-        nxt = step_token(pos, a, rule, rng)
-        counts[pos.node, nxt.node] += 1
+        nxt = _step_one(pos, a, rule, rng)
+        counts[pos, nxt] += 1
         pos = nxt
     visits = counts.sum(axis=1, keepdims=True)
     freq = np.divide(counts, visits, out=np.zeros_like(counts), where=visits > 0)
@@ -226,12 +226,17 @@ def test_hitting_tail_matches_geometric_closed_form():
     assert np.all(np.abs(tail - exact) <= 4 * se + 1e-12)
 
 
+def _hitting_tail_bound(n, delta, t, t0):
+    # P(first target entry after t) <= (1 - delta^n) ** ((t - t0)/n - 1), clipped to 1
+    return nonvisit_bound(tail_constants(delta, n), t - t0)
+
+
 def test_tail_bound_values():
-    assert hitting_tail_bound(1, 1.0, 5, 0) == 0.0
-    assert hitting_tail_bound(1, 1.0, 0, 0) == 1.0
-    assert hitting_tail_bound(3, 0.5, 0, 0) == 1.0  # clipped from above
-    assert hitting_tail_bound(3, 0.5, 6, 0) == pytest.approx(7.0 / 8.0)
-    assert hitting_tail_bound(2, 0.5, 10, 4) == pytest.approx(0.75 ** ((10 - 4) / 2 - 1))
+    assert _hitting_tail_bound(1, 1.0, 5, 0) == 0.0
+    assert _hitting_tail_bound(1, 1.0, 0, 0) == 1.0
+    assert _hitting_tail_bound(3, 0.5, 0, 0) == 1.0  # clipped from above
+    assert _hitting_tail_bound(3, 0.5, 6, 0) == pytest.approx(7.0 / 8.0)
+    assert _hitting_tail_bound(2, 0.5, 10, 4) == pytest.approx(0.75 ** ((10 - 4) / 2 - 1))
 
 
 def test_tail_constants_signs():
@@ -239,7 +244,6 @@ def test_tail_constants_signs():
     assert consts.epsilon == pytest.approx(0.125)
     assert consts.c1 == pytest.approx(1.0 / 0.875)
     assert consts.c2 > 0  # decaying envelope
-    assert consts.c1_alt == pytest.approx(0.875)
     # envelope equals the blockwise bound at block multiples
     t = np.array([0.0, 3.0, 6.0, 9.0])
     manual = np.minimum(1.0, consts.c1 * np.exp(-consts.c2 * t))
@@ -254,7 +258,7 @@ def test_empirical_tail_dominated_by_bound():
     trials = 20_000
     tail = hitting_time_samples(spec, rule, {2}, t0=0, start=0, trials=trials, horizon=30, rng=rng)
     for t in range(31):
-        bound = hitting_tail_bound(3, delta, t, 0)
+        bound = _hitting_tail_bound(3, delta, t, 0)
         se = np.sqrt(tail[t] * (1 - tail[t]) / trials)
         assert tail[t] <= bound + 3 * se + 1e-12
 

@@ -182,6 +182,50 @@ def test_cli_runtime_failure_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad_row", ["0,-1,0", "-1,0,1", "0,0,3"])
+def test_cli_frames_out_of_range_rejected(tmp_path, capsys, bad_row):
+    # negative ids and ticks used to wrap onto node n-1 and the last frame
+    frames = tmp_path / "frames.csv"
+    frames.write_text(f"t,from,to\n0,0,1\n{bad_row}\n")
+    path = tmp_path / "frames.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """
+            model:
+              L: 2
+              theta: [1.0, -0.7]
+              agents:
+                - {H: [[1.0, 0.0]], C: [[1.0]]}
+                - {H: [[0.0, 1.0]], C: [[1.0]]}
+                - {H: [[1.0, 1.0]], C: [[1.0]]}
+            graph:
+              kind: deterministic
+              n: 3
+              frames_file: frames.csv
+              cycle: true
+            run:
+              horizon: 5
+              trials: 1
+              seed: 0
+            """
+        )
+    )
+    code = main(["simulate", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "frames.csv line 3" in capsys.readouterr().err
+
+
+def test_cli_zero_theta_rejected_at_config_time(tmp_path, capsys):
+    # every metric divides by ||theta||^2, so a zero theta used to fail after the run
+    path = tmp_path / "zero.yaml"
+    path.write_text(BASE_CONFIG.replace("theta: [1.0, -0.7]", "theta: [0.0, 0]"))
+    code = main(["simulate", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "model.theta: must be nonzero" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_verify_pass_and_fail(tmp_path, capsys):
     passing = tmp_path / "ok.yaml"
     passing.write_text(

@@ -14,7 +14,6 @@ from roamtoken import (
     NonFiniteMetric,
     OutDegreeReciprocal,
     ci_step,
-    next_adjacency,
     run_episode,
     sample_measurements,
 )
@@ -108,7 +107,7 @@ def test_ci_batch_matches_step_loop(ref5_model, ref5_iid):
         values = [float(((state.estimates - ref5_model.theta) ** 2).sum(axis=1).mean())]
         for t in range(horizon + 1):
             batch_t = sample_measurements(ref5_model, t, streams.noise)
-            a_t = next_adjacency(ref5_iid, t, streams.graph)
+            a_t = ref5_iid.adjacency(t, streams.graph.random(ref5_iid.draws))
             if t < horizon:
                 state = ci_step(state, ref5_model, a_t, batch_t, cfg, t)
                 values.append(float(((state.estimates - ref5_model.theta) ** 2).sum(axis=1).mean()))

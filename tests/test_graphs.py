@@ -14,9 +14,7 @@ from roamtoken import (
     generate_backbone_with_degree,
     generate_geometric_backbone,
     is_strongly_connected,
-    next_adjacency,
     relative_degree,
-    sequentially_connected_with_self_loops,
     window_union_connected,
 )
 from roamtoken.graphs import (
@@ -41,6 +39,14 @@ def test_adjacency_validation():
         as_adjacency(np.eye(3))
     with pytest.raises(ValueError, match="square"):
         as_adjacency(np.zeros((2, 3)))
+    # non-binary entries used to become edges through astype(bool)
+    with pytest.raises(ValueError, match="0.5"):
+        as_adjacency([[0, 0.5], [np.nan, 0]])
+    with pytest.raises(ValueError, match="nan"):
+        as_adjacency([[0, 1], [np.nan, 0]])
+    with pytest.raises(ValueError, match="-1"):
+        as_adjacency([[0, -1], [1, 0]])
+    assert np.array_equal(as_adjacency([[0, 1.0], [True, 0]]), [[False, True], [True, False]])
 
 
 def test_geometric_radius_two_gives_complete_graph():
@@ -76,9 +82,11 @@ def test_next_adjacency_failure_limits():
     backbone = _adj(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
     rng = np.random.default_rng(0)
     sure = IidFailureGraph(backbone, p_fail=0.0)
-    assert np.array_equal(next_adjacency(sure, 0, rng), backbone)
+    assert np.array_equal(sure.adjacency(0, rng.random(sure.draws)), backbone)
+    batch = sure.adjacency(0, rng.random((4, sure.draws)))
+    assert batch.shape == (4, 3, 3) and (batch == backbone).all()
     never = IidFailureGraph(backbone, p_fail=1.0)
-    assert not next_adjacency(never, 0, rng).any()
+    assert not never.adjacency(0, rng.random(never.draws)).any()
 
 
 def test_next_adjacency_edge_presence_frequency():
@@ -88,7 +96,7 @@ def test_next_adjacency_edge_presence_frequency():
     draws = 10_000
     counts = np.zeros_like(backbone, dtype=float)
     for t in range(draws):
-        counts += next_adjacency(spec, t, rng)
+        counts += spec.adjacency(t, rng.random(spec.draws))
     freq = counts[backbone] / draws
     assert np.all(np.abs(freq - 0.5) < 0.02)
 
@@ -100,7 +108,7 @@ def test_iid_output_subset_of_backbone_with_zero_diagonal(n, p_fail, seed):
     backbone = rng.random((n, n)) < 0.6
     np.fill_diagonal(backbone, False)
     spec = IidFailureGraph(backbone, p_fail)
-    a = next_adjacency(spec, 0, rng)
+    a = spec.adjacency(0, rng.random(spec.draws))
     assert not np.diagonal(a).any()
     assert not (a & ~backbone).any()
 
@@ -109,17 +117,17 @@ def test_deterministic_sequence_cycling_and_exhaustion():
     frames = [_adj(2, [(0, 1)]), _adj(2, [(1, 0)])]
     rng = np.random.default_rng(0)
     cyc = DeterministicSequence(frames, cycle=True)
-    assert np.array_equal(next_adjacency(cyc, 3, rng), frames[1])
+    assert np.array_equal(cyc.adjacency(3, rng.random(cyc.draws)), frames[1])
     fin = DeterministicSequence(frames, cycle=False)
     with pytest.raises(SequenceExhausted):
-        next_adjacency(fin, 2, rng)
+        fin.adjacency(2, rng.random(fin.draws))
 
 
 def test_static_spec_returns_backbone():
     backbone = _adj(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
     spec = StaticGraph(backbone)
     rng = np.random.default_rng(0)
-    assert np.array_equal(next_adjacency(spec, 5, rng), backbone)
+    assert np.array_equal(spec.adjacency(5, rng.random(spec.draws)), backbone)
 
 
 def test_strong_connectivity_simple_cases():
@@ -169,10 +177,10 @@ def test_window_union_connected_cases():
 
 
 def test_sequential_connectivity_basics():
-    frames = [_adj(3, [(1, 2)])]
-    assert sequentially_connected_with_self_loops(frames, 0, 0)
-    assert sequentially_connected_with_self_loops(frames, 1, 2)
-    assert not sequentially_connected_with_self_loops(frames, 2, 1)
+    reach = sequential_reachability([_adj(3, [(1, 2)])])
+    assert reach[0, 0]
+    assert reach[1, 2]
+    assert not reach[2, 1]
 
 
 def _brute_force_sequential(frames, i, j):
@@ -199,9 +207,7 @@ def test_sequential_connectivity_matches_path_enumeration():
         reach = sequential_reachability(frames)
         for i in range(n):
             for j in range(n):
-                expected = _brute_force_sequential(frames, i, j)
-                assert sequentially_connected_with_self_loops(frames, i, j) == expected
-                assert bool(reach[i, j]) == expected
+                assert bool(reach[i, j]) == _brute_force_sequential(frames, i, j)
 
 
 def test_assumption_window_rejects_single_frames_but_accepts_pairs():

@@ -9,6 +9,7 @@ from roamtoken import (
     AlphaSchedule,
     CiConfig,
     ExperimentConfig,
+    IidFailureGraph,
     MetricSeries,
     MissingTrace,
     NonFiniteMetric,
@@ -18,6 +19,7 @@ from roamtoken import (
     rmse_last_seen,
     rmse_network_ci,
     rmse_token,
+    run_episode,
     run_experiment,
     verify_sequential_connectivity,
     verify_state_identity,
@@ -26,7 +28,7 @@ from roamtoken import (
 from roamtoken.chain import apply_rule
 from roamtoken.engine import CiTrials, TokenTrials, run_central_trials, run_token_trials
 from roamtoken.harness import check_rule_support, write_compare_csv, write_metrics_csv
-from roamtoken._streams import derived_stream
+from roamtoken._streams import derived_stream, trial_seed_for
 
 from conftest import make_ref5_model, ref5_adjacency
 
@@ -200,6 +202,33 @@ def test_run_experiment_smoke_files_and_rows(tmp_path):
     assert len(trace_rows) == 1 + 2  # header + horizon+1 ticks
     assert "rmse_token" in result.metrics
     assert "rmse_central" in result.metrics
+
+
+@pytest.mark.parametrize("spec_kind", ["static", "iid"])
+def test_trace_trial0_replays_through_run_episode(tmp_path, spec_kind):
+    # the trace is trial 0 of the batched run; the scalar episode is its oracle
+    graph = (
+        StaticGraph(ref5_adjacency())
+        if spec_kind == "static"
+        else IidFailureGraph(ref5_adjacency(), p_fail=0.4)
+    )
+    config = _smoke_config(graph=graph, horizon=150, trials=3)
+    run_experiment(config, out_dir=tmp_path)
+    rows = np.loadtxt(tmp_path / "trace_trial0.csv", delimiter=",", skiprows=1)
+    trace = run_episode(
+        config.model,
+        config.graph,
+        config.rule,
+        config.schedule,
+        horizon=config.horizon,
+        start_node=config.start_node,
+        seed=trial_seed_for(config.seed, 0),
+    )
+    assert np.array_equal(rows[:, 0], np.arange(config.horizon + 1))
+    assert np.array_equal(rows[:, 1], trace.holder)
+    assert np.array_equal(rows[:, 2], trace.visited_count)
+    assert np.allclose(rows[:, 3], trace.token_sq_err, rtol=1e-9, atol=1e-13)
+    assert np.allclose(rows[:, 4], trace.mean_last_seen_sq_err, rtol=1e-9, atol=1e-13)
 
 
 def test_run_experiment_same_seed_byte_identical(tmp_path):
