@@ -34,12 +34,17 @@ def trial_seed(master_seed: int, trial: int) -> SeedSequence:
     return SeedSequence([int(master_seed), int(trial)])
 
 
-def trial_seed_for(master: SeedLike, trial: int) -> SeedSequence:
-    """``trial_seed`` generalized to SeedSequence masters (entropy is extended)."""
+def _extended(master: SeedLike, *words: int) -> SeedSequence:
+    """``SeedSequence([master, *words])``; a SeedSequence master's entropy is extended."""
     if isinstance(master, SeedSequence):
         entropy = master.entropy if isinstance(master.entropy, (list, tuple)) else [master.entropy]
-        return SeedSequence(list(entropy) + [int(trial)])
-    return trial_seed(int(master), trial)
+        return SeedSequence(list(entropy) + list(words))
+    return SeedSequence([int(master), *words])
+
+
+def trial_seed_for(master: SeedLike, trial: int) -> SeedSequence:
+    """``trial_seed`` generalized to SeedSequence masters (entropy is extended)."""
+    return _extended(master, int(trial))
 
 
 def episode_streams(seed: SeedLike) -> EpisodeStreams:
@@ -52,6 +57,6 @@ def episode_streams(seed: SeedLike) -> EpisodeStreams:
     return EpisodeStreams(*(np.random.default_rng(c) for c in children))
 
 
-def derived_stream(master_seed: int, tag: int) -> Generator:
+def derived_stream(master_seed: SeedLike, tag: int) -> Generator:
     """A named auxiliary stream (for example backbone generation)."""
-    return np.random.default_rng(SeedSequence([int(master_seed), 0x5EED, int(tag)]))
+    return np.random.default_rng(_extended(master_seed, 0x5EED, int(tag)))

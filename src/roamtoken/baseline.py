@@ -15,13 +15,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ._streams import SeedLike
 from .graphs import GraphSpec
 from .observation import GlobalModel, MeasurementBatch
+
+if TYPE_CHECKING:
+    from .engine import CiTrials
 
 
 @dataclass(eq=False)
@@ -112,6 +115,7 @@ class GridSearchResult:
     best: CiConfig
     curve: "np.ndarray"
     scores: list[tuple[CiConfig, float]]
+    best_trials: "CiTrials"
 
 
 def grid_search(
@@ -125,9 +129,11 @@ def grid_search(
 ) -> GridSearchResult:
     """Pick the gain parameters with the best network error at the horizon.
 
-    Every candidate is evaluated on the same per-trial noise and graph draws,
-    so the comparison is paired and the result is deterministic given the
-    seed.  Diverged candidates score +inf and can never win.
+    All candidates run in one stacked pass on the same per-trial noise and
+    graph draws, so the comparison is paired and the result is deterministic
+    given the seed.  Diverged candidates score +inf and can never win; ties go
+    to the first candidate in grid order.  The winner is then run once more
+    on its own to record its full series (``best_trials``).
     """
     from .engine import run_ci_trials
 
@@ -135,24 +141,30 @@ def grid_search(
     missing = [k for k in keys if k not in grid or not len(grid[k])]
     if missing:
         raise ValueError(f"grid is missing values for: {missing}")
+    cfgs = [
+        CiConfig(a=a, b=b, tau1=tau1, tau2=tau2, gain_mode=gain_mode)
+        for a, b, tau1, tau2 in itertools.product(*(grid[k] for k in keys))
+    ]
+    stacked = run_ci_trials(
+        model, spec, cfgs, horizon=horizon, trials=trials, master_seed=seed,
+        raise_on_nonfinite=False,
+    )
+    # Sum trial by trial: the mean over trials of a full (trials, horizon + 1)
+    # series adds up its last column in this order, whereas a mean over a
+    # single column sums pairwise and can differ in the last bit.
+    total = stacked.final_sq_err[0].copy()
+    for row in stacked.final_sq_err[1:]:
+        total += row
     theta_sq = float(model.theta @ model.theta)
-    best_cfg, best_curve, best_score = None, None, math.inf
-    scores: list[tuple[CiConfig, float]] = []
-    for a, b, tau1, tau2 in itertools.product(*(grid[k] for k in keys)):
-        cfg = CiConfig(a=a, b=b, tau1=tau1, tau2=tau2, gain_mode=gain_mode)
-        result = run_ci_trials(
-            model, spec, cfg, horizon=horizon, trials=trials, master_seed=seed,
-            raise_on_nonfinite=False,
-        )
-        if result.diverged:
-            score = math.inf
-        else:
-            curve = result.netavg_sq_err.mean(axis=0) / theta_sq
-            score = float(curve[-1])
-        scores.append((cfg, score))
-        if score < best_score:
-            best_cfg, best_score = cfg, score
-            best_curve = result.netavg_sq_err.mean(axis=0) / theta_sq
-    if best_cfg is None or best_curve is None:
+    values = total / trials / theta_sq
+    scores = [
+        (c, math.inf if bad else float(v)) for c, v, bad in zip(cfgs, values, stacked.diverged)
+    ]
+    best = min(range(len(cfgs)), key=lambda k: scores[k][1])
+    if math.isinf(scores[best][1]):
         raise RuntimeError("every grid candidate diverged")
-    return GridSearchResult(best=best_cfg, curve=best_curve, scores=scores)
+    winner = run_ci_trials(
+        model, spec, cfgs[best], horizon=horizon, trials=trials, master_seed=seed
+    )
+    curve = winner.netavg_sq_err.mean(axis=0) / theta_sq
+    return GridSearchResult(best=cfgs[best], curve=curve, scores=scores, best_trials=winner)

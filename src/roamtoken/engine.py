@@ -10,6 +10,7 @@ A batched trial is therefore replayable standalone via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +57,16 @@ class CiTrials:
 
 
 @dataclass(eq=False)
+class CiGridTrials:
+    """One stacked pass over K gain candidates: only the horizon tick is kept."""
+
+    trials: int
+    horizon: int
+    final_sq_err: np.ndarray  # (trials, K) network-average squared error at the horizon
+    diverged: np.ndarray  # (K,) bool; a diverged candidate's errors are inf
+
+
+@dataclass(eq=False)
 class ChainTrials:
     trials: int
     horizon: int
@@ -69,7 +80,9 @@ class _TrialBlocks:
 
     Block draws from numpy generators consume the underlying bit stream
     exactly like successive per-tick draws, which keeps batched trials
-    replayable through the scalar path (pinned by a unit test).
+    replayable through the scalar path (pinned by a unit test).  Each trial's
+    block is drawn straight into its row of a buffer that later chunks reuse,
+    so a chunk holds one copy of its draws.
     """
 
     def __init__(
@@ -90,30 +103,40 @@ class _TrialBlocks:
             self.noise_gens.append(np.random.default_rng(noise))
             self.graph_gens.append(np.random.default_rng(graph))
             self.move_gens.append(np.random.default_rng(move))
+        self._buffers: dict[str, np.ndarray] = {}
         self.noise: np.ndarray | None = None
         self.graph_u: np.ndarray | None = None
         self.move_u: np.ndarray | None = None
 
     def load(self, length: int) -> None:
+        """Draw the next ``length`` ticks of every trial's streams."""
         model, spec = self.model, self.spec
+        self.noise = None
         if model is not None and model.noise != "zero":
-            m = model.total_measurements
-            if model.noise == "gaussian":
-                self.noise = np.stack(
-                    [g.standard_normal((length, m)) for g in self.noise_gens]
-                )
-            else:
-                self.noise = np.stack(
-                    [np.asarray(model.noise(g, (length, m)), dtype=float) for g in self.noise_gens]
-                )
-        else:
-            self.noise = None
+            self.noise = self._buffer("noise", length, (model.total_measurements,))
+            for g, row in zip(self.noise_gens, self.noise):
+                if model.noise == "gaussian":
+                    g.standard_normal(out=row)
+                else:
+                    draw = np.asarray(model.noise(g, row.shape), dtype=float)
+                    if draw.shape != row.shape:
+                        raise ValueError(f"noise sampler gave shape {draw.shape}, not {row.shape}")
+                    row[...] = draw
+        self.graph_u = self._buffer("graph", length, (spec.draws,))
         if spec.draws:
-            self.graph_u = np.stack([g.random((length, spec.draws)) for g in self.graph_gens])
-        else:
-            self.graph_u = np.empty((self.trials, length, 0))
+            for g, row in zip(self.graph_gens, self.graph_u):
+                g.random(out=row)
         if self.need_move:
-            self.move_u = np.stack([g.random(length) for g in self.move_gens])
+            self.move_u = self._buffer("move", length, ())
+            for g, row in zip(self.move_gens, self.move_u):
+                g.random(out=row)
+
+    def _buffer(self, name: str, length: int, width: tuple[int, ...]) -> np.ndarray:
+        """A (trials, length, *width) view of a buffer that later chunks reuse."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[1] < length:
+            buf = self._buffers[name] = np.empty((self.trials, length, *width))
+        return buf[:, :length]
 
     def adjacency(self, ti: int, t: int) -> np.ndarray:
         """Realized adjacency at tick ``t`` (offset ``ti`` in the loaded chunk).
@@ -296,72 +319,116 @@ def run_central_trials(
 def run_ci_trials(
     model: GlobalModel,
     spec: GraphSpec,
-    cfg: CiConfig,
+    cfg: CiConfig | Sequence[CiConfig],
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
     raise_on_nonfinite: bool = True,
     chunk: int = CHUNK_TICKS,
-) -> CiTrials:
+) -> CiTrials | CiGridTrials:
     """Run many consensus+innovations trajectories in lockstep.
 
     Uses the same per-trial noise and graph streams as ``run_token_trials``
     (final-tick draws included even though unused), so token-vs-baseline
     comparisons are paired draw for draw.
+
+    One ``CiConfig`` records every tick (``CiTrials``).  A sequence of K
+    configs runs all of them in one pass over a (K, trials, n, L) state that
+    shares the draws, the measurements and the adjacency of each tick, and
+    keeps only the error at the horizon (``CiGridTrials``), so memory does not
+    grow with the horizon.  Every candidate's values equal those of its own
+    single-config run bit for bit.
     """
     if spec.n != model.n_agents:
         raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
-    n, dim, R = model.n_agents, model.dim, trials
+    single = isinstance(cfg, CiConfig)
+    cfgs = [cfg] if single else list(cfg)
+    if not cfgs:
+        raise ValueError("need at least one CiConfig")
+    n, dim, R, K = model.n_agents, model.dim, trials, len(cfgs)
     theta = model.theta
+    theta_sq = float(theta @ theta)
     measure = _MeasurementMap(model)
     all_scalar = measure.all_scalar
+    # Gains folded with W and stacked over candidates: one (K, L, m_i) array per agent.
+    folded = [[g @ a.W for g, a in zip(c.gains(model), model.agents)] for c in cfgs]
+    g_fold = [np.stack(per_agent) for per_agent in zip(*folded)]
     h_rows = np.stack([a.H[0] for a in model.agents]) if all_scalar else None
-    g_fold = [g @ a.W for g, a in zip(cfg.gains(model), model.agents)]
-    g_rows = np.stack([g[:, 0] for g in g_fold]) if all_scalar else None
+    g_rows = np.stack([g[:, :, 0] for g in g_fold], axis=1) if all_scalar else None
     slices = model.measurement_slices()
 
-    s = np.zeros((R, n, dim))
+    s = np.zeros((K, R, n, dim))
+    live = np.arange(K)
+    diverged = np.zeros(K, dtype=bool)
     size = horizon + 1
-    netavg = np.zeros((R, size))
-    netavg[:, 0] = float(theta @ theta)
-    diverged = False
+    netavg = None
+    if single:
+        netavg = np.zeros((R, size))
+        netavg[:, 0] = theta_sq
+    final = np.full((R, K), theta_sq)
 
     blocks = _TrialBlocks(R, master_seed, model, spec, need_move=False)
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, size, chunk):
             length = min(chunk, size - t0)
             blocks.load(length)
-            if diverged:
+            if not live.size:
                 continue
-            for ti in range(length):
+            consensus, innovation = np.empty_like(s), np.empty_like(s)
+            resid = np.empty(s.shape[:3])
+            for ti in range(min(length, horizon - t0)):
                 t = t0 + ti
                 y = measure(blocks, ti, R)
-                if t >= horizon:
-                    break
-                if all_scalar:
-                    resid = y - np.einsum("rnl,nl->rn", s, h_rows)
-                    innovation = resid[:, :, None] * g_rows[None, :, :]
-                else:
-                    innovation = np.empty((R, n, dim))
-                    for i, sl in enumerate(slices):
-                        resid_i = y[:, sl] - s[:, i, :] @ model.agents[i].H.T
-                        innovation[:, i, :] = resid_i @ g_fold[i].T
                 adj = blocks.adjacency(ti, t).astype(float)
-                deg = adj.sum(axis=-1)
-                consensus = deg[..., None] * s - adj @ s
-                s = s - cfg.beta(t) * consensus + cfg.alpha(t) * innovation
-                err = s - theta
-                netavg[:, t + 1] = (err * err).sum(axis=2).mean(axis=1)
-            if not np.isfinite(s).all():
+                deg = np.repeat(adj.sum(axis=-1)[..., None], dim, axis=-1)
+                # s - beta * (deg * s - adj @ s) + alpha * innovation, in place; the
+                # innovation buffer holds adj @ s until the innovation overwrites it
+                np.multiply(deg, s, out=consensus)
+                consensus -= np.matmul(adj, s, out=innovation)
+                consensus *= np.array([cfgs[k].beta(t) for k in live])[:, None, None, None]
+                if all_scalar:
+                    np.einsum("krnl,nl->krn", s, h_rows, out=resid)
+                    np.subtract(y, resid, out=resid)
+                    # broadcasting along the last axis is slow: spell the (..., L) operand out
+                    innovation[...] = resid[..., None]
+                    innovation *= g_rows[:, None]
+                else:
+                    for i, sl in enumerate(slices):
+                        resid_i = y[:, sl] - s[:, :, i, :] @ model.agents[i].H.T
+                        innovation[:, :, i, :] = resid_i @ g_fold[i].transpose(0, 2, 1)
+                innovation *= np.array([cfgs[k].alpha(t) for k in live])[:, None, None, None]
+                s -= consensus
+                s += innovation
+                if single or t + 1 == horizon:
+                    for k, s_k in zip(live, s):
+                        err = s_k - theta
+                        err_sq = (err * err).sum(axis=-1).mean(axis=-1)
+                        if single:
+                            netavg[:, t + 1] = err_sq
+                        if t + 1 == horizon:
+                            final[:, k] = err_sq
+            finite = np.isfinite(s).all(axis=(1, 2, 3))
+            if not finite.all():
                 if raise_on_nonfinite:
                     raise NonFiniteMetric("consensus+innovations trajectory diverged")
-                diverged = True
-    if diverged:
+                diverged[live[~finite]] = True
+                live, s = live[finite], s[finite]
+                g_fold = [g[finite] for g in g_fold]
+                if all_scalar:
+                    g_rows = g_rows[finite]
+    final[:, diverged] = np.inf
+    if not single:
+        return CiGridTrials(trials=R, horizon=horizon, final_sq_err=final, diverged=diverged)
+    if diverged[0]:
         bad_cols = np.flatnonzero(~np.isfinite(netavg).all(axis=0))
         first_bad = int(bad_cols[0]) if bad_cols.size else size
         netavg[:, first_bad:] = np.inf
     return CiTrials(
-        theta=theta.copy(), trials=R, horizon=horizon, netavg_sq_err=netavg, diverged=diverged
+        theta=theta.copy(),
+        trials=R,
+        horizon=horizon,
+        netavg_sq_err=netavg,
+        diverged=bool(diverged[0]),
     )
 
 

@@ -277,8 +277,18 @@ def read_frames_csv(path, n: int, count: int | None = None) -> list[np.ndarray]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        if reader.fieldnames is not None:  # an empty file has no header and no edges
+            missing = [c for c in ("t", "from", "to") if c not in reader.fieldnames]
+            if missing:
+                raise ValueError(f"{path}: header lacks column(s) {', '.join(missing)}")
         for row in reader:
-            t, src, dst = int(row["t"]), int(row["from"]), int(row["to"])
+            try:
+                t, src, dst = int(row["t"]), int(row["from"]), int(row["to"])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{path} line {reader.line_num}: need integer t, from and to, "
+                    f"got {row['t']!r}, {row['from']!r}, {row['to']!r}"
+                ) from None
             if t < 0 or not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(
                     f"{path} line {reader.line_num}: need t >= 0 and node ids in [0, {n}), "

@@ -157,7 +157,7 @@ def chain_step_floor(
     spec: GraphSpec,
     rule: TransitionRule,
     mean_samples: int = 100_000,
-    seed: int = 0,
+    seed: SeedLike = 0,
 ) -> tuple[float, np.ndarray]:
     """The per-step probability floor of the token's averaged motion.
 
@@ -191,8 +191,7 @@ def verify_tail_bounds(
     """
     if isinstance(spec, DeterministicSequence):
         raise UnsupportedProcess("tail verification needs a static or i.i.d. failure process")
-    seed_int = master_seed if isinstance(master_seed, int) else 0
-    delta, q_mean = chain_step_floor(spec, rule, mean_samples=mean_samples, seed=seed_int)
+    delta, q_mean = chain_step_floor(spec, rule, mean_samples=mean_samples, seed=master_seed)
     if not is_irreducible(q_mean):
         raise ValueError("averaged chain is not irreducible; tail bounds do not apply")
     n = spec.n
@@ -506,7 +505,6 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             )
 
     if "ci" in config.algorithms:
-        ci_cfg = config.ci
         if config.ci_grid is not None:
             grid_result = grid_search(
                 config.model,
@@ -516,15 +514,17 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
                 horizon=config.horizon,
                 seed=config.seed,
             )
-            ci_cfg = grid_result.best
-        ci = run_ci_trials(
-            config.model,
-            config.graph,
-            ci_cfg,
-            horizon=config.horizon,
-            trials=config.trials,
-            master_seed=config.seed,
-        )
+            ci_cfg, ci = grid_result.best, grid_result.best_trials
+        else:
+            ci_cfg = config.ci
+            ci = run_ci_trials(
+                config.model,
+                config.graph,
+                ci_cfg,
+                horizon=config.horizon,
+                trials=config.trials,
+                master_seed=config.seed,
+            )
         metrics["rmse_ci_network"] = rmse_network_ci(ci)
         ci_best = ci_cfg
 

@@ -182,6 +182,47 @@ def test_cli_runtime_failure_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "frames_text, message",
+    [
+        ("src,dst\n0,1\n", "frames.csv: header lacks column(s) t, from, to"),
+        ("t,from\n0,1\n", "frames.csv: header lacks column(s) to"),
+        ("t,from,to\n0,0,1\n0,1\n", "frames.csv line 3: need integer t, from and to"),
+        ("t,from,to\n0,x,1\n", "frames.csv line 2: need integer t, from and to"),
+    ],
+    ids=["no-columns", "no-to-column", "short-row", "non-integer"],
+)
+def test_cli_frames_csv_malformed_is_config_error(tmp_path, capsys, frames_text, message):
+    # a missing column or a short row used to escape as KeyError/TypeError with exit code 2
+    (tmp_path / "frames.csv").write_text(frames_text)
+    path = tmp_path / "frames.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """
+            model:
+              L: 2
+              theta: [1.0, -0.7]
+              agents:
+                - {H: [[1.0, 0.0]], C: [[1.0]]}
+                - {H: [[0.0, 1.0]], C: [[1.0]]}
+            graph:
+              kind: deterministic
+              n: 2
+              frames_file: frames.csv
+              cycle: true
+            run:
+              horizon: 5
+              trials: 1
+              seed: 0
+            """
+        )
+    )
+    code = main(["simulate", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "graph:" in err and message in err
+
+
 @pytest.mark.parametrize("bad_row", ["0,-1,0", "-1,0,1", "0,0,3"])
 def test_cli_frames_out_of_range_rejected(tmp_path, capsys, bad_row):
     # negative ids and ticks used to wrap onto node n-1 and the last frame

@@ -127,6 +127,26 @@ def test_token_and_ci_share_noise_and_graph_draws(ref5_model, ref5_iid):
     assert np.array_equal(token_blocks.graph_u, ci_blocks.graph_u)
 
 
+def test_custom_noise_blocks_fill_rows_in_trial_streams():
+    from roamtoken.engine import _TrialBlocks
+
+    def rademacher(rng, shape):
+        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
+
+    model = GlobalModel(make_ref5_model().agents, [1.0, -0.7], noise=rademacher)
+    spec = IidFailureGraph(ref5_adjacency(), p_fail=0.4)
+    blocks = _TrialBlocks(3, 5, model, spec, need_move=False)
+    blocks.load(30)
+    for r in range(3):
+        noise = episode_streams(trial_seed_for(5, r)).noise
+        assert np.array_equal(blocks.noise[r], rademacher(noise, (30, 5)))
+
+    # a sampler that ignores the requested shape must not be broadcast over the block
+    flat = GlobalModel(model.agents, [1.0, -0.7], noise=lambda rng, shape: rademacher(rng, 5))
+    with pytest.raises(ValueError, match="noise sampler gave shape"):
+        _TrialBlocks(2, 5, flat, spec, need_move=False).load(30)
+
+
 def test_ci_divergence_detection(ref5_model, ref5_iid):
     # a consensus weight far beyond stability makes the linear part explode
     cfg = CiConfig(a=1.0, b=80.0, tau1=1.0, tau2=0.01)
