@@ -7,7 +7,7 @@ bundles the estimator, a consensus+innovations baseline, graph process
 generators, hitting-time verification tools, a Monte Carlo harness, and a CLI.
 """
 
-from .baseline import CiConfig, CiNetworkState, GridSearchResult, ci_step, grid_search
+from .baseline import CiConfig, GridSearchResult, grid_search
 from .chain import (
     Lazy,
     OutDegreeReciprocal,
@@ -59,8 +59,6 @@ from .harness import (
 from .observation import (
     AgentModel,
     GlobalModel,
-    MeasurementBatch,
-    central_estimate,
     fisher_information,
     sample_measurements,
 )

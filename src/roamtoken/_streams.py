@@ -29,11 +29,6 @@ def as_seed_sequence(seed: SeedLike) -> SeedSequence:
     return SeedSequence(int(seed))
 
 
-def trial_seed(master_seed: int, trial: int) -> SeedSequence:
-    """Counter-based per-trial seed: independent of how many trials run."""
-    return SeedSequence([int(master_seed), int(trial)])
-
-
 def _extended(master: SeedLike, *words: int) -> SeedSequence:
     """``SeedSequence([master, *words])``; a SeedSequence master's entropy is extended."""
     if isinstance(master, SeedSequence):
@@ -42,9 +37,13 @@ def _extended(master: SeedLike, *words: int) -> SeedSequence:
     return SeedSequence([int(master), *words])
 
 
-def trial_seed_for(master: SeedLike, trial: int) -> SeedSequence:
-    """``trial_seed`` generalized to SeedSequence masters (entropy is extended)."""
-    return _extended(master, int(trial))
+def trial_seed(master_seed: SeedLike, trial: int) -> SeedSequence:
+    """Counter-based per-trial seed: independent of how many trials run.
+
+    ``SeedSequence([master_seed, trial])`` for an int master; a SeedSequence
+    master's entropy is extended with the trial index.
+    """
+    return _extended(master_seed, int(trial))
 
 
 def episode_streams(seed: SeedLike) -> EpisodeStreams:

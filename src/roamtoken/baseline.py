@@ -21,7 +21,7 @@ import numpy as np
 
 from ._streams import SeedLike
 from .graphs import GraphSpec
-from .observation import GlobalModel, MeasurementBatch
+from .observation import GlobalModel
 
 if TYPE_CHECKING:
     from .engine import CiTrials
@@ -71,46 +71,6 @@ class CiConfig:
 
 
 @dataclass(eq=False)
-class CiNetworkState:
-    """All agents' current estimates, one row per agent."""
-
-    estimates: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.estimates = np.atleast_2d(np.asarray(self.estimates, dtype=float))
-
-    @classmethod
-    def zeros(cls, n_agents: int, dim: int) -> "CiNetworkState":
-        return cls(np.zeros((n_agents, dim)))
-
-
-def ci_step(
-    state: CiNetworkState,
-    model: GlobalModel,
-    a: np.ndarray,
-    batch: MeasurementBatch,
-    cfg: CiConfig,
-    t: int,
-) -> CiNetworkState:
-    """One synchronous update of every agent's estimate.
-
-    Neighbors are the out-neighbors in the current adjacency (information
-    flows along directed edges).
-    """
-    s = state.estimates
-    adj = np.asarray(a, dtype=float)
-    deg = adj.sum(axis=1)
-    consensus = deg[:, None] * s - adj @ s
-    innovation = np.zeros_like(s)
-    gains = cfg.gains(model)
-    for i, agent in enumerate(model.agents):
-        resid = batch.ys[i] - agent.H @ s[i]
-        innovation[i] = gains[i] @ (agent.W @ resid)
-    new = s - cfg.beta(t) * consensus + cfg.alpha(t) * innovation
-    return CiNetworkState(new)
-
-
-@dataclass(eq=False)
 class GridSearchResult:
     best: CiConfig
     curve: "np.ndarray"
@@ -145,21 +105,17 @@ def grid_search(
         CiConfig(a=a, b=b, tau1=tau1, tau2=tau2, gain_mode=gain_mode)
         for a, b, tau1, tau2 in itertools.product(*(grid[k] for k in keys))
     ]
-    stacked = run_ci_trials(
-        model, spec, cfgs, horizon=horizon, trials=trials, master_seed=seed,
-        raise_on_nonfinite=False,
-    )
+    stacked = run_ci_trials(model, spec, cfgs, horizon=horizon, trials=trials, master_seed=seed)
     # Sum trial by trial: the mean over trials of a full (trials, horizon + 1)
     # series adds up its last column in this order, whereas a mean over a
-    # single column sums pairwise and can differ in the last bit.
+    # single column sums pairwise and can differ in the last bit.  A diverged
+    # candidate's errors are inf, so its score is inf.
     total = stacked.final_sq_err[0].copy()
     for row in stacked.final_sq_err[1:]:
         total += row
     theta_sq = float(model.theta @ model.theta)
     values = total / trials / theta_sq
-    scores = [
-        (c, math.inf if bad else float(v)) for c, v, bad in zip(cfgs, values, stacked.diverged)
-    ]
+    scores = [(c, float(v)) for c, v in zip(cfgs, values)]
     best = min(range(len(cfgs)), key=lambda k: scores[k][1])
     if math.isinf(scores[best][1]):
         raise RuntimeError("every grid candidate diverged")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from ._streams import derived_stream
 from .baseline import grid_search
-from .chain import apply_rule
+from .chain import apply_rule, is_irreducible
 from .config import (
     apply_overrides,
     build_experiment,
@@ -37,7 +37,6 @@ from .harness import (
     verify_tail_bounds,
     write_compare_csv,
 )
-from .chain import is_irreducible
 
 CONFIG_KEYS_HELP = """\
 config keys:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import SeedLike, trial_seed_for
+from ._streams import SeedLike, trial_seed
 from .baseline import CiConfig
 from .chain import TransitionRule, bulk_step
 from .errors import NonFiniteMetric, SolveFailed
@@ -24,7 +24,6 @@ from .token import AlphaSchedule
 
 CHUNK_TICKS = 256
 _ESTIMATE_RTOL = 1e-8
-_CENTRAL_RTOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -35,7 +34,7 @@ class TokenTrials:
     sq_err: np.ndarray | None = None
     last_seen_mean_sq: np.ndarray | None = None
     visited_count: np.ndarray | None = None
-    central_sq_err: np.ndarray | None = None
+    central: CentralTrials | None = None
     holder_trial0: np.ndarray | None = None
 
 
@@ -53,7 +52,6 @@ class CiTrials:
     trials: int
     horizon: int
     netavg_sq_err: np.ndarray
-    diverged: bool = False
 
 
 @dataclass(eq=False)
@@ -99,7 +97,7 @@ class _TrialBlocks:
         self.need_move = need_move
         self.noise_gens, self.graph_gens, self.move_gens = [], [], []
         for r in range(trials):
-            noise, graph, move = trial_seed_for(master_seed, r).spawn(3)
+            noise, graph, move = trial_seed(master_seed, r).spawn(3)
             self.noise_gens.append(np.random.default_rng(noise))
             self.graph_gens.append(np.random.default_rng(graph))
             self.move_gens.append(np.random.default_rng(move))
@@ -111,17 +109,10 @@ class _TrialBlocks:
     def load(self, length: int) -> None:
         """Draw the next ``length`` ticks of every trial's streams."""
         model, spec = self.model, self.spec
-        self.noise = None
-        if model is not None and model.noise != "zero":
+        if model is not None:
             self.noise = self._buffer("noise", length, (model.total_measurements,))
             for g, row in zip(self.noise_gens, self.noise):
-                if model.noise == "gaussian":
-                    g.standard_normal(out=row)
-                else:
-                    draw = np.asarray(model.noise(g, row.shape), dtype=float)
-                    if draw.shape != row.shape:
-                        raise ValueError(f"noise sampler gave shape {draw.shape}, not {row.shape}")
-                    row[...] = draw
+                model.fill_noise(g, row)
         self.graph_u = self._buffer("graph", length, (spec.draws,))
         if spec.draws:
             for g, row in zip(self.graph_gens, self.graph_u):
@@ -137,13 +128,6 @@ class _TrialBlocks:
         if buf is None or buf.shape[1] < length:
             buf = self._buffers[name] = np.empty((self.trials, length, *width))
         return buf[:, :length]
-
-    def adjacency(self, ti: int, t: int) -> np.ndarray:
-        """Realized adjacency at tick ``t`` (offset ``ti`` in the loaded chunk).
-
-        Shape (trials, n, n), or the shared (n, n) frame when the process draws nothing.
-        """
-        return self.spec.adjacency(t, self.graph_u[:, ti])
 
 
 class _MeasurementMap:
@@ -161,13 +145,32 @@ class _MeasurementMap:
             for a, sl in zip(model.agents, model.measurement_slices()):
                 self.chol_block[sl, sl] = a.chol_C
 
-    def __call__(self, blocks: _TrialBlocks, ti: int, trials: int) -> np.ndarray:
-        if blocks.noise is None:
-            return np.broadcast_to(self.h_theta, (trials, self.h_theta.size)).copy()
-        z = blocks.noise[:, ti, :]
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """Stacked (trials, m) measurements from one tick's (trials, m) raw noise."""
         if self.all_scalar:
             return self.h_theta + z * self.scale
         return self.h_theta + z @ self.chol_block.T
+
+
+class _CentralOracle:
+    """The centralized estimate on every trial's measurements, one tick per call."""
+
+    def __init__(self, model: GlobalModel, trials: int, horizon: int) -> None:
+        self.solve = central_solver(model)
+        self.w_full = np.hstack([a.W for a in model.agents])
+        self.ybar = np.zeros((trials, model.total_measurements))
+        self.result = CentralTrials(
+            theta=model.theta.copy(),
+            trials=trials,
+            horizon=horizon,
+            sq_err=np.zeros((trials, horizon + 1)),
+        )
+
+    def step(self, y: np.ndarray, t: int) -> None:
+        """Fold tick ``t``'s stacked measurements into the running means; record the error."""
+        self.ybar += (y - self.ybar) / (t + 1)
+        err = self.solve(self.ybar @ self.w_full.T) - self.result.theta
+        self.result.sq_err[:, t] = (err * err).sum(axis=1)
 
 
 def run_token_trials(
@@ -192,7 +195,6 @@ def run_token_trials(
     measure = _MeasurementMap(model)
     all_scalar = measure.all_scalar
     w_rows = np.stack([a.W[:, 0] for a in model.agents]) if all_scalar else None
-    w_full = np.hstack([a.W for a in model.agents])
     b_stack = np.stack([a.B for a in model.agents])
     slices = model.measurement_slices()
     eye = np.eye(dim)
@@ -210,12 +212,8 @@ def run_token_trials(
     sq_err = np.zeros((R, size)) if "sq_err" in record else None
     last_seen = np.zeros((R, size)) if "last_seen" in record else None
     visit_counts = np.zeros((R, size), dtype=np.int16) if "visited" in record else None
-    central_sq = np.zeros((R, size)) if include_central else None
+    oracle = _CentralOracle(model, R, horizon) if include_central else None
     holder0 = np.zeros(size, dtype=np.int64)
-    if include_central:
-        solve_central = central_solver(model.agents)
-        sigma_c = model.sigma_c
-        ybar = np.zeros((R, model.total_measurements))
 
     blocks = _TrialBlocks(R, master_seed, model, spec, need_move=True)
     for t0 in range(0, size, chunk):
@@ -223,7 +221,7 @@ def run_token_trials(
         blocks.load(length)
         for ti in range(length):
             t = t0 + ti
-            y = measure(blocks, ti, R)
+            y = measure(blocks.noise[:, ti])
             if all_scalar:
                 x_target = y[:, :, None] * w_rows[None, :, :]
             else:
@@ -259,18 +257,10 @@ def run_token_trials(
                 last_seen[:, t] = (last_seen_err * visited).sum(axis=1) / visited.sum(axis=1)
             if visit_counts is not None:
                 visit_counts[:, t] = visited.sum(axis=1)
-            if include_central:
-                ybar += (y - ybar) / (t + 1)
-                rhs = ybar @ w_full.T
-                c_est = solve_central(rhs)
-                c_res = np.linalg.norm(rhs - c_est @ sigma_c, axis=1)
-                c_scale = np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
-                if (c_res / c_scale).max() > _CENTRAL_RTOL:
-                    raise SolveFailed(f"oracle solve residual at t={t}")
-                c_err = c_est - theta
-                central_sq[:, t] = (c_err * c_err).sum(axis=1)
+            if oracle is not None:
+                oracle.step(y, t)
 
-            rows = np.broadcast_to(blocks.adjacency(ti, t), (R, n, n))[ar, pos]
+            rows = np.broadcast_to(spec.adjacency(t, blocks.graph_u[:, ti]), (R, n, n))[ar, pos]
             pos = bulk_step(pos, rows, rule, blocks.move_u[:, ti])
 
     return TokenTrials(
@@ -280,7 +270,7 @@ def run_token_trials(
         sq_err=sq_err,
         last_seen_mean_sq=last_seen,
         visited_count=visit_counts,
-        central_sq_err=central_sq,
+        central=None if oracle is None else oracle.result,
         holder_trial0=holder0,
     )
 
@@ -293,27 +283,17 @@ def run_central_trials(
     chunk: int = CHUNK_TICKS,
 ) -> CentralTrials:
     """Oracle-only runs: per-tick squared error of the centralized estimate."""
-    R = trials
-    theta = model.theta
     spec = StaticGraph(np.zeros((model.n_agents, model.n_agents), dtype=bool))
-    blocks = _TrialBlocks(R, master_seed, model, spec, need_move=False)
+    blocks = _TrialBlocks(trials, master_seed, model, spec, need_move=False)
     measure = _MeasurementMap(model)
-    solve_central = central_solver(model.agents)
-    w_full = np.hstack([a.W for a in model.agents])
-    ybar = np.zeros((R, model.total_measurements))
+    oracle = _CentralOracle(model, trials, horizon)
     size = horizon + 1
-    sq = np.zeros((R, size))
     for t0 in range(0, size, chunk):
         length = min(chunk, size - t0)
         blocks.load(length)
         for ti in range(length):
-            t = t0 + ti
-            y = measure(blocks, ti, R)
-            ybar += (y - ybar) / (t + 1)
-            c_est = solve_central(ybar @ w_full.T)
-            c_err = c_est - theta
-            sq[:, t] = (c_err * c_err).sum(axis=1)
-    return CentralTrials(theta=theta.copy(), trials=R, horizon=horizon, sq_err=sq)
+            oracle.step(measure(blocks.noise[:, ti]), t0 + ti)
+    return oracle.result
 
 
 def run_ci_trials(
@@ -323,7 +303,6 @@ def run_ci_trials(
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
-    raise_on_nonfinite: bool = True,
     chunk: int = CHUNK_TICKS,
 ) -> CiTrials | CiGridTrials:
     """Run many consensus+innovations trajectories in lockstep.
@@ -332,12 +311,13 @@ def run_ci_trials(
     (final-tick draws included even though unused), so token-vs-baseline
     comparisons are paired draw for draw.
 
-    One ``CiConfig`` records every tick (``CiTrials``).  A sequence of K
-    configs runs all of them in one pass over a (K, trials, n, L) state that
-    shares the draws, the measurements and the adjacency of each tick, and
-    keeps only the error at the horizon (``CiGridTrials``), so memory does not
-    grow with the horizon.  Every candidate's values equal those of its own
-    single-config run bit for bit.
+    One ``CiConfig`` records every tick (``CiTrials``) and raises
+    NonFiniteMetric if its trajectory diverges.  A sequence of K configs runs
+    all of them in one pass over a (K, trials, n, L) state that shares the
+    draws, the measurements and the adjacency of each tick, and keeps only the
+    error at the horizon (``CiGridTrials``), so memory does not grow with the
+    horizon; a diverged candidate is flagged and scores inf.  Every
+    candidate's values equal those of its own single-config run bit for bit.
     """
     if spec.n != model.n_agents:
         raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
@@ -378,8 +358,8 @@ def run_ci_trials(
             resid = np.empty(s.shape[:3])
             for ti in range(min(length, horizon - t0)):
                 t = t0 + ti
-                y = measure(blocks, ti, R)
-                adj = blocks.adjacency(ti, t).astype(float)
+                y = measure(blocks.noise[:, ti])
+                adj = spec.adjacency(t, blocks.graph_u[:, ti]).astype(float)
                 deg = np.repeat(adj.sum(axis=-1)[..., None], dim, axis=-1)
                 # s - beta * (deg * s - adj @ s) + alpha * innovation, in place; the
                 # innovation buffer holds adj @ s until the innovation overwrites it
@@ -409,7 +389,7 @@ def run_ci_trials(
                             final[:, k] = err_sq
             finite = np.isfinite(s).all(axis=(1, 2, 3))
             if not finite.all():
-                if raise_on_nonfinite:
+                if single:
                     raise NonFiniteMetric("consensus+innovations trajectory diverged")
                 diverged[live[~finite]] = True
                 live, s = live[finite], s[finite]
@@ -417,19 +397,9 @@ def run_ci_trials(
                 if all_scalar:
                     g_rows = g_rows[finite]
     final[:, diverged] = np.inf
-    if not single:
-        return CiGridTrials(trials=R, horizon=horizon, final_sq_err=final, diverged=diverged)
-    if diverged[0]:
-        bad_cols = np.flatnonzero(~np.isfinite(netavg).all(axis=0))
-        first_bad = int(bad_cols[0]) if bad_cols.size else size
-        netavg[:, first_bad:] = np.inf
-    return CiTrials(
-        theta=theta.copy(),
-        trials=R,
-        horizon=horizon,
-        netavg_sq_err=netavg,
-        diverged=bool(diverged[0]),
-    )
+    if single:
+        return CiTrials(theta=theta.copy(), trials=R, horizon=horizon, netavg_sq_err=netavg)
+    return CiGridTrials(trials=R, horizon=horizon, final_sq_err=final, diverged=diverged)
 
 
 def run_chain_trials(
@@ -460,6 +430,6 @@ def run_chain_trials(
             gap[t] = 1.0 - visited.all(axis=1).mean()
             if t == horizon:
                 break
-            rows = np.broadcast_to(blocks.adjacency(ti, t), (R, n, n))[ar, pos]
+            rows = np.broadcast_to(spec.adjacency(t, blocks.graph_u[:, ti]), (R, n, n))[ar, pos]
             pos = bulk_step(pos, rows, rule, blocks.move_u[:, ti])
     return ChainTrials(trials=R, horizon=horizon, n=n, nonvisit_frac=nonvisit, gap_frac=gap)

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from ._linalg import trace_of_inverse
-from ._streams import SeedLike, derived_stream, trial_seed_for
+from ._streams import SeedLike, derived_stream, trial_seed
 from .baseline import CiConfig, GridSearchResult, grid_search
 from .chain import (
     TailConstants,
@@ -275,7 +275,7 @@ def verify_state_identity(
             horizon=horizon,
             start_node=start_node,
             record={"payload", "local_stats", "tau"},
-            seed=trial_seed_for(master_seed, e),
+            seed=trial_seed(master_seed, e),
         )
         for t in range(horizon + 1):
             tau_t = trace.tau[t]
@@ -456,6 +456,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
     trace: EpisodeTrace | None = None
 
     want_central = "central" in config.algorithms
+    central: CentralTrials | None = None
     if "token" in config.algorithms:
         token = run_token_trials(
             config.model,
@@ -482,22 +483,12 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             metrics["optimality_ratio_token"] = optimality_ratio(
                 token, config.model, name="optimality_ratio_token"
             )
-        if want_central:
-            central = CentralTrials(
-                theta=token.theta,
-                trials=token.trials,
-                horizon=token.horizon,
-                sq_err=token.central_sq_err,
-            )
-            metrics["rmse_central"] = rmse_central(central)
-            if config.trials >= 2:
-                metrics["optimality_ratio_central"] = optimality_ratio(
-                    central, config.model, name="optimality_ratio_central"
-                )
+        central = token.central
     elif want_central:
         central = run_central_trials(
             config.model, config.horizon, config.trials, master_seed=config.seed
         )
+    if central is not None:
         metrics["rmse_central"] = rmse_central(central)
         if config.trials >= 2:
             metrics["optimality_ratio_central"] = optimality_ratio(

@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ._linalg import min_eigenvalue, solve_spd
-from .errors import SingularModel
+from ._linalg import min_eigenvalue
+from .errors import SingularModel, SolveFailed
 
 EIGENVALUE_FLOOR = 1e-10
 SOLVE_RTOL = 1e-10
@@ -120,36 +120,35 @@ class GlobalModel:
             start += a.n_measurements
         return out
 
-    def draw_raw_noise(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray | None:
-        if self.noise == "zero":
-            return None
+    def fill_noise(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with raw unit-variance noise from ``rng`` and return it.
+
+        ``"zero"`` fills zeros and draws nothing.  A custom sampler must return
+        exactly ``out.shape``; anything else raises ValueError.
+        """
         if self.noise == "gaussian":
-            return rng.standard_normal(shape)
-        return np.asarray(self.noise(rng, shape), dtype=float)
+            rng.standard_normal(out=out)
+        elif self.noise == "zero":
+            out.fill(0.0)
+        else:
+            draw = np.asarray(self.noise(rng, out.shape), dtype=float)
+            if draw.shape != out.shape:
+                raise ValueError(f"noise sampler gave shape {draw.shape}, not {out.shape}")
+            out[...] = draw
+        return out
 
 
-@dataclass(eq=False)
-class MeasurementBatch:
-    """All agents' measurements for one tick."""
-
-    t: int
-    ys: list[np.ndarray]
-
-
-def sample_measurements(model: GlobalModel, t: int, rng: np.random.Generator) -> MeasurementBatch:
+def sample_measurements(model: GlobalModel, rng: np.random.Generator) -> list[np.ndarray]:
     """Draw one measurement per agent: ``y_i = H_i theta + w_i``.
 
     Consumes exactly one block of ``total_measurements`` raw samples from
-    ``rng`` (none in zero-noise mode).
+    ``rng`` (none in zero-noise mode), as one tick of the batched engine does.
     """
-    means = [a.H @ model.theta for a in model.agents]
-    raw = model.draw_raw_noise(rng, (model.total_measurements,))
-    if raw is None:
-        return MeasurementBatch(t, means)
-    ys = []
-    for a, mean, sl in zip(model.agents, means, model.measurement_slices()):
-        ys.append(mean + a.chol_C @ raw[sl])
-    return MeasurementBatch(t, ys)
+    raw = model.fill_noise(rng, np.empty(model.total_measurements))
+    return [
+        a.H @ model.theta + a.chol_C @ raw[sl]
+        for a, sl in zip(model.agents, model.measurement_slices())
+    ]
 
 
 def fisher_information(agents: Sequence[AgentModel], floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
@@ -168,31 +167,23 @@ def fisher_information(agents: Sequence[AgentModel], floor: float = EIGENVALUE_F
     return total
 
 
-def central_estimate(agents: Sequence[AgentModel], running_means: Sequence[np.ndarray]) -> np.ndarray:
-    """The oracle estimate from per-agent measurement running means.
+def central_solver(model: GlobalModel) -> Callable[[np.ndarray], np.ndarray]:
+    """The oracle solve ``sigma_c x = rhs``, factored once per run.
 
-    Solves ``sigma_c x = sum_i W_i ybar_i`` by SPD factorization.
+    The returned solve maps rhs of shape (L,) or (R, L) to estimates of the
+    same shape and raises SolveFailed when a row's relative residual exceeds
+    ``SOLVE_RTOL``.
     """
-    sigma = fisher_information(agents)
-    rhs = np.zeros(agents[0].dim)
-    for a, ybar in zip(agents, running_means):
-        rhs += a.W @ np.asarray(ybar, dtype=float).ravel()
-    try:
-        return solve_spd(sigma, rhs, rtol=SOLVE_RTOL)
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        raise SingularModel(f"oracle solve failed: {exc}") from None
-
-
-def central_solver(agents: Sequence[AgentModel]) -> Callable[[np.ndarray], np.ndarray]:
-    """A reusable factored solver mapping stacked right-hand sides to estimates.
-
-    Accepts rhs of shape (L,) or (R, L); used by the batched experiment engine
-    so the information matrix is factored once per run.
-    """
-    sigma = fisher_information(agents)
+    sigma = model.sigma_c
     factor = cho_factor(sigma, lower=True, check_finite=False)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(factor, np.asarray(rhs, dtype=float).T, check_finite=False).T
+        rhs = np.asarray(rhs, dtype=float)
+        x = cho_solve(factor, rhs.T, check_finite=False).T
+        resid = np.linalg.norm(rhs - x @ sigma, axis=-1)
+        worst = np.max(resid / np.maximum(np.linalg.norm(rhs, axis=-1), 1e-300))
+        if worst > SOLVE_RTOL:
+            raise SolveFailed(f"oracle solve residual {worst:.3e}")
+        return x
 
     return solve

@@ -77,11 +77,10 @@ class AgentLocalState:
     x_snapshot: np.ndarray
     k: int = 0
     last_visit: int | None = None
-    last_seen_estimate: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, dim: int) -> "AgentLocalState":
-        return cls(np.zeros(dim), np.zeros(dim), 0, None, np.zeros(dim))
+        return cls(np.zeros(dim), np.zeros(dim), 0, None)
 
 
 @dataclass(eq=False)
@@ -166,8 +165,8 @@ def run_episode(
     """One full episode of the token algorithm.
 
     Each tick: every agent measures and updates its statistic; the holder
-    records itself into the payload; the estimate is computed (and saved as
-    the holder's last-seen estimate); an adjacency is drawn and the token
+    records itself into the payload; the estimate is computed (its error
+    becomes the holder's last-seen error); an adjacency is drawn and the token
     steps.  Strictly sequential and reproducible from ``seed``, which feeds
     three independent streams (noise, graph, move).
     """
@@ -196,13 +195,12 @@ def run_episode(
     theta = model.theta
 
     for t in range(size):
-        batch = sample_measurements(model, t, streams.noise)
+        ys = sample_measurements(model, streams.noise)
         for i, agent in enumerate(model.agents):
-            local_update(states[i], agent, batch.ys[i])
+            local_update(states[i], agent, ys[i])
         node = payload.position
         token_visit(payload, states[node], model.agents[node], t)
         s = estimate(payload, schedule, t)
-        states[node].last_seen_estimate = s
 
         err = s - theta
         sq = float(err @ err)

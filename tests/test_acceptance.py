@@ -18,7 +18,6 @@ from roamtoken import (
     OutDegreeReciprocal,
     StaticGraph,
     apply_rule,
-    central_estimate,
     exact_mean_transition_matrix,
     generate_backbone_with_degree,
     is_irreducible,
@@ -38,6 +37,7 @@ from roamtoken.engine import run_token_trials
 from roamtoken.graphs import sequential_reachability
 
 from conftest import ACCEPTANCE_LINES, make_ref5_model, random_spd, ref5_adjacency
+from references import central_estimate
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -6,14 +6,13 @@ import pytest
 from roamtoken import (
     AgentModel,
     CiConfig,
-    CiNetworkState,
     GlobalModel,
-    ci_step,
     grid_search,
     sample_measurements,
 )
 
 from conftest import make_ref5_model, ref5_adjacency
+from references import ci_step
 
 
 def _adj(n, edges):
@@ -39,42 +38,42 @@ def test_step_matches_from_scratch_recomputation(ref5_model):
     rng = np.random.default_rng(4)
     cfg = CiConfig(a=1.3, b=0.4, tau1=1.0, tau2=0.3)
     adjacency = ref5_adjacency()
-    state = CiNetworkState(rng.standard_normal((5, 2)))
+    state = rng.standard_normal((5, 2))
     t = 7
-    batch = sample_measurements(ref5_model, t, rng)
-    new = ci_step(state, ref5_model, adjacency, batch, cfg, t)
+    ys = sample_measurements(ref5_model, rng)
+    new = ci_step(state, ref5_model, adjacency, ys, cfg, t)
     alpha = cfg.a / (t + 1) ** cfg.tau1
     beta = cfg.b / (t + 1) ** cfg.tau2
     for i, agent in enumerate(ref5_model.agents):
         consensus = np.zeros(2)
         for l in range(5):
             if adjacency[i, l]:
-                consensus += state.estimates[i] - state.estimates[l]
-        innovation = agent.W @ (batch.ys[i] - agent.H @ state.estimates[i])
-        expected = state.estimates[i] - beta * consensus + alpha * innovation
-        assert np.abs(new.estimates[i] - expected).max() < 1e-12
+                consensus += state[i] - state[l]
+        innovation = agent.W @ (ys[i] - agent.H @ state[i])
+        expected = state[i] - beta * consensus + alpha * innovation
+        assert np.abs(new[i] - expected).max() < 1e-12
 
 
 def test_equal_states_make_consensus_term_vanish(ref5_model):
     rng = np.random.default_rng(2)
     shared = rng.standard_normal(2)
-    state = CiNetworkState(np.tile(shared, (5, 1)))
-    batch = sample_measurements(ref5_model, 0, np.random.default_rng(3))
+    state = np.tile(shared, (5, 1))
+    ys = sample_measurements(ref5_model, np.random.default_rng(3))
     adjacency = ref5_adjacency()
-    low_b = ci_step(state, ref5_model, adjacency, batch, CiConfig(1.0, 0.01, 1.0, 0.5), 0)
-    high_b = ci_step(state, ref5_model, adjacency, batch, CiConfig(1.0, 5.0, 1.0, 0.5), 0)
-    assert np.array_equal(low_b.estimates, high_b.estimates)
+    low_b = ci_step(state, ref5_model, adjacency, ys, CiConfig(1.0, 0.01, 1.0, 0.5), 0)
+    high_b = ci_step(state, ref5_model, adjacency, ys, CiConfig(1.0, 5.0, 1.0, 0.5), 0)
+    assert np.array_equal(low_b, high_b)
 
 
 def test_truth_is_fixed_point_with_zero_noise():
     model = make_ref5_model(noise="zero")
-    state = CiNetworkState(np.tile(model.theta, (5, 1)))
+    state = np.tile(model.theta, (5, 1))
     cfg = CiConfig(a=1.0, b=0.5, tau1=1.0, tau2=0.25)
     rng = np.random.default_rng(0)
     for t in range(10):
-        batch = sample_measurements(model, t, rng)
-        state = ci_step(state, model, ref5_adjacency(), batch, cfg, t)
-    assert np.abs(state.estimates - model.theta).max() < 1e-12
+        ys = sample_measurements(model, rng)
+        state = ci_step(state, model, ref5_adjacency(), ys, cfg, t)
+    assert np.abs(state - model.theta).max() < 1e-12
 
 
 def test_single_agent_stochastic_approximation_converges():
@@ -82,12 +81,12 @@ def test_single_agent_stochastic_approximation_converges():
     model = GlobalModel([agent], [2.0], noise="zero")
     cfg = CiConfig(a=1.0, b=0.0, tau1=1.0, tau2=0.5)
     adjacency = np.zeros((1, 1), dtype=bool)
-    state = CiNetworkState.zeros(1, 1)
+    state = np.zeros((1, 1))
     rng = np.random.default_rng(0)
     for t in range(10_000):
-        batch = sample_measurements(model, t, rng)
-        state = ci_step(state, model, adjacency, batch, cfg, t)
-    assert abs(state.estimates[0, 0] - 2.0) < 1e-3
+        ys = sample_measurements(model, rng)
+        state = ci_step(state, model, adjacency, ys, cfg, t)
+    assert abs(state[0, 0] - 2.0) < 1e-3
 
 
 def test_zero_gain_consensus_reaches_agreement():
@@ -100,12 +99,12 @@ def test_zero_gain_consensus_reaches_agreement():
     gains = [np.zeros((2, 2)) for _ in range(4)]
     cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.25, gain_mode=gains)
     rng = np.random.default_rng(1)
-    state = CiNetworkState(np.random.default_rng(2).standard_normal((4, 2)))
-    initial_spread = np.ptp(state.estimates, axis=0).max()
+    state = np.random.default_rng(2).standard_normal((4, 2))
+    initial_spread = np.ptp(state, axis=0).max()
     for t in range(3000):
-        batch = sample_measurements(model, t, rng)
-        state = ci_step(state, model, ring, batch, cfg, t)
-    final_spread = np.ptp(state.estimates, axis=0).max()
+        ys = sample_measurements(model, rng)
+        state = ci_step(state, model, ring, ys, cfg, t)
+    final_spread = np.ptp(state, axis=0).max()
     assert final_spread < 0.05 * initial_spread
 
 

@@ -55,7 +55,7 @@ def _oracle_ci_trials(model, spec, cfg, horizon, trials, master_seed, chunk=CHUN
                 continue
             for ti in range(length):
                 t = t0 + ti
-                y = measure(blocks, ti, R)
+                y = measure(blocks.noise[:, ti])
                 if t >= horizon:
                     break
                 if all_scalar:
@@ -66,7 +66,7 @@ def _oracle_ci_trials(model, spec, cfg, horizon, trials, master_seed, chunk=CHUN
                     for i, sl in enumerate(slices):
                         resid_i = y[:, sl] - s[:, i, :] @ model.agents[i].H.T
                         innovation[:, i, :] = resid_i @ g_fold[i].T
-                adj = blocks.adjacency(ti, t).astype(float)
+                adj = spec.adjacency(t, blocks.graph_u[:, ti]).astype(float)
                 deg = adj.sum(axis=-1)
                 consensus = deg[..., None] * s - adj @ s
                 s = s - cfg.beta(t) * consensus + cfg.alpha(t) * innovation

@@ -8,25 +8,24 @@ from roamtoken import (
     AgentModel,
     AlphaSchedule,
     CiConfig,
-    CiNetworkState,
     GlobalModel,
     IidFailureGraph,
     NonFiniteMetric,
     OutDegreeReciprocal,
-    ci_step,
+    StaticGraph,
     run_episode,
     sample_measurements,
 )
-from roamtoken._streams import episode_streams, trial_seed_for
+from roamtoken._streams import episode_streams, trial_seed
 from roamtoken.engine import (
     run_central_trials,
     run_chain_trials,
     run_ci_trials,
     run_token_trials,
 )
-from roamtoken.observation import central_estimate
 
 from conftest import make_ref5_model, ref5_adjacency
+from references import central_estimate, ci_step
 
 
 def test_block_draws_equal_per_call_draws():
@@ -49,8 +48,6 @@ def test_block_draws_equal_per_call_draws():
 def test_batched_trials_match_single_episodes(spec_kind):
     model = make_ref5_model()
     if spec_kind == "static":
-        from roamtoken import StaticGraph
-
         spec = StaticGraph(ref5_adjacency())
     else:
         spec = IidFailureGraph(ref5_adjacency(), p_fail=0.4)
@@ -60,7 +57,7 @@ def test_batched_trials_match_single_episodes(spec_kind):
     batch = run_token_trials(model, spec, rule, sched, horizon, trials, master_seed=seed)
     for r in range(trials):
         trace = run_episode(
-            model, spec, rule, sched, horizon, seed=trial_seed_for(seed, r)
+            model, spec, rule, sched, horizon, seed=trial_seed(seed, r)
         )
         assert np.array_equal(batch.visited_count[r], trace.visited_count.astype(np.int16))
         assert np.allclose(batch.sq_err[r], trace.token_sq_err, rtol=1e-9, atol=1e-13)
@@ -83,7 +80,7 @@ def test_engine_heterogeneous_measurement_sizes():
     sched = AlphaSchedule.linear()
     batch = run_token_trials(model, spec, rule, sched, horizon=120, trials=3, master_seed=5)
     for r in range(3):
-        trace = run_episode(model, spec, rule, sched, 120, seed=trial_seed_for(5, r))
+        trace = run_episode(model, spec, rule, sched, 120, seed=trial_seed(5, r))
         assert np.array_equal(batch.visited_count[r], trace.visited_count.astype(np.int16))
         assert np.allclose(batch.sq_err[r], trace.token_sq_err, rtol=1e-8, atol=1e-12)
 
@@ -102,15 +99,15 @@ def test_ci_batch_matches_step_loop(ref5_model, ref5_iid):
     horizon, seed = 150, 11
     batch = run_ci_trials(ref5_model, ref5_iid, cfg, horizon, trials=3, master_seed=seed)
     for r in range(3):
-        streams = episode_streams(trial_seed_for(seed, r))
-        state = CiNetworkState.zeros(5, 2)
-        values = [float(((state.estimates - ref5_model.theta) ** 2).sum(axis=1).mean())]
+        streams = episode_streams(trial_seed(seed, r))
+        state = np.zeros((5, 2))
+        values = [float(((state - ref5_model.theta) ** 2).sum(axis=1).mean())]
         for t in range(horizon + 1):
-            batch_t = sample_measurements(ref5_model, t, streams.noise)
+            ys = sample_measurements(ref5_model, streams.noise)
             a_t = ref5_iid.adjacency(t, streams.graph.random(ref5_iid.draws))
             if t < horizon:
-                state = ci_step(state, ref5_model, a_t, batch_t, cfg, t)
-                values.append(float(((state.estimates - ref5_model.theta) ** 2).sum(axis=1).mean()))
+                state = ci_step(state, ref5_model, a_t, ys, cfg, t)
+                values.append(float(((state - ref5_model.theta) ** 2).sum(axis=1).mean()))
         assert np.allclose(batch.netavg_sq_err[r], values, rtol=1e-9, atol=1e-12)
 
 
@@ -138,7 +135,7 @@ def test_custom_noise_blocks_fill_rows_in_trial_streams():
     blocks = _TrialBlocks(3, 5, model, spec, need_move=False)
     blocks.load(30)
     for r in range(3):
-        noise = episode_streams(trial_seed_for(5, r)).noise
+        noise = episode_streams(trial_seed(5, r)).noise
         assert np.array_equal(blocks.noise[r], rademacher(noise, (30, 5)))
 
     # a sampler that ignores the requested shape must not be broadcast over the block
@@ -147,31 +144,50 @@ def test_custom_noise_blocks_fill_rows_in_trial_streams():
         _TrialBlocks(2, 5, flat, spec, need_move=False).load(30)
 
 
+def test_misshaped_noise_sampler_rejected_by_both_paths():
+    # one extra sample per draw: the scalar path used to drop it silently, so
+    # trial r of a batched run could not be replayed through run_episode
+    def one_extra(rng, shape):
+        return rng.standard_normal(shape[-1] + 1)
+
+    model = GlobalModel(make_ref5_model().agents, [1.0, -0.7], noise=one_extra)
+    spec = StaticGraph(ref5_adjacency())
+    args = (model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
+    with pytest.raises(ValueError, match=r"noise sampler gave shape \(6,\), not \(5,\)"):
+        run_episode(*args, horizon=20, seed=trial_seed(3, 0))
+    with pytest.raises(ValueError, match=r"noise sampler gave shape \(6,\), not \(21, 5\)"):
+        run_token_trials(*args, horizon=20, trials=2, master_seed=3)
+
+
 def test_ci_divergence_detection(ref5_model, ref5_iid):
     # a consensus weight far beyond stability makes the linear part explode
     cfg = CiConfig(a=1.0, b=80.0, tau1=1.0, tau2=0.01)
     with pytest.raises(NonFiniteMetric):
         run_ci_trials(ref5_model, ref5_iid, cfg, horizon=4000, trials=2, master_seed=0)
-    soft = run_ci_trials(
-        ref5_model, ref5_iid, cfg, horizon=4000, trials=2, master_seed=0, raise_on_nonfinite=False
-    )
-    assert soft.diverged
-    assert np.isinf(soft.netavg_sq_err[:, -1]).all()
+    soft = run_ci_trials(ref5_model, ref5_iid, [cfg], horizon=4000, trials=2, master_seed=0)
+    assert soft.diverged[0]
+    assert np.isinf(soft.final_sq_err[:, 0]).all()
 
 
-def test_central_trials_match_direct_estimates(ref5_model):
+def test_central_trials_match_direct_estimates(ref5_model, ref5_iid, reciprocal, linear_alpha):
+    # the oracle-only engine and the token engine's in-loop oracle, per tick
     horizon, seed = 60, 2
-    batch = run_central_trials(ref5_model, horizon, trials=2, master_seed=seed)
+    central = run_central_trials(ref5_model, horizon, trials=2, master_seed=seed)
+    token = run_token_trials(
+        ref5_model, ref5_iid, reciprocal, linear_alpha, horizon, trials=2, master_seed=seed,
+        include_central=True,
+    )
     for r in range(2):
-        streams = episode_streams(trial_seed_for(seed, r))
+        streams = episode_streams(trial_seed(seed, r))
         means = [np.zeros(a.n_measurements) for a in ref5_model.agents]
         for t in range(horizon + 1):
-            ys = sample_measurements(ref5_model, t, streams.noise).ys
+            ys = sample_measurements(ref5_model, streams.noise)
             for i, y in enumerate(ys):
                 means[i] += (y - means[i]) / (t + 1)
             est = central_estimate(ref5_model.agents, means)
             sq = float(((est - ref5_model.theta) ** 2).sum())
-            assert batch.sq_err[r, t] == pytest.approx(sq, rel=1e-9)
+            assert central.sq_err[r, t] == pytest.approx(sq, rel=1e-9)
+            assert token.central.sq_err[r, t] == pytest.approx(sq, rel=1e-9)
 
 
 def test_chain_trials_start_node_and_monotonicity(ref5_iid, reciprocal):

@@ -28,7 +28,7 @@ from roamtoken import (
 from roamtoken.chain import apply_rule
 from roamtoken.engine import CiTrials, TokenTrials, run_central_trials, run_token_trials
 from roamtoken.harness import check_rule_support, write_compare_csv, write_metrics_csv
-from roamtoken._streams import derived_stream, trial_seed_for
+from roamtoken._streams import derived_stream, trial_seed
 
 from conftest import make_ref5_model, ref5_adjacency
 
@@ -246,7 +246,7 @@ def test_trace_trial0_replays_through_run_episode(tmp_path, spec_kind):
         config.schedule,
         horizon=config.horizon,
         start_node=config.start_node,
-        seed=trial_seed_for(config.seed, 0),
+        seed=trial_seed(config.seed, 0),
     )
     assert np.array_equal(rows[:, 0], np.arange(config.horizon + 1))
     assert np.array_equal(rows[:, 1], trace.holder)
@@ -281,6 +281,16 @@ def test_run_experiment_pairs_token_and_ci(tmp_path):
     assert set(result.metrics) >= {"rmse_token", "rmse_token_last_seen", "rmse_ci_network"}
     for series in result.metrics.values():
         assert np.isfinite(series.values).all()
+
+
+def test_run_experiment_central_only_matches_paired_run():
+    # the oracle-only engine and the token engine's oracle see the same draws
+    paired = run_experiment(_smoke_config(horizon=300, trials=5))
+    alone = run_experiment(_smoke_config(algorithms=("central",), horizon=300, trials=5))
+    assert set(alone.metrics) == {"rmse_central", "optimality_ratio_central"}
+    for name in alone.metrics:
+        assert np.array_equal(alone.metrics[name].values, paired.metrics[name].values)
+        assert np.array_equal(alone.metrics[name].half_widths, paired.metrics[name].half_widths)
 
 
 def test_run_experiment_ci_requires_parameters():

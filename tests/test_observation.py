@@ -7,12 +7,12 @@ from roamtoken import (
     AgentModel,
     GlobalModel,
     SingularModel,
-    central_estimate,
     fisher_information,
     sample_measurements,
 )
 
 from conftest import make_ref5_model, random_spd
+from references import central_estimate
 
 
 def _random_agent(rng, idx, m, dim):
@@ -83,8 +83,8 @@ def test_sigma_c_symmetric_positive(ref5_model):
 def test_zero_noise_measurements_exact():
     model = make_ref5_model(noise="zero")
     rng = np.random.default_rng(0)
-    batch = sample_measurements(model, 0, rng)
-    for agent, y in zip(model.agents, batch.ys):
+    ys = sample_measurements(model, rng)
+    for agent, y in zip(model.agents, ys):
         assert np.array_equal(y, agent.H @ model.theta)
 
 
@@ -93,8 +93,8 @@ def test_zero_noise_pipeline_recovers_theta():
     rng = np.random.default_rng(0)
     means = [np.zeros(a.n_measurements) for a in model.agents]
     for t in range(5):
-        batch = sample_measurements(model, t, rng)
-        for i, y in enumerate(batch.ys):
+        ys = sample_measurements(model, rng)
+        for i, y in enumerate(ys):
             means[i] += (y - means[i]) / (t + 1)
         est = central_estimate(model.agents, means)
         assert np.linalg.norm(est - model.theta) < 1e-10
@@ -104,7 +104,7 @@ def test_sample_mean_within_clt_band():
     agent = AgentModel(0, [[1.0]], [[1.0]])
     model = GlobalModel([agent], [2.0])
     rng = np.random.default_rng(11)
-    draws = np.array([sample_measurements(model, t, rng).ys[0][0] for t in range(100_000)])
+    draws = np.array([sample_measurements(model, rng)[0][0] for _ in range(100_000)])
     assert abs(draws.mean() - 2.0) < 3 * 4e-2
 
 
@@ -117,7 +117,7 @@ def test_sample_covariance_matches_declared():
     mean = agent.H @ model.theta
     draws = np.empty((n, 2))
     for t in range(n):
-        draws[t] = sample_measurements(model, t, rng).ys[0] - mean
+        draws[t] = sample_measurements(model, rng)[0] - mean
     emp = np.cov(draws.T)
     assert np.linalg.norm(emp - c) / np.linalg.norm(c) < 0.05
 
@@ -130,7 +130,7 @@ def test_custom_noise_sampler_keeps_declared_covariance():
     agent = AgentModel(0, np.eye(2), c)
     model = GlobalModel([agent], [0.0, 0.0], noise=rademacher)
     rng = np.random.default_rng(9)
-    draws = np.stack([sample_measurements(model, t, rng).ys[0] for t in range(50_000)])
+    draws = np.stack([sample_measurements(model, rng)[0] for _ in range(50_000)])
     emp = np.cov(draws.T)
     assert np.linalg.norm(emp - c) / np.linalg.norm(c) < 0.05
 
