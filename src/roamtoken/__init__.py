@@ -15,7 +15,6 @@ from .chain import (
     apply_rule,
     chain_floor,
     exact_mean_transition_matrix,
-    hitting_time_samples,
     is_irreducible,
     mean_transition_matrix,
     stationary_distribution,

@@ -9,10 +9,9 @@ whenever the out-degree is positive.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -208,45 +207,6 @@ def bulk_step(
     return nxt
 
 
-def hitting_time_samples(
-    spec: GraphSpec,
-    rule: TransitionRule,
-    target_set: Iterable[int],
-    t0: int,
-    start: int,
-    trials: int,
-    horizon: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Empirical survival function of the first entry time into ``target_set``.
-
-    Entry ``t`` of the result is the fraction of trajectories whose first
-    visit to the target at or after ``t0`` happens later than ``t``.
-    """
-    targets = sorted(set(int(v) for v in target_set))
-    if not targets:
-        raise ValueError("target set must be nonempty")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = spec.n
-    target_mask = np.zeros(n, dtype=bool)
-    target_mask[targets] = True
-    pos = np.full(trials, int(start))
-    ar = np.arange(trials)
-    alive = np.ones(trials, dtype=bool)
-    tail = np.zeros(horizon + 1)
-    for t in range(horizon + 1):
-        if t >= t0:
-            alive &= ~target_mask[pos]
-        tail[t] = alive.mean()
-        if t == horizon:
-            break
-        a = spec.adjacency(t, rng.random((trials, spec.draws)))
-        rows = np.broadcast_to(a, (trials, n, n))[ar, pos]
-        pos = bulk_step(pos, rows, rule, rng.random(trials))
-    return tail
-
-
 @dataclass(frozen=True)
 class TailConstants:
     """Exponential envelope ``c1 * exp(-c2 * t)`` for token hitting tails.
@@ -288,10 +248,3 @@ def cover_gap_bound(consts: TailConstants, n: int, t: np.ndarray | float) -> np.
     """Envelope for the probability that some node is still unvisited at ``t``."""
     return np.minimum(1.0, n * nonvisit_bound(consts, t))
 
-
-def write_tail_csv(path, ts: Sequence[int], empirical: Sequence[float], bound: Sequence[float]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "empirical_tail", "analytic_bound"])
-        for t, emp, bnd in zip(ts, empirical, bound):
-            writer.writerow([int(t), f"{emp:.17g}", f"{bnd:.17g}"])

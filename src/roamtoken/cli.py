@@ -15,6 +15,7 @@ from ._streams import derived_stream
 from .baseline import grid_search
 from .chain import apply_rule, is_irreducible
 from .config import (
+    CONFIG_KEYS,
     apply_overrides,
     build_experiment,
     default_seed,
@@ -38,37 +39,11 @@ from .harness import (
     write_compare_csv,
 )
 
-CONFIG_KEYS_HELP = """\
-config keys:
-  model.L                 parameter dimension
-  model.theta             true parameter (list of L numbers)
-  model.agents[].H        per-agent observation matrix (rows x L)
-  model.agents[].C        per-agent noise covariance (SPD)
-  model.noise             gaussian (default) or zero
-  graph.kind              static | iid_failure | deterministic | geometric
-  graph.n                 node count
-  graph.backbone          inline 0/1 adjacency (static, iid_failure)
-  graph.backbone_file     adjacency file, 0/1 matrix rows (alternative)
-  graph.p_fail            per-edge failure probability (iid_failure, geometric)
-  graph.radius            geometric connection radius
-  graph.target_degree     geometric target relative degree (alternative)
-  graph.frames_file       edge-list CSV t,from,to (deterministic)
-  graph.frames_count      frame count override (deterministic)
-  graph.cycle             repeat the frame sequence (deterministic)
-  graph.seed              generation stream for geometric (defaults to run.seed)
-  chain.rule              out_degree_reciprocal (default) | lazy
-  chain.delta_self        lazy self-weight (default 1/n)
-  token.alpha_form        linear (default) | power
-  token.alpha_params      {c, q} for the power schedule (needs q > 1/2)
-  token.start_node        initial token holder (default 0)
-  ci.a ci.b ci.tau1 ci.tau2   consensus+innovations gains
-  ci.gain_mode            identity (default)
-  ci.grid                 {a: [...], b: [...], tau1: [...], tau2: [...]}
-  run.horizon             ticks per trial
-  run.trials              Monte Carlo trials
-  run.seed                master seed (warned + defaulted to 0 if absent)
-  run.algorithms          subset of [token, ci, central]
-"""
+def _config_keys_epilog() -> str:
+    lines = ["config keys:"]
+    for section, keys in CONFIG_KEYS.items():
+        lines += [f"  {section + '.' + key:<22}  {line}" for key, line in keys.items()]
+    return "\n".join(lines) + "\n"
 
 
 def _load(args: argparse.Namespace) -> tuple[dict, Path]:
@@ -219,6 +194,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_graph(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError("gen-graph --seed: must be a non-negative integer")
     rng = derived_stream(args.seed, 3)
     if (args.radius is None) == (args.target_degree is None):
         raise ConfigError("gen-graph needs exactly one of --radius, --target-degree")
@@ -236,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roamtoken",
         description="Token-passing distributed estimation: simulation, comparison, verification.",
-        epilog=CONFIG_KEYS_HELP,
+        epilog=_config_keys_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -34,26 +34,50 @@ from .harness import ExperimentConfig
 from .observation import AgentModel, GlobalModel
 from .token import AlphaSchedule
 
-_SECTIONS = {"model", "graph", "chain", "token", "ci", "run"}
-_KEYS = {
-    "model": {"L", "theta", "agents", "noise"},
-    "graph": {
-        "kind",
-        "n",
-        "backbone",
-        "backbone_file",
-        "p_fail",
-        "radius",
-        "target_degree",
-        "frames_file",
-        "frames_count",
-        "cycle",
-        "seed",
+# Every config key with its help line; the CLI's --help epilog is rendered from this.
+CONFIG_KEYS = {
+    "model": {
+        "L": "parameter dimension",
+        "theta": "true parameter (list of L numbers)",
+        "agents": "per-agent {H: observation matrix (rows x L), C: SPD noise covariance}",
+        "noise": "gaussian (default) or zero",
     },
-    "chain": {"rule", "delta_self"},
-    "token": {"alpha_form", "alpha_params", "start_node"},
-    "ci": {"a", "b", "tau1", "tau2", "gain_mode", "grid"},
-    "run": {"horizon", "trials", "seed", "algorithms"},
+    "graph": {
+        "kind": "static | iid_failure | deterministic | geometric",
+        "n": "node count",
+        "backbone": "inline 0/1 adjacency (static, iid_failure)",
+        "backbone_file": "adjacency file, 0/1 matrix rows (alternative)",
+        "p_fail": "per-edge failure probability (iid_failure, geometric)",
+        "radius": "geometric connection radius",
+        "target_degree": "geometric target relative degree (alternative)",
+        "frames_file": "edge-list CSV t,from,to (deterministic)",
+        "frames_count": "frame count override (deterministic)",
+        "cycle": "repeat the frame sequence (deterministic)",
+        "seed": "generation stream for geometric (defaults to run.seed)",
+    },
+    "chain": {
+        "rule": "out_degree_reciprocal (default) | lazy",
+        "delta_self": "lazy self-weight (default 1/n)",
+    },
+    "token": {
+        "alpha_form": "linear (default) | power",
+        "alpha_params": "{c, q} for the power schedule (needs q > 1/2)",
+        "start_node": "initial token holder (default 0)",
+    },
+    "ci": {
+        "a": "innovation gain scale: alpha(t) = a / (t+1)^tau1",
+        "b": "consensus gain scale: beta(t) = b / (t+1)^tau2",
+        "tau1": "innovation gain decay (0 < tau2 < tau1 <= 1)",
+        "tau2": "consensus gain decay",
+        "gain_mode": "identity (default)",
+        "grid": "{a: [...], b: [...], tau1: [...], tau2: [...]}",
+    },
+    "run": {
+        "horizon": "ticks per trial",
+        "trials": "Monte Carlo trials",
+        "seed": "non-negative master seed (warned + defaulted to 0 if absent)",
+        "algorithms": "subset of [token, ci, central]",
+    },
 }
 _GRAPH_KINDS = {"static", "iid_failure", "deterministic", "geometric"}
 
@@ -99,6 +123,11 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
+def _is_int(value: Any, minimum: int) -> bool:
+    """An int of at least ``minimum``; YAML's ``true`` is a bool, not an integer."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def _require(section: dict, key: str, where: str) -> Any:
     if key not in section:
         raise ConfigError(f"{where}.{key}: required key missing")
@@ -106,16 +135,16 @@ def _require(section: dict, key: str, where: str) -> Any:
 
 
 def _check_keys(cfg: dict) -> None:
-    unknown = set(cfg) - _SECTIONS
+    unknown = set(cfg) - CONFIG_KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for name, allowed in _KEYS.items():
+    for name, allowed in CONFIG_KEYS.items():
         section = cfg.get(name)
         if section is None:
             continue
         if not isinstance(section, dict):
             raise ConfigError(f"{name}: must be a mapping")
-        bad = set(section) - allowed
+        bad = set(section) - allowed.keys()
         if bad:
             raise ConfigError(f"{name}.{sorted(bad)[0]}: unknown key")
 
@@ -129,7 +158,7 @@ def validate_config(cfg: dict) -> None:
 
     model = cfg["model"]
     dim = _require(model, "L", "model")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim, 1):
         raise ConfigError("model.L: must be a positive integer")
     theta = _require(model, "theta", "model")
     if (
@@ -158,8 +187,10 @@ def validate_config(cfg: dict) -> None:
     if kind not in _GRAPH_KINDS:
         raise ConfigError(f"graph.kind: must be one of {sorted(_GRAPH_KINDS)}")
     n = _require(graph, "n", "graph")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n, 1):
         raise ConfigError("graph.n: must be a positive integer")
+    if "seed" in graph and not _is_int(graph["seed"], 0):
+        raise ConfigError("graph.seed: must be a non-negative integer")
     if kind in ("static", "iid_failure"):
         if ("backbone" in graph) == ("backbone_file" in graph):
             raise ConfigError(f"graph: kind {kind} needs exactly one of backbone, backbone_file")
@@ -188,8 +219,10 @@ def validate_config(cfg: dict) -> None:
     run = cfg["run"]
     for key in ("horizon", "trials"):
         value = _require(run, key, "run")
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value, 1):
             raise ConfigError(f"run.{key}: must be a positive integer")
+    if run.get("seed") is not None and not _is_int(run["seed"], 0):
+        raise ConfigError("run.seed: must be a non-negative integer")
     algorithms = run.get("algorithms", ["token"])
     if not isinstance(algorithms, list) or not algorithms:
         raise ConfigError("run.algorithms: must be a nonempty list")
@@ -209,11 +242,7 @@ def validate_config(cfg: dict) -> None:
 def default_seed(cfg: dict) -> tuple[int, bool]:
     """The run seed, and whether it was defaulted (caller should warn)."""
     seed = cfg["run"].get("seed")
-    if seed is None:
-        return 0, True
-    if not isinstance(seed, int):
-        raise ConfigError("run.seed: must be an integer")
-    return seed, False
+    return (0, True) if seed is None else (seed, False)
 
 
 def build_model(cfg: dict) -> GlobalModel:
@@ -332,7 +361,7 @@ def build_experiment(cfg: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     run = cfg["run"]
     token = cfg.get("token", {})
     start = token.get("start_node", 0)
-    if not isinstance(start, int) or not 0 <= start < graph.n:
+    if not _is_int(start, 0) or start >= graph.n:
         raise ConfigError(f"token.start_node: must be an integer in [0, {graph.n})")
     try:
         return ExperimentConfig(

@@ -10,7 +10,7 @@ A batched trial is therefore replayable standalone via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,12 +18,11 @@ from ._streams import SeedLike, trial_seed
 from .baseline import CiConfig
 from .chain import TransitionRule, bulk_step
 from .errors import NonFiniteMetric, SolveFailed
-from .graphs import GraphSpec, StaticGraph
+from .graphs import GraphSpec
 from .observation import GlobalModel, central_solver
-from .token import AlphaSchedule
+from .token import ESTIMATE_RTOL, AlphaSchedule
 
 CHUNK_TICKS = 256
-_ESTIMATE_RTOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -80,7 +79,9 @@ class _TrialBlocks:
     exactly like successive per-tick draws, which keeps batched trials
     replayable through the scalar path (pinned by a unit test).  Each trial's
     block is drawn straight into its row of a buffer that later chunks reuse,
-    so a chunk holds one copy of its draws.
+    so a chunk holds one copy of its draws.  A block without a model draws no
+    noise and one without a graph no graph uniforms; the three streams are
+    independent, so what a block skips never shifts what it draws.
     """
 
     def __init__(
@@ -88,13 +89,13 @@ class _TrialBlocks:
         trials: int,
         master_seed: SeedLike,
         model: GlobalModel | None,
-        spec: GraphSpec,
-        need_move: bool,
+        spec: GraphSpec | None,
     ) -> None:
+        if model is not None and spec is not None and spec.n != model.n_agents:
+            raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
         self.trials = trials
         self.model = model
-        self.spec = spec
-        self.need_move = need_move
+        self.draws = 0 if spec is None else spec.draws
         self.noise_gens, self.graph_gens, self.move_gens = [], [], []
         for r in range(trials):
             noise, graph, move = trial_seed(master_seed, r).spawn(3)
@@ -106,21 +107,26 @@ class _TrialBlocks:
         self.graph_u: np.ndarray | None = None
         self.move_u: np.ndarray | None = None
 
+    def chunks(self, ticks: int) -> Iterator[tuple[int, int]]:
+        """Yield ``(t0, length)`` for each chunk of ``ticks`` ticks, its draws loaded."""
+        for t0 in range(0, ticks, CHUNK_TICKS):
+            length = min(CHUNK_TICKS, ticks - t0)
+            self.load(length)
+            yield t0, length
+
     def load(self, length: int) -> None:
         """Draw the next ``length`` ticks of every trial's streams."""
-        model, spec = self.model, self.spec
-        if model is not None:
-            self.noise = self._buffer("noise", length, (model.total_measurements,))
+        if self.model is not None:
+            self.noise = self._buffer("noise", length, (self.model.total_measurements,))
             for g, row in zip(self.noise_gens, self.noise):
-                model.fill_noise(g, row)
-        self.graph_u = self._buffer("graph", length, (spec.draws,))
-        if spec.draws:
+                self.model.fill_noise(g, row)
+        self.graph_u = self._buffer("graph", length, (self.draws,))
+        if self.draws:
             for g, row in zip(self.graph_gens, self.graph_u):
                 g.random(out=row)
-        if self.need_move:
-            self.move_u = self._buffer("move", length, ())
-            for g, row in zip(self.move_gens, self.move_u):
-                g.random(out=row)
+        self.move_u = self._buffer("move", length, ())
+        for g, row in zip(self.move_gens, self.move_u):
+            g.random(out=row)
 
     def _buffer(self, name: str, length: int, width: tuple[int, ...]) -> np.ndarray:
         """A (trials, length, *width) view of a buffer that later chunks reuse."""
@@ -173,6 +179,26 @@ class _CentralOracle:
         self.result.sq_err[:, t] = (err * err).sum(axis=1)
 
 
+def _walk(
+    spec: GraphSpec, rule: TransitionRule, blocks: _TrialBlocks, t0: int, length: int,
+    pos: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step every trial's holder through one loaded chunk.
+
+    Returns the chunk's (trials, length) path, whose column ``ti`` holds each
+    trial's holder at tick ``t0 + ti``, and the holders after the chunk's
+    last step.  The path depends only on the graph and move streams.
+    """
+    R, n = len(pos), spec.n
+    ar = np.arange(R)
+    path = np.empty((length, R), dtype=np.int64)  # tick-major, so each tick's column is contiguous
+    for ti in range(length):
+        path[ti] = pos
+        rows = np.broadcast_to(spec.adjacency(t0 + ti, blocks.graph_u[:, ti]), (R, n, n))[ar, pos]
+        pos = bulk_step(pos, rows, rule, blocks.move_u[:, ti])
+    return path.T, pos
+
+
 def run_token_trials(
     model: GlobalModel,
     spec: GraphSpec,
@@ -184,11 +210,9 @@ def run_token_trials(
     master_seed: SeedLike = 0,
     record: frozenset[str] | set[str] = frozenset({"sq_err", "last_seen", "visited"}),
     include_central: bool = False,
-    chunk: int = CHUNK_TICKS,
 ) -> TokenTrials:
     """Run many token episodes in lockstep; see ``token.run_episode`` for semantics."""
-    if spec.n != model.n_agents:
-        raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
+    blocks = _TrialBlocks(trials, master_seed, model, spec)
     n, dim, R = model.n_agents, model.dim, trials
     theta = model.theta
     theta_sq = float(theta @ theta)
@@ -204,7 +228,7 @@ def run_token_trials(
     d = np.zeros((R, dim))
     k_mat = np.zeros((R, dim, dim))
     visited = np.zeros((R, n), dtype=bool)
-    pos = np.full(R, int(start_node))
+    holder = np.full(R, int(start_node))
     last_seen_err = np.full((R, n), theta_sq)
     ar = np.arange(R)
 
@@ -215,12 +239,12 @@ def run_token_trials(
     oracle = _CentralOracle(model, R, horizon) if include_central else None
     holder0 = np.zeros(size, dtype=np.int64)
 
-    blocks = _TrialBlocks(R, master_seed, model, spec, need_move=True)
-    for t0 in range(0, size, chunk):
-        length = min(chunk, size - t0)
-        blocks.load(length)
+    for t0, length in blocks.chunks(size):
+        path, holder = _walk(spec, rule, blocks, t0, length, holder)
+        holder0[t0 : t0 + length] = path[0]
         for ti in range(length):
             t = t0 + ti
+            pos = path[:, ti]
             y = measure(blocks.noise[:, ti])
             if all_scalar:
                 x_target = y[:, :, None] * w_rows[None, :, :]
@@ -244,13 +268,12 @@ def run_token_trials(
             resid = np.linalg.norm((m_t @ s[..., None])[..., 0] - d, axis=1)
             scale = np.maximum(np.linalg.norm(d, axis=1), 1e-300)
             worst = (resid / scale).max()
-            if worst > _ESTIMATE_RTOL:
+            if worst > ESTIMATE_RTOL:
                 raise SolveFailed(f"estimate solve residual {worst:.3e} at t={t}")
 
             err = s - theta
             sq = (err * err).sum(axis=1)
             last_seen_err[ar, pos] = sq
-            holder0[t] = pos[0]
             if sq_err is not None:
                 sq_err[:, t] = sq
             if last_seen is not None:
@@ -259,9 +282,6 @@ def run_token_trials(
                 visit_counts[:, t] = visited.sum(axis=1)
             if oracle is not None:
                 oracle.step(y, t)
-
-            rows = np.broadcast_to(spec.adjacency(t, blocks.graph_u[:, ti]), (R, n, n))[ar, pos]
-            pos = bulk_step(pos, rows, rule, blocks.move_u[:, ti])
 
     return TokenTrials(
         theta=theta.copy(),
@@ -280,17 +300,12 @@ def run_central_trials(
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
-    chunk: int = CHUNK_TICKS,
 ) -> CentralTrials:
     """Oracle-only runs: per-tick squared error of the centralized estimate."""
-    spec = StaticGraph(np.zeros((model.n_agents, model.n_agents), dtype=bool))
-    blocks = _TrialBlocks(trials, master_seed, model, spec, need_move=False)
+    blocks = _TrialBlocks(trials, master_seed, model, None)
     measure = _MeasurementMap(model)
     oracle = _CentralOracle(model, trials, horizon)
-    size = horizon + 1
-    for t0 in range(0, size, chunk):
-        length = min(chunk, size - t0)
-        blocks.load(length)
+    for t0, length in blocks.chunks(horizon + 1):
         for ti in range(length):
             oracle.step(measure(blocks.noise[:, ti]), t0 + ti)
     return oracle.result
@@ -303,7 +318,6 @@ def run_ci_trials(
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
-    chunk: int = CHUNK_TICKS,
 ) -> CiTrials | CiGridTrials:
     """Run many consensus+innovations trajectories in lockstep.
 
@@ -319,8 +333,7 @@ def run_ci_trials(
     horizon; a diverged candidate is flagged and scores inf.  Every
     candidate's values equal those of its own single-config run bit for bit.
     """
-    if spec.n != model.n_agents:
-        raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
+    blocks = _TrialBlocks(trials, master_seed, model, spec)
     single = isinstance(cfg, CiConfig)
     cfgs = [cfg] if single else list(cfg)
     if not cfgs:
@@ -347,13 +360,10 @@ def run_ci_trials(
         netavg[:, 0] = theta_sq
     final = np.full((R, K), theta_sq)
 
-    blocks = _TrialBlocks(R, master_seed, model, spec, need_move=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0 in range(0, size, chunk):
-            length = min(chunk, size - t0)
-            blocks.load(length)
+        for t0, length in blocks.chunks(size):
             if not live.size:
-                continue
+                break
             consensus, innovation = np.empty_like(s), np.empty_like(s)
             resid = np.empty(s.shape[:3])
             for ti in range(min(length, horizon - t0)):
@@ -409,27 +419,20 @@ def run_chain_trials(
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
-    chunk: int = CHUNK_TICKS,
 ) -> ChainTrials:
     """Token-motion-only trials for visitation tail statistics."""
     n, R = spec.n, trials
-    pos = np.full(R, int(start_node))
+    holder = np.full(R, int(start_node))
     visited = np.zeros((R, n), dtype=bool)
     size = horizon + 1
     nonvisit = np.zeros((size, n))
     gap = np.zeros(size)
     ar = np.arange(R)
-    blocks = _TrialBlocks(R, master_seed, None, spec, need_move=True)
-    for t0 in range(0, size, chunk):
-        length = min(chunk, size - t0)
-        blocks.load(length)
+    blocks = _TrialBlocks(R, master_seed, None, spec)
+    for t0, length in blocks.chunks(size):
+        path, holder = _walk(spec, rule, blocks, t0, length, holder)
         for ti in range(length):
-            t = t0 + ti
-            visited[ar, pos] = True
-            nonvisit[t] = 1.0 - visited.mean(axis=0)
-            gap[t] = 1.0 - visited.all(axis=1).mean()
-            if t == horizon:
-                break
-            rows = np.broadcast_to(spec.adjacency(t, blocks.graph_u[:, ti]), (R, n, n))[ar, pos]
-            pos = bulk_step(pos, rows, rule, blocks.move_u[:, ti])
+            visited[ar, path[:, ti]] = True
+            nonvisit[t0 + ti] = 1.0 - visited.mean(axis=0)
+            gap[t0 + ti] = 1.0 - visited.all(axis=1).mean()
     return ChainTrials(trials=R, horizon=horizon, n=n, nonvisit_frac=nonvisit, gap_frac=gap)

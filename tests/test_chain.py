@@ -15,14 +15,14 @@ from roamtoken import (
     apply_rule,
     chain_floor,
     exact_mean_transition_matrix,
-    hitting_time_samples,
     is_irreducible,
     is_strongly_connected,
     mean_transition_matrix,
     stationary_distribution,
     tail_constants,
 )
-from roamtoken.chain import bulk_step, nonvisit_bound, write_tail_csv
+from roamtoken.chain import bulk_step, nonvisit_bound
+from roamtoken.engine import run_chain_trials
 
 from conftest import ref5_adjacency
 
@@ -196,31 +196,34 @@ def test_mean_chain_irreducible_for_connected_random_backbones():
             assert is_irreducible(exact_mean_transition_matrix(spec, rule))
 
 
+# The hitting tails below are a node's non-visit fractions from the chain
+# engine, which walks every trial on its own graph and move streams.
+
+
 def test_hitting_tail_start_inside_target(ref5_static, reciprocal):
-    rng = np.random.default_rng(0)
-    tail = hitting_time_samples(
-        ref5_static, reciprocal, {0, 2}, t0=0, start=0, trials=64, horizon=5, rng=rng
+    result = run_chain_trials(
+        ref5_static, reciprocal, start_node=0, horizon=5, trials=64, master_seed=0
     )
-    assert np.array_equal(tail, np.zeros(6))
+    assert np.array_equal(result.nonvisit_frac[:, 0], np.zeros(6))
 
 
 def test_hitting_tail_single_edge_resolves_in_one_step():
     spec = StaticGraph(_adj(2, [(0, 1), (1, 0)]))
-    rng = np.random.default_rng(0)
-    tail = hitting_time_samples(
-        spec, OutDegreeReciprocal(), {1}, t0=0, start=0, trials=64, horizon=4, rng=rng
+    result = run_chain_trials(
+        spec, OutDegreeReciprocal(), start_node=0, horizon=4, trials=64, master_seed=0
     )
+    tail = result.nonvisit_frac[:, 1]
     assert tail[0] == 1.0
     assert np.array_equal(tail[1:], np.zeros(4))
 
 
 def test_hitting_tail_matches_geometric_closed_form():
     spec = StaticGraph(~np.eye(3, dtype=bool))
-    rng = np.random.default_rng(2)
     trials = 20_000
-    tail = hitting_time_samples(
-        spec, OutDegreeReciprocal(), {2}, t0=0, start=0, trials=trials, horizon=10, rng=rng
+    result = run_chain_trials(
+        spec, OutDegreeReciprocal(), start_node=0, horizon=10, trials=trials, master_seed=2
     )
+    tail = result.nonvisit_frac[:, 2]
     exact = 0.5 ** np.arange(11)
     se = np.sqrt(exact * (1 - exact) / trials)
     assert np.all(np.abs(tail - exact) <= 4 * se + 1e-12)
@@ -254,9 +257,9 @@ def test_empirical_tail_dominated_by_bound():
     spec = IidFailureGraph(~np.eye(3, dtype=bool), p_fail=0.3)
     rule = OutDegreeReciprocal()
     delta = chain_floor(exact_mean_transition_matrix(spec, rule))
-    rng = np.random.default_rng(7)
     trials = 20_000
-    tail = hitting_time_samples(spec, rule, {2}, t0=0, start=0, trials=trials, horizon=30, rng=rng)
+    result = run_chain_trials(spec, rule, start_node=0, horizon=30, trials=trials, master_seed=7)
+    tail = result.nonvisit_frac[:, 2]
     for t in range(31):
         bound = _hitting_tail_bound(3, delta, t, 0)
         se = np.sqrt(tail[t] * (1 - tail[t]) / trials)
@@ -280,10 +283,3 @@ def test_long_run_visit_frequencies_match_stationary(ref5_static, reciprocal):
     freq = counts / counts.sum()
     assert np.abs(freq - pi).max() < 0.01
 
-
-def test_tail_csv_export(tmp_path):
-    path = tmp_path / "tail.csv"
-    write_tail_csv(path, [0, 1, 2], [1.0, 0.5, 0.25], [1.0, 0.9, 0.8])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,empirical_tail,analytic_bound"
-    assert len(lines) == 4

@@ -46,7 +46,7 @@ def _oracle_ci_trials(model, spec, cfg, horizon, trials, master_seed, chunk=CHUN
     netavg = np.zeros((R, size))
     netavg[:, 0] = float(theta @ theta)
     diverged = False
-    blocks = _TrialBlocks(R, master_seed, model, spec, need_move=False)
+    blocks = _TrialBlocks(R, master_seed, model, spec)
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, size, chunk):
             length = min(chunk, size - t0)

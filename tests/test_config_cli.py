@@ -267,6 +267,35 @@ def test_cli_zero_theta_rejected_at_config_time(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_BAD_INTEGERS = [
+    (["--set", "model.L=true"], "model.L: must be a positive integer"),
+    (["--set", "graph.n=true"], "graph.n: must be a positive integer"),
+    (["--set", "run.horizon=true"], "run.horizon: must be a positive integer"),
+    (["--set", "run.trials=true"], "run.trials: must be a positive integer"),
+    (["--set", "run.seed=true"], "run.seed: must be a non-negative integer"),
+    (["--set", "run.seed=-1"], "run.seed: must be a non-negative integer"),
+    (["--seed", "-1"], "run.seed: must be a non-negative integer"),
+    (["--set", "graph.seed=-1"], "graph.seed: must be a non-negative integer"),
+    (["--set", "token.start_node=true"], "token.start_node: must be an integer"),
+    (["gen-graph", "-n", "6", "--radius", "2.0", "--seed", "-1"], "gen-graph --seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, message", _BAD_INTEGERS, ids=[" ".join(args) for args, _ in _BAD_INTEGERS]
+)
+def test_cli_bool_and_negative_integers_rejected(config_file, tmp_path, capsys, args, message):
+    # YAML's true is an int to isinstance, and a negative seed used to fail in the engine
+    out = tmp_path / "out"
+    if args[0] == "gen-graph":
+        argv = args + ["--out", str(out)]
+    else:
+        argv = ["simulate", str(config_file), "--out", str(out)] + args
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_pass_and_fail(tmp_path, capsys):
     passing = tmp_path / "ok.yaml"
     passing.write_text(

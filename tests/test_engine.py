@@ -53,7 +53,8 @@ def test_batched_trials_match_single_episodes(spec_kind):
         spec = IidFailureGraph(ref5_adjacency(), p_fail=0.4)
     rule = OutDegreeReciprocal()
     sched = AlphaSchedule.linear()
-    horizon, trials, seed = 250, 4, 99
+    # 300 ticks cross the 256-tick chunk edge, where the walker carries each holder over
+    horizon, trials, seed = 300, 4, 99
     batch = run_token_trials(model, spec, rule, sched, horizon, trials, master_seed=seed)
     for r in range(trials):
         trace = run_episode(
@@ -112,16 +113,47 @@ def test_ci_batch_matches_step_loop(ref5_model, ref5_iid):
 
 
 def test_token_and_ci_share_noise_and_graph_draws(ref5_model, ref5_iid):
-    # pairing: the streams consumed by both engines are identical per trial
-    seed, trials, length = 21, 3, 40
+    # pairing: blocks without a graph (central) or without a model (chain) draw
+    # the same per-trial streams as the full blocks of the token and CI engines
     from roamtoken.engine import _TrialBlocks
 
-    token_blocks = _TrialBlocks(trials, seed, ref5_model, ref5_iid, need_move=True)
-    ci_blocks = _TrialBlocks(trials, seed, ref5_model, ref5_iid, need_move=False)
-    token_blocks.load(length)
-    ci_blocks.load(length)
-    assert np.array_equal(token_blocks.noise, ci_blocks.noise)
-    assert np.array_equal(token_blocks.graph_u, ci_blocks.graph_u)
+    seed, trials = 21, 3
+    full = _TrialBlocks(trials, seed, ref5_model, ref5_iid)
+    central = _TrialBlocks(trials, seed, ref5_model, None)
+    chain = _TrialBlocks(trials, seed, None, ref5_iid)
+    seen = []
+    for (t0, length), *others in zip(full.chunks(300), central.chunks(300), chain.chunks(300)):
+        assert all(other == (t0, length) for other in others)
+        seen.append((t0, length))
+        assert np.array_equal(full.noise, central.noise)
+        assert np.array_equal(full.graph_u, chain.graph_u)
+        assert np.array_equal(full.move_u, central.move_u)
+        assert np.array_equal(full.move_u, chain.move_u)
+        assert central.graph_u.shape == (trials, length, 0)
+        assert chain.noise is None
+    assert seen == [(0, 256), (256, 44)]
+
+
+def test_chain_and_token_engines_walk_the_same_paths(
+    ref5_model, ref5_iid, reciprocal, linear_alpha
+):
+    # both engines step the holder through the same walker on the same graph and move streams
+    horizon, trials, seed = 300, 6, 13
+    token = run_token_trials(
+        ref5_model, ref5_iid, reciprocal, linear_alpha, horizon, trials, start_node=1,
+        master_seed=seed,
+    )
+    chain = run_chain_trials(ref5_iid, reciprocal, 1, horizon, trials, master_seed=seed)
+    assert np.array_equal(chain.gap_frac, 1 - (token.visited_count == 5).mean(axis=0))
+
+
+def test_engines_reject_graph_model_size_mismatch(ref5_model, reciprocal, linear_alpha):
+    spec = StaticGraph(~np.eye(3, dtype=bool))
+    with pytest.raises(ValueError, match="graph has 3 nodes but model has 5 agents"):
+        run_token_trials(ref5_model, spec, reciprocal, linear_alpha, horizon=5, trials=2)
+    cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)
+    with pytest.raises(ValueError, match="graph has 3 nodes but model has 5 agents"):
+        run_ci_trials(ref5_model, spec, cfg, horizon=5, trials=2)
 
 
 def test_custom_noise_blocks_fill_rows_in_trial_streams():
@@ -132,7 +164,7 @@ def test_custom_noise_blocks_fill_rows_in_trial_streams():
 
     model = GlobalModel(make_ref5_model().agents, [1.0, -0.7], noise=rademacher)
     spec = IidFailureGraph(ref5_adjacency(), p_fail=0.4)
-    blocks = _TrialBlocks(3, 5, model, spec, need_move=False)
+    blocks = _TrialBlocks(3, 5, model, spec)
     blocks.load(30)
     for r in range(3):
         noise = episode_streams(trial_seed(5, r)).noise
@@ -141,7 +173,7 @@ def test_custom_noise_blocks_fill_rows_in_trial_streams():
     # a sampler that ignores the requested shape must not be broadcast over the block
     flat = GlobalModel(model.agents, [1.0, -0.7], noise=lambda rng, shape: rademacher(rng, 5))
     with pytest.raises(ValueError, match="noise sampler gave shape"):
-        _TrialBlocks(2, 5, flat, spec, need_move=False).load(30)
+        _TrialBlocks(2, 5, flat, spec).load(30)
 
 
 def test_misshaped_noise_sampler_rejected_by_both_paths():
