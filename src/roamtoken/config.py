@@ -128,6 +128,18 @@ def _is_int(value: Any, minimum: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
+def _is_number(value: Any) -> bool:
+    """An int or float; YAML's ``true`` is a bool, not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_numbers(section: dict, keys: tuple[str, ...], where: str) -> None:
+    """Each of ``keys`` that ``section`` sets must be a number."""
+    for key in keys:
+        if key in section and not _is_number(section[key]):
+            raise ConfigError(f"{where}.{key}: must be a number")
+
+
 def _require(section: dict, key: str, where: str) -> Any:
     if key not in section:
         raise ConfigError(f"{where}.{key}: required key missing")
@@ -164,7 +176,7 @@ def validate_config(cfg: dict) -> None:
     if (
         not isinstance(theta, list)
         or len(theta) != dim
-        or not all(isinstance(v, (int, float)) for v in theta)
+        or not all(_is_number(v) for v in theta)
     ):
         raise ConfigError(f"model.theta: must be a list of {dim} numbers")
     if sum(v * v for v in theta) == 0:
@@ -194,12 +206,12 @@ def validate_config(cfg: dict) -> None:
     if kind in ("static", "iid_failure"):
         if ("backbone" in graph) == ("backbone_file" in graph):
             raise ConfigError(f"graph: kind {kind} needs exactly one of backbone, backbone_file")
-    if kind == "iid_failure" or (kind == "geometric" and "p_fail" in graph):
-        p = graph.get("p_fail")
-        if kind == "iid_failure" and p is None:
-            raise ConfigError("graph.p_fail: required for iid_failure")
-        if p is not None and not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-            raise ConfigError("graph.p_fail: must be a number in [0, 1]")
+    p = graph.get("p_fail")
+    if kind == "iid_failure" and p is None:
+        raise ConfigError("graph.p_fail: required for iid_failure")
+    if p is not None and not (_is_number(p) and 0.0 <= p <= 1.0):
+        raise ConfigError("graph.p_fail: must be a number in [0, 1]")
+    _check_numbers(graph, ("radius", "target_degree"), "graph")
     if kind == "geometric":
         if ("radius" in graph) == ("target_degree" in graph):
             raise ConfigError("graph: geometric needs exactly one of radius, target_degree")
@@ -210,11 +222,16 @@ def validate_config(cfg: dict) -> None:
     rule = chain.get("rule", "out_degree_reciprocal")
     if rule not in ("out_degree_reciprocal", "lazy"):
         raise ConfigError("chain.rule: must be 'out_degree_reciprocal' or 'lazy'")
+    _check_numbers(chain, ("delta_self",), "chain")
 
     token = cfg.get("token", {})
     form = token.get("alpha_form", "linear")
     if form not in ("linear", "power"):
         raise ConfigError("token.alpha_form: must be 'linear' or 'power'")
+    params = token.get("alpha_params") or {}
+    if not isinstance(params, dict):
+        raise ConfigError("token.alpha_params: must be a mapping of c, q")
+    _check_numbers(params, ("c", "q"), "token.alpha_params")
 
     run = cfg["run"]
     for key in ("horizon", "trials"):
@@ -232,11 +249,15 @@ def validate_config(cfg: dict) -> None:
     if "ci" in algorithms and "ci" not in cfg:
         raise ConfigError("ci: section required when running the ci algorithm")
 
-    ci = cfg.get("ci")
-    if ci is not None and "grid" in ci:
+    ci = cfg.get("ci") or {}
+    _check_numbers(ci, ("a", "b", "tau1", "tau2"), "ci")
+    if "grid" in ci:
         grid = ci["grid"]
         if not isinstance(grid, dict) or set(grid) - {"a", "b", "tau1", "tau2"}:
             raise ConfigError("ci.grid: must map a, b, tau1, tau2 to value lists")
+        for key, values in grid.items():
+            if not isinstance(values, list) or not values or not all(map(_is_number, values)):
+                raise ConfigError(f"ci.grid.{key}: must be a nonempty list of numbers")
 
 
 def default_seed(cfg: dict) -> tuple[int, bool]:

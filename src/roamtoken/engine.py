@@ -159,12 +159,18 @@ class _MeasurementMap:
 
 
 class _CentralOracle:
-    """The centralized estimate on every trial's measurements, one tick per call."""
+    """The centralized estimate on every trial's measurements, solved once per chunk.
+
+    ``step`` folds one tick into the running means and keeps that tick's
+    right-hand side ``W ybar``; ``score`` solves the chunk's kept ticks in one
+    ``central_solver`` call and records their errors.
+    """
 
     def __init__(self, model: GlobalModel, trials: int, horizon: int) -> None:
         self.solve = central_solver(model)
         self.w_full = np.hstack([a.W for a in model.agents])
         self.ybar = np.zeros((trials, model.total_measurements))
+        self.rhs = np.empty((CHUNK_TICKS, trials, model.dim))
         self.result = CentralTrials(
             theta=model.theta.copy(),
             trials=trials,
@@ -172,11 +178,15 @@ class _CentralOracle:
             sq_err=np.zeros((trials, horizon + 1)),
         )
 
-    def step(self, y: np.ndarray, t: int) -> None:
-        """Fold tick ``t``'s stacked measurements into the running means; record the error."""
+    def step(self, y: np.ndarray, t: int, ti: int) -> None:
+        """Fold tick ``t`` into the running means; keep its right-hand side as row ``ti``."""
         self.ybar += (y - self.ybar) / (t + 1)
-        err = self.solve(self.ybar @ self.w_full.T) - self.result.theta
-        self.result.sq_err[:, t] = (err * err).sum(axis=1)
+        np.matmul(self.ybar, self.w_full.T, out=self.rhs[ti])
+
+    def score(self, t0: int, length: int) -> None:
+        """Solve the chunk's ``length`` kept ticks, which start at ``t0``; record their errors."""
+        err = self.solve(self.rhs[:length]) - self.result.theta
+        self.result.sq_err[:, t0 : t0 + length] = (err * err).sum(axis=-1).T
 
 
 def _walk(
@@ -281,7 +291,9 @@ def run_token_trials(
             if visit_counts is not None:
                 visit_counts[:, t] = visited.sum(axis=1)
             if oracle is not None:
-                oracle.step(y, t)
+                oracle.step(y, t, ti)
+        if oracle is not None:
+            oracle.score(t0, length)
 
     return TokenTrials(
         theta=theta.copy(),
@@ -307,7 +319,8 @@ def run_central_trials(
     oracle = _CentralOracle(model, trials, horizon)
     for t0, length in blocks.chunks(horizon + 1):
         for ti in range(length):
-            oracle.step(measure(blocks.noise[:, ti]), t0 + ti)
+            oracle.step(measure(blocks.noise[:, ti]), t0 + ti, ti)
+        oracle.score(t0, length)
     return oracle.result
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ._linalg import min_eigenvalue
 from .errors import SingularModel, SolveFailed
@@ -51,7 +50,7 @@ class AgentModel:
             self.chol_C = np.linalg.cholesky(self.C)
         except np.linalg.LinAlgError:
             raise ValueError(f"agent {self.id}: C must be positive definite") from None
-        cinv_h = cho_solve((self.chol_C, True), self.H, check_finite=False)
+        cinv_h = np.linalg.solve(self.C, self.H)
         self.W = np.ascontiguousarray(cinv_h.T)
         b = self.H.T @ cinv_h
         self.B = (b + b.T) / 2.0
@@ -168,22 +167,24 @@ def fisher_information(agents: Sequence[AgentModel], floor: float = EIGENVALUE_F
 
 
 def central_solver(model: GlobalModel) -> Callable[[np.ndarray], np.ndarray]:
-    """The oracle solve ``sigma_c x = rhs``, factored once per run.
+    """The oracle solve ``sigma_c x = rhs`` for stacked right-hand sides.
 
-    The returned solve maps rhs of shape (L,) or (R, L) to estimates of the
-    same shape and raises SolveFailed when a row's relative residual exceeds
-    ``SOLVE_RTOL``.
+    The returned solve maps rhs of shape (..., L), for example a chunk's
+    (ticks, trials, L) stack, to estimates of the same shape in one LU solve,
+    and raises SolveFailed when a row's relative residual exceeds
+    ``SOLVE_RTOL``.  ``sigma_c`` is checked positive definite once, here.
     """
     sigma = model.sigma_c
-    factor = cho_factor(sigma, lower=True, check_finite=False)
+    np.linalg.cholesky(sigma)  # raises LinAlgError unless sigma_c is positive definite
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        x = cho_solve(factor, rhs.T, check_finite=False).T
-        resid = np.linalg.norm(rhs - x @ sigma, axis=-1)
-        worst = np.max(resid / np.maximum(np.linalg.norm(rhs, axis=-1), 1e-300))
+        flat = rhs.reshape(-1, sigma.shape[0])
+        x = np.linalg.solve(sigma, flat.T).T
+        resid = np.linalg.norm(flat - x @ sigma, axis=-1)
+        worst = np.max(resid / np.maximum(np.linalg.norm(flat, axis=-1), 1e-300))
         if worst > SOLVE_RTOL:
             raise SolveFailed(f"oracle solve residual {worst:.3e}")
-        return x
+        return x.reshape(rhs.shape)
 
     return solve

@@ -1,7 +1,11 @@
 """Config parsing, overrides, and CLI subcommand behavior."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +300,41 @@ def test_cli_bool_and_negative_integers_rejected(config_file, tmp_path, capsys, 
     assert not out.exists()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+GEO20_CONFIG = ROOT / "configs" / "geo20_compare.yaml"
+
+# Each float-valued key set to YAML's true, with the overrides that make the key count.
+_BOOL_NUMBERS = {
+    "model.theta": ["model.theta=[true, 2.0, 3.0, 4.0, 5.0]"],
+    "graph.p_fail": ["graph.p_fail=true"],
+    "graph.radius": ["graph.radius=true"],
+    "graph.target_degree": ["graph.target_degree=true"],
+    "chain.delta_self": ["chain.rule=lazy", "chain.delta_self=true"],
+    "token.alpha_params.c": ["token.alpha_form=power", "token.alpha_params.c=true"],
+    "token.alpha_params.q": ["token.alpha_form=power", "token.alpha_params.q=true"],
+    **{f"ci.{key}": [f"ci.{key}=true"] for key in ("a", "b", "tau1", "tau2")},
+    **{f"ci.grid.{key}": [f"ci.grid.{key}=[true]"] for key in ("a", "b", "tau1", "tau2")},
+}
+
+
+@pytest.mark.parametrize("key", list(_BOOL_NUMBERS))
+def test_cli_bool_in_number_keys_rejected(tmp_path, capsys, key):
+    # isinstance(True, (int, float)) holds and float(True) is 1.0, so these used to run
+    text = GEO20_CONFIG.read_text()
+    if key == "graph.radius":
+        text = text.replace("target_degree: 0.12", "radius: 0.5")
+    path = tmp_path / "geo20.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    sets = ["run.horizon=2", "run.trials=2", *_BOOL_NUMBERS[key]]
+    argv = ["simulate", str(path), "--out", str(out)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert f"{key}: must be a" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_pass_and_fail(tmp_path, capsys):
     passing = tmp_path / "ok.yaml"
     passing.write_text(
@@ -406,3 +445,17 @@ def test_cli_help_documents_config_keys(capsys):
     out = capsys.readouterr().out
     for key in ("model.theta", "graph.p_fail", "chain.rule", "token.alpha_form", "ci.grid", "run.seed"):
         assert key in out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg cost every CLI run about 0.28 s and 22 MB before numpy took its solves over
+    code = (
+        "import roamtoken.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -202,8 +202,9 @@ def test_ci_divergence_detection(ref5_model, ref5_iid):
 
 
 def test_central_trials_match_direct_estimates(ref5_model, ref5_iid, reciprocal, linear_alpha):
-    # the oracle-only engine and the token engine's in-loop oracle, per tick
-    horizon, seed = 60, 2
+    # the oracle-only engine and the token engine's in-loop oracle, per tick; the
+    # horizon crosses the 256-tick chunk edge, where the oracle solves its batch
+    horizon, seed = 300, 2
     central = run_central_trials(ref5_model, horizon, trials=2, master_seed=seed)
     token = run_token_trials(
         ref5_model, ref5_iid, reciprocal, linear_alpha, horizon, trials=2, master_seed=seed,

@@ -7,9 +7,12 @@ from roamtoken import (
     AgentModel,
     GlobalModel,
     SingularModel,
+    SolveFailed,
     fisher_information,
     sample_measurements,
 )
+from roamtoken._linalg import solve_spd
+from roamtoken.observation import central_solver
 
 from conftest import make_ref5_model, random_spd
 from references import central_estimate
@@ -148,3 +151,39 @@ def test_central_estimate_linear_in_running_means(ref5_model):
     for scale in (2.0, -0.5, 10.0):
         scaled = central_estimate(ref5_model.agents, [scale * m for m in means])
         assert np.linalg.norm(scaled - scale * base) <= 1e-12 * max(1.0, np.linalg.norm(scale * base))
+
+
+def test_solve_spd_rejects_non_positive_definite():
+    a = np.array([[1.0, 2.0], [2.0, 1.0]])  # symmetric, eigenvalues 3 and -1
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_spd(a, np.ones(2), rtol=1e-8)
+
+
+def test_solve_spd_residual_guard(monkeypatch):
+    a = np.array([[4.0, 1.0], [1.0, 3.0]])
+    b = np.array([1.0, 2.0])
+    assert np.allclose(a @ solve_spd(a, b, rtol=1e-8), b, rtol=1e-12)
+    exact = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: exact(m, rhs) * (1 + 1e-6))
+    with pytest.raises(ArithmeticError, match="exceeds tolerance"):
+        solve_spd(a, b, rtol=1e-8)
+
+
+def test_central_solver_batched_shapes_and_residual_guard(ref5_model, monkeypatch):
+    solve = central_solver(ref5_model)
+    rhs = np.random.default_rng(4).standard_normal((3, 4, ref5_model.dim))
+    x = solve(rhs)
+    assert x.shape == rhs.shape
+    assert np.allclose(x @ ref5_model.sigma_c, rhs, rtol=0, atol=1e-12)
+    assert np.allclose(solve(rhs[1, 2]), x[1, 2], rtol=1e-13, atol=0)
+
+    exact = np.linalg.solve
+
+    def last_rhs_off(m, b):
+        out = exact(m, b)
+        out[..., -1] *= 1 + 1e-6  # only the batch's last right-hand side is off
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", last_rhs_off)
+    with pytest.raises(SolveFailed, match="oracle solve residual"):
+        solve(rhs)
