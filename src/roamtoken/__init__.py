@@ -14,7 +14,6 @@ from .chain import (
     TailConstants,
     apply_rule,
     chain_floor,
-    exact_mean_transition_matrix,
     is_irreducible,
     mean_transition_matrix,
     stationary_distribution,

@@ -16,13 +16,15 @@ from typing import Union
 import numpy as np
 
 from .errors import UnsupportedProcess
-from .graphs import DeterministicSequence, GraphSpec, as_adjacency, is_strongly_connected
+from .graphs import (
+    DeterministicSequence,
+    GraphSpec,
+    IidFailureGraph,
+    as_adjacency,
+    is_strongly_connected,
+)
 
 ROW_SUM_TOL = 1e-12
-DEFAULT_MEAN_SAMPLES = 100_000
-MAX_EXACT_ROW_EDGES = 20
-# Failure outcomes of one row weighted per call, bounding the enumeration's memory.
-_OUTCOME_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,9 @@ def chain_floor(q: np.ndarray) -> float:
     """Minimum positive off-diagonal transition weight of a stochastic matrix.
 
     This is the per-step floor along any shortest path of the chain, the
-    constant that drives the hitting-time envelopes.
+    constant that drives the hitting-time envelopes.  Applied to the exact
+    ``mean_transition_matrix`` it gives the averaged chain's delta exactly,
+    whatever the out-degrees.
     """
     q = np.asarray(q, dtype=float)
     off = q[~np.eye(q.shape[0], dtype=bool)]
@@ -101,66 +105,25 @@ def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum <= scaled[..., None]).sum(axis=-1)
 
 
-def mean_transition_matrix(
-    spec: GraphSpec,
-    rule: TransitionRule,
-    samples: int = DEFAULT_MEAN_SAMPLES,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Average transition matrix of the graph process under ``rule``.
+def mean_transition_matrix(spec: GraphSpec, rule: TransitionRule) -> np.ndarray:
+    """Exact average transition matrix of the graph process under ``rule``.
 
-    Static graphs give the exact matrix; i.i.d. failure processes are
-    estimated by Monte Carlo over ``samples`` realizations.  Undefined for
-    deterministic sequences.
+    Let node ``i`` have backbone out-degree ``k`` and each edge fail with
+    probability ``p`` (0 for a static graph).  With probability ``p**k`` every
+    out-edge is down and the token holds; otherwise each rule weights the
+    surviving edges uniformly around a self-weight that does not depend on how
+    many survive, so by symmetry every backbone edge carries ``1 - p**k``
+    times its weight under the rule on the full backbone.  Hence
+    ``q = (1 - p**k) * apply_rule(rule, backbone) + diag(p**k)`` at any
+    degree.  A rule without that uniform, fixed-self-weight form would need
+    its own average.  Undefined for deterministic sequences.
     """
     if isinstance(spec, DeterministicSequence):
         raise UnsupportedProcess("mean transition matrix is undefined for deterministic sequences")
-    if not spec.draws:
-        return apply_rule(rule, spec.adjacency(0, np.empty(0)))
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    total = np.zeros((spec.n, spec.n))
-    for _ in range(samples):
-        total += apply_rule(rule, spec.adjacency(0, rng.random(spec.draws)))
-    q = total / samples
-    dev = np.abs(q.sum(axis=1) - 1.0).max()
-    if dev > 1e-9:
-        raise RuntimeError(f"mean transition rows deviate from stochastic by {dev:.3e}")
-    return q
-
-
-def exact_mean_transition_matrix(spec: GraphSpec, rule: TransitionRule) -> np.ndarray:
-    """Exact average transition matrix by enumerating edge-failure outcomes.
-
-    Rows are independent (each depends only on that node's outgoing edges), so
-    the enumeration runs per row over its 2^out-degree outcomes; rows with more
-    than MAX_EXACT_ROW_EDGES outgoing backbone edges are rejected.
-    """
-    if isinstance(spec, DeterministicSequence):
-        raise UnsupportedProcess("mean transition matrix is undefined for deterministic sequences")
-    if not spec.draws:
-        return apply_rule(rule, spec.adjacency(0, np.empty(0)))
-    n = spec.n
-    p = spec.p_fail
-    q = np.zeros((n, n))
-    for i in range(n):
-        dests = np.flatnonzero(spec.backbone[i])
-        k = len(dests)
-        if k > MAX_EXACT_ROW_EDGES:
-            raise UnsupportedProcess(
-                f"node {i} has {k} outgoing edges; exact enumeration capped at {MAX_EXACT_ROW_EDGES}"
-            )
-        # bit b of an outcome's index says whether edge i -> dests[b] survives
-        for start in range(0, 1 << k, _OUTCOME_BLOCK):
-            outcomes = np.arange(start, min(start + _OUTCOME_BLOCK, 1 << k))
-            kept = (outcomes[:, None] >> np.arange(k)) & 1 == 1
-            rows = np.zeros((len(outcomes), n), dtype=bool)
-            rows[:, dests] = kept
-            up = kept.sum(axis=1)
-            prob = (1.0 - p) ** up * p ** (k - up)
-            q[i] += prob @ transition_rows(rule, rows, np.full(len(outcomes), i))
+    p = spec.p_fail if isinstance(spec, IidFailureGraph) else 0.0
+    hold = p ** spec.backbone.sum(axis=1)
+    q = (1.0 - hold)[:, None] * apply_rule(rule, spec.backbone)
+    q[np.diag_indices(spec.n)] += hold
     return q
 
 

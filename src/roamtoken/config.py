@@ -151,9 +151,9 @@ def _check_keys(cfg: dict) -> None:
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     for name, allowed in CONFIG_KEYS.items():
-        section = cfg.get(name)
-        if section is None:
+        if name not in cfg:
             continue
+        section = cfg[name]
         if not isinstance(section, dict):
             raise ConfigError(f"{name}: must be a mapping")
         bad = set(section) - allowed.keys()

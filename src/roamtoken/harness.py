@@ -25,7 +25,6 @@ from .chain import (
     TransitionRule,
     chain_floor,
     cover_gap_bound,
-    exact_mean_transition_matrix,
     is_irreducible,
     mean_transition_matrix,
     nonvisit_bound,
@@ -40,9 +39,8 @@ from .engine import (
     run_ci_trials,
     run_token_trials,
 )
-from .errors import MissingTrace, NonFiniteMetric, UnsupportedProcess
+from .errors import MissingTrace, NonFiniteMetric
 from .graphs import (
-    DeterministicSequence,
     GraphSpec,
     sequential_reachability,
     window_union_connected,
@@ -153,27 +151,6 @@ class TailBoundReport:
         )
 
 
-def chain_step_floor(
-    spec: GraphSpec,
-    rule: TransitionRule,
-    mean_samples: int = 100_000,
-    seed: SeedLike = 0,
-) -> tuple[float, np.ndarray]:
-    """The per-step probability floor of the token's averaged motion.
-
-    Returns ``(delta, mean_matrix)`` where delta is the smallest positive
-    off-diagonal entry of the averaged transition matrix, computed exactly by
-    outcome enumeration when feasible and by Monte Carlo otherwise.
-    """
-    try:
-        q = exact_mean_transition_matrix(spec, rule)
-    except UnsupportedProcess:
-        if isinstance(spec, DeterministicSequence):
-            raise
-        q = mean_transition_matrix(spec, rule, samples=mean_samples, rng=derived_stream(seed, 1))
-    return chain_floor(q), q
-
-
 def verify_tail_bounds(
     spec: GraphSpec,
     rule: TransitionRule,
@@ -181,19 +158,20 @@ def verify_tail_bounds(
     trials: int = 10_000,
     horizon: int = 400,
     master_seed: SeedLike = 0,
-    mean_samples: int = 100_000,
 ) -> TailBoundReport:
     """Check that empirical visitation tails sit under the analytic envelopes.
 
     Requires a static or i.i.d.-failure process whose averaged chain is
-    irreducible.  PASS means every sampled tick satisfies
+    irreducible; a deterministic sequence raises ``UnsupportedProcess``.  The
+    envelopes use the exact floor ``delta = chain_floor(mean_transition_matrix)``
+    at any out-degree, so ``master_seed`` reaches only the chain trials.  PASS
+    means every sampled tick satisfies
     ``empirical <= envelope + 3 * binomial standard error``.
     """
-    if isinstance(spec, DeterministicSequence):
-        raise UnsupportedProcess("tail verification needs a static or i.i.d. failure process")
-    delta, q_mean = chain_step_floor(spec, rule, mean_samples=mean_samples, seed=master_seed)
+    q_mean = mean_transition_matrix(spec, rule)
     if not is_irreducible(q_mean):
         raise ValueError("averaged chain is not irreducible; tail bounds do not apply")
+    delta = chain_floor(q_mean)
     n = spec.n
     consts = tail_constants(delta, n)
     result = run_chain_trials(spec, rule, start_node, horizon, trials, master_seed)

@@ -14,7 +14,6 @@ from roamtoken import (
     UnsupportedProcess,
     apply_rule,
     chain_floor,
-    exact_mean_transition_matrix,
     is_irreducible,
     is_strongly_connected,
     mean_transition_matrix,
@@ -120,8 +119,7 @@ def test_mean_matrix_static_is_exact(ref5_static, reciprocal):
 def test_mean_matrix_no_failures_returns_backbone_rule():
     backbone = ref5_adjacency()
     spec = IidFailureGraph(backbone, p_fail=0.0)
-    rng = np.random.default_rng(0)
-    q = mean_transition_matrix(spec, OutDegreeReciprocal(), samples=50, rng=rng)
+    q = mean_transition_matrix(spec, OutDegreeReciprocal())
     assert np.allclose(q, apply_rule(OutDegreeReciprocal(), backbone))
 
 
@@ -146,11 +144,8 @@ def test_mean_matrix_two_node_enumeration_oracle():
     rule = OutDegreeReciprocal()
     oracle = _enumerated_mean(spec, rule)
     assert np.allclose(oracle, [[0.5, 0.5], [0.5, 0.5]])
-    exact = exact_mean_transition_matrix(spec, rule)
+    exact = mean_transition_matrix(spec, rule)
     assert np.allclose(exact, oracle, atol=1e-15)
-    rng = np.random.default_rng(1)
-    mc = mean_transition_matrix(spec, rule, samples=100_000, rng=rng)
-    assert np.abs(mc - oracle).max() < 0.01
 
 
 def test_exact_mean_matches_full_enumeration_on_random_specs():
@@ -163,8 +158,23 @@ def test_exact_mean_matches_full_enumeration_on_random_specs():
         spec = IidFailureGraph(a, p_fail=float(rng.uniform(0.1, 0.9)))
         for rule in (OutDegreeReciprocal(), Lazy(0.4)):
             assert np.allclose(
-                exact_mean_transition_matrix(spec, rule), _enumerated_mean(spec, rule), atol=1e-13
+                mean_transition_matrix(spec, rule), _enumerated_mean(spec, rule), atol=1e-13
             )
+
+
+@pytest.mark.parametrize("rule", [OutDegreeReciprocal(), Lazy(0.4)], ids=["reciprocal", "lazy"])
+def test_mean_matrix_high_degree_matches_monte_carlo(rule):
+    # every row has 21 > 20 edges, past where a 2^k enumeration is practical
+    n, p, samples = 22, 0.5, 20_000
+    spec = IidFailureGraph(~np.eye(n, dtype=bool), p_fail=p)
+    q = mean_transition_matrix(spec, rule)
+    frames = spec.adjacency(0, np.random.default_rng(3).random((samples, spec.draws)))
+    mc = sum(apply_rule(rule, a) for a in frames) / samples
+    # entries lie in [0, 1], so sqrt(q (1 - q) / samples) bounds each entry's standard error
+    se = np.sqrt(q * (1.0 - q) / samples)
+    assert np.all(np.abs(mc - q) <= 4.0 * se)
+    off_weight = 1.0 if isinstance(rule, OutDegreeReciprocal) else 1.0 - rule.delta_self
+    assert chain_floor(q) == pytest.approx(off_weight * (1.0 - p ** (n - 1)) / (n - 1), rel=1e-14)
 
 
 def test_mean_matrix_rejects_deterministic_sequences():
@@ -172,8 +182,6 @@ def test_mean_matrix_rejects_deterministic_sequences():
     spec = DeterministicSequence(frames, cycle=True)
     with pytest.raises(UnsupportedProcess):
         mean_transition_matrix(spec, OutDegreeReciprocal())
-    with pytest.raises(UnsupportedProcess):
-        exact_mean_transition_matrix(spec, OutDegreeReciprocal())
 
 
 def test_irreducibility_simple_cases():
@@ -193,7 +201,7 @@ def test_mean_chain_irreducible_for_connected_random_backbones():
         found += 1
         spec = IidFailureGraph(a, p_fail=float(rng.uniform(0.0, 0.8)))
         for rule in (OutDegreeReciprocal(), Lazy(0.35)):
-            assert is_irreducible(exact_mean_transition_matrix(spec, rule))
+            assert is_irreducible(mean_transition_matrix(spec, rule))
 
 
 # The hitting tails below are a node's non-visit fractions from the chain
@@ -256,7 +264,7 @@ def test_tail_constants_signs():
 def test_empirical_tail_dominated_by_bound():
     spec = IidFailureGraph(~np.eye(3, dtype=bool), p_fail=0.3)
     rule = OutDegreeReciprocal()
-    delta = chain_floor(exact_mean_transition_matrix(spec, rule))
+    delta = chain_floor(mean_transition_matrix(spec, rule))
     trials = 20_000
     result = run_chain_trials(spec, rule, start_node=0, horizon=30, trials=trials, master_seed=7)
     tail = result.nonvisit_frac[:, 2]

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -302,6 +303,21 @@ def test_cli_bool_and_negative_integers_rejected(config_file, tmp_path, capsys, 
 
 ROOT = Path(__file__).resolve().parents[1]
 GEO20_CONFIG = ROOT / "configs" / "geo20_compare.yaml"
+REF5_STATIC_CONFIG = ROOT / "configs" / "ref5_static.yaml"
+
+
+@pytest.mark.parametrize("section", ["model", "graph", "chain", "token", "run", "ci"])
+def test_cli_empty_section_is_config_error(tmp_path, capsys, section):
+    # a section with nothing under it loads as None; it crashed with exit 2 or ci: passed silently
+    text = re.sub(rf"^{section}:\n(?:  .*\n)*", "", REF5_STATIC_CONFIG.read_text(), flags=re.M)
+    path = tmp_path / "empty.yaml"
+    path.write_text(f"{text}{section}:\n")
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"{section}: must be a mapping" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 # Each float-valued key set to YAML's true, with the overrides that make the key count.
 _BOOL_NUMBERS = {
@@ -368,6 +384,32 @@ def test_cli_verify_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "FAIL" in out
+
+
+def test_cli_verify_high_degree_delta_is_exact(tmp_path, capsys):
+    # 21 out-edges per node once sent the averaged chain to a Monte Carlo estimate, whose
+    # sampled minimum put delta below its exact value 1/21 * (1 - 2**-21) = 0.0476190...
+    import yaml
+
+    n = 22
+    cfg = {
+        "model": {
+            "L": 2,
+            "theta": [1.0, -0.7],
+            "agents": [{"H": [[1.0, 0.0] if i % 2 else [0.0, 1.0]], "C": [[1.0]]} for i in range(n)],
+        },
+        "graph": {
+            "kind": "iid_failure",
+            "n": n,
+            "backbone": (1 - np.eye(n, dtype=int)).tolist(),
+            "p_fail": 0.5,
+        },
+        "run": {"horizon": 30, "trials": 2, "seed": 3, "algorithms": ["token"]},
+    }
+    path = tmp_path / "k22.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 0
+    assert "PASS tail bounds: delta=0.047619 " in capsys.readouterr().out
 
 
 def test_cli_gen_graph_targets(tmp_path, capsys):
