@@ -135,6 +135,27 @@ def is_irreducible(q: np.ndarray) -> bool:
     return is_strongly_connected(support)
 
 
+def support_diameter(q: np.ndarray) -> int:
+    """Largest shortest-path distance between two nodes of the chain's support, at least 1.
+
+    The support is ``q > 0`` with the diagonal excluded.  Every step of a
+    shortest path has probability at least ``chain_floor(q)``, so from any
+    node any target is entered within this many steps with probability at
+    least ``chain_floor(q) ** support_diameter(q)``.  Raises ValueError when
+    the support is not strongly connected.
+    """
+    support = np.asarray(q, dtype=float) > 0
+    np.fill_diagonal(support, False)
+    reach = np.eye(support.shape[0], dtype=bool)
+    steps = 0
+    while not reach.all():
+        grown = reach | (reach.astype(float) @ support > 0)
+        if np.array_equal(grown, reach):
+            raise ValueError("chain support is not strongly connected")
+        reach, steps = grown, steps + 1
+    return max(steps, 1)
+
+
 def stationary_distribution(q: np.ndarray) -> np.ndarray:
     """The stationary row vector of an irreducible stochastic matrix."""
     q = np.asarray(q, dtype=float)

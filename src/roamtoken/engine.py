@@ -1,10 +1,17 @@
 """Vectorized multi-trial simulation (internal support for the harness).
 
-All trials advance in lockstep so per-tick work is a handful of array
-operations, but each trial draws from its own three streams (noise, graph,
-move) with exactly the same consumption pattern as the single-episode path.
-A batched trial is therefore replayable standalone via
-``run_episode(seed=trial_seed(master, r))``.
+All trials advance in lockstep, chunk by chunk, but each trial draws from its
+own three streams (noise, graph, move) with exactly the same consumption
+pattern as the single-episode path.  A batched trial is therefore replayable
+standalone via ``run_episode(seed=trial_seed(master, r))``.
+
+In the token engine only two things step tick by tick: the walk, which fixes
+the chunk's holder path, and the running means ``ybar`` of every trial's
+stacked measurements.  Everything else is computed once per chunk from those
+two.  Since agent ``p``'s statistic is ``x_p = W_p ybar_p``, the payload is
+``d = W ybar_seen``, where ``ybar_seen`` holds each agent's means as of its
+latest visit.  The estimate is solved in the eigenbasis of ``K``, which
+changes only on first visits.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .graphs import GraphSpec
 from .observation import GlobalModel, central_solver
 from .token import ESTIMATE_RTOL, AlphaSchedule
 
-CHUNK_TICKS = 256
+CHUNK_TICKS = 64
 
 
 @dataclass(eq=False)
@@ -152,25 +159,48 @@ class _MeasurementMap:
                 self.chol_block[sl, sl] = a.chol_C
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        """Stacked (trials, m) measurements from one tick's (trials, m) raw noise."""
+        """Stacked measurements from raw noise of shape (..., m), for example a chunk's."""
         if self.all_scalar:
             return self.h_theta + z * self.scale
         return self.h_theta + z @ self.chol_block.T
 
 
-class _CentralOracle:
-    """The centralized estimate on every trial's measurements, solved once per chunk.
+class _RunningMeans:
+    """Every trial's running means of its stacked measurements, kept for each tick of a chunk.
 
-    ``step`` folds one tick into the running means and keeps that tick's
-    right-hand side ``W ybar``; ``score`` solves the chunk's kept ticks in one
-    ``central_solver`` call and records their errors.
+    ``advance`` folds one loaded chunk into the means with the one per-tick
+    recursion ``ybar += (y - ybar) / (t + 1)`` and returns the chunk's
+    (length, trials, m) stack, whose row ``ti`` holds the means after tick
+    ``t0 + ti``.  Row 0 of the buffer carries the means over from the
+    previous chunk.
     """
+
+    def __init__(self, model: GlobalModel, trials: int) -> None:
+        self.measure = _MeasurementMap(model)
+        self.ticks = np.zeros((CHUNK_TICKS + 1, trials, model.total_measurements))
+        self.filled = 0
+
+    def advance(self, noise: np.ndarray, t0: int) -> np.ndarray:
+        """Fold the (trials, length, m) noise of the chunk starting at ``t0``; return its means."""
+        length = noise.shape[1]
+        y = self.measure(noise)
+        ticks = self.ticks
+        ticks[0] = ticks[self.filled]
+        self.filled = length
+        for ti in range(length):
+            prev, cur = ticks[ti], ticks[ti + 1]
+            np.subtract(y[:, ti], prev, out=cur)
+            cur /= t0 + ti + 1
+            cur += prev
+        return ticks[1 : length + 1]
+
+
+class _CentralOracle:
+    """The centralized estimate on every trial's running means, solved once per chunk."""
 
     def __init__(self, model: GlobalModel, trials: int, horizon: int) -> None:
         self.solve = central_solver(model)
         self.w_full = np.hstack([a.W for a in model.agents])
-        self.ybar = np.zeros((trials, model.total_measurements))
-        self.rhs = np.empty((CHUNK_TICKS, trials, model.dim))
         self.result = CentralTrials(
             theta=model.theta.copy(),
             trials=trials,
@@ -178,15 +208,10 @@ class _CentralOracle:
             sq_err=np.zeros((trials, horizon + 1)),
         )
 
-    def step(self, y: np.ndarray, t: int, ti: int) -> None:
-        """Fold tick ``t`` into the running means; keep its right-hand side as row ``ti``."""
-        self.ybar += (y - self.ybar) / (t + 1)
-        np.matmul(self.ybar, self.w_full.T, out=self.rhs[ti])
-
-    def score(self, t0: int, length: int) -> None:
-        """Solve the chunk's ``length`` kept ticks, which start at ``t0``; record their errors."""
-        err = self.solve(self.rhs[:length]) - self.result.theta
-        self.result.sq_err[:, t0 : t0 + length] = (err * err).sum(axis=-1).T
+    def score(self, means: np.ndarray, t0: int) -> None:
+        """Solve the (ticks, trials, m) running means of the ticks from ``t0``; record errors."""
+        err = self.solve(means @ self.w_full.T) - self.result.theta
+        self.result.sq_err[:, t0 : t0 + len(means)] = (err * err).sum(axis=-1).T
 
 
 def _walk(
@@ -195,18 +220,136 @@ def _walk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step every trial's holder through one loaded chunk.
 
-    Returns the chunk's (trials, length) path, whose column ``ti`` holds each
+    Returns the chunk's (length, trials) path, whose row ``ti`` holds each
     trial's holder at tick ``t0 + ti``, and the holders after the chunk's
     last step.  The path depends only on the graph and move streams.
     """
     R, n = len(pos), spec.n
     ar = np.arange(R)
-    path = np.empty((length, R), dtype=np.int64)  # tick-major, so each tick's column is contiguous
+    path = np.empty((length, R), dtype=np.int64)
     for ti in range(length):
         path[ti] = pos
         rows = np.broadcast_to(spec.adjacency(t0 + ti, blocks.graph_u[:, ti]), (R, n, n))[ar, pos]
         pos = bulk_step(pos, rows, rule, blocks.move_u[:, ti])
-    return path.T, pos
+    return path, pos
+
+
+class _TokenPayload:
+    """Every trial's token payload and estimate, computed a chunk at a time from the path.
+
+    ``last[ti, r, p]`` is one plus the latest chunk tick at or before ``ti``
+    at which node ``p`` held trial ``r``'s token, or 0 if ``p`` has not held
+    it in this chunk; the payload and last-seen errors are gathered there.
+    Each trial keeps one ``K`` per visited count, in first-visit order, each
+    eigendecomposed once.  Between chunks the object carries each agent's
+    last-seen means and error and each trial's visited set.
+    """
+
+    def __init__(self, model: GlobalModel, trials: int) -> None:
+        n, dim, R = model.n_agents, model.dim, trials
+        self.theta = model.theta
+        self.w_full = np.hstack([a.W for a in model.agents])
+        self.b_stack = np.stack([a.B for a in model.agents])
+        self.col_agent = np.repeat(np.arange(n), [a.n_measurements for a in model.agents])
+        # K after trial r's c-th first visit (c = 0..n) sits in slot r * (n + 1) + c, as does
+        # its eigendecomposition; c = 0 is never read, as the start node holds at tick 0
+        self.k_ver = np.zeros((R * (n + 1), dim, dim))
+        self.lam = np.zeros((R * (n + 1), dim))
+        self.vec = np.zeros((R * (n + 1), dim, dim))
+        self.seen_means = np.zeros((R, model.total_measurements))
+        self.visited = np.zeros((R, n), dtype=bool)
+        self.err_seen = np.zeros((R, n))  # 0 until visited, so a plain sum covers the visited
+
+    def advance(
+        self, path: np.ndarray, ybar: np.ndarray, t0: int, schedule: AlphaSchedule,
+        last_seen: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One chunk's (length, trials) squared errors, visited counts and last-seen means.
+
+        ``path`` and ``ybar`` are the chunk's holders and running means from
+        tick ``t0``.  The last-seen means are None unless ``last_seen``.
+        Raises SolveFailed at the first tick whose estimate residual exceeds
+        ``ESTIMATE_RTOL``.  Each step's chunk-sized temporaries die with its
+        helper, which keeps the peak memory at about one step's worth.
+        """
+        length, n = len(path), len(self.b_stack)
+        ticks = np.arange(1, length + 1)[:, None, None]
+        last = np.where(path[:, :, None] == np.arange(n), ticks, 0)
+        np.maximum.accumulate(last, axis=0, out=last)
+        held = last > 0
+        seen = held | self.visited
+        counts = seen.sum(axis=-1)
+        self._add_versions(path, counts)
+        err = self._estimate(self._payload(last, ybar), counts, t0, schedule) - self.theta
+        sq = np.einsum("tri,tri->tr", err, err)
+        mean_seen = self._last_seen(last, held, sq, counts) if last_seen else None
+        self.visited[...] = seen[-1]
+        return sq, counts, mean_seen
+
+    def _add_versions(self, path: np.ndarray, counts: np.ndarray) -> None:
+        """Append a K version at each first visit: the holder's B plus the trial's previous K."""
+        before = np.vstack([self.visited.sum(axis=-1), counts[:-1]])
+        ti_new, r_new = np.nonzero(counts > before)
+        if not r_new.size:
+            return
+        c_new, node_new = counts[ti_new, r_new], path[ti_new, r_new]
+        slot = r_new * (len(self.b_stack) + 1) + c_new
+        for c in range(c_new.min(), c_new.max() + 1):
+            at = slot[c_new == c]
+            self.k_ver[at] = self.k_ver[at - 1] + self.b_stack[node_new[c_new == c]]
+        lam, self.vec[slot] = np.linalg.eigh(self.k_ver[slot])
+        self.lam[slot] = np.maximum(lam, 0.0)  # K is semidefinite: drop roundoff below 0
+
+    def _payload(self, last: np.ndarray, ybar: np.ndarray) -> np.ndarray:
+        """The (length, trials, L) payloads ``d = W ybar_seen``; carries the last-seen means.
+
+        Block 0 of ``means`` holds the earlier chunks' last-seen means.  A
+        gather by ``np.take`` on flat indices is several times faster than
+        fancy indexing.
+        """
+        R, m = ybar.shape[1:]
+        means = np.concatenate([self.seen_means[None], ybar])
+        at = np.take(last, self.col_agent, axis=-1)
+        at *= R * m
+        at += np.arange(R)[:, None] * m + np.arange(m)
+        y_seen = np.take(means, at)
+        self.seen_means[...] = y_seen[-1]
+        return y_seen @ self.w_full.T
+
+    def _estimate(
+        self, d: np.ndarray, counts: np.ndarray, t0: int, schedule: AlphaSchedule
+    ) -> np.ndarray:
+        """``s = V diag(1 / (lam + 1/alpha)) V^T d`` in each tick's K version, residual-checked.
+
+        The guard evaluates ``|(K + I/alpha) s - d| / |d|`` on K itself.
+        """
+        length, R = counts.shape
+        alpha = np.array([schedule.alpha(t) for t in range(t0, t0 + length)])
+        inv_alpha = 1.0 / alpha[:, None, None]
+        version = np.arange(R) * (len(self.b_stack) + 1) + counts
+        v = np.take(self.vec, version, axis=0)
+        s = np.einsum("trji,trj->tri", v, d) / (np.take(self.lam, version, axis=0) + inv_alpha)
+        s = np.einsum("trij,trj->tri", v, s)
+
+        k = np.take(self.k_ver, version, axis=0)
+        resid = np.einsum("trij,trj->tri", k, s) + s * inv_alpha - d
+        scale = np.maximum(np.sqrt(np.einsum("tri,tri->tr", d, d)), 1e-300)
+        worst = (np.sqrt(np.einsum("tri,tri->tr", resid, resid)) / scale).max(axis=1)
+        bad = np.flatnonzero(worst > ESTIMATE_RTOL)
+        if bad.size:
+            ti = bad[0]
+            raise SolveFailed(f"estimate solve residual {worst[ti]:.3e} at t={t0 + ti}")
+        return s
+
+    def _last_seen(
+        self, last: np.ndarray, held: np.ndarray, sq: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Mean over visited agents of the squared error at each one's latest visit."""
+        R = sq.shape[1]
+        at = last * R + np.arange(R)[:, None]
+        errs = np.where(held, np.take(np.concatenate([np.zeros((1, R)), sq]), at), self.err_seen)
+        self.err_seen[...] = errs[-1]
+        return np.einsum("trp->tr", errs) / counts
 
 
 def run_token_trials(
@@ -221,26 +364,16 @@ def run_token_trials(
     record: frozenset[str] | set[str] = frozenset({"sq_err", "last_seen", "visited"}),
     include_central: bool = False,
 ) -> TokenTrials:
-    """Run many token episodes in lockstep; see ``token.run_episode`` for semantics."""
-    blocks = _TrialBlocks(trials, master_seed, model, spec)
-    n, dim, R = model.n_agents, model.dim, trials
-    theta = model.theta
-    theta_sq = float(theta @ theta)
-    measure = _MeasurementMap(model)
-    all_scalar = measure.all_scalar
-    w_rows = np.stack([a.W[:, 0] for a in model.agents]) if all_scalar else None
-    b_stack = np.stack([a.B for a in model.agents])
-    slices = model.measurement_slices()
-    eye = np.eye(dim)
+    """Run many token episodes in lockstep; see ``token.run_episode`` for semantics.
 
-    x = np.zeros((R, n, dim))
-    snap = np.zeros((R, n, dim))
-    d = np.zeros((R, dim))
-    k_mat = np.zeros((R, dim, dim))
-    visited = np.zeros((R, n), dtype=bool)
+    Only the walk and the running means step tick by tick; the payload, the
+    estimates and the records are computed once per chunk (``_TokenPayload``).
+    """
+    blocks = _TrialBlocks(trials, master_seed, model, spec)
+    R = trials
+    means = _RunningMeans(model, R)
+    payload = _TokenPayload(model, R)
     holder = np.full(R, int(start_node))
-    last_seen_err = np.full((R, n), theta_sq)
-    ar = np.arange(R)
 
     size = horizon + 1
     sq_err = np.zeros((R, size)) if "sq_err" in record else None
@@ -250,53 +383,22 @@ def run_token_trials(
     holder0 = np.zeros(size, dtype=np.int64)
 
     for t0, length in blocks.chunks(size):
+        span = slice(t0, t0 + length)
         path, holder = _walk(spec, rule, blocks, t0, length, holder)
-        holder0[t0 : t0 + length] = path[0]
-        for ti in range(length):
-            t = t0 + ti
-            pos = path[:, ti]
-            y = measure(blocks.noise[:, ti])
-            if all_scalar:
-                x_target = y[:, :, None] * w_rows[None, :, :]
-            else:
-                x_target = np.empty((R, n, dim))
-                for i, sl in enumerate(slices):
-                    x_target[:, i, :] = y[:, sl] @ model.agents[i].W.T
-            x += (x_target - x) / (t + 1)
-
-            xp = x[ar, pos]
-            d += xp - snap[ar, pos]
-            snap[ar, pos] = xp
-            first = ~visited[ar, pos]
-            visited[ar, pos] = True
-            if first.any():
-                k_mat[first] += b_stack[pos[first]]
-
-            alpha = schedule.alpha(t)
-            m_t = k_mat + eye / alpha
-            s = np.linalg.solve(m_t, d[..., None])[..., 0]
-            resid = np.linalg.norm((m_t @ s[..., None])[..., 0] - d, axis=1)
-            scale = np.maximum(np.linalg.norm(d, axis=1), 1e-300)
-            worst = (resid / scale).max()
-            if worst > ESTIMATE_RTOL:
-                raise SolveFailed(f"estimate solve residual {worst:.3e} at t={t}")
-
-            err = s - theta
-            sq = (err * err).sum(axis=1)
-            last_seen_err[ar, pos] = sq
-            if sq_err is not None:
-                sq_err[:, t] = sq
-            if last_seen is not None:
-                last_seen[:, t] = (last_seen_err * visited).sum(axis=1) / visited.sum(axis=1)
-            if visit_counts is not None:
-                visit_counts[:, t] = visited.sum(axis=1)
-            if oracle is not None:
-                oracle.step(y, t, ti)
+        holder0[span] = path[:, 0]
+        ybar = means.advance(blocks.noise, t0)
         if oracle is not None:
-            oracle.score(t0, length)
+            oracle.score(ybar, t0)
+        sq, counts, mean_seen = payload.advance(path, ybar, t0, schedule, last_seen is not None)
+        if sq_err is not None:
+            sq_err[:, span] = sq.T
+        if visit_counts is not None:
+            visit_counts[:, span] = counts.T
+        if last_seen is not None:
+            last_seen[:, span] = mean_seen.T
 
     return TokenTrials(
-        theta=theta.copy(),
+        theta=model.theta.copy(),
         trials=R,
         horizon=horizon,
         sq_err=sq_err,
@@ -315,12 +417,10 @@ def run_central_trials(
 ) -> CentralTrials:
     """Oracle-only runs: per-tick squared error of the centralized estimate."""
     blocks = _TrialBlocks(trials, master_seed, model, None)
-    measure = _MeasurementMap(model)
+    means = _RunningMeans(model, trials)
     oracle = _CentralOracle(model, trials, horizon)
-    for t0, length in blocks.chunks(horizon + 1):
-        for ti in range(length):
-            oracle.step(measure(blocks.noise[:, ti]), t0 + ti, ti)
-        oracle.score(t0, length)
+    for t0, _ in blocks.chunks(horizon + 1):
+        oracle.score(means.advance(blocks.noise, t0), t0)
     return oracle.result
 
 
@@ -445,7 +545,7 @@ def run_chain_trials(
     for t0, length in blocks.chunks(size):
         path, holder = _walk(spec, rule, blocks, t0, length, holder)
         for ti in range(length):
-            visited[ar, path[:, ti]] = True
+            visited[ar, path[ti]] = True
             nonvisit[t0 + ti] = 1.0 - visited.mean(axis=0)
             gap[t0 + ti] = 1.0 - visited.all(axis=1).mean()
     return ChainTrials(trials=R, horizon=horizon, n=n, nonvisit_frac=nonvisit, gap_frac=gap)

@@ -28,6 +28,7 @@ from .chain import (
     is_irreducible,
     mean_transition_matrix,
     nonvisit_bound,
+    support_diameter,
     tail_constants,
 )
 from .engine import (
@@ -164,7 +165,9 @@ def verify_tail_bounds(
     Requires a static or i.i.d.-failure process whose averaged chain is
     irreducible; a deterministic sequence raises ``UnsupportedProcess``.  The
     envelopes use the exact floor ``delta = chain_floor(mean_transition_matrix)``
-    at any out-degree, so ``master_seed`` reaches only the chain trials.  PASS
+    at any out-degree, so ``master_seed`` reaches only the chain trials, and
+    block length ``support_diameter`` of that matrix: any target is entered
+    within that many steps with probability at least ``delta**diameter``.  PASS
     means every sampled tick satisfies
     ``empirical <= envelope + 3 * binomial standard error``.
     """
@@ -173,7 +176,7 @@ def verify_tail_bounds(
         raise ValueError("averaged chain is not irreducible; tail bounds do not apply")
     delta = chain_floor(q_mean)
     n = spec.n
-    consts = tail_constants(delta, n)
+    consts = tail_constants(delta, support_diameter(q_mean))
     result = run_chain_trials(spec, rule, start_node, horizon, trials, master_seed)
     t = np.arange(horizon + 1, dtype=float)
     env = nonvisit_bound(consts, t)

@@ -20,7 +20,7 @@ from roamtoken import (
     stationary_distribution,
     tail_constants,
 )
-from roamtoken.chain import bulk_step, nonvisit_bound
+from roamtoken.chain import bulk_step, nonvisit_bound, support_diameter
 from roamtoken.engine import run_chain_trials
 
 from conftest import ref5_adjacency
@@ -187,6 +187,18 @@ def test_mean_matrix_rejects_deterministic_sequences():
 def test_irreducibility_simple_cases():
     assert is_irreducible(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert not is_irreducible(np.array([[0.5, 0.5], [0.0, 1.0]]))
+
+
+def test_support_diameter():
+    ring = _adj(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert support_diameter(apply_rule(OutDegreeReciprocal(), ring)) == 5
+    complete = ~np.eye(22, dtype=bool)
+    assert support_diameter(mean_transition_matrix(IidFailureGraph(complete, 0.5), Lazy(0.3))) == 1
+    assert support_diameter(np.ones((1, 1))) == 1  # a block is at least one step
+    # the diagonal is not an edge, so only the support's shortest paths count
+    assert support_diameter(apply_rule(Lazy(0.5), ref5_adjacency())) == 3
+    with pytest.raises(ValueError, match="not strongly connected"):
+        support_diameter(apply_rule(OutDegreeReciprocal(), _adj(3, [(0, 1), (1, 2)])))
 
 
 def test_mean_chain_irreducible_for_connected_random_backbones():

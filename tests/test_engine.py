@@ -10,14 +10,17 @@ from roamtoken import (
     CiConfig,
     GlobalModel,
     IidFailureGraph,
+    Lazy,
     NonFiniteMetric,
     OutDegreeReciprocal,
+    SolveFailed,
     StaticGraph,
     run_episode,
     sample_measurements,
 )
 from roamtoken._streams import episode_streams, trial_seed
 from roamtoken.engine import (
+    CHUNK_TICKS,
     run_central_trials,
     run_chain_trials,
     run_ci_trials,
@@ -53,8 +56,9 @@ def test_batched_trials_match_single_episodes(spec_kind):
         spec = IidFailureGraph(ref5_adjacency(), p_fail=0.4)
     rule = OutDegreeReciprocal()
     sched = AlphaSchedule.linear()
-    # 300 ticks cross the 256-tick chunk edge, where the walker carries each holder over
+    # 300 ticks cross several chunk edges, where the walker carries each holder over
     horizon, trials, seed = 300, 4, 99
+    assert horizon > CHUNK_TICKS
     batch = run_token_trials(model, spec, rule, sched, horizon, trials, master_seed=seed)
     for r in range(trials):
         trace = run_episode(
@@ -65,6 +69,63 @@ def test_batched_trials_match_single_episodes(spec_kind):
         assert np.allclose(
             batch.last_seen_mean_sq[r], trace.mean_last_seen_sq_err, rtol=1e-9, atol=1e-13
         )
+
+
+def _slow_ring():
+    """An 8-agent directed ring under Lazy(0.97): first visits trickle in over several chunks."""
+    rng = np.random.default_rng(8)
+    agents = [AgentModel(i, rng.standard_normal((1, 3)), [[0.5 + rng.random()]]) for i in range(8)]
+    ring = np.zeros((8, 8), dtype=bool)
+    ring[np.arange(8), (np.arange(8) + 1) % 8] = True
+    return GlobalModel(agents, [0.4, -1.2, 0.9]), StaticGraph(ring), Lazy(0.97)
+
+
+def test_batched_trials_match_single_episodes_when_cover_spans_chunks():
+    # K gains versions, and each is eigendecomposed, in chunks after the first; the
+    # last-seen means and errors are carried over every chunk edge
+    model, spec, rule = _slow_ring()
+    sched = AlphaSchedule.linear()
+    horizon, trials, seed = 400, 4, 0
+    assert horizon > 3 * CHUNK_TICKS
+    batch = run_token_trials(model, spec, rule, sched, horizon, trials, master_seed=seed)
+    for r in range(trials):
+        trace = run_episode(model, spec, rule, sched, horizon, seed=trial_seed(seed, r))
+        first_visits = np.flatnonzero(np.diff(trace.visited_count, prepend=0))
+        assert len(set(first_visits // CHUNK_TICKS)) >= 3
+        assert trace.visited_count[-1] == 8
+        if r == 0:
+            assert np.array_equal(batch.holder_trial0, trace.holder)
+        assert np.array_equal(batch.visited_count[r], trace.visited_count.astype(np.int16))
+        assert np.allclose(batch.sq_err[r], trace.token_sq_err, rtol=1e-9, atol=1e-13)
+        assert np.allclose(
+            batch.last_seen_mean_sq[r], trace.mean_last_seen_sq_err, rtol=1e-9, atol=1e-13
+        )
+
+
+def test_estimate_guard_names_first_failing_tick(monkeypatch):
+    model, spec, rule = _slow_ring()
+    args = (model, spec, rule, AlphaSchedule.linear())
+    with monkeypatch.context() as m:
+        m.setattr("roamtoken.engine.ESTIMATE_RTOL", -1.0)
+        with pytest.raises(SolveFailed, match=r"estimate solve residual .* at t=0$"):
+            run_token_trials(*args, horizon=100, trials=2, master_seed=0)
+
+    # a wrong eigendecomposition of every full-rank K: the guard, evaluated on K itself,
+    # fails at the first tick whose K has rank 3, here in the second chunk
+    eigh = np.linalg.eigh
+
+    def skewed_eigh(k):
+        lam, vec = eigh(k)
+        full = lam.min(axis=-1) > 1e-9 * lam.max(axis=-1)
+        lam[full] *= 1 + 1e-6
+        return lam, vec
+
+    trace = run_episode(*args, horizon=400, seed=trial_seed(0, 0))
+    first_full = int(np.flatnonzero(trace.visited_count >= 3)[0])
+    assert first_full >= CHUNK_TICKS
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    with pytest.raises(SolveFailed, match=rf"estimate solve residual .* at t={first_full}$"):
+        run_token_trials(*args, horizon=400, trials=1, master_seed=0)
 
 
 def test_engine_heterogeneous_measurement_sizes():
@@ -131,7 +192,9 @@ def test_token_and_ci_share_noise_and_graph_draws(ref5_model, ref5_iid):
         assert np.array_equal(full.move_u, chain.move_u)
         assert central.graph_u.shape == (trials, length, 0)
         assert chain.noise is None
-    assert seen == [(0, 256), (256, 44)]
+    assert [t0 for t0, _ in seen] == list(range(0, 300, CHUNK_TICKS))
+    assert [length for _, length in seen] == [CHUNK_TICKS] * (len(seen) - 1) + [300 - seen[-1][0]]
+    assert len(seen) >= 2
 
 
 def test_chain_and_token_engines_walk_the_same_paths(
@@ -203,8 +266,9 @@ def test_ci_divergence_detection(ref5_model, ref5_iid):
 
 def test_central_trials_match_direct_estimates(ref5_model, ref5_iid, reciprocal, linear_alpha):
     # the oracle-only engine and the token engine's in-loop oracle, per tick; the
-    # horizon crosses the 256-tick chunk edge, where the oracle solves its batch
+    # horizon crosses several chunk edges, where the running means carry over
     horizon, seed = 300, 2
+    assert horizon > CHUNK_TICKS
     central = run_central_trials(ref5_model, horizon, trials=2, master_seed=seed)
     token = run_token_trials(
         ref5_model, ref5_iid, reciprocal, linear_alpha, horizon, trials=2, master_seed=seed,

@@ -153,6 +153,16 @@ def test_verify_tail_bounds_uses_seed_sequence_master():
     assert r1.delta == r2.delta == r_int.delta  # the floor is exact, not sampled
 
 
+def test_verify_tail_bounds_envelope_is_not_vacuous_on_large_graphs():
+    # the block length used to be n: on K22 that gave eps = delta**22 ~ 1e-29, so the
+    # envelope was 1 at every tick and the check could not fail
+    spec = IidFailureGraph(~np.eye(22, dtype=bool), p_fail=0.5)
+    report = verify_tail_bounds(spec, OutDegreeReciprocal(), trials=200, horizon=400, master_seed=0)
+    assert report.constants.m == 1
+    assert report.nonvisit_env[400] < 1
+    assert report.passed
+
+
 def test_verify_tail_bounds_rejects_deterministic():
     from roamtoken import DeterministicSequence, UnsupportedProcess
 
