@@ -217,6 +217,10 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("graph: geometric needs exactly one of radius, target_degree")
     if kind == "deterministic" and "frames_file" not in graph:
         raise ConfigError("graph.frames_file: required for deterministic sequences")
+    if "frames_count" in graph and not _is_int(graph["frames_count"], 1):
+        raise ConfigError("graph.frames_count: must be a positive integer")
+    if "cycle" in graph and not isinstance(graph["cycle"], bool):
+        raise ConfigError("graph.cycle: must be true or false")
 
     chain = cfg.get("chain", {})
     rule = chain.get("rule", "out_degree_reciprocal")
@@ -251,6 +255,8 @@ def validate_config(cfg: dict) -> None:
 
     ci = cfg.get("ci") or {}
     _check_numbers(ci, ("a", "b", "tau1", "tau2"), "ci")
+    if ci.get("gain_mode", "identity") != "identity":
+        raise ConfigError("ci.gain_mode: must be 'identity'")
     if "grid" in ci:
         grid = ci["grid"]
         if not isinstance(grid, dict) or set(grid) - {"a", "b", "tau1", "tau2"}:
@@ -313,7 +319,7 @@ def build_graph(cfg: dict, base_dir: Path, seed: int) -> GraphSpec:
         frames = read_frames_csv(
             base_dir / graph["frames_file"], n=n, count=graph.get("frames_count")
         )
-        return DeterministicSequence(frames, cycle=bool(graph.get("cycle", False)))
+        return DeterministicSequence(frames, cycle=graph.get("cycle", False))
     except ConfigError:
         raise
     except (ValueError, OSError) as exc:
@@ -357,7 +363,6 @@ def build_ci(cfg: dict) -> tuple[CiConfig | None, dict | None]:
                 b=float(ci["b"]),
                 tau1=float(ci["tau1"]),
                 tau2=float(ci["tau2"]),
-                gain_mode=ci.get("gain_mode", "identity"),
             )
         except ValueError as exc:
             raise ConfigError(f"ci: {exc}") from None

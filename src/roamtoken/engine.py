@@ -12,12 +12,26 @@ two.  Since agent ``p``'s statistic is ``x_p = W_p ybar_p``, the payload is
 ``d = W ybar_seen``, where ``ybar_seen`` holds each agent's means as of its
 latest visit.  The estimate is solved in the eigenbasis of ``K``, which
 changes only on first visits.
+
+The token, central and consensus+innovations engines shard their trials
+across the usable cores (``_sharded``).  Each forked worker runs the same
+serial loop on a contiguous block of at least ``MIN_BLOCK_TRIALS`` trials,
+with trial ``lo + r`` seeded ``trial_seed(master, lo + r)``, and writes its
+rows into arrays in anonymous shared memory.  Every per-trial value is
+computed row by row, so outputs do not depend on the worker count; a block
+holds at least two trials because numpy's linear algebra takes a different
+path for a single row, which changes the last bits.  A worker's failure is
+re-raised in the parent as the serial loop would raise it.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -30,6 +44,15 @@ from .observation import GlobalModel, central_solver
 from .token import ESTIMATE_RTOL, AlphaSchedule
 
 CHUNK_TICKS = 64
+# A worker's block holds at least this many trials: numpy's linear algebra takes
+# another path for a single row, which changes the last bits of the values.
+MIN_BLOCK_TRIALS = 2
+# Runs of fewer trials stay in one process.  Every worker still steps every tick, so
+# sharding pays only once a block's per-trial work outweighs the per-tick overhead
+# that each worker repeats and the few milliseconds it takes to fork and join them.
+# On a 2-vCPU VM, 1,000-tick runs of the token, oracle and CI engines broke even at
+# about 32 trials and were faster sharded from 64.
+SHARD_MIN_TRIALS = 64
 
 
 @dataclass(eq=False)
@@ -80,7 +103,7 @@ class ChainTrials:
 
 
 class _TrialBlocks:
-    """Per-trial stream generators with chunked block draws.
+    """Per-trial stream generators with chunked block draws, for trials ``first`` onwards.
 
     Block draws from numpy generators consume the underlying bit stream
     exactly like successive per-tick draws, which keeps batched trials
@@ -97,14 +120,14 @@ class _TrialBlocks:
         master_seed: SeedLike,
         model: GlobalModel | None,
         spec: GraphSpec | None,
+        first: int = 0,
     ) -> None:
-        if model is not None and spec is not None and spec.n != model.n_agents:
-            raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
         self.trials = trials
         self.model = model
         self.draws = 0 if spec is None else spec.draws
+        self.t0 = 0  # first tick of the chunk being run
         self.noise_gens, self.graph_gens, self.move_gens = [], [], []
-        for r in range(trials):
+        for r in range(first, first + trials):
             noise, graph, move = trial_seed(master_seed, r).spawn(3)
             self.noise_gens.append(np.random.default_rng(noise))
             self.graph_gens.append(np.random.default_rng(graph))
@@ -117,7 +140,7 @@ class _TrialBlocks:
     def chunks(self, ticks: int) -> Iterator[tuple[int, int]]:
         """Yield ``(t0, length)`` for each chunk of ``ticks`` ticks, its draws loaded."""
         for t0 in range(0, ticks, CHUNK_TICKS):
-            length = min(CHUNK_TICKS, ticks - t0)
+            self.t0, length = t0, min(CHUNK_TICKS, ticks - t0)
             self.load(length)
             yield t0, length
 
@@ -141,6 +164,141 @@ class _TrialBlocks:
         if buf is None or buf.shape[1] < length:
             buf = self._buffers[name] = np.empty((self.trials, length, *width))
         return buf[:, :length]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shared_zeros(shape: tuple[int, ...], dtype: type) -> np.ndarray:
+    """A zero array in anonymous shared memory, where the parent sees what forked workers write."""
+    count, dtype = int(np.prod(shape)), np.dtype(dtype)
+    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
+def _serial_order(exc: BaseException, t0: int) -> tuple[int, int, float]:
+    """Where the serial loop, running all trials, would meet the failure ``exc`` of chunk ``t0``.
+
+    Within a chunk, errors in loading and walking come first, then the
+    oracle's, then the estimate's by tick.  A solve failure that several
+    blocks meet at the same point is reported with the worst residual, as
+    the serial loop takes the worst over all trials.
+    """
+    residual = getattr(exc, "residual", None)
+    tick = getattr(exc, "tick", None)
+    stage = -2 if residual is None else -1 if tick is None else tick
+    return t0, stage, -(residual or 0.0)
+
+
+def _worker(
+    report: int,
+    block: Callable[[], tuple[_TrialBlocks, dict, dict]],
+    run_block: Callable[[_TrialBlocks, dict, dict], None],
+) -> NoReturn:
+    """A forked worker's life: run its block; send up ``report`` any failure and where it was.
+
+    Every exception, an interrupt included, goes to the parent, which raises
+    it.  ``os._exit`` ends the worker without running the parent's exit
+    handlers or flushing the buffers it inherited, so nothing runs or prints
+    twice.
+    """
+    code, streams = 1, None
+    try:
+        try:
+            streams, part, mine = block()
+            run_block(streams, part, mine)
+            code = 0
+        except BaseException as exc:
+            where = _serial_order(exc, 0 if streams is None else streams.t0)
+            try:
+                msg = pickle.dumps((where, exc))
+                pickle.loads(msg)
+            except Exception:  # an exception that does not survive pickling
+                msg = pickle.dumps((where, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            with os.fdopen(report, "wb") as out:
+                out.write(msg)
+    finally:
+        os._exit(code)
+
+
+def _sharded(
+    trials: int,
+    master_seed: SeedLike,
+    model: GlobalModel | None,
+    spec: GraphSpec | None,
+    rows: dict[str, tuple[tuple[int, ...], type]],
+    run_block: Callable[[_TrialBlocks, dict, dict], None],
+    per_block: dict[str, tuple[tuple[int, ...], type]] | None = None,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Run ``run_block`` over contiguous blocks of trials, one forked worker per block.
+
+    ``rows`` names the per-trial outputs, each ``(trials, *width)``, and
+    ``per_block`` those each block keeps for itself, ``(blocks, *width)``.
+    Block ``b`` holds trials ``lo..hi-1``; ``run_block(streams, rows[lo:hi],
+    per_block[b])`` fills its part, where ``streams`` are those trials'
+    ``_TrialBlocks``.  One block, run in this process, serves runs of fewer
+    than ``SHARD_MIN_TRIALS`` trials, a single usable core and platforms
+    without ``os.fork``.  If workers fail, the failure the serial loop would meet
+    first is raised here, once every worker has been reaped.
+    """
+    workers = 1
+    if hasattr(os, "fork") and trials >= SHARD_MIN_TRIALS:
+        workers = max(1, min(_usable_cpus(), trials // MIN_BLOCK_TRIALS))
+    bounds = [trials * b // workers for b in range(workers + 1)]
+    alloc = np.zeros if workers == 1 else _shared_zeros
+    out = {k: alloc((trials, *width), dtype) for k, (width, dtype) in rows.items()}
+    own = {k: alloc((workers, *width), dtype) for k, (width, dtype) in (per_block or {}).items()}
+
+    def block(b: int) -> tuple[_TrialBlocks, dict, dict]:
+        """Block ``b``'s streams and its parts of the outputs."""
+        lo, hi = bounds[b], bounds[b + 1]
+        return (
+            _TrialBlocks(hi - lo, master_seed, model, spec, lo),
+            {k: v[lo:hi] for k, v in out.items()},
+            {k: v[b] for k, v in own.items()},
+        )
+
+    if workers == 1:
+        run_block(*block(0))
+        return out, own
+
+    pids: dict[int, int] = {}  # unreaped worker -> its block
+    reports = []
+    failures = []
+    try:
+        for b in range(workers):
+            read_end, write_end = os.pipe()
+            reports.append(os.fdopen(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(write_end, lambda: block(b), run_block)
+            finally:
+                os.close(write_end)  # a worker never gets here: it leaves by os._exit
+            pids[pid] = b
+        msgs = [report.read() for report in reports]  # each ends when its worker does
+        for pid in list(pids):
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            b = pids.pop(pid)
+            if msgs[b]:
+                failures.append((*pickle.loads(msgs[b]), b))
+            elif status:
+                lo, hi = bounds[b], bounds[b + 1]
+                crash = RuntimeError(f"the worker for trials {lo}..{hi - 1} exited with {status}")
+                failures.append(((-1,), crash, b))
+    finally:
+        for report in reports:
+            report.close()
+        for pid in pids:  # left only if this process was interrupted
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda f: (f[0], f[2]))[1]
+    return out, own
 
 
 class _MeasurementMap:
@@ -198,20 +356,15 @@ class _RunningMeans:
 class _CentralOracle:
     """The centralized estimate on every trial's running means, solved once per chunk."""
 
-    def __init__(self, model: GlobalModel, trials: int, horizon: int) -> None:
+    def __init__(self, model: GlobalModel) -> None:
         self.solve = central_solver(model)
         self.w_full = np.hstack([a.W for a in model.agents])
-        self.result = CentralTrials(
-            theta=model.theta.copy(),
-            trials=trials,
-            horizon=horizon,
-            sq_err=np.zeros((trials, horizon + 1)),
-        )
+        self.theta = model.theta
 
-    def score(self, means: np.ndarray, t0: int) -> None:
+    def score(self, means: np.ndarray, t0: int, sq_err: np.ndarray) -> None:
         """Solve the (ticks, trials, m) running means of the ticks from ``t0``; record errors."""
-        err = self.solve(means @ self.w_full.T) - self.result.theta
-        self.result.sq_err[:, t0 : t0 + len(means)] = (err * err).sum(axis=-1).T
+        err = self.solve(means @ self.w_full.T) - self.theta
+        sq_err[:, t0 : t0 + len(means)] = (err * err).sum(axis=-1).T
 
 
 def _walk(
@@ -337,8 +490,9 @@ class _TokenPayload:
         worst = (np.sqrt(np.einsum("tri,tri->tr", resid, resid)) / scale).max(axis=1)
         bad = np.flatnonzero(worst > ESTIMATE_RTOL)
         if bad.size:
-            ti = bad[0]
-            raise SolveFailed(f"estimate solve residual {worst[ti]:.3e} at t={t0 + ti}")
+            ti, t = bad[0], t0 + int(bad[0])
+            msg = f"estimate solve residual {worst[ti]:.3e} at t={t}"
+            raise SolveFailed(msg, residual=float(worst[ti]), tick=t)
         return s
 
     def _last_seen(
@@ -350,6 +504,11 @@ class _TokenPayload:
         errs = np.where(held, np.take(np.concatenate([np.zeros((1, R)), sq]), at), self.err_seen)
         self.err_seen[...] = errs[-1]
         return np.einsum("trp->tr", errs) / counts
+
+
+def _check_sizes(model: GlobalModel, spec: GraphSpec) -> None:
+    if spec.n != model.n_agents:
+        raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
 
 
 def run_token_trials(
@@ -369,43 +528,44 @@ def run_token_trials(
     Only the walk and the running means step tick by tick; the payload, the
     estimates and the records are computed once per chunk (``_TokenPayload``).
     """
-    blocks = _TrialBlocks(trials, master_seed, model, spec)
-    R = trials
-    means = _RunningMeans(model, R)
-    payload = _TokenPayload(model, R)
-    holder = np.full(R, int(start_node))
-
+    _check_sizes(model, spec)
     size = horizon + 1
-    sq_err = np.zeros((R, size)) if "sq_err" in record else None
-    last_seen = np.zeros((R, size)) if "last_seen" in record else None
-    visit_counts = np.zeros((R, size), dtype=np.int16) if "visited" in record else None
-    oracle = _CentralOracle(model, R, horizon) if include_central else None
-    holder0 = np.zeros(size, dtype=np.int64)
+    kept = {"sq_err": float, "last_seen": float, "visited": np.int16}
+    rows = {k: ((size,), dtype) for k, dtype in kept.items() if k in record}
+    oracle = _CentralOracle(model) if include_central else None
+    if oracle is not None:
+        rows["central"] = ((size,), float)
 
-    for t0, length in blocks.chunks(size):
-        span = slice(t0, t0 + length)
-        path, holder = _walk(spec, rule, blocks, t0, length, holder)
-        holder0[span] = path[:, 0]
-        ybar = means.advance(blocks.noise, t0)
-        if oracle is not None:
-            oracle.score(ybar, t0)
-        sq, counts, mean_seen = payload.advance(path, ybar, t0, schedule, last_seen is not None)
-        if sq_err is not None:
-            sq_err[:, span] = sq.T
-        if visit_counts is not None:
-            visit_counts[:, span] = counts.T
-        if last_seen is not None:
-            last_seen[:, span] = mean_seen.T
+    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], own: dict[str, np.ndarray]) -> None:
+        R = blocks.trials
+        means = _RunningMeans(model, R)
+        payload = _TokenPayload(model, R)
+        holder = np.full(R, int(start_node))
+        for t0, length in blocks.chunks(size):
+            span = slice(t0, t0 + length)
+            path, holder = _walk(spec, rule, blocks, t0, length, holder)
+            own["holder0"][span] = path[:, 0]
+            ybar = means.advance(blocks.noise, t0)
+            if oracle is not None:
+                oracle.score(ybar, t0, out["central"])
+            sq, counts, mean_seen = payload.advance(path, ybar, t0, schedule, "last_seen" in out)
+            for key, value in (("sq_err", sq), ("visited", counts), ("last_seen", mean_seen)):
+                if key in out:
+                    out[key][:, span] = value.T
 
+    out, own = _sharded(
+        trials, master_seed, model, spec, rows, run, per_block={"holder0": ((size,), np.int64)}
+    )
+    theta = model.theta.copy()
     return TokenTrials(
-        theta=model.theta.copy(),
-        trials=R,
+        theta=theta,
+        trials=trials,
         horizon=horizon,
-        sq_err=sq_err,
-        last_seen_mean_sq=last_seen,
-        visited_count=visit_counts,
-        central=None if oracle is None else oracle.result,
-        holder_trial0=holder0,
+        sq_err=out.get("sq_err"),
+        last_seen_mean_sq=out.get("last_seen"),
+        visited_count=out.get("visited"),
+        central=None if oracle is None else CentralTrials(theta, trials, horizon, out["central"]),
+        holder_trial0=own["holder0"][0],
     )
 
 
@@ -416,12 +576,16 @@ def run_central_trials(
     master_seed: SeedLike = 0,
 ) -> CentralTrials:
     """Oracle-only runs: per-tick squared error of the centralized estimate."""
-    blocks = _TrialBlocks(trials, master_seed, model, None)
-    means = _RunningMeans(model, trials)
-    oracle = _CentralOracle(model, trials, horizon)
-    for t0, _ in blocks.chunks(horizon + 1):
-        oracle.score(means.advance(blocks.noise, t0), t0)
-    return oracle.result
+    size = horizon + 1
+    oracle = _CentralOracle(model)
+
+    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], _: dict) -> None:
+        means = _RunningMeans(model, blocks.trials)
+        for t0, _ in blocks.chunks(size):
+            oracle.score(means.advance(blocks.noise, t0), t0, out["sq_err"])
+
+    out, _ = _sharded(trials, master_seed, model, None, {"sq_err": ((size,), float)}, run)
+    return CentralTrials(model.theta.copy(), trials, horizon, out["sq_err"])
 
 
 def run_ci_trials(
@@ -446,83 +610,91 @@ def run_ci_trials(
     horizon; a diverged candidate is flagged and scores inf.  Every
     candidate's values equal those of its own single-config run bit for bit.
     """
-    blocks = _TrialBlocks(trials, master_seed, model, spec)
+    _check_sizes(model, spec)
     single = isinstance(cfg, CiConfig)
     cfgs = [cfg] if single else list(cfg)
     if not cfgs:
         raise ValueError("need at least one CiConfig")
-    n, dim, R, K = model.n_agents, model.dim, trials, len(cfgs)
+    n, dim, K = model.n_agents, model.dim, len(cfgs)
     theta = model.theta
     theta_sq = float(theta @ theta)
     measure = _MeasurementMap(model)
     all_scalar = measure.all_scalar
     # Gains folded with W and stacked over candidates: one (K, L, m_i) array per agent.
     folded = [[g @ a.W for g, a in zip(c.gains(model), model.agents)] for c in cfgs]
-    g_fold = [np.stack(per_agent) for per_agent in zip(*folded)]
+    g_fold_all = [np.stack(per_agent) for per_agent in zip(*folded)]
     h_rows = np.stack([a.H[0] for a in model.agents]) if all_scalar else None
-    g_rows = np.stack([g[:, :, 0] for g in g_fold], axis=1) if all_scalar else None
+    g_rows_all = np.stack([g[:, :, 0] for g in g_fold_all], axis=1) if all_scalar else None
     slices = model.measurement_slices()
-
-    s = np.zeros((K, R, n, dim))
-    live = np.arange(K)
-    diverged = np.zeros(K, dtype=bool)
     size = horizon + 1
-    netavg = None
-    if single:
-        netavg = np.zeros((R, size))
-        netavg[:, 0] = theta_sq
-    final = np.full((R, K), theta_sq)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t0, length in blocks.chunks(size):
-            if not live.size:
-                break
-            consensus, innovation = np.empty_like(s), np.empty_like(s)
-            resid = np.empty(s.shape[:3])
-            for ti in range(min(length, horizon - t0)):
-                t = t0 + ti
-                y = measure(blocks.noise[:, ti])
-                adj = spec.adjacency(t, blocks.graph_u[:, ti]).astype(float)
-                deg = np.repeat(adj.sum(axis=-1)[..., None], dim, axis=-1)
-                # s - beta * (deg * s - adj @ s) + alpha * innovation, in place; the
-                # innovation buffer holds adj @ s until the innovation overwrites it
-                np.multiply(deg, s, out=consensus)
-                consensus -= np.matmul(adj, s, out=innovation)
-                consensus *= np.array([cfgs[k].beta(t) for k in live])[:, None, None, None]
-                if all_scalar:
-                    np.einsum("krnl,nl->krn", s, h_rows, out=resid)
-                    np.subtract(y, resid, out=resid)
-                    # broadcasting along the last axis is slow: spell the (..., L) operand out
-                    innovation[...] = resid[..., None]
-                    innovation *= g_rows[:, None]
-                else:
-                    for i, sl in enumerate(slices):
-                        resid_i = y[:, sl] - s[:, :, i, :] @ model.agents[i].H.T
-                        innovation[:, :, i, :] = resid_i @ g_fold[i].transpose(0, 2, 1)
-                innovation *= np.array([cfgs[k].alpha(t) for k in live])[:, None, None, None]
-                s -= consensus
-                s += innovation
-                if single or t + 1 == horizon:
-                    for k, s_k in zip(live, s):
-                        err = s_k - theta
-                        err_sq = (err * err).sum(axis=-1).mean(axis=-1)
-                        if single:
-                            netavg[:, t + 1] = err_sq
-                        if t + 1 == horizon:
-                            final[:, k] = err_sq
-            finite = np.isfinite(s).all(axis=(1, 2, 3))
-            if not finite.all():
-                if single:
-                    raise NonFiniteMetric("consensus+innovations trajectory diverged")
-                diverged[live[~finite]] = True
-                live, s = live[finite], s[finite]
-                g_fold = [g[finite] for g in g_fold]
-                if all_scalar:
-                    g_rows = g_rows[finite]
-    final[:, diverged] = np.inf
+    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], own: dict[str, np.ndarray]) -> None:
+        s = np.zeros((K, blocks.trials, n, dim))
+        live, g_fold, g_rows = np.arange(K), g_fold_all, g_rows_all
+        diverged = own["diverged"]
+        netavg, final = out.get("netavg"), out["final"]
+        if single:
+            netavg[:, 0] = theta_sq
+        final[...] = theta_sq
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t0, length in blocks.chunks(size):
+                if not live.size:
+                    break
+                consensus, innovation = np.empty_like(s), np.empty_like(s)
+                resid = np.empty(s.shape[:3])
+                for ti in range(min(length, horizon - t0)):
+                    t = t0 + ti
+                    y = measure(blocks.noise[:, ti])
+                    adj = spec.adjacency(t, blocks.graph_u[:, ti]).astype(float)
+                    deg = np.repeat(adj.sum(axis=-1)[..., None], dim, axis=-1)
+                    # s - beta * (deg * s - adj @ s) + alpha * innovation, in place; the
+                    # innovation buffer holds adj @ s until the innovation overwrites it
+                    np.multiply(deg, s, out=consensus)
+                    consensus -= np.matmul(adj, s, out=innovation)
+                    consensus *= np.array([cfgs[k].beta(t) for k in live])[:, None, None, None]
+                    if all_scalar:
+                        np.einsum("krnl,nl->krn", s, h_rows, out=resid)
+                        np.subtract(y, resid, out=resid)
+                        # broadcasting along the last axis is slow: spell the (..., L) operand out
+                        innovation[...] = resid[..., None]
+                        innovation *= g_rows[:, None]
+                    else:
+                        for i, sl in enumerate(slices):
+                            resid_i = y[:, sl] - s[:, :, i, :] @ model.agents[i].H.T
+                            innovation[:, :, i, :] = resid_i @ g_fold[i].transpose(0, 2, 1)
+                    innovation *= np.array([cfgs[k].alpha(t) for k in live])[:, None, None, None]
+                    s -= consensus
+                    s += innovation
+                    if single or t + 1 == horizon:
+                        for k, s_k in zip(live, s):
+                            err = s_k - theta
+                            err_sq = (err * err).sum(axis=-1).mean(axis=-1)
+                            if single:
+                                netavg[:, t + 1] = err_sq
+                            if t + 1 == horizon:
+                                final[:, k] = err_sq
+                finite = np.isfinite(s).all(axis=(1, 2, 3))
+                if not finite.all():
+                    if single:
+                        raise NonFiniteMetric("consensus+innovations trajectory diverged")
+                    diverged[live[~finite]] = True
+                    live, s = live[finite], s[finite]
+                    g_fold = [g[finite] for g in g_fold]
+                    if all_scalar:
+                        g_rows = g_rows[finite]
+
+    rows = {"final": ((K,), float)}
     if single:
-        return CiTrials(theta=theta.copy(), trials=R, horizon=horizon, netavg_sq_err=netavg)
-    return CiGridTrials(trials=R, horizon=horizon, final_sq_err=final, diverged=diverged)
+        rows["netavg"] = ((size,), float)
+    out, own = _sharded(
+        trials, master_seed, model, spec, rows, run, per_block={"diverged": ((K,), bool)}
+    )
+    if single:
+        return CiTrials(theta.copy(), trials, horizon, netavg_sq_err=out["netavg"])
+    diverged = own["diverged"].any(axis=0)  # a candidate diverged if it did in any block
+    final = out["final"]
+    final[:, diverged] = np.inf
+    return CiGridTrials(trials=trials, horizon=horizon, final_sq_err=final, diverged=diverged)
 
 
 def run_chain_trials(

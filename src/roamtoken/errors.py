@@ -22,7 +22,16 @@ class UnsupportedProcess(RoamTokenError):
 
 
 class SolveFailed(RoamTokenError):
-    """A linear solve left a residual above tolerance."""
+    """A linear solve left a residual above tolerance.
+
+    ``residual`` is the worst relative residual, and ``tick`` the tick it
+    belongs to, where the raiser knows them.
+    """
+
+    def __init__(self, message: str, residual: float | None = None, tick: int | None = None):
+        super().__init__(message)
+        self.residual = residual
+        self.tick = tick
 
 
 class MissingTrace(RoamTokenError):

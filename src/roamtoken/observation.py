@@ -184,7 +184,7 @@ def central_solver(model: GlobalModel) -> Callable[[np.ndarray], np.ndarray]:
         resid = np.linalg.norm(flat - x @ sigma, axis=-1)
         worst = np.max(resid / np.maximum(np.linalg.norm(flat, axis=-1), 1e-300))
         if worst > SOLVE_RTOL:
-            raise SolveFailed(f"oracle solve residual {worst:.3e}")
+            raise SolveFailed(f"oracle solve residual {worst:.3e}", residual=float(worst))
         return x.reshape(rhs.shape)
 
     return solve

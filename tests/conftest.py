@@ -10,6 +10,7 @@ from roamtoken import (
     AlphaSchedule,
     GlobalModel,
     IidFailureGraph,
+    Lazy,
     OutDegreeReciprocal,
     StaticGraph,
 )
@@ -29,6 +30,15 @@ def ref5_adjacency() -> np.ndarray:
 def make_ref5_model(noise: str = "gaussian") -> GlobalModel:
     agents = [AgentModel(i, [REF5_H[i]], [[1.0]]) for i in range(5)]
     return GlobalModel(agents, REF5_THETA, noise=noise)
+
+
+def slow_ring() -> tuple[GlobalModel, StaticGraph, Lazy]:
+    """An 8-agent directed ring under Lazy(0.97): first visits trickle in over several chunks."""
+    rng = np.random.default_rng(8)
+    agents = [AgentModel(i, rng.standard_normal((1, 3)), [[0.5 + rng.random()]]) for i in range(8)]
+    ring = np.zeros((8, 8), dtype=bool)
+    ring[np.arange(8), (np.arange(8) + 1) % 8] = True
+    return GlobalModel(agents, [0.4, -1.2, 0.9]), StaticGraph(ring), Lazy(0.97)
 
 
 @pytest.fixture

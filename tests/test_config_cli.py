@@ -158,8 +158,9 @@ def test_cli_missing_seed_warns(tmp_path, capsys):
     assert "run.seed not set" in capsys.readouterr().err
 
 
-def test_cli_runtime_failure_exit_code(tmp_path):
-    # deterministic sequence shorter than the horizon exhausts mid-run
+@pytest.fixture
+def short_sequence_file(tmp_path):
+    """A deterministic one-frame sequence that does not cycle, shorter than the horizon."""
     frames = tmp_path / "frames.csv"
     frames.write_text("t,from,to\n0,0,1\n0,1,0\n")
     path = tmp_path / "short.yaml"
@@ -183,8 +184,33 @@ def test_cli_runtime_failure_exit_code(tmp_path):
             """
         )
     )
-    code = main(["simulate", str(path), "--out", str(tmp_path / "out")])
+    return path
+
+
+def test_cli_runtime_failure_exit_code(short_sequence_file, tmp_path):
+    # deterministic sequence shorter than the horizon exhausts mid-run
+    code = main(["simulate", str(short_sequence_file), "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+_BAD_SEQUENCE_KEYS = [
+    ("graph.cycle='false'", "graph.cycle: must be true or false"),
+    ("graph.cycle=3", "graph.cycle: must be true or false"),
+    ("graph.frames_count=2.5", "graph.frames_count: must be a positive integer"),
+    ("graph.frames_count=true", "graph.frames_count: must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "item, message", _BAD_SEQUENCE_KEYS, ids=[item for item, _ in _BAD_SEQUENCE_KEYS]
+)
+def test_cli_sequence_keys_are_type_checked(short_sequence_file, tmp_path, capsys, item, message):
+    # bool('false') is true, so the string cycled; 3 was echoed into meta.yaml; 2.5 escaped
+    # as a TypeError with exit code 2; true counted as one frame
+    out = tmp_path / "out"
+    assert main(["simulate", str(short_sequence_file), "--out", str(out), "--set", item]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -318,6 +344,22 @@ def test_cli_empty_section_is_config_error(tmp_path, capsys, section):
     assert f"{section}: must be a mapping" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+@pytest.mark.parametrize("gain_mode", ["foo", "[[1.0]]"])
+def test_cli_gain_mode_other_than_identity_rejected(tmp_path, capsys, gain_mode):
+    # a grid-only ci section dropped gain_mode unread: grid_search always uses identity gains
+    text = re.sub(r"^  (a|b|tau1|tau2): .*\n", "", GEO20_CONFIG.read_text(), flags=re.M)
+    assert "grid:" in text and "tau1: 1.0\n" not in text
+    path = tmp_path / "grid_only.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = ["compare", str(path), "--out", str(out), "--set", f"ci.gain_mode={gain_mode}"]
+    assert main(argv + ["--set", "run.horizon=2", "--set", "run.trials=2"]) == 1
+    captured = capsys.readouterr()
+    assert "ci.gain_mode: must be 'identity'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
 
 # Each float-valued key set to YAML's true, with the overrides that make the key count.
 _BOOL_NUMBERS = {
@@ -490,10 +532,12 @@ def test_cli_help_documents_config_keys(capsys):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.linalg cost every CLI run about 0.28 s and 22 MB before numpy took its solves over
+    # scipy.linalg cost every CLI run about 0.28 s and 22 MB before numpy took its solves over;
+    # the engine forks its workers itself, where multiprocessing would cost about 15 ms
     code = (
         "import roamtoken.cli, sys; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing') "
+        "or (m + '.').startswith('concurrent.futures.')))"
     )
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(

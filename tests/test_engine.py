@@ -10,7 +10,6 @@ from roamtoken import (
     CiConfig,
     GlobalModel,
     IidFailureGraph,
-    Lazy,
     NonFiniteMetric,
     OutDegreeReciprocal,
     SolveFailed,
@@ -27,7 +26,7 @@ from roamtoken.engine import (
     run_token_trials,
 )
 
-from conftest import make_ref5_model, ref5_adjacency
+from conftest import make_ref5_model, ref5_adjacency, slow_ring
 from references import central_estimate, ci_step
 
 
@@ -71,19 +70,10 @@ def test_batched_trials_match_single_episodes(spec_kind):
         )
 
 
-def _slow_ring():
-    """An 8-agent directed ring under Lazy(0.97): first visits trickle in over several chunks."""
-    rng = np.random.default_rng(8)
-    agents = [AgentModel(i, rng.standard_normal((1, 3)), [[0.5 + rng.random()]]) for i in range(8)]
-    ring = np.zeros((8, 8), dtype=bool)
-    ring[np.arange(8), (np.arange(8) + 1) % 8] = True
-    return GlobalModel(agents, [0.4, -1.2, 0.9]), StaticGraph(ring), Lazy(0.97)
-
-
 def test_batched_trials_match_single_episodes_when_cover_spans_chunks():
     # K gains versions, and each is eigendecomposed, in chunks after the first; the
     # last-seen means and errors are carried over every chunk edge
-    model, spec, rule = _slow_ring()
+    model, spec, rule = slow_ring()
     sched = AlphaSchedule.linear()
     horizon, trials, seed = 400, 4, 0
     assert horizon > 3 * CHUNK_TICKS
@@ -103,7 +93,7 @@ def test_batched_trials_match_single_episodes_when_cover_spans_chunks():
 
 
 def test_estimate_guard_names_first_failing_tick(monkeypatch):
-    model, spec, rule = _slow_ring()
+    model, spec, rule = slow_ring()
     args = (model, spec, rule, AlphaSchedule.linear())
     with monkeypatch.context() as m:
         m.setattr("roamtoken.engine.ESTIMATE_RTOL", -1.0)

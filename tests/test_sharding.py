@@ -1,0 +1,230 @@
+"""Trials sharded over forked workers: the same bytes, seeds and failures as one process."""
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import roamtoken.engine as engine
+from roamtoken import (
+    AlphaSchedule,
+    CiConfig,
+    DeterministicSequence,
+    NonFiniteMetric,
+    OutDegreeReciprocal,
+    SequenceExhausted,
+    SolveFailed,
+)
+from roamtoken._streams import trial_seed
+from roamtoken.cli import main
+from roamtoken.engine import run_ci_trials, run_token_trials
+
+from conftest import make_ref5_model, slow_ring
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _shard(monkeypatch, cpus: int) -> None:
+    """Shard every run, however small, over up to ``cpus`` workers; 1 keeps one block."""
+    monkeypatch.setattr(engine, "SHARD_MIN_TRIALS", 0)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+
+
+def _no_worker_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_BLOCKS = [(4, 2), (6, 2), (14, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("trials, cpus", _BLOCKS, ids=["2+2", "3+3", "7+7", "2+2+3"])
+@pytest.mark.parametrize(
+    "command, config", [("simulate", "ref5_static.yaml"), ("compare", "geo20_compare.yaml")]
+)
+def test_outputs_do_not_depend_on_the_worker_count(
+    tmp_path, capsys, monkeypatch, command, config, trials, cpus
+):
+    # 150 ticks cross two chunk edges; compare runs the token engine, the stacked CI grid
+    # and the winner's single CI config
+    assert 150 > 2 * engine.CHUNK_TICKS
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def run(workers: int) -> dict[str, bytes]:
+        out = tmp_path / f"workers{workers}"
+        argv = [command, str(ROOT / "configs" / config), "--out", str(out)]
+        for item in (f"run.trials={trials}", "run.horizon=150", "run.seed=11"):
+            argv += ["--set", item]
+        with monkeypatch.context() as m:
+            _shard(m, workers)
+            assert main(argv) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        return {"stdout": stdout.encode(), **{p.name: p.read_bytes() for p in out.iterdir()}}
+
+    serial = run(1)
+    assert not forks
+    assert run(cpus) == serial
+    assert len(forks) == (1 if command == "simulate" else 3) * cpus
+    _no_worker_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_blocks_hold_two_trials_or_more_and_keep_their_seeds(monkeypatch, cpus):
+    # a 1-trial batch differs from the batched run in the last bits (numpy's linear
+    # algebra takes another path for a single row), so no block may hold one trial
+    _shard(monkeypatch, cpus)
+
+    def run(streams, out, own):
+        out["move"][:, 0] = [g.random() for g in streams.move_gens]
+        own["size"][0] = streams.trials
+
+    for trials in range(1, 12):
+        out, own = engine._sharded(
+            trials, 5, None, None, {"move": ((1,), float)}, run,
+            per_block={"size": ((1,), np.int64)},
+        )
+        sizes = own["size"][:, 0]
+        assert len(sizes) == max(1, min(cpus, trials // 2))
+        assert sizes.sum() == trials and (len(sizes) == 1 or sizes.min() >= 2)
+        moves = [np.random.default_rng(trial_seed(5, r).spawn(3)[2]) for r in range(trials)]
+        assert out["move"][:, 0].tolist() == [g.random() for g in moves]
+    _no_worker_left()
+
+
+def test_worker_that_dies_without_a_report_is_an_error(monkeypatch):
+    _shard(monkeypatch, 2)
+
+    def run(streams, out, own):
+        if streams.trials == 3:  # the second block
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match=r"worker for trials 2\.\.4 exited with -9"):
+        engine._sharded(5, 0, None, None, {}, run)
+    _no_worker_left()
+
+
+def _serial_and_sharded(monkeypatch, run) -> tuple[BaseException, BaseException]:
+    """The exception ``run()`` raises in one process and over two workers."""
+    caught = []
+    for cpus in (1, 2):
+        with monkeypatch.context() as m:
+            _shard(m, cpus)
+            with pytest.raises(Exception) as info:
+                run()
+        caught.append(info.value)
+        _no_worker_left()
+    return caught[0], caught[1]
+
+
+def _skewed_eigh(monkeypatch) -> None:
+    """A wrong eigendecomposition of every full-rank K, as in the estimate guard's test."""
+    eigh = np.linalg.eigh
+
+    def skewed(k):
+        lam, vec = eigh(k)
+        full = lam.min(axis=-1) > 1e-9 * lam.max(axis=-1)
+        lam[full] *= 1 + 1e-6
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+
+
+# The first tick at which K has rank 3, per trial: block 0 holds trials 0 and 1, block 1
+# trials 2 and 3.  Seed 4 fails first in block 0; seed 1 in block 1, in the same chunk;
+# seed 19 in block 1, a chunk before block 0 fails.
+@pytest.mark.parametrize("seed, first", [(4, 20), (1, 17), (19, 36)])
+def test_solve_failure_met_first_by_the_serial_loop_wins(monkeypatch, seed, first):
+    model, spec, rule = slow_ring()
+    args = (model, spec, rule, AlphaSchedule.linear())
+    _skewed_eigh(monkeypatch)
+    serial, sharded = _serial_and_sharded(
+        monkeypatch, lambda: run_token_trials(*args, horizon=400, trials=4, master_seed=seed)
+    )
+    assert type(serial) is type(sharded) is SolveFailed
+    assert str(serial).endswith(f" at t={first}")
+    assert str(sharded) == str(serial)
+
+
+def test_solve_failure_in_every_block_at_once_names_the_worst_residual(monkeypatch):
+    # every block fails at t=0, and the serial loop reports the worst residual over all
+    # trials; at this seed it is in block 1
+    monkeypatch.setattr(engine, "ESTIMATE_RTOL", -1.0)
+    model, spec, rule = slow_ring()
+    args = (model, spec, rule, AlphaSchedule.linear())
+    serial, sharded = _serial_and_sharded(
+        monkeypatch, lambda: run_token_trials(*args, horizon=100, trials=6, master_seed=1)
+    )
+    assert type(sharded) is SolveFailed and str(serial).endswith(" at t=0")
+    assert str(sharded) == str(serial)
+
+
+def test_diverging_ci_config_raises_as_in_one_process(monkeypatch, ref5_iid):
+    cfg = CiConfig(a=1.0, b=80.0, tau1=1.0, tau2=0.01)
+    serial, sharded = _serial_and_sharded(
+        monkeypatch, lambda: run_ci_trials(make_ref5_model(), ref5_iid, cfg, 400, trials=4)
+    )
+    assert type(serial) is type(sharded) is NonFiniteMetric
+    assert str(sharded) == str(serial)
+
+
+def test_ci_grid_divergence_in_one_block_flags_the_candidate(monkeypatch, ref5_model, ref5_iid):
+    # at this horizon the first candidate diverges in trials 4..7 but not in 0..3
+    cfgs = [CiConfig(a=1.0, b=1.0, tau1=1.0, tau2=0.01), CiConfig(a=1.0, b=0.2, tau1=1.0, tau2=0.5)]
+    results = []
+    for cpus in (1, 2):
+        with monkeypatch.context() as m:
+            _shard(m, cpus)
+            results.append(run_ci_trials(ref5_model, ref5_iid, cfgs, 1400, trials=8, master_seed=0))
+    serial, sharded = results
+    assert serial.diverged.tolist() == sharded.diverged.tolist() == [True, False]
+    assert np.array_equal(serial.final_sq_err, sharded.final_sq_err)
+    _no_worker_left()
+
+
+def test_exhausted_sequence_raises_as_in_one_process(monkeypatch, ref5_model, ref5_static):
+    frames = [ref5_static.backbone] * 3
+    spec = DeterministicSequence(frames, cycle=False)
+    args = (ref5_model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
+    serial, sharded = _serial_and_sharded(
+        monkeypatch, lambda: run_token_trials(*args, horizon=100, trials=4)
+    )
+    assert type(serial) is type(sharded) is SequenceExhausted
+    assert str(sharded) == str(serial) == "no frame for t=3; sequence has 3"
+
+
+def test_workers_run_no_exit_handler_and_flush_nothing():
+    # stdout is a pipe, so the first line is still in the buffer when the workers fork
+    script = textwrap.dedent(
+        """
+        import atexit
+        import roamtoken.engine as engine
+        from roamtoken import CiConfig, IidFailureGraph, NonFiniteMetric
+        from conftest import make_ref5_model
+        import numpy as np
+
+        engine.SHARD_MIN_TRIALS = 0
+        engine._usable_cpus = lambda: 2
+        atexit.register(print, "exit handler")
+        print("before the runs")
+        model = make_ref5_model()
+        engine.run_central_trials(model, horizon=10, trials=4)
+        graph = IidFailureGraph(~np.eye(5, dtype=bool), p_fail=0.5)
+        try:
+            engine.run_ci_trials(model, graph, CiConfig(1.0, 80.0, 1.0, 0.01), 400, trials=4)
+        except NonFiniteMetric:
+            print("failed once")
+        """
+    )
+    path = os.pathsep.join(str(ROOT / d) for d in ("src", "tests"))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.splitlines() == ["before the runs", "failed once", "exit handler"]
