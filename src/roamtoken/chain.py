@@ -53,23 +53,24 @@ TransitionRule = Union[OutDegreeReciprocal, Lazy]
 def transition_rows(rule: TransitionRule, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Transition weights out of each walker's node, the one place ``rule`` is applied.
 
-    ``rows[r]`` is the boolean out-edge row of walker ``r``'s node ``pos[r]``;
-    the result's row ``r`` is the probability of each destination.  A node
-    with no outgoing edge holds the token with probability one.
+    ``rows[r]`` is the boolean out-edge row of walker ``r``'s node, and
+    ``pos[r]`` the walker's own column in it; the result's row ``r`` is the
+    probability of each column.  A row may be dense, one column per node, or
+    compact: the node's possible out-neighbours and the node itself, padded
+    with columns that are never edges.  The own column is never an edge.  A
+    node with no outgoing edge holds the token with probability one.
     """
     walkers, n = rows.shape
-    out = rows.sum(axis=1)
-    has_out = out > 0
-    probs = np.zeros((walkers, n))
+    out = rows @ np.ones(n)  # out-degrees, exact as floats
+    hold = out == 0
     if isinstance(rule, OutDegreeReciprocal):
-        probs[has_out] = rows[has_out] / out[has_out, None]
+        probs, own = rows / np.maximum(out, 1.0)[:, None], 0.0
     elif isinstance(rule, Lazy):
-        factor = (1.0 - rule.delta_self) / np.where(has_out, out, 1)
-        probs[has_out] = rows[has_out] * factor[has_out, None]
-        probs[has_out, pos[has_out]] = rule.delta_self
+        probs = rows * ((1.0 - rule.delta_self) / np.maximum(out, 1.0))[:, None]
+        own = rule.delta_self
     else:
         raise TypeError(f"unknown transition rule {type(rule).__name__}")
-    probs[~has_out, pos[~has_out]] = 1.0
+    probs[np.arange(walkers), pos] = np.where(hold, 1.0, own)
     return probs
 
 
@@ -100,9 +101,13 @@ def chain_floor(q: np.ndarray) -> float:
 
 
 def _sample_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Categorical draw per row of cumulative weights; lands on positive entries only."""
-    scaled = u * cum[..., -1]
-    return (cum <= scaled[..., None]).sum(axis=-1)
+    """Categorical draw per row of cumulative weights; lands on positive entries only.
+
+    The drawn column is the first whose cumulative weight exceeds ``u`` times
+    the row's total, that is the count of those that do not.
+    """
+    below = cum <= (u * cum[:, -1])[:, None]
+    return (below @ np.ones(cum.shape[1])).astype(np.int64)
 
 
 def mean_transition_matrix(spec: GraphSpec, rule: TransitionRule) -> np.ndarray:
@@ -175,18 +180,24 @@ def bulk_step(
     rows: np.ndarray,
     rule: TransitionRule,
     u: np.ndarray,
+    cum: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Token step for many walkers given their realized out-edge rows.
+    """Token step for many walkers given their realized out-edge rows; returns columns.
 
-    ``rows[r]`` is the boolean out-edge row of walker ``r``'s current node and
-    ``u[r]`` its move uniform.  The scalar episode steps its one walker through
-    here too, so scalar and batched paths produce identical destinations from
-    identical uniforms.  Every move is verified to follow an existing edge or
-    to be a sanctioned self-hold.
+    ``rows[r]`` is the boolean out-edge row of walker ``r``'s current node,
+    dense or compact as in ``transition_rows``, ``pos[r]`` the walker's own
+    column in it and ``u[r]`` its move uniform.  ``cum`` may give the rows'
+    cumulative transition weights when the caller has them already.  A
+    zero-weight column adds exactly 0.0 to the cumulative sum and is never
+    drawn, so compact and dense rows pick the same node from the same uniform.
+    The scalar episode steps its one walker through here on a dense row, where
+    the column is the node.  Every move is verified to follow an existing edge
+    or to be a sanctioned self-hold.
     """
-    nxt = _sample_rows(np.cumsum(transition_rows(rule, rows, pos), axis=1), u)
-    moved = nxt != pos
-    if moved.any() and not rows[moved, nxt[moved]].all():
+    if cum is None:
+        cum = np.cumsum(transition_rows(rule, rows, pos), axis=1)
+    nxt = _sample_rows(cum, u)
+    if not (rows[np.arange(len(nxt)), nxt] | (nxt == pos)).all():
         raise RuntimeError("token jumped a nonexistent edge in a batched step")
     return nxt
 

@@ -13,6 +13,14 @@ two.  Since agent ``p``'s statistic is ``x_p = W_p ybar_p``, the payload is
 latest visit.  The estimate is solved in the eigenbasis of ``K``, which
 changes only on first visits.
 
+The walk (``_walk``, shared with the chain engine) steps on compact,
+CSR-style out-rows (``_OutRows``): a node's columns are its possible
+out-neighbours and itself.  A static graph's rows and cumulative transition
+weights are computed once per worker; an i.i.d. graph's holders read their
+out-edge uniforms from one contiguous slice of each tick's draws; a sequence
+reads its frame at the compact columns.  No tick builds an (R, n, n)
+adjacency, and one step costs O(out-degree) per trial.
+
 The token, central and consensus+innovations engines shard their trials
 across the usable cores (``_sharded``).  Each forked worker runs the same
 serial loop on a contiguous block of at least ``MIN_BLOCK_TRIALS`` trials,
@@ -37,13 +45,15 @@ import numpy as np
 
 from ._streams import SeedLike, trial_seed
 from .baseline import CiConfig
-from .chain import TransitionRule, bulk_step
+from .chain import TransitionRule, bulk_step, transition_rows
 from .errors import NonFiniteMetric, SolveFailed
-from .graphs import GraphSpec
+from .graphs import DeterministicSequence, GraphSpec
 from .observation import GlobalModel, central_solver
 from .token import ESTIMATE_RTOL, AlphaSchedule
 
 CHUNK_TICKS = 64
+# Each generator call draws this many ticks of a trial's stream, a whole number of chunks.
+LOAD_TICKS = 4 * CHUNK_TICKS
 # A worker's block holds at least this many trials: numpy's linear algebra takes
 # another path for a single row, which changes the last bits of the values.
 MIN_BLOCK_TRIALS = 2
@@ -108,10 +118,12 @@ class _TrialBlocks:
     Block draws from numpy generators consume the underlying bit stream
     exactly like successive per-tick draws, which keeps batched trials
     replayable through the scalar path (pinned by a unit test).  Each trial's
-    block is drawn straight into its row of a buffer that later chunks reuse,
-    so a chunk holds one copy of its draws.  A block without a model draws no
-    noise and one without a graph no graph uniforms; the three streams are
-    independent, so what a block skips never shifts what it draws.
+    block is drawn straight into its row of a buffer that later loads reuse,
+    ``LOAD_TICKS`` ticks per generator call, and each chunk views its slice.
+    A block without a model neither makes a noise generator nor draws noise,
+    and one whose graph draws no uniforms (none, static or a sequence) makes
+    no graph generator; the three streams are independent, so what a block
+    skips never shifts what it draws.
     """
 
     def __init__(
@@ -126,11 +138,14 @@ class _TrialBlocks:
         self.model = model
         self.draws = 0 if spec is None else spec.draws
         self.t0 = 0  # first tick of the chunk being run
+        self.at = 0  # the chunk's first tick within the loaded draws
         self.noise_gens, self.graph_gens, self.move_gens = [], [], []
         for r in range(first, first + trials):
             noise, graph, move = trial_seed(master_seed, r).spawn(3)
-            self.noise_gens.append(np.random.default_rng(noise))
-            self.graph_gens.append(np.random.default_rng(graph))
+            if model is not None:  # a generator that would draw nothing is not made
+                self.noise_gens.append(np.random.default_rng(noise))
+            if self.draws:
+                self.graph_gens.append(np.random.default_rng(graph))
             self.move_gens.append(np.random.default_rng(move))
         self._buffers: dict[str, np.ndarray] = {}
         self.noise: np.ndarray | None = None
@@ -138,10 +153,22 @@ class _TrialBlocks:
         self.move_u: np.ndarray | None = None
 
     def chunks(self, ticks: int) -> Iterator[tuple[int, int]]:
-        """Yield ``(t0, length)`` for each chunk of ``ticks`` ticks, its draws loaded."""
+        """Yield ``(t0, length)`` for each chunk of ``ticks`` ticks, its draws loaded.
+
+        Every ``LOAD_TICKS`` ticks, the next ``LOAD_TICKS`` (fewer at the end)
+        are drawn at once; ``noise``, ``graph_u`` and ``move_u`` then view the
+        chunk's slice of them.
+        """
         for t0 in range(0, ticks, CHUNK_TICKS):
             self.t0, length = t0, min(CHUNK_TICKS, ticks - t0)
-            self.load(length)
+            self.at = t0 % LOAD_TICKS
+            if self.at == 0:
+                self.load(min(LOAD_TICKS, ticks - t0))
+                loaded = self.noise, self.graph_u, self.move_u
+            span = slice(self.at, self.at + length)
+            self.noise, self.graph_u, self.move_u = (
+                None if a is None else a[:, span] for a in loaded
+            )
             yield t0, length
 
     def load(self, length: int) -> None:
@@ -158,8 +185,17 @@ class _TrialBlocks:
         for g, row in zip(self.move_gens, self.move_u):
             g.random(out=row)
 
+    def graph_flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """The loaded graph uniforms, flat, and where each trial's chunk starts in them.
+
+        Trial ``r``'s uniform ``e`` at chunk tick ``ti`` is at ``start[r] + ti * draws + e``.
+        """
+        buf = self._buffers["graph"]
+        trials, ticks, draws = buf.shape
+        return buf.reshape(-1), np.arange(trials) * (ticks * draws) + self.at * draws
+
     def _buffer(self, name: str, length: int, width: tuple[int, ...]) -> np.ndarray:
-        """A (trials, length, *width) view of a buffer that later chunks reuse."""
+        """A (trials, length, *width) view of a buffer that later loads reuse."""
         buf = self._buffers.get(name)
         if buf is None or buf.shape[1] < length:
             buf = self._buffers[name] = np.empty((self.trials, length, *width))
@@ -367,23 +403,77 @@ class _CentralOracle:
         sq_err[:, t0 : t0 + len(means)] = (err * err).sum(axis=-1).T
 
 
+class _OutRows:
+    """Compact, CSR-style out-rows of a graph process under one rule.
+
+    Node ``p``'s columns are, in increasing order, the nodes it can reach in
+    one step (its out-neighbours in the support, the backbone or the union of
+    a sequence's frames, and ``p`` itself), then non-neighbours as padding up
+    to the largest out-degree plus one.  Column ``c`` of ``p`` is node
+    ``cols[p * width + c]``; ``own[p]`` is ``p``'s own.  A static graph's rows
+    and cumulative transition weights, like those of an i.i.d. graph without
+    edges, are fixed here.  On an i.i.d. graph with edges,
+    column ``c`` is up where the tick's uniform ``slot[p, c]`` is below
+    ``keep[p, c]``, which is 0 off the backbone.  A sequence's rows are read
+    from its frame at ``at_frame``.
+    """
+
+    def __init__(self, spec: GraphSpec, rule: TransitionRule) -> None:
+        self.spec, self.rule, self.draws = spec, rule, spec.draws
+        n = spec.n
+        node = np.arange(n)[:, None]
+        if isinstance(spec, DeterministicSequence):
+            support = np.logical_or.reduce(spec.frames)
+        else:
+            support = spec.backbone
+        reach = support | np.eye(n, dtype=bool)
+        self.width = int(reach.sum(axis=1).max())
+        cols = np.argsort(~reach, axis=1, kind="stable")[:, : self.width]
+        self.cols = cols.ravel()
+        self.own = np.argmax(cols == node, axis=1)
+        # the own column lands on the frame's zero diagonal, padding off the support
+        self.at_frame = node * n + cols
+        self.rows = self.cum = None
+        if spec.draws:  # i.i.d. failures
+            edge = np.zeros((n, n), dtype=np.int64)
+            edge[spec.edges[:, 0], spec.edges[:, 1]] = np.arange(spec.draws)
+            self.slot = np.take(edge, self.at_frame)
+            self.keep = np.where(np.take(support, self.at_frame), 1.0 - spec.p_fail, 0.0)
+        elif not isinstance(spec, DeterministicSequence):  # the backbone at every tick
+            self.rows = np.take(spec.backbone, self.at_frame)
+            self.cum = np.cumsum(transition_rows(rule, self.rows, self.own), axis=1)
+
+
 def _walk(
-    spec: GraphSpec, rule: TransitionRule, blocks: _TrialBlocks, t0: int, length: int,
-    pos: np.ndarray,
+    out: _OutRows, blocks: _TrialBlocks, t0: int, length: int, pos: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Step every trial's holder through one loaded chunk.
+    """Step every trial's holder through one loaded chunk on compact out-rows.
 
     Returns the chunk's (length, trials) path, whose row ``ti`` holds each
     trial's holder at tick ``t0 + ti``, and the holders after the chunk's
-    last step.  The path depends only on the graph and move streams.
+    last step.  The path depends only on the graph and move streams.  Each
+    tick gathers the holders' rows (on an i.i.d. graph, their slots of the
+    chunk's uniforms, by one flat ``np.take``), steps them through
+    ``bulk_step`` and maps each drawn column back to a node.
     """
-    R, n = len(pos), spec.n
-    ar = np.arange(R)
-    path = np.empty((length, R), dtype=np.int64)
+    path = np.empty((length, len(pos)), dtype=np.int64)
+    if out.draws:
+        uniforms, start = blocks.graph_flat()
+        start = start[:, None]
+    cum = None
     for ti in range(length):
         path[ti] = pos
-        rows = np.broadcast_to(spec.adjacency(t0 + ti, blocks.graph_u[:, ti]), (R, n, n))[ar, pos]
-        pos = bulk_step(pos, rows, rule, blocks.move_u[:, ti])
+        if out.cum is not None:
+            rows, cum = np.take(out.rows, pos, axis=0), np.take(out.cum, pos, axis=0)
+        elif out.draws:
+            at = np.take(out.slot, pos, axis=0)
+            at += start + ti * out.draws
+            rows = np.take(uniforms, at) < np.take(out.keep, pos, axis=0)
+        else:
+            frame = out.spec.adjacency(t0 + ti, None)
+            rows = np.take(frame, np.take(out.at_frame, pos, axis=0))
+        col = bulk_step(np.take(out.own, pos), rows, out.rule, blocks.move_u[:, ti], cum)
+        pos = np.take(out.cols, pos * out.width + col)
     return path, pos
 
 
@@ -541,9 +631,10 @@ def run_token_trials(
         means = _RunningMeans(model, R)
         payload = _TokenPayload(model, R)
         holder = np.full(R, int(start_node))
+        out_rows = _OutRows(spec, rule)
         for t0, length in blocks.chunks(size):
             span = slice(t0, t0 + length)
-            path, holder = _walk(spec, rule, blocks, t0, length, holder)
+            path, holder = _walk(out_rows, blocks, t0, length, holder)
             own["holder0"][span] = path[:, 0]
             ybar = means.advance(blocks.noise, t0)
             if oracle is not None:
@@ -705,19 +796,26 @@ def run_chain_trials(
     trials: int,
     master_seed: SeedLike = 0,
 ) -> ChainTrials:
-    """Token-motion-only trials for visitation tail statistics."""
+    """Token-motion-only trials for visitation tail statistics.
+
+    A chunk's visited flags come from its path at once: a running OR over the
+    ticks of ``path == node``, seeded with the flags carried from the chunk
+    before.
+    """
     n, R = spec.n, trials
     holder = np.full(R, int(start_node))
     visited = np.zeros((R, n), dtype=bool)
     size = horizon + 1
     nonvisit = np.zeros((size, n))
     gap = np.zeros(size)
-    ar = np.arange(R)
+    out_rows = _OutRows(spec, rule)
     blocks = _TrialBlocks(R, master_seed, None, spec)
     for t0, length in blocks.chunks(size):
-        path, holder = _walk(spec, rule, blocks, t0, length, holder)
-        for ti in range(length):
-            visited[ar, path[ti]] = True
-            nonvisit[t0 + ti] = 1.0 - visited.mean(axis=0)
-            gap[t0 + ti] = 1.0 - visited.all(axis=1).mean()
+        path, holder = _walk(out_rows, blocks, t0, length, holder)
+        seen = path[:, :, None] == np.arange(n)
+        seen[0] |= visited
+        np.logical_or.accumulate(seen, axis=0, out=seen)
+        visited = seen[-1]
+        nonvisit[t0 : t0 + length] = 1.0 - seen.mean(axis=1)
+        gap[t0 : t0 + length] = 1.0 - seen.all(axis=2).mean(axis=1)
     return ChainTrials(trials=R, horizon=horizon, n=n, nonvisit_frac=nonvisit, gap_frac=gap)

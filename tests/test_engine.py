@@ -8,8 +8,10 @@ from roamtoken import (
     AgentModel,
     AlphaSchedule,
     CiConfig,
+    DeterministicSequence,
     GlobalModel,
     IidFailureGraph,
+    Lazy,
     NonFiniteMetric,
     OutDegreeReciprocal,
     SolveFailed,
@@ -18,8 +20,13 @@ from roamtoken import (
     sample_measurements,
 )
 from roamtoken._streams import episode_streams, trial_seed
+from roamtoken.chain import bulk_step
 from roamtoken.engine import (
     CHUNK_TICKS,
+    LOAD_TICKS,
+    _OutRows,
+    _TrialBlocks,
+    _walk,
     run_central_trials,
     run_chain_trials,
     run_ci_trials,
@@ -282,3 +289,103 @@ def test_chain_trials_start_node_and_monotonicity(ref5_iid, reciprocal):
     assert result.nonvisit_frac[0, 2] == 0.0
     assert np.all(np.diff(result.gap_frac) <= 1e-12)
     assert np.all(np.diff(result.nonvisit_frac, axis=0) <= 1e-12)
+
+
+def _frames_with_a_dead_end() -> DeterministicSequence:
+    """Four nodes cycling through three frames; node 3 has no out-edge in frame 1."""
+    edges = [
+        [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 0)],
+        [(0, 1), (1, 0), (1, 2), (2, 3)],
+        [(2, 0), (3, 0), (3, 1)],
+    ]
+    frames = [np.zeros((4, 4), dtype=bool) for _ in edges]
+    for frame, frame_edges in zip(frames, edges):
+        for i, j in frame_edges:
+            frame[i, j] = True
+    return DeterministicSequence(frames, cycle=True)
+
+
+WALK_SPECS = {
+    "static": lambda: StaticGraph(ref5_adjacency()),
+    "iid": lambda: IidFailureGraph(ref5_adjacency(), p_fail=0.9),
+    "iid-no-edges": lambda: IidFailureGraph(np.zeros((2, 2), dtype=bool), p_fail=0.5),
+    "sequence": _frames_with_a_dead_end,
+}
+
+
+@pytest.mark.parametrize("rule", [OutDegreeReciprocal(), Lazy(0.3)], ids=["reciprocal", "lazy"])
+@pytest.mark.parametrize("kind", sorted(WALK_SPECS))
+def test_compact_walk_matches_dense_steps(kind, rule):
+    # each trial's holder, stepped as run_episode steps it: bulk_step on the dense
+    # adjacency row of the holder, from the trial's own graph and move streams
+    spec = WALK_SPECS[kind]()
+    trials, seed, ticks = 6, 17, 6 * CHUNK_TICKS + 20
+    blocks = _TrialBlocks(trials, seed, None, spec)
+    out_rows, pos = _OutRows(spec, rule), np.full(trials, spec.n - 1)
+    paths = []
+    for t0, length in blocks.chunks(ticks):
+        path, pos = _walk(out_rows, blocks, t0, length, pos)
+        paths.append(path)
+    batched = np.concatenate(paths + [pos[None]])
+    assert len(paths) >= 6 and ticks > LOAD_TICKS
+    holds_on_empty_rows = 0
+    for r in range(trials):
+        streams = episode_streams(trial_seed(seed, r))
+        node = spec.n - 1
+        for t in range(ticks):
+            assert batched[t, r] == node, (t, r)
+            a = spec.adjacency(t, streams.graph.random(spec.draws))
+            holds_on_empty_rows += not a[node].any()
+            node = int(bulk_step(np.array([node]), a[[node]], rule, streams.move.random(1))[0])
+        assert batched[ticks, r] == node
+    # the cases where the token must hold on an empty row do occur
+    if kind != "static":
+        assert holds_on_empty_rows > 0
+
+
+@pytest.mark.parametrize("kind", ["static", "iid"])
+def test_batched_walk_keeps_the_nonexistent_edge_guard(kind, monkeypatch):
+    # a sampler that always draws the last compact column: for node 4 of the
+    # reference graph, whose one out-edge leaves a padding column, that is never an edge
+    spec = WALK_SPECS[kind]()
+    monkeypatch.setattr(
+        "roamtoken.chain._sample_rows", lambda cum, u: np.full(len(u), cum.shape[1] - 1)
+    )
+    with pytest.raises(RuntimeError, match="nonexistent edge"):
+        run_chain_trials(spec, OutDegreeReciprocal(), start_node=4, horizon=10, trials=3)
+    with pytest.raises(RuntimeError, match="nonexistent edge"):
+        run_token_trials(
+            make_ref5_model(), spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=10,
+            trials=3, start_node=4,
+        )
+
+
+def test_engines_build_no_per_tick_adjacency_on_iid_graphs(monkeypatch):
+    # the walk reads each holder's out-edge slots from the uniforms: an (R, n, n)
+    # adjacency per tick is never built, so neither engine calls ``adjacency``
+    def refuse(self, t, u):
+        raise AssertionError("an i.i.d. adjacency was built")
+
+    spec = IidFailureGraph(ref5_adjacency(), p_fail=0.4)
+    monkeypatch.setattr(IidFailureGraph, "adjacency", refuse)
+    token = run_token_trials(
+        make_ref5_model(), spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=150,
+        trials=4, master_seed=2,
+    )
+    chain = run_chain_trials(spec, OutDegreeReciprocal(), 0, horizon=150, trials=4, master_seed=2)
+    assert np.array_equal(chain.gap_frac, 1 - (token.visited_count == 5).mean(axis=0))
+
+
+def test_each_generator_call_draws_several_chunks(monkeypatch):
+    # one noise draw per trial every LOAD_TICKS ticks, never past the horizon
+    calls = []
+    fill_noise = GlobalModel.fill_noise
+
+    def counted(self, rng, out):
+        calls.append(out.shape[0])
+        return fill_noise(self, rng, out)
+
+    monkeypatch.setattr(GlobalModel, "fill_noise", counted)
+    horizon, trials = 2 * LOAD_TICKS + 10, 3
+    run_central_trials(make_ref5_model(), horizon, trials, master_seed=4)
+    assert calls == [LOAD_TICKS] * trials * 2 + [horizon + 1 - 2 * LOAD_TICKS] * trials
