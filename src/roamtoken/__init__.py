@@ -16,7 +16,6 @@ from .chain import (
     chain_floor,
     is_irreducible,
     mean_transition_matrix,
-    stationary_distribution,
     tail_constants,
 )
 from .errors import (
@@ -60,15 +59,6 @@ from .observation import (
     fisher_information,
     sample_measurements,
 )
-from .token import (
-    AgentLocalState,
-    AlphaSchedule,
-    EpisodeTrace,
-    TokenPayload,
-    estimate,
-    local_update,
-    run_episode,
-    token_visit,
-)
+from .token import AlphaSchedule, EpisodeTrace, run_episode
 
 __version__ = "0.1.0"

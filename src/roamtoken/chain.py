@@ -161,20 +161,6 @@ def support_diameter(q: np.ndarray) -> int:
     return max(steps, 1)
 
 
-def stationary_distribution(q: np.ndarray) -> np.ndarray:
-    """The stationary row vector of an irreducible stochastic matrix."""
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    m = q.T - np.eye(n)
-    m[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(m, b)
-    if pi.min() < -1e-10:
-        raise ValueError("chain is not irreducible: negative stationary mass")
-    return np.clip(pi, 0.0, None) / pi.sum()
-
-
 def bulk_step(
     pos: np.ndarray,
     rows: np.ndarray,

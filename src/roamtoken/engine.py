@@ -21,15 +21,16 @@ out-edge uniforms from one contiguous slice of each tick's draws; a sequence
 reads its frame at the compact columns.  No tick builds an (R, n, n)
 adjacency, and one step costs O(out-degree) per trial.
 
-The token, central and consensus+innovations engines shard their trials
-across the usable cores (``_sharded``).  Each forked worker runs the same
-serial loop on a contiguous block of at least ``MIN_BLOCK_TRIALS`` trials,
-with trial ``lo + r`` seeded ``trial_seed(master, lo + r)``, and writes its
-rows into arrays in anonymous shared memory.  Every per-trial value is
-computed row by row, so outputs do not depend on the worker count; a block
-holds at least two trials because numpy's linear algebra takes a different
-path for a single row, which changes the last bits.  A worker's failure is
-re-raised in the parent as the serial loop would raise it.
+All four engines (token, central, consensus+innovations and chain) shard
+their trials across the usable cores through one function, ``_sharded``.  Each
+forked worker runs the same serial loop on a contiguous block of at least
+``MIN_BLOCK_TRIALS`` trials, with trial ``lo + r`` seeded
+``trial_seed(master, lo + r)``, and writes its rows, or the chain's exact
+per-block counts, into arrays in anonymous shared memory.  Every per-trial
+value is computed row by row, so outputs do not depend on the worker count; a
+block holds at least two trials because numpy's linear algebra takes a
+different path for a single row, which changes the last bits.  A worker's
+failure is re-raised in the parent as the serial loop would raise it.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ from .observation import GlobalModel, central_solver
 from .token import ESTIMATE_RTOL, AlphaSchedule
 
 CHUNK_TICKS = 64
-# Each generator call draws this many ticks of a trial's stream, a whole number of chunks.
+# Each generator call draws at most this many ticks of a trial's stream, a whole number
+# of chunks, and fewer where a block's load of every stream would pass LOAD_BYTES.
 LOAD_TICKS = 4 * CHUNK_TICKS
+LOAD_BYTES = 16 << 20
 # A worker's block holds at least this many trials: numpy's linear algebra takes
 # another path for a single row, which changes the last bits of the values.
 MIN_BLOCK_TRIALS = 2
@@ -119,7 +122,9 @@ class _TrialBlocks:
     exactly like successive per-tick draws, which keeps batched trials
     replayable through the scalar path (pinned by a unit test).  Each trial's
     block is drawn straight into its row of a buffer that later loads reuse,
-    ``LOAD_TICKS`` ticks per generator call, and each chunk views its slice.
+    ``load_ticks`` ticks per generator call, and each chunk views its slice.
+    ``load_ticks`` is the most whole chunks, up to ``LOAD_TICKS``, whose draws
+    for all the block's trials fit in ``LOAD_BYTES``, and at least one chunk.
     A block without a model neither makes a noise generator nor draws noise,
     and one whose graph draws no uniforms (none, static or a sequence) makes
     no graph generator; the three streams are independent, so what a block
@@ -137,6 +142,9 @@ class _TrialBlocks:
         self.trials = trials
         self.model = model
         self.draws = 0 if spec is None else spec.draws
+        width = (0 if model is None else model.total_measurements) + self.draws + 1
+        fit = LOAD_BYTES // (max(trials, 1) * CHUNK_TICKS * width * 8)
+        self.load_ticks = CHUNK_TICKS * min(LOAD_TICKS // CHUNK_TICKS, max(1, fit))
         self.t0 = 0  # first tick of the chunk being run
         self.at = 0  # the chunk's first tick within the loaded draws
         self.noise_gens, self.graph_gens, self.move_gens = [], [], []
@@ -155,15 +163,15 @@ class _TrialBlocks:
     def chunks(self, ticks: int) -> Iterator[tuple[int, int]]:
         """Yield ``(t0, length)`` for each chunk of ``ticks`` ticks, its draws loaded.
 
-        Every ``LOAD_TICKS`` ticks, the next ``LOAD_TICKS`` (fewer at the end)
+        Every ``load_ticks`` ticks, the next ``load_ticks`` (fewer at the end)
         are drawn at once; ``noise``, ``graph_u`` and ``move_u`` then view the
         chunk's slice of them.
         """
         for t0 in range(0, ticks, CHUNK_TICKS):
             self.t0, length = t0, min(CHUNK_TICKS, ticks - t0)
-            self.at = t0 % LOAD_TICKS
+            self.at = t0 % self.load_ticks
             if self.at == 0:
-                self.load(min(LOAD_TICKS, ticks - t0))
+                self.load(min(self.load_ticks, ticks - t0))
                 loaded = self.noise, self.graph_u, self.move_u
             span = slice(self.at, self.at + length)
             self.noise, self.graph_u, self.move_u = (
@@ -341,21 +349,14 @@ class _MeasurementMap:
     """Precomputed affine map from raw noise blocks to stacked measurements."""
 
     def __init__(self, model: GlobalModel) -> None:
-        self.model = model
         self.h_theta = np.concatenate([a.H @ model.theta for a in model.agents])
-        self.all_scalar = all(a.n_measurements == 1 for a in model.agents)
-        if self.all_scalar:
-            self.scale = np.array([a.chol_C[0, 0] for a in model.agents])
-        else:
-            m = model.total_measurements
-            self.chol_block = np.zeros((m, m))
-            for a, sl in zip(model.agents, model.measurement_slices()):
-                self.chol_block[sl, sl] = a.chol_C
+        m = model.total_measurements
+        self.chol_block = np.zeros((m, m))
+        for a, sl in zip(model.agents, model.measurement_slices()):
+            self.chol_block[sl, sl] = a.chol_C
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Stacked measurements from raw noise of shape (..., m), for example a chunk's."""
-        if self.all_scalar:
-            return self.h_theta + z * self.scale
         return self.h_theta + z @ self.chol_block.T
 
 
@@ -710,7 +711,7 @@ def run_ci_trials(
     theta = model.theta
     theta_sq = float(theta @ theta)
     measure = _MeasurementMap(model)
-    all_scalar = measure.all_scalar
+    all_scalar = all(a.n_measurements == 1 for a in model.agents)
     # Gains folded with W and stacked over candidates: one (K, L, m_i) array per agent.
     folded = [[g @ a.W for g, a in zip(c.gains(model), model.agents)] for c in cfgs]
     g_fold_all = [np.stack(per_agent) for per_agent in zip(*folded)]
@@ -800,22 +801,28 @@ def run_chain_trials(
 
     A chunk's visited flags come from its path at once: a running OR over the
     ticks of ``path == node``, seeded with the flags carried from the chunk
-    before.
+    before.  Each block counts, per tick, its trials that have seen each node
+    and those that have seen every node.  The counts are exact, so their sums
+    over the blocks, divided once by ``trials``, do not depend on the worker
+    count.
     """
-    n, R = spec.n, trials
-    holder = np.full(R, int(start_node))
-    visited = np.zeros((R, n), dtype=bool)
-    size = horizon + 1
-    nonvisit = np.zeros((size, n))
-    gap = np.zeros(size)
-    out_rows = _OutRows(spec, rule)
-    blocks = _TrialBlocks(R, master_seed, None, spec)
-    for t0, length in blocks.chunks(size):
-        path, holder = _walk(out_rows, blocks, t0, length, holder)
-        seen = path[:, :, None] == np.arange(n)
-        seen[0] |= visited
-        np.logical_or.accumulate(seen, axis=0, out=seen)
-        visited = seen[-1]
-        nonvisit[t0 : t0 + length] = 1.0 - seen.mean(axis=1)
-        gap[t0 : t0 + length] = 1.0 - seen.all(axis=2).mean(axis=1)
-    return ChainTrials(trials=R, horizon=horizon, n=n, nonvisit_frac=nonvisit, gap_frac=gap)
+    n, size = spec.n, horizon + 1
+
+    def run(blocks: _TrialBlocks, _: dict, own: dict[str, np.ndarray]) -> None:
+        holder = np.full(blocks.trials, int(start_node))
+        visited = np.zeros((blocks.trials, n), dtype=bool)
+        out_rows = _OutRows(spec, rule)
+        for t0, length in blocks.chunks(size):
+            path, holder = _walk(out_rows, blocks, t0, length, holder)
+            seen = path[:, :, None] == np.arange(n)
+            seen[0] |= visited
+            np.logical_or.accumulate(seen, axis=0, out=seen)
+            visited = seen[-1]
+            own["seen"][t0 : t0 + length] = seen.sum(axis=1)
+            own["covered"][t0 : t0 + length] = seen.all(axis=2).sum(axis=1)
+
+    counts = {"seen": ((size, n), np.int64), "covered": ((size,), np.int64)}
+    _, own = _sharded(trials, master_seed, None, spec, {}, run, per_block=counts)
+    nonvisit = 1.0 - own["seen"].sum(axis=0) / trials
+    gap = 1.0 - own["covered"].sum(axis=0) / trials
+    return ChainTrials(trials=trials, horizon=horizon, n=n, nonvisit_frac=nonvisit, gap_frac=gap)

@@ -14,7 +14,7 @@ semidefinite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ._streams import SeedLike, episode_streams
 from .chain import TransitionRule, bulk_step
 from .errors import SolveFailed
 from .graphs import GraphSpec
-from .observation import AgentModel, GlobalModel, sample_measurements
+from .observation import GlobalModel, sample_measurements
 
 ESTIMATE_RTOL = 1e-8
 
@@ -70,72 +70,6 @@ class AlphaSchedule:
 
 
 @dataclass(eq=False)
-class AgentLocalState:
-    """What one agent stores between token visits."""
-
-    x: np.ndarray
-    x_snapshot: np.ndarray
-    k: int = 0
-    last_visit: int | None = None
-
-    @classmethod
-    def zeros(cls, dim: int) -> "AgentLocalState":
-        return cls(np.zeros(dim), np.zeros(dim), 0, None)
-
-
-@dataclass(eq=False)
-class TokenPayload:
-    """What the token carries: fused statistics, position, and visit history."""
-
-    d: np.ndarray
-    K: np.ndarray
-    position: int
-    visited: set[int] = field(default_factory=set)
-
-    @classmethod
-    def initial(cls, dim: int, start_node: int) -> "TokenPayload":
-        return cls(np.zeros(dim), np.zeros((dim, dim)), int(start_node), set())
-
-
-def local_update(state: AgentLocalState, agent: AgentModel, y: np.ndarray) -> None:
-    """Absorb one measurement into the running statistic, in place.
-
-    After k measurements, ``x`` equals ``W`` applied to their arithmetic mean.
-    """
-    state.k += 1
-    target = agent.W @ np.asarray(y, dtype=float).ravel()
-    state.x += (target - state.x) / state.k
-
-
-def token_visit(payload: TokenPayload, state: AgentLocalState, agent: AgentModel, t: int) -> None:
-    """Record the holder's current statistic into the payload, in place.
-
-    Replaces the agent's previous contribution in ``d`` with its current one;
-    adds the agent's information matrix to ``K`` on the first visit.
-    """
-    if payload.position != agent.id:
-        raise ValueError(f"token is at node {payload.position}, not agent {agent.id}")
-    payload.d += state.x - state.x_snapshot
-    if agent.id not in payload.visited:
-        payload.visited.add(agent.id)
-        payload.K += agent.B
-    state.x_snapshot = state.x.copy()
-    state.last_visit = t
-
-
-def estimate(payload: TokenPayload, schedule: AlphaSchedule, t: int) -> np.ndarray:
-    """The holder's estimate ``(I/alpha(t) + K)^{-1} d`` by SPD solve."""
-    a = schedule.alpha(t)
-    if a <= 0:
-        raise ValueError(f"alpha({t}) = {a} must be positive")
-    m = payload.K + np.eye(payload.K.shape[0]) / a
-    try:
-        return solve_spd(m, payload.d, rtol=ESTIMATE_RTOL)
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        raise SolveFailed(f"estimate solve at t={t}: {exc}") from None
-
-
-@dataclass(eq=False)
 class EpisodeTrace:
     """Per-tick series recorded by one episode; optional fields are None unless requested."""
 
@@ -162,10 +96,13 @@ def run_episode(
     record: frozenset[str] | set[str] = DEFAULT_RECORD,
     seed: SeedLike = 0,
 ) -> EpisodeTrace:
-    """One full episode of the token algorithm.
+    """One full episode of the token algorithm, the spec the batched engine is tested against.
 
-    Each tick: every agent measures and updates its statistic; the holder
-    records itself into the payload; the estimate is computed (its error
+    Row ``i`` of ``x`` is agent ``i``'s statistic ``W_i ybar_i`` and row ``i``
+    of ``x_seen`` its contribution inside ``d``, the statistic it had when it
+    last held the token.  Each tick: every agent measures and updates its
+    statistic; the holder replaces its contribution in ``d`` and, on its first
+    visit, adds its ``B_i`` to ``K``; the estimate is solved (its error
     becomes the holder's last-seen error); an adjacency is drawn and the token
     steps.  Strictly sequential and reproducible from ``seed``, which feeds
     three independent streams (noise, graph, move).
@@ -177,8 +114,11 @@ def run_episode(
         raise ValueError(f"unknown record keys: {sorted(unknown)}")
     n, dim = model.n_agents, model.dim
     streams = episode_streams(seed)
-    states = [AgentLocalState.zeros(dim) for _ in range(n)]
-    payload = TokenPayload.initial(dim, start_node)
+    x = np.zeros((n, dim))
+    x_seen = np.zeros((n, dim))
+    last_visit = np.full(n, -1, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    d, K, node = np.zeros(dim), np.zeros((dim, dim)), int(start_node)
 
     size = horizon + 1
     holder = np.zeros(size, dtype=np.int64)
@@ -196,36 +136,42 @@ def run_episode(
 
     for t in range(size):
         ys = sample_measurements(model, streams.noise)
-        for i, agent in enumerate(model.agents):
-            local_update(states[i], agent, ys[i])
-        node = payload.position
-        token_visit(payload, states[node], model.agents[node], t)
-        s = estimate(payload, schedule, t)
+        x += (np.stack([a.W @ y for a, y in zip(model.agents, ys)]) - x) / (t + 1)
+        d += x[node] - x_seen[node]
+        x_seen[node] = x[node]
+        last_visit[node] = t
+        if not visited[node]:
+            visited[node] = True
+            K += model.agents[node].B
+        a = schedule.alpha(t)
+        if a <= 0:
+            raise ValueError(f"alpha({t}) = {a} must be positive")
+        try:
+            s = solve_spd(K + np.eye(dim) / a, d, rtol=ESTIMATE_RTOL)
+        except (np.linalg.LinAlgError, ArithmeticError) as exc:
+            raise SolveFailed(f"estimate solve at t={t}: {exc}") from None
 
         err = s - theta
         sq = float(err @ err)
         last_seen_err[node] = sq
         holder[t] = node
-        visited_count[t] = len(payload.visited)
+        visited_count[t] = visited.sum()
         if token_sq is not None:
             token_sq[t] = sq
         if last_seen_sq is not None:
-            mask = np.zeros(n, dtype=bool)
-            mask[list(payload.visited)] = True
-            last_seen_sq[t] = last_seen_err[mask].sum() / mask.sum()
+            last_seen_sq[t] = last_seen_err[visited].sum() / visited.sum()
         if estimates is not None:
             estimates[t] = s
         if d_hist is not None:
-            d_hist[t] = payload.d
-            k_hist[t] = payload.K
+            d_hist[t] = d
+            k_hist[t] = K
         if tau is not None:
-            tau[t] = [st.last_visit if st.last_visit is not None else -1 for st in states]
+            tau[t] = last_visit
         if x_hist is not None:
-            x_hist[t] = [st.x for st in states]
+            x_hist[t] = x
 
-        a = spec.adjacency(t, streams.graph.random(spec.draws))
-        nxt = bulk_step(np.array([node]), a[[node]], rule, streams.move.random(1))
-        payload.position = int(nxt[0])
+        adj = spec.adjacency(t, streams.graph.random(spec.draws))
+        node = int(bulk_step(np.array([node]), adj[[node]], rule, streams.move.random(1))[0])
 
     return EpisodeTrace(
         horizon=horizon,

@@ -3,7 +3,8 @@
 ``ci_step`` is one consensus+innovations update written agent by agent, and
 ``central_estimate`` is the oracle solved from scratch for one trial.  The
 package computes both only in batched form, in ``engine.run_ci_trials`` and
-through ``observation.central_solver``.
+through ``observation.central_solver``.  ``stationary_distribution`` is the
+long-run law the token's visit frequencies are checked against.
 """
 
 from __future__ import annotations
@@ -55,3 +56,17 @@ def central_estimate(agents: Sequence[AgentModel], running_means: Sequence[np.nd
         return solve_spd(sigma, rhs, rtol=SOLVE_RTOL)
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         raise SingularModel(f"oracle solve failed: {exc}") from None
+
+
+def stationary_distribution(q: np.ndarray) -> np.ndarray:
+    """The stationary row vector of an irreducible stochastic matrix."""
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    m = q.T - np.eye(n)
+    m[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(m, b)
+    if pi.min() < -1e-10:
+        raise ValueError("chain is not irreducible: negative stationary mass")
+    return np.clip(pi, 0.0, None) / pi.sum()

@@ -17,13 +17,13 @@ from roamtoken import (
     is_irreducible,
     is_strongly_connected,
     mean_transition_matrix,
-    stationary_distribution,
     tail_constants,
 )
 from roamtoken.chain import bulk_step, nonvisit_bound, support_diameter
 from roamtoken.engine import run_chain_trials
 
 from conftest import ref5_adjacency
+from references import stationary_distribution
 
 
 def _adj(n, edges):

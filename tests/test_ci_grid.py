@@ -35,7 +35,7 @@ def _oracle_ci_trials(model, spec, cfg, horizon, trials, master_seed, chunk=CHUN
     n, dim, R = model.n_agents, model.dim, trials
     theta = model.theta
     measure = _MeasurementMap(model)
-    all_scalar = measure.all_scalar
+    all_scalar = all(a.n_measurements == 1 for a in model.agents)
     h_rows = np.stack([a.H[0] for a in model.agents]) if all_scalar else None
     g_fold = [g @ a.W for g, a in zip(cfg.gains(model), model.agents)]
     g_rows = np.stack([g[:, 0] for g in g_fold]) if all_scalar else None

@@ -1,5 +1,7 @@
 """Batched engine vs the scalar per-tick path, determinism, and pairing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import PCG64, Generator, SeedSequence
@@ -19,8 +21,10 @@ from roamtoken import (
     run_episode,
     sample_measurements,
 )
+import roamtoken.engine as engine
 from roamtoken._streams import episode_streams, trial_seed
 from roamtoken.chain import bulk_step
+from roamtoken.config import build_experiment, load_config
 from roamtoken.engine import (
     CHUNK_TICKS,
     LOAD_TICKS,
@@ -376,8 +380,8 @@ def test_engines_build_no_per_tick_adjacency_on_iid_graphs(monkeypatch):
     assert np.array_equal(chain.gap_frac, 1 - (token.visited_count == 5).mean(axis=0))
 
 
-def test_each_generator_call_draws_several_chunks(monkeypatch):
-    # one noise draw per trial every LOAD_TICKS ticks, never past the horizon
+def _noise_draw_ticks(monkeypatch, horizon: int, trials: int) -> list[int]:
+    """The ticks each noise draw of an oracle-only run covers, in call order."""
     calls = []
     fill_noise = GlobalModel.fill_noise
 
@@ -386,6 +390,40 @@ def test_each_generator_call_draws_several_chunks(monkeypatch):
         return fill_noise(self, rng, out)
 
     monkeypatch.setattr(GlobalModel, "fill_noise", counted)
-    horizon, trials = 2 * LOAD_TICKS + 10, 3
     run_central_trials(make_ref5_model(), horizon, trials, master_seed=4)
+    return calls
+
+
+def test_each_generator_call_draws_several_chunks(monkeypatch):
+    # one noise draw per trial every LOAD_TICKS ticks, never past the horizon
+    horizon, trials = 2 * LOAD_TICKS + 10, 3
+    calls = _noise_draw_ticks(monkeypatch, horizon, trials)
     assert calls == [LOAD_TICKS] * trials * 2 + [horizon + 1 - 2 * LOAD_TICKS] * trials
+
+
+def test_loads_are_sized_from_the_byte_budget(monkeypatch):
+    # verify's 10,000 chain trials draw 20 edge uniforms a tick: one chunk per load, at
+    # any worker count, where 256 ticks once took a 410 MB buffer; both benchmark
+    # workloads keep their 256-tick loads
+    root = Path(__file__).resolve().parents[1] / "configs"
+
+    def experiment(name):
+        return build_experiment(load_config(root / name), root)
+
+    verify = experiment("ref5_iid_verify.yaml")
+    for cpus in (1, 2, 3, 4):
+        block = -(-max(verify.trials, 2000) // cpus)
+        assert _TrialBlocks(block, 0, None, verify.graph).load_ticks == CHUNK_TICKS
+    for name in ("ref5_static.yaml", "geo20_compare.yaml"):
+        shipped = experiment(name)
+        for cpus in (1, 2):
+            block = -(-shipped.trials // cpus)
+            blocks = _TrialBlocks(block, 0, shipped.model, shipped.graph)
+            assert blocks.load_ticks == LOAD_TICKS == 4 * CHUNK_TICKS
+
+    # a budget of two chunks' draws for three trials (5 measurements and the move
+    # uniform a tick): one noise draw every 128 ticks
+    trials, horizon = 3, 300
+    monkeypatch.setattr(engine, "LOAD_BYTES", 2 * trials * CHUNK_TICKS * (5 + 1) * 8)
+    calls = _noise_draw_ticks(monkeypatch, horizon, trials)
+    assert calls == [128] * trials * 2 + [horizon + 1 - 256] * trials

@@ -15,6 +15,7 @@ from roamtoken import (
     AlphaSchedule,
     CiConfig,
     DeterministicSequence,
+    Lazy,
     NonFiniteMetric,
     OutDegreeReciprocal,
     SequenceExhausted,
@@ -22,7 +23,7 @@ from roamtoken import (
 )
 from roamtoken._streams import trial_seed
 from roamtoken.cli import main
-from roamtoken.engine import run_ci_trials, run_token_trials
+from roamtoken.engine import run_chain_trials, run_ci_trials, run_token_trials
 
 from conftest import make_ref5_model, slow_ring
 
@@ -73,6 +74,33 @@ def test_outputs_do_not_depend_on_the_worker_count(
     assert run(cpus) == serial
     assert len(forks) == (1 if command == "simulate" else 3) * cpus
     _no_worker_left()
+
+
+def test_chain_fractions_and_verify_do_not_depend_on_the_worker_count(
+    capsys, monkeypatch, ref5_iid, ref5_static
+):
+    # each block counts its trials exactly, so the fractions summed over 1, 2 or 3
+    # blocks are the same bits; 150 ticks cross two chunk edges
+    config = str(ROOT / "configs" / "ref5_iid_verify.yaml")
+    overrides = ["--set", "run.trials=2000", "--set", "run.horizon=150"]
+
+    def run(cpus: int) -> tuple[list[np.ndarray], str]:
+        with monkeypatch.context() as m:
+            _shard(m, cpus)
+            arrays = []
+            for spec, rule in ((ref5_iid, OutDegreeReciprocal()), (ref5_static, Lazy(0.3))):
+                chain = run_chain_trials(spec, rule, 1, horizon=150, trials=7, master_seed=3)
+                arrays += [chain.nonvisit_frac, chain.gap_frac]
+            assert main(["verify", config, *overrides]) == 0
+        _no_worker_left()
+        return arrays, capsys.readouterr().out
+
+    serial_arrays, serial_out = run(1)
+    assert "PASS tail bounds" in serial_out
+    for cpus in (2, 3):
+        arrays, out = run(cpus)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, serial_arrays))
+        assert out == serial_out
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 4])

@@ -1,10 +1,9 @@
-"""Local statistics, token payload updates, estimates, and whole episodes."""
+"""Whole token episodes: local statistics, payload bookkeeping, estimates and traces."""
 
 import numpy as np
 import pytest
 
 from roamtoken import (
-    AgentLocalState,
     AgentModel,
     AlphaSchedule,
     DeterministicSequence,
@@ -12,21 +11,13 @@ from roamtoken import (
     MissingTrace,
     OutDegreeReciprocal,
     StaticGraph,
-    TokenPayload,
-    estimate,
-    local_update,
     run_episode,
-    token_visit,
+    sample_measurements,
 )
+from roamtoken._streams import episode_streams
 from roamtoken.token import write_trace_csv
 
 from conftest import make_ref5_model, ref5_adjacency
-
-
-def _scalar_agent(idx=0, h=1.0, c=1.0, dim=1):
-    row = np.zeros(dim)
-    row[0] = h
-    return AgentModel(idx, [row], [[c]])
 
 
 def test_alpha_schedule_forms():
@@ -44,89 +35,39 @@ def test_alpha_schedule_forms():
         AlphaSchedule("cubic")
 
 
-def test_local_update_first_measurement():
-    agent = AgentModel(0, [[2.0, 0.0]], [[4.0]])
-    state = AgentLocalState.zeros(2)
-    local_update(state, agent, np.array([3.0]))
-    assert state.k == 1
-    assert np.allclose(state.x, agent.W @ np.array([3.0]))
-
-
-def test_local_update_matches_from_scratch_average():
+def test_local_stats_are_information_weighted_running_means():
+    # agent 1 takes two measurements a tick; x_hist[t, i] is W_i applied to the mean of
+    # agent i's first t + 1 measurements, replayed from the episode's noise stream
     rng = np.random.default_rng(0)
-    agent = AgentModel(0, rng.standard_normal((2, 3)), np.array([[2.0, 0.3], [0.3, 1.0]]))
-    state = AgentLocalState.zeros(3)
-    ys = rng.standard_normal((50, 2))
-    for y in ys:
-        local_update(state, agent, y)
-    ref = agent.W @ ys.mean(axis=0)
-    assert np.abs(state.x - ref).max() < 1e-12
+    agents = [
+        AgentModel(0, [[1.0, 0.5, 0.0]], [[2.0]]),
+        AgentModel(1, rng.standard_normal((2, 3)), np.array([[2.0, 0.3], [0.3, 1.0]])),
+        AgentModel(2, [[0.0, 0.3, 1.0]], [[0.5]]),
+    ]
+    model = GlobalModel(agents, [1.0, -0.5, 0.25])
+    spec = StaticGraph(~np.eye(3, dtype=bool))
+    horizon, seed = 60, 8
+    trace = run_episode(
+        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon,
+        record={"local_stats"}, seed=seed,
+    )
+    noise = episode_streams(seed).noise
+    ys = [sample_measurements(model, noise) for _ in range(horizon + 1)]
+    for i, agent in enumerate(agents):
+        y_i = np.array([y[i] for y in ys])
+        means = np.cumsum(y_i, axis=0) / np.arange(1, horizon + 2)[:, None]
+        assert np.abs(trace.x_hist[:, i] - means @ agent.W.T).max() < 1e-12
 
 
-def test_local_update_zero_noise_is_information_times_theta():
+def test_local_stats_with_zero_noise_are_information_times_theta():
     model = make_ref5_model(noise="zero")
-    agent = model.agents[2]
-    state = AgentLocalState.zeros(2)
-    y = agent.H @ model.theta
-    for _ in range(7):
-        local_update(state, agent, y)
-    assert np.allclose(state.x, agent.B @ model.theta, atol=1e-12)
-
-
-def test_token_visit_first_and_repeat():
-    agent = _scalar_agent(0, h=1.0, c=1.0)
-    payload = TokenPayload.initial(1, start_node=0)
-    state = AgentLocalState.zeros(1)
-    state.x = np.array([0.8])
-    token_visit(payload, state, agent, t=0)
-    assert np.allclose(payload.d, [0.8])
-    assert np.allclose(payload.K, agent.B)
-    assert payload.visited == {0}
-    assert state.last_visit == 0
-    # revisit with unchanged statistic leaves the payload unchanged
-    token_visit(payload, state, agent, t=3)
-    assert np.allclose(payload.d, [0.8])
-    assert np.allclose(payload.K, agent.B)
-    assert state.last_visit == 3
-
-
-def test_token_visit_wrong_holder_rejected():
-    agent = _scalar_agent(1)
-    payload = TokenPayload.initial(1, start_node=0)
-    with pytest.raises(ValueError, match="token is at node"):
-        token_visit(payload, AgentLocalState.zeros(1), agent, 0)
-
-
-def test_estimate_no_visits_is_zero():
-    payload = TokenPayload.initial(3, start_node=0)
-    s = estimate(payload, AlphaSchedule.linear(), t=5)
-    assert np.array_equal(s, np.zeros(3))
-
-
-def test_estimate_scalar_closed_form():
-    # one scalar agent: s = (1/(t+1) + 1)^{-1} * running mean
-    agent = _scalar_agent()
-    payload = TokenPayload.initial(1, start_node=0)
-    state = AgentLocalState.zeros(1)
-    for y in (0.4, 1.2, -0.3):
-        local_update(state, agent, np.array([y]))
-    token_visit(payload, state, agent, t=2)
-    mbar = (0.4 + 1.2 - 0.3) / 3
-    for t in (2, 9, 99):
-        s = estimate(payload, AlphaSchedule.linear(), t)
-        assert s[0] == pytest.approx(mbar / (1.0 / (t + 1) + 1.0), rel=1e-12)
-
-
-def test_estimate_matches_dense_solve_oracle():
-    model = make_ref5_model(noise="zero")
-    payload = TokenPayload.initial(2, start_node=0)
-    payload.K = model.sigma_c.copy()
-    payload.d = model.sigma_c @ model.theta
-    payload.visited = set(range(5))
-    for t in (0, 10, 1000):
-        s = estimate(payload, AlphaSchedule.linear(), t)
-        ref = np.linalg.solve(np.eye(2) / (t + 1) + model.sigma_c, model.sigma_c @ model.theta)
-        assert np.abs(s - ref).max() < 1e-10
+    spec = StaticGraph(ref5_adjacency())
+    trace = run_episode(
+        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=30,
+        record={"local_stats"}, seed=2,
+    )
+    b_theta = np.stack([a.B @ model.theta for a in model.agents])
+    assert np.abs(trace.x_hist - b_theta).max() < 1e-12
 
 
 def test_single_agent_episode_matches_closed_form():
