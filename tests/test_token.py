@@ -35,7 +35,21 @@ def test_alpha_schedule_forms():
         AlphaSchedule("cubic")
 
 
-def test_local_stats_are_information_weighted_running_means():
+def test_local_update_first_measurement():
+    # at t = 0 the running mean is the first measurement itself: x = W y(0)
+    agents = [AgentModel(0, [[2.0, 0.0]], [[4.0]]), AgentModel(1, [[0.0, 1.0]], [[1.0]])]
+    model = GlobalModel(agents, [1.5, -0.5])
+    spec = StaticGraph(~np.eye(2, dtype=bool))
+    trace = run_episode(
+        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=3,
+        record={"local_stats"}, seed=4,
+    )
+    y0 = sample_measurements(model, episode_streams(4).noise)
+    for i, agent in enumerate(agents):
+        assert np.allclose(trace.x_hist[0, i], agent.W @ y0[i], rtol=0, atol=1e-12)
+
+
+def test_local_update_matches_from_scratch_average():
     # agent 1 takes two measurements a tick; x_hist[t, i] is W_i applied to the mean of
     # agent i's first t + 1 measurements, replayed from the episode's noise stream
     rng = np.random.default_rng(0)
