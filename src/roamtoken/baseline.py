@@ -93,9 +93,11 @@ def grid_search(
     graph draws, so the comparison is paired and the result is deterministic
     given the seed.  Diverged candidates score +inf and can never win; ties go
     to the first candidate in grid order.  The winner is then run once more
-    on its own to record its full series (``best_trials``).
+    on its own, its network error reduced over trials a chunk at a time
+    (``best_trials``, whose ``netavg_sq_err`` is a ``TickStats``); ``curve``
+    is that reduction's mean over ``||theta||^2``.
     """
-    from .engine import run_ci_trials
+    from .engine import TickStats, run_ci_trials
 
     keys = ("a", "b", "tau1", "tau2")
     missing = [k for k in keys if k not in grid or not len(grid[k])]
@@ -119,8 +121,10 @@ def grid_search(
     best = min(range(len(cfgs)), key=lambda k: scores[k][1])
     if math.isinf(scores[best][1]):
         raise RuntimeError("every grid candidate diverged")
+    stats = TickStats(trials, horizon + 1)
     winner = run_ci_trials(
-        model, spec, cfgs[best], horizon=horizon, trials=trials, master_seed=seed
+        model, spec, cfgs[best], horizon=horizon, trials=trials, master_seed=seed,
+        reduce={"netavg": stats},
     )
-    curve = winner.netavg_sq_err.mean(axis=0) / theta_sq
+    curve = stats.stats[None][0] / theta_sq
     return GridSearchResult(best=cfgs[best], curve=curve, scores=scores, best_trials=winner)

@@ -25,12 +25,22 @@ All four engines (token, central, consensus+innovations and chain) shard
 their trials across the usable cores through one function, ``_sharded``.  Each
 forked worker runs the same serial loop on a contiguous block of at least
 ``MIN_BLOCK_TRIALS`` trials, with trial ``lo + r`` seeded
-``trial_seed(master, lo + r)``, and writes its rows, or the chain's exact
-per-block counts, into arrays in anonymous shared memory.  Every per-trial
-value is computed row by row, so outputs do not depend on the worker count; a
-block holds at least two trials because numpy's linear algebra takes a
-different path for a single row, which changes the last bits.  A worker's
-failure is re-raised in the parent as the serial loop would raise it.
+``trial_seed(master, lo + r)``.  Every per-trial value is computed row by row,
+so outputs do not depend on the worker count; a block holds at least two
+trials because numpy's linear algebra takes a different path for a single
+row, which changes the last bits.  A worker's failure is re-raised in the
+parent as the serial loop would raise it.
+
+No per-tick series is kept whole unless asked for.  Each passes through a ring
+(``_Ring``) of ``RING_SLOTS`` trial-major (trials, CHUNK_TICKS) slots in
+anonymous shared memory: a worker writes its rows of a chunk into the chunk's
+slot and signals the parent, and waits for a credit from the parent before it
+reuses a slot.  Once every block has filled a slot, the parent hands the
+slot's rows, all trials in trial order, to the series' readers, for example a
+``TickStats`` reduction, and sends each worker a credit.  With one block the
+same ring is read in-process after each chunk.  Other outputs, such as the CI
+grid's horizon column or the chain's exact counts, are written straight into
+shared arrays.
 """
 
 from __future__ import annotations
@@ -39,8 +49,10 @@ import mmap
 import os
 import pickle
 import signal
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import Callable, Iterator, NoReturn, Sequence
+from functools import partial
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -50,7 +62,7 @@ from .chain import TransitionRule, bulk_step, transition_rows
 from .errors import NonFiniteMetric, SolveFailed
 from .graphs import DeterministicSequence, GraphSpec
 from .observation import GlobalModel, central_solver
-from .token import ESTIMATE_RTOL, AlphaSchedule
+from .token import ESTIMATE_RTOL, AlphaSchedule, EpisodeTrace
 
 CHUNK_TICKS = 64
 # Each generator call draws at most this many ticks of a trial's stream, a whole number
@@ -66,6 +78,52 @@ MIN_BLOCK_TRIALS = 2
 # On a 2-vCPU VM, 1,000-tick runs of the token, oracle and CI engines broke even at
 # about 32 trials and were faster sharded from 64.
 SHARD_MIN_TRIALS = 64
+# Slots of the ring each recorded series passes through.  A worker may run this many
+# chunks ahead of the parent's reduction before it waits.
+RING_SLOTS = 4
+
+# A ring reader: called with a chunk's (trials, length) rows from tick t0, chunk by chunk.
+Reader = Callable[[np.ndarray, int], None]
+
+
+class TickStats:
+    """Per-tick mean and sample standard deviation over trials of one recorded series.
+
+    A ring reader.  Each chunk's rows are reduced over all trials in trial
+    order, so every column equals the whole (trials, ticks) array's
+    ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` bit for bit; tick-major
+    slots or sums of per-block partial sums would differ in the last bits.
+    With ``ratio_to`` it also reduces ``rows * t / ratio_to``, the per-tick
+    weight applied to every trial before the reduction.  ``stats[w]`` is
+    ``(mean, std)`` under weight ``w``, None for the rows as they are; the
+    std stays 0 for a single trial.
+    """
+
+    def __init__(self, trials: int, size: int, ratio_to: float | None = None) -> None:
+        self.trials = trials
+        self.t = np.arange(size, dtype=float)
+        self.stats = {w: (np.zeros(size), np.zeros(size)) for w in dict.fromkeys((None, ratio_to))}
+
+    @classmethod
+    def of(cls, rows: np.ndarray, ratio_to: float | None = None) -> "TickStats":
+        """The reduction of whole (trials, ticks) rows, read a chunk at a time."""
+        stats = cls(*rows.shape, ratio_to)
+        for t0 in range(0, rows.shape[1], CHUNK_TICKS):
+            stats(rows[:, t0 : t0 + CHUNK_TICKS], t0)
+        return stats
+
+    def __call__(self, rows: np.ndarray, t0: int) -> None:
+        span = slice(t0, t0 + rows.shape[1])
+        for w, (mean, std) in self.stats.items():
+            x = rows if w is None else rows * self.t[span] / w
+            mean[span] = x.mean(axis=0)
+            if self.trials >= 2:
+                std[span] = x.std(axis=0, ddof=1)
+
+
+# A recorded series is held as whole (trials, horizon + 1) rows where it was recorded,
+# else as the TickStats it was reduced into.
+Series = np.ndarray | TickStats
 
 
 @dataclass(eq=False)
@@ -73,11 +131,11 @@ class TokenTrials:
     theta: np.ndarray
     trials: int
     horizon: int
-    sq_err: np.ndarray | None = None
-    last_seen_mean_sq: np.ndarray | None = None
+    sq_err: Series | None = None
+    last_seen_mean_sq: Series | None = None
     visited_count: np.ndarray | None = None
     central: CentralTrials | None = None
-    holder_trial0: np.ndarray | None = None
+    trial0: EpisodeTrace | None = None
 
 
 @dataclass(eq=False)
@@ -85,7 +143,7 @@ class CentralTrials:
     theta: np.ndarray
     trials: int
     horizon: int
-    sq_err: np.ndarray
+    sq_err: Series
 
 
 @dataclass(eq=False)
@@ -93,7 +151,7 @@ class CiTrials:
     theta: np.ndarray
     trials: int
     horizon: int
-    netavg_sq_err: np.ndarray
+    netavg_sq_err: Series
 
 
 @dataclass(eq=False)
@@ -129,6 +187,11 @@ class _TrialBlocks:
     and one whose graph draws no uniforms (none, static or a sequence) makes
     no graph generator; the three streams are independent, so what a block
     skips never shifts what it draws.
+
+    ``_sharded`` sets ``ring``, the block's rows of every ring slot, and the
+    calls ``wait(c)``, which returns once chunk ``c``'s slot is free, and
+    ``filled(c)``, which hands the filled slot over.  During chunk ``c``,
+    ``slot`` holds the block's (trials, CHUNK_TICKS) rows of its slot.
     """
 
     def __init__(
@@ -159,15 +222,20 @@ class _TrialBlocks:
         self.noise: np.ndarray | None = None
         self.graph_u: np.ndarray | None = None
         self.move_u: np.ndarray | None = None
+        self.ring: dict[str, np.ndarray] = {}
+        self.slot: dict[str, np.ndarray] = {}
+        self.wait: Callable[[int], None] = lambda c: None
+        self.filled: Callable[[int], None] = lambda c: None
 
     def chunks(self, ticks: int) -> Iterator[tuple[int, int]]:
         """Yield ``(t0, length)`` for each chunk of ``ticks`` ticks, its draws loaded.
 
         Every ``load_ticks`` ticks, the next ``load_ticks`` (fewer at the end)
         are drawn at once; ``noise``, ``graph_u`` and ``move_u`` then view the
-        chunk's slice of them.
+        chunk's slice of them.  ``slot`` is the chunk's ring slot, handed over
+        once the loop body is done with it.
         """
-        for t0 in range(0, ticks, CHUNK_TICKS):
+        for c, t0 in enumerate(range(0, ticks, CHUNK_TICKS)):
             self.t0, length = t0, min(CHUNK_TICKS, ticks - t0)
             self.at = t0 % self.load_ticks
             if self.at == 0:
@@ -177,7 +245,10 @@ class _TrialBlocks:
             self.noise, self.graph_u, self.move_u = (
                 None if a is None else a[:, span] for a in loaded
             )
+            self.wait(c)
+            self.slot = {k: v[c % RING_SLOTS] for k, v in self.ring.items()}
             yield t0, length
+            self.filled(c)
 
     def load(self, length: int) -> None:
         """Draw the next ``length`` ticks of every trial's streams."""
@@ -238,32 +309,75 @@ def _serial_order(exc: BaseException, t0: int) -> tuple[int, int, float]:
     return t0, stage, -(residual or 0.0)
 
 
+class _Ring:
+    """``RING_SLOTS`` trial-major (trials, CHUNK_TICKS) slots per recorded series, and its readers.
+
+    ``series`` maps each series to its dtype and readers.  Chunk ``c`` of
+    every series is written into slot ``c % RING_SLOTS``.  ``read(c)`` hands
+    each series' (trials, length) rows of that slot, all trials in trial
+    order, to its readers, after which the slot may be reused.
+    """
+
+    def __init__(
+        self, ticks: int, trials: int, series: Mapping[str, tuple[type, list[Reader]]], alloc
+    ) -> None:
+        self.chunks = -(-ticks // CHUNK_TICKS)
+        self.ticks = ticks
+        self.slots = {k: alloc((RING_SLOTS, trials, CHUNK_TICKS), t) for k, (t, _) in series.items()}
+        self.readers = {k: readers for k, (_, readers) in series.items()}
+
+    def read(self, c: int) -> None:
+        t0 = c * CHUNK_TICKS
+        length = min(CHUNK_TICKS, self.ticks - t0)
+        for k, slots in self.slots.items():
+            for reader in self.readers[k]:
+                reader(slots[c % RING_SLOTS, :, :length], t0)
+
+
 def _worker(
-    report: int,
+    up: int,
+    credit: int,
     block: Callable[[], tuple[_TrialBlocks, dict, dict]],
     run_block: Callable[[_TrialBlocks, dict, dict], None],
 ) -> NoReturn:
-    """A forked worker's life: run its block; send up ``report`` any failure and where it was.
+    """A forked worker's life: run its block; send up ``up`` any failure and where it was.
 
-    Every exception, an interrupt included, goes to the parent, which raises
-    it.  ``os._exit`` ends the worker without running the parent's exit
-    handlers or flushing the buffers it inherited, so nothing runs or prints
-    twice.
+    If the block writes ring series, each filled chunk is signalled up
+    ``up`` with one byte ``r``, and before chunk ``c >= RING_SLOTS`` the
+    worker reads one credit byte from ``credit``, sent once the parent has
+    read chunk ``c - RING_SLOTS``.  When the parent closes ``credit``, the
+    worker stops waiting.  Every exception, an interrupt included, goes to
+    the parent as a pickle after the signals, and the parent raises it.
+    ``os._exit`` ends the worker without running the parent's exit handlers
+    or flushing the buffers it inherited, so nothing runs or prints twice.
     """
     code, streams = 1, None
     try:
-        try:
-            streams, part, mine = block()
-            run_block(streams, part, mine)
-            code = 0
-        except BaseException as exc:
-            where = _serial_order(exc, 0 if streams is None else streams.t0)
+        with os.fdopen(up, "wb") as out:
+            draining = False
+
+            def wait(c: int) -> None:
+                nonlocal draining
+                if c >= RING_SLOTS and not draining:
+                    draining = os.read(credit, 1) == b""
+
+            def filled(c: int) -> None:
+                out.write(b"r")
+                out.flush()
+
             try:
-                msg = pickle.dumps((where, exc))
-                pickle.loads(msg)
-            except Exception:  # an exception that does not survive pickling
-                msg = pickle.dumps((where, RuntimeError(f"{type(exc).__name__}: {exc}")))
-            with os.fdopen(report, "wb") as out:
+                streams, part, mine = block()
+                if streams.ring:
+                    streams.wait, streams.filled = wait, filled
+                run_block(streams, part, mine)
+                code = 0
+            except BaseException as exc:
+                where = _serial_order(exc, 0 if streams is None else streams.t0)
+                try:
+                    msg = pickle.dumps((where, exc))
+                    pickle.loads(msg)
+                except Exception:  # an exception that does not survive pickling
+                    msg = pickle.dumps((where, RuntimeError(f"{type(exc).__name__}: {exc}")))
                 out.write(msg)
     finally:
         os._exit(code)
@@ -277,17 +391,27 @@ def _sharded(
     rows: dict[str, tuple[tuple[int, ...], type]],
     run_block: Callable[[_TrialBlocks, dict, dict], None],
     per_block: dict[str, tuple[tuple[int, ...], type]] | None = None,
+    series: Mapping[str, tuple[type, list[Reader]]] | None = None,
+    ticks: int = 0,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Run ``run_block`` over contiguous blocks of trials, one forked worker per block.
 
     ``rows`` names the per-trial outputs, each ``(trials, *width)``, and
     ``per_block`` those each block keeps for itself, ``(blocks, *width)``.
-    Block ``b`` holds trials ``lo..hi-1``; ``run_block(streams, rows[lo:hi],
-    per_block[b])`` fills its part, where ``streams`` are those trials'
-    ``_TrialBlocks``.  One block, run in this process, serves runs of fewer
-    than ``SHARD_MIN_TRIALS`` trials, a single usable core and platforms
-    without ``os.fork``.  If workers fail, the failure the serial loop would meet
-    first is raised here, once every worker has been reaped.
+    ``series`` names the per-tick series of a ``ticks``-tick run that pass
+    through the ring, each with its dtype and readers.  Block ``b`` holds
+    trials ``lo..hi-1``; ``run_block(streams, rows[lo:hi], per_block[b])``
+    fills its part and writes each chunk of its series into
+    ``streams.slot``, where ``streams`` are those trials' ``_TrialBlocks``.
+
+    The parent reads chunk ``c`` once every worker has signalled it, then
+    grants each worker a credit for chunk ``c + RING_SLOTS``.  One block,
+    run in this process, serves runs of fewer than ``SHARD_MIN_TRIALS``
+    trials, a single usable core and platforms without ``os.fork``; it reads
+    each chunk as soon as it is filled.  If workers fail, the parent stops
+    reading, closes the credit pipes so that no worker waits on it, and
+    raises the failure the serial loop would meet first, once every worker
+    has been reaped.
     """
     workers = 1
     if hasattr(os, "fork") and trials >= SHARD_MIN_TRIALS:
@@ -296,35 +420,54 @@ def _sharded(
     alloc = np.zeros if workers == 1 else _shared_zeros
     out = {k: alloc((trials, *width), dtype) for k, (width, dtype) in rows.items()}
     own = {k: alloc((workers, *width), dtype) for k, (width, dtype) in (per_block or {}).items()}
+    ring = _Ring(ticks, trials, series or {}, alloc)
 
     def block(b: int) -> tuple[_TrialBlocks, dict, dict]:
-        """Block ``b``'s streams and its parts of the outputs."""
+        """Block ``b``'s streams, with its rows of the ring, and its parts of the outputs."""
         lo, hi = bounds[b], bounds[b + 1]
-        return (
-            _TrialBlocks(hi - lo, master_seed, model, spec, lo),
-            {k: v[lo:hi] for k, v in out.items()},
-            {k: v[b] for k, v in own.items()},
-        )
+        streams = _TrialBlocks(hi - lo, master_seed, model, spec, lo)
+        streams.ring = {k: v[:, lo:hi] for k, v in ring.slots.items()}
+        return streams, {k: v[lo:hi] for k, v in out.items()}, {k: v[b] for k, v in own.items()}
 
     if workers == 1:
-        run_block(*block(0))
+        streams, part, mine = block(0)
+        streams.filled = ring.read
+        run_block(streams, part, mine)
         return out, own
 
     pids: dict[int, int] = {}  # unreaped worker -> its block
-    reports = []
+    ups, credits = [], []  # the parent's ends of each worker's pipes
     failures = []
     try:
         for b in range(workers):
-            read_end, write_end = os.pipe()
-            reports.append(os.fdopen(read_end, "rb"))
+            up_read, up_write = os.pipe()
+            credit_read, credit_write = os.pipe()
+            ups.append(os.fdopen(up_read, "rb"))
+            credits.append(credit_write)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _worker(write_end, lambda: block(b), run_block)
+                    for fd in [up.fileno() for up in ups] + credits:
+                        os.close(fd)  # else no worker would see a credit pipe close
+                    _worker(up_write, credit_read, lambda: block(b), run_block)
             finally:
-                os.close(write_end)  # a worker never gets here: it leaves by os._exit
+                os.close(up_write)  # a worker never gets here: it leaves by os._exit
+                os.close(credit_read)
             pids[pid] = b
-        msgs = [report.read() for report in reports]  # each ends when its worker does
+        heads = [b""] * workers
+        for c in range(ring.chunks if ring.slots else 0):
+            heads = [up.read(1) for up in ups]
+            if heads != [b"r"] * workers:
+                break  # a worker failed or died
+            ring.read(c)
+            if c + RING_SLOTS < ring.chunks:
+                for credit in credits:
+                    with suppress(BrokenPipeError):  # a dead worker shows at its next signal
+                        os.write(credit, b"c")
+        while credits:
+            os.close(credits.pop())
+        # each ends when its worker does; a failure follows the worker's signals
+        msgs = [(head + up.read()).lstrip(b"r") for head, up in zip(heads, ups)]
         for pid in list(pids):
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             b = pids.pop(pid)
@@ -335,8 +478,10 @@ def _sharded(
                 crash = RuntimeError(f"the worker for trials {lo}..{hi - 1} exited with {status}")
                 failures.append(((-1,), crash, b))
     finally:
-        for report in reports:
-            report.close()
+        for up in ups:
+            up.close()
+        for credit in credits:
+            os.close(credit)
         for pid in pids:  # left only if this process was interrupted
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -398,10 +543,10 @@ class _CentralOracle:
         self.w_full = np.hstack([a.W for a in model.agents])
         self.theta = model.theta
 
-    def score(self, means: np.ndarray, t0: int, sq_err: np.ndarray) -> None:
-        """Solve the (ticks, trials, m) running means of the ticks from ``t0``; record errors."""
+    def score(self, means: np.ndarray) -> np.ndarray:
+        """The (ticks, trials) squared errors of the estimates on (ticks, trials, m) running means."""
         err = self.solve(means @ self.w_full.T) - self.theta
-        sq_err[:, t0 : t0 + len(means)] = (err * err).sum(axis=-1).T
+        return (err * err).sum(axis=-1)
 
 
 class _OutRows:
@@ -602,6 +747,36 @@ def _check_sizes(model: GlobalModel, spec: GraphSpec) -> None:
         raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
 
 
+def _ring_series(
+    trials: int,
+    size: int,
+    dtypes: Mapping[str, type],
+    record: frozenset[str] | set[str],
+    reduce: Mapping[str, Reader],
+) -> tuple[dict[str, tuple[type, list[Reader]]], dict[str, Series | None]]:
+    """The ring series among ``dtypes``, with their readers, and what the run returns of each.
+
+    A series in ``record`` is copied into whole (trials, size) rows, which
+    are returned; one that ``reduce`` names is handed to that reader, which
+    is returned unless the rows are; any other is not kept.
+    """
+    series, kept = {}, {}
+    for k, dtype in dtypes.items():
+        readers = [reduce[k]] if k in reduce else []
+        kept[k] = reduce.get(k)
+        if k in record:
+            kept[k] = np.zeros((trials, size), dtype)
+            readers.append(partial(_keep, kept[k]))
+        if readers:
+            series[k] = (dtype, readers)
+    return series, kept
+
+
+def _keep(rows: np.ndarray, chunk: np.ndarray, t0: int) -> None:
+    """Bound to whole (trials, ticks) rows, a ring reader that copies each chunk into them."""
+    rows[:, t0 : t0 + chunk.shape[1]] = chunk
+
+
 def run_token_trials(
     model: GlobalModel,
     spec: GraphSpec,
@@ -611,53 +786,76 @@ def run_token_trials(
     trials: int,
     start_node: int = 0,
     master_seed: SeedLike = 0,
-    record: frozenset[str] | set[str] = frozenset({"sq_err", "last_seen", "visited"}),
+    record: frozenset[str] | set[str] = frozenset({"sq_err", "last_seen", "visited", "central"}),
     include_central: bool = False,
+    reduce: Mapping[str, Reader] | None = None,
 ) -> TokenTrials:
     """Run many token episodes in lockstep; see ``token.run_episode`` for semantics.
 
     Only the walk and the running means step tick by tick; the payload, the
     estimates and the records are computed once per chunk (``_TokenPayload``).
+    The series are ``sq_err``, ``last_seen``, ``visited`` and, with
+    ``include_central``, the oracle's ``central``.  Those in ``record`` are
+    kept whole; those ``reduce`` names are read chunk by chunk by their
+    reader and returned as it, unless also kept whole.  ``trial0`` holds
+    trial 0's trace, its last-seen errors only where ``last_seen`` was
+    recorded or reduced.
     """
     _check_sizes(model, spec)
     size = horizon + 1
-    kept = {"sq_err": float, "last_seen": float, "visited": np.int16}
-    rows = {k: ((size,), dtype) for k, dtype in kept.items() if k in record}
+    reduce = reduce or {}
+    dtypes = {"sq_err": float, "visited": np.int64}
+    last_seen = "last_seen" in record or "last_seen" in reduce
+    if last_seen:
+        dtypes["last_seen"] = float
     oracle = _CentralOracle(model) if include_central else None
     if oracle is not None:
-        rows["central"] = ((size,), float)
+        dtypes["central"] = float
+    series, kept = _ring_series(trials, size, dtypes, record, reduce)
+    trace = {"holder": np.int64, **dtypes}
+    trace.pop("central", None)
 
-    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], own: dict[str, np.ndarray]) -> None:
+    def run(blocks: _TrialBlocks, _: dict, own: dict[str, np.ndarray]) -> None:
         R = blocks.trials
         means = _RunningMeans(model, R)
         payload = _TokenPayload(model, R)
         holder = np.full(R, int(start_node))
         out_rows = _OutRows(spec, rule)
         for t0, length in blocks.chunks(size):
-            span = slice(t0, t0 + length)
             path, holder = _walk(out_rows, blocks, t0, length, holder)
-            own["holder0"][span] = path[:, 0]
             ybar = means.advance(blocks.noise, t0)
-            if oracle is not None:
-                oracle.score(ybar, t0, out["central"])
-            sq, counts, mean_seen = payload.advance(path, ybar, t0, schedule, "last_seen" in out)
-            for key, value in (("sq_err", sq), ("visited", counts), ("last_seen", mean_seen)):
-                if key in out:
-                    out[key][:, span] = value.T
+            values = {"holder": path}
+            if oracle is not None:  # before the estimate, whose failure comes later
+                values["central"] = oracle.score(ybar)
+            sq, counts, mean_seen = payload.advance(path, ybar, t0, schedule, last_seen)
+            values.update(sq_err=sq, visited=counts, last_seen=mean_seen)
+            for key, value in values.items():
+                if key in own:  # the block's first trial, for the trace
+                    own[key][t0 : t0 + length] = value[:, 0]
+                if key in blocks.slot:
+                    blocks.slot[key][:, :length] = value.T
 
-    out, own = _sharded(
-        trials, master_seed, model, spec, rows, run, per_block={"holder0": ((size,), np.int64)}
+    _, own = _sharded(
+        trials, master_seed, model, spec, {}, run,
+        per_block={k: ((size,), dtype) for k, dtype in trace.items()}, series=series, ticks=size,
     )
     theta = model.theta.copy()
     return TokenTrials(
         theta=theta,
         trials=trials,
         horizon=horizon,
-        sq_err=out.get("sq_err"),
-        last_seen_mean_sq=out.get("last_seen"),
-        visited_count=out.get("visited"),
-        central=None if oracle is None else CentralTrials(theta, trials, horizon, out["central"]),
-        holder_trial0=own["holder0"][0],
+        sq_err=kept["sq_err"],
+        last_seen_mean_sq=kept.get("last_seen"),
+        visited_count=kept["visited"],
+        central=None if oracle is None else CentralTrials(theta, trials, horizon, kept["central"]),
+        trial0=EpisodeTrace(
+            horizon=horizon,
+            theta=theta,
+            holder=own["holder"][0],
+            visited_count=own["visited"][0],
+            token_sq_err=own["sq_err"][0],
+            mean_last_seen_sq_err=own["last_seen"][0] if last_seen else None,
+        ),
     )
 
 
@@ -666,18 +864,24 @@ def run_central_trials(
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
+    reduce: Mapping[str, Reader] | None = None,
 ) -> CentralTrials:
-    """Oracle-only runs: per-tick squared error of the centralized estimate."""
+    """Oracle-only runs: per-tick squared error of the centralized estimate.
+
+    The series ``central`` is kept whole unless ``reduce`` names it.
+    """
     size = horizon + 1
     oracle = _CentralOracle(model)
+    reduce = reduce or {}
+    series, kept = _ring_series(trials, size, {"central": float}, {"central"} - set(reduce), reduce)
 
-    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], _: dict) -> None:
+    def run(blocks: _TrialBlocks, _: dict, __: dict) -> None:
         means = _RunningMeans(model, blocks.trials)
-        for t0, _ in blocks.chunks(size):
-            oracle.score(means.advance(blocks.noise, t0), t0, out["sq_err"])
+        for t0, length in blocks.chunks(size):
+            blocks.slot["central"][:, :length] = oracle.score(means.advance(blocks.noise, t0)).T
 
-    out, _ = _sharded(trials, master_seed, model, None, {"sq_err": ((size,), float)}, run)
-    return CentralTrials(model.theta.copy(), trials, horizon, out["sq_err"])
+    _sharded(trials, master_seed, model, None, {}, run, series=series, ticks=size)
+    return CentralTrials(model.theta.copy(), trials, horizon, kept["central"])
 
 
 def run_ci_trials(
@@ -687,6 +891,7 @@ def run_ci_trials(
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
+    reduce: Mapping[str, Reader] | None = None,
 ) -> CiTrials | CiGridTrials:
     """Run many consensus+innovations trajectories in lockstep.
 
@@ -694,8 +899,9 @@ def run_ci_trials(
     (final-tick draws included even though unused), so token-vs-baseline
     comparisons are paired draw for draw.
 
-    One ``CiConfig`` records every tick (``CiTrials``) and raises
-    NonFiniteMetric if its trajectory diverges.  A sequence of K configs runs
+    One ``CiConfig`` records every tick of the series ``netavg``, whole unless
+    ``reduce`` names it (``CiTrials``), and raises NonFiniteMetric if its
+    trajectory diverges.  A sequence of K configs runs
     all of them in one pass over a (K, trials, n, L) state that shares the
     draws, the measurements and the adjacency of each tick, and keeps only the
     error at the horizon (``CiGridTrials``), so memory does not grow with the
@@ -719,14 +925,20 @@ def run_ci_trials(
     g_rows_all = np.stack([g[:, :, 0] for g in g_fold_all], axis=1) if all_scalar else None
     slices = model.measurement_slices()
     size = horizon + 1
+    reduce = reduce or {}
+    series, kept = {}, {}
+    if single:
+        series, kept = _ring_series(trials, size, {"netavg": float}, {"netavg"} - set(reduce), reduce)
+
+    def net_err(s_k: np.ndarray) -> np.ndarray:
+        """Each trial's network-average squared error of one candidate's (trials, n, L) state."""
+        err = s_k - theta
+        return (err * err).sum(axis=-1).mean(axis=-1)
 
     def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], own: dict[str, np.ndarray]) -> None:
         s = np.zeros((K, blocks.trials, n, dim))
         live, g_fold, g_rows = np.arange(K), g_fold_all, g_rows_all
-        diverged = own["diverged"]
-        netavg, final = out.get("netavg"), out["final"]
-        if single:
-            netavg[:, 0] = theta_sq
+        diverged, final = own["diverged"], out["final"]
         final[...] = theta_sq
         with np.errstate(over="ignore", invalid="ignore"):
             for t0, length in blocks.chunks(size):
@@ -734,8 +946,12 @@ def run_ci_trials(
                     break
                 consensus, innovation = np.empty_like(s), np.empty_like(s)
                 resid = np.empty(s.shape[:3])
-                for ti in range(min(length, horizon - t0)):
+                for ti in range(length):
                     t = t0 + ti
+                    if single:  # the error at tick t, before the step to t + 1
+                        blocks.slot["netavg"][:, ti] = theta_sq if t == 0 else net_err(s[0])
+                    if t == horizon:
+                        break
                     y = measure(blocks.noise[:, ti])
                     adj = spec.adjacency(t, blocks.graph_u[:, ti]).astype(float)
                     deg = np.repeat(adj.sum(axis=-1)[..., None], dim, axis=-1)
@@ -757,14 +973,9 @@ def run_ci_trials(
                     innovation *= np.array([cfgs[k].alpha(t) for k in live])[:, None, None, None]
                     s -= consensus
                     s += innovation
-                    if single or t + 1 == horizon:
+                    if t + 1 == horizon:
                         for k, s_k in zip(live, s):
-                            err = s_k - theta
-                            err_sq = (err * err).sum(axis=-1).mean(axis=-1)
-                            if single:
-                                netavg[:, t + 1] = err_sq
-                            if t + 1 == horizon:
-                                final[:, k] = err_sq
+                            final[:, k] = net_err(s_k)
                 finite = np.isfinite(s).all(axis=(1, 2, 3))
                 if not finite.all():
                     if single:
@@ -775,14 +986,12 @@ def run_ci_trials(
                     if all_scalar:
                         g_rows = g_rows[finite]
 
-    rows = {"final": ((K,), float)}
-    if single:
-        rows["netavg"] = ((size,), float)
     out, own = _sharded(
-        trials, master_seed, model, spec, rows, run, per_block={"diverged": ((K,), bool)}
+        trials, master_seed, model, spec, {"final": ((K,), float)}, run,
+        per_block={"diverged": ((K,), bool)}, series=series, ticks=size,
     )
     if single:
-        return CiTrials(theta.copy(), trials, horizon, netavg_sq_err=out["netavg"])
+        return CiTrials(theta.copy(), trials, horizon, netavg_sq_err=kept["netavg"])
     diverged = own["diverged"].any(axis=0)  # a candidate diverged if it did in any block
     final = out["final"]
     final[:, diverged] = np.inf

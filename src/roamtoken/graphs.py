@@ -225,19 +225,25 @@ def generate_backbone_with_degree(
 
 
 def window_union_connected(frames: Sequence[np.ndarray], b: int) -> bool:
-    """True iff every complete length-``b`` window has a strongly connected edge union."""
+    """True iff every complete length-``b`` window has a strongly connected edge union.
+
+    A window's union is where the sliding count of each edge over its frames,
+    a difference of running sums, is positive.  All windows are tested at
+    once: a union is strongly connected iff its reflexive transitive closure,
+    built by repeated boolean squaring, is all true.
+    """
     if b < 1:
         raise ValueError("window size must be >= 1")
-    frames = [np.asarray(f, dtype=bool) for f in frames]
-    if len(frames) < b:
-        raise ValueError(f"need at least {b} frames, got {len(frames)}")
-    for start in range(len(frames) - b + 1):
-        union = frames[start]
-        for f in frames[start + 1 : start + b]:
-            union = union | f
-        if not is_strongly_connected(union):
-            return False
-    return True
+    stack = np.asarray(frames, dtype=bool)
+    if len(stack) < b:
+        raise ValueError(f"need at least {b} frames, got {len(stack)}")
+    n = stack.shape[1]
+    counts = np.zeros((len(stack) + 1, n, n), dtype=np.int64)
+    np.cumsum(stack, axis=0, out=counts[1:])
+    reach = (counts[b:] - counts[:-b] > 0) | np.eye(n, dtype=bool)
+    for _ in range(max(n - 2, 0).bit_length()):  # paths of up to 2^k >= n - 1 edges
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def sequential_reachability(frames: Sequence[np.ndarray]) -> np.ndarray:

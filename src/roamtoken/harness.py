@@ -34,6 +34,8 @@ from .chain import (
 from .engine import (
     CentralTrials,
     CiTrials,
+    Series,
+    TickStats,
     TokenTrials,
     run_central_trials,
     run_chain_trials,
@@ -71,21 +73,64 @@ class MetricSeries:
             raise ValueError("half-widths must be nonnegative")
 
 
-def _aggregate(name: str, per_trial: np.ndarray, trials: int, scale: float = 1.0) -> MetricSeries:
-    values = per_trial.mean(axis=0) / scale
+# The metrics a run reports: (metric, the engine series it reduces, optimality ratio?).
+# A relative MSE is the series' mean over trials divided by ||theta||^2.  An optimality
+# ratio is the mean of t * series / trace(sigma_c^{-1}), each trial weighted before the
+# reduction, so that its half-widths come from the weighted values.
+METRICS = (
+    ("rmse_token", "sq_err", False),
+    ("rmse_token_last_seen", "last_seen", False),
+    ("optimality_ratio_token", "sq_err", True),
+    ("rmse_central", "central", False),
+    ("optimality_ratio_central", "central", True),
+    ("rmse_ci_network", "netavg", False),
+)
+
+
+def _reducers(config: ExperimentConfig) -> dict[str, TickStats]:
+    """A chunk-at-a-time reduction of every engine series ``METRICS`` reads.
+
+    A series that an optimality ratio reads is also reduced under the
+    ratio's weight, from two trials on.
+    """
+    trace_inv = trace_of_inverse(config.model.sigma_c)
+    ratios = {series for _, series, ratio in METRICS if ratio and config.trials >= 2}
+    size = config.horizon + 1
+    return {
+        series: TickStats(config.trials, size, trace_inv if series in ratios else None)
+        for _, series, _ in METRICS
+    }
+
+
+def _aggregate(
+    name: str, source: Series | None, trials: int, scale: float = 1.0, ratio_to: float | None = None
+) -> MetricSeries:
+    """The per-tick mean over trials of a recorded series, over ``scale``, with 95% half-widths.
+
+    ``source`` is the series' ``TickStats``, or its whole (trials, ticks)
+    rows, reduced here the same way, a chunk at a time.  ``ratio_to`` picks
+    the reduction of ``rows * t / ratio_to``.
+    """
+    if isinstance(source, np.ndarray):
+        source = TickStats.of(source, ratio_to)
+    if source is None or ratio_to not in source.stats:
+        raise MissingTrace(f"the series behind {name} was not recorded")
+    mean, std = source.stats[ratio_to]
+    values = mean / scale
     if trials >= 2:
-        hw = Z_95 * per_trial.std(axis=0, ddof=1) / math.sqrt(trials) / scale
+        hw = Z_95 * std / math.sqrt(trials) / scale
     else:
         hw = np.zeros_like(values)
     return MetricSeries(name=name, values=values, half_widths=hw, trials=trials)
 
 
+def _theta_sq(trials: TokenTrials | CentralTrials | CiTrials) -> float:
+    return float(trials.theta @ trials.theta)
+
+
 def rmse_token(trials: TokenTrials) -> MetricSeries:
     """Relative MSE of the token-carried estimate."""
-    if trials.sq_err is None:
-        raise MissingTrace("token squared errors were not recorded")
-    theta_sq = float(trials.theta @ trials.theta)
-    return _aggregate("rmse_token", trials.sq_err, trials.trials, scale=theta_sq)
+    return _aggregate("rmse_token", trials.sq_err, trials.trials, _theta_sq(trials))
 
 
 def rmse_last_seen(trials: TokenTrials) -> MetricSeries:
@@ -94,24 +139,18 @@ def rmse_last_seen(trials: TokenTrials) -> MetricSeries:
     Per trial: the sum of last-seen squared errors over visited agents divided
     by the visited count; unvisited agents contribute nothing.
     """
-    if trials.last_seen_mean_sq is None:
-        raise MissingTrace("last-seen squared errors were not recorded")
-    theta_sq = float(trials.theta @ trials.theta)
-    return _aggregate("rmse_token_last_seen", trials.last_seen_mean_sq, trials.trials, scale=theta_sq)
+    source = trials.last_seen_mean_sq
+    return _aggregate("rmse_token_last_seen", source, trials.trials, _theta_sq(trials))
 
 
 def rmse_network_ci(trials: CiTrials) -> MetricSeries:
     """Agent-averaged relative MSE of the consensus+innovations network."""
-    if trials.netavg_sq_err is None:
-        raise MissingTrace("baseline squared errors were not recorded")
-    theta_sq = float(trials.theta @ trials.theta)
-    return _aggregate("rmse_ci_network", trials.netavg_sq_err, trials.trials, scale=theta_sq)
+    return _aggregate("rmse_ci_network", trials.netavg_sq_err, trials.trials, _theta_sq(trials))
 
 
 def rmse_central(trials: CentralTrials) -> MetricSeries:
     """Relative MSE of the centralized oracle on the same draws."""
-    theta_sq = float(trials.theta @ trials.theta)
-    return _aggregate("rmse_central", trials.sq_err, trials.trials, scale=theta_sq)
+    return _aggregate("rmse_central", trials.sq_err, trials.trials, _theta_sq(trials))
 
 
 def optimality_ratio(trials: TokenTrials | CentralTrials, model: GlobalModel, name: str = "optimality_ratio") -> MetricSeries:
@@ -121,12 +160,8 @@ def optimality_ratio(trials: TokenTrials | CentralTrials, model: GlobalModel, na
     """
     if trials.trials < 2:
         raise ValueError("optimality ratio needs at least two trials")
-    if trials.sq_err is None:
-        raise MissingTrace("squared errors were not recorded")
     trace_inv = trace_of_inverse(model.sigma_c)
-    t = np.arange(trials.sq_err.shape[1], dtype=float)
-    scaled = trials.sq_err * t[None, :] / trace_inv
-    return _aggregate(name, scaled, trials.trials)
+    return _aggregate(name, trials.sq_err, trials.trials, ratio_to=trace_inv)
 
 
 @dataclass(eq=False)
@@ -438,6 +473,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
 
     want_central = "central" in config.algorithms
     central: CentralTrials | None = None
+    reduce = _reducers(config)
     if "token" in config.algorithms:
         token = run_token_trials(
             config.model,
@@ -448,18 +484,13 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             trials=config.trials,
             start_node=config.start_node,
             master_seed=config.seed,
+            record=frozenset(),
             include_central=want_central,
+            reduce=reduce,
         )
         metrics["rmse_token"] = rmse_token(token)
         metrics["rmse_token_last_seen"] = rmse_last_seen(token)
-        trace = EpisodeTrace(
-            horizon=token.horizon,
-            theta=token.theta,
-            holder=token.holder_trial0,
-            visited_count=token.visited_count[0],
-            token_sq_err=token.sq_err[0],
-            mean_last_seen_sq_err=token.last_seen_mean_sq[0],
-        )
+        trace = token.trial0
         if config.trials >= 2:
             metrics["optimality_ratio_token"] = optimality_ratio(
                 token, config.model, name="optimality_ratio_token"
@@ -467,7 +498,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
         central = token.central
     elif want_central:
         central = run_central_trials(
-            config.model, config.horizon, config.trials, master_seed=config.seed
+            config.model, config.horizon, config.trials, master_seed=config.seed, reduce=reduce
         )
     if central is not None:
         metrics["rmse_central"] = rmse_central(central)
@@ -496,6 +527,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
                 horizon=config.horizon,
                 trials=config.trials,
                 master_seed=config.seed,
+                reduce=reduce,
             )
         metrics["rmse_ci_network"] = rmse_network_ci(ci)
         ci_best = ci_cfg

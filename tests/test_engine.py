@@ -95,7 +95,7 @@ def test_batched_trials_match_single_episodes_when_cover_spans_chunks():
         assert len(set(first_visits // CHUNK_TICKS)) >= 3
         assert trace.visited_count[-1] == 8
         if r == 0:
-            assert np.array_equal(batch.holder_trial0, trace.holder)
+            assert np.array_equal(batch.trial0.holder, trace.holder)
         assert np.array_equal(batch.visited_count[r], trace.visited_count.astype(np.int16))
         assert np.allclose(batch.sq_err[r], trace.token_sq_err, rtol=1e-9, atol=1e-13)
         assert np.allclose(

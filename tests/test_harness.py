@@ -1,9 +1,13 @@
 """Metric aggregation, verification reports, and the experiment runner."""
 
 import hashlib
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import roamtoken.engine as engine
 
 from roamtoken import (
     AlphaSchedule,
@@ -26,6 +30,7 @@ from roamtoken import (
     verify_tail_bounds,
 )
 from roamtoken.chain import apply_rule
+from roamtoken.config import apply_overrides, build_experiment, load_config
 from roamtoken.engine import CiTrials, TokenTrials, run_central_trials, run_token_trials
 from roamtoken.harness import check_rule_support, write_compare_csv, write_metrics_csv
 from roamtoken._streams import derived_stream, trial_seed
@@ -314,6 +319,27 @@ def test_run_experiment_nonfinite_fails_loudly(tmp_path):
     with pytest.raises(NonFiniteMetric):
         run_experiment(config, out_dir=tmp_path)
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_peak_memory_is_flat_in_the_horizon(monkeypatch):
+    # every recorded series is reduced a chunk at a time, so doubling the horizon adds
+    # only per-tick means and half-widths; whole (trials, T + 1) rows grew the peak by a
+    # quarter here
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+
+    def peak(horizon: int) -> int:
+        cfg = load_config(configs / "ref5_static.yaml")
+        cfg = apply_overrides(cfg, [f"run.horizon={horizon}", "run.trials=200"])
+        experiment = build_experiment(cfg, configs)
+        tracemalloc.start()
+        try:
+            run_experiment(experiment)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1000) <= 1.1 * peak(500)
 
 
 def test_metrics_csv_long_format(tmp_path):

@@ -41,18 +41,24 @@ def _no_worker_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-_BLOCKS = [(4, 2), (6, 2), (14, 2), (7, 3)]
+_BLOCKS = {"2+2": (4, 2), "3+3": (6, 2), "7+7": (14, 2), "2+2+3": (7, 3)}
+# the workers' ring sizes: the default, then 1 and 2 slots
+_RINGS = [(*blocks, ring) for blocks in _BLOCKS.values() for ring in (engine.RING_SLOTS, 1, 2)]
+_RING_IDS = [name + ("" if ring == engine.RING_SLOTS else f"-ring{ring}")
+             for name in _BLOCKS for ring in (engine.RING_SLOTS, 1, 2)]
 
 
-@pytest.mark.parametrize("trials, cpus", _BLOCKS, ids=["2+2", "3+3", "7+7", "2+2+3"])
+@pytest.mark.parametrize("trials, cpus, ring", _RINGS, ids=_RING_IDS)
 @pytest.mark.parametrize(
     "command, config", [("simulate", "ref5_static.yaml"), ("compare", "geo20_compare.yaml")]
 )
 def test_outputs_do_not_depend_on_the_worker_count(
-    tmp_path, capsys, monkeypatch, command, config, trials, cpus
+    tmp_path, capsys, monkeypatch, command, config, trials, cpus, ring
 ):
     # 150 ticks cross two chunk edges; compare runs the token engine, the stacked CI grid
-    # and the winner's single CI config
+    # and the winner's single CI config.  The serial run reads each ring slot in-process
+    # at the default ring size; the workers' ring of 1 makes them wait on the parent
+    # after every chunk.
     assert 150 > 2 * engine.CHUNK_TICKS
     forks = []
     fork = os.fork
@@ -65,6 +71,8 @@ def test_outputs_do_not_depend_on_the_worker_count(
             argv += ["--set", item]
         with monkeypatch.context() as m:
             _shard(m, workers)
+            if workers > 1:
+                m.setattr(engine, "RING_SLOTS", ring)
             assert main(argv) == 0
         stdout = capsys.readouterr().out.replace(str(out), "<out>")
         return {"stdout": stdout.encode(), **{p.name: p.read_bytes() for p in out.iterdir()}}
@@ -225,6 +233,65 @@ def test_exhausted_sequence_raises_as_in_one_process(monkeypatch, ref5_model, re
     )
     assert type(serial) is type(sharded) is SequenceExhausted
     assert str(sharded) == str(serial) == "no frame for t=3; sequence has 3"
+
+
+def test_failure_while_a_worker_waits_on_a_full_ring():
+    # a ring of one slot: block 0 (trials 0, 1) waits for the parent's credit after every
+    # chunk, while block 1 (trials 2, 3) fails in the oracle at t=300, in the fifth chunk,
+    # where trial 2 meets a poisoned right-hand side; the parent must release block 0,
+    # reap both workers and raise what the serial loop raises
+    script = textwrap.dedent(
+        """
+        import os
+        import numpy as np
+        import roamtoken.engine as engine
+        from roamtoken import AlphaSchedule, OutDegreeReciprocal, SolveFailed, StaticGraph
+        from conftest import make_ref5_model, ref5_adjacency
+
+        solver = engine.central_solver
+        model, spec = make_ref5_model(), StaticGraph(ref5_adjacency())
+        args = (model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
+        seen = []
+
+        def recording(m):
+            solve = solver(m)
+            return lambda rhs: seen.append(rhs.copy()) or solve(rhs)
+
+        engine.central_solver = recording
+        engine.run_token_trials(*args, horizon=400, trials=4, include_central=True)
+        poison = seen[4][300 - 4 * engine.CHUNK_TICKS, 2]
+
+        def poisoned(m):
+            solve = solver(m)
+
+            def checked(rhs):
+                if np.isclose(rhs, poison, rtol=1e-12, atol=0).all(axis=-1).any():
+                    raise SolveFailed("oracle solve residual 1.000e+00", residual=1.0)
+                return solve(rhs)
+
+            return checked
+
+        engine.central_solver = poisoned
+        engine.SHARD_MIN_TRIALS, engine.RING_SLOTS = 0, 1
+        for cpus in (1, 2):
+            engine._usable_cpus = lambda: cpus
+            try:
+                engine.run_token_trials(*args, horizon=400, trials=4, include_central=True)
+            except SolveFailed as exc:
+                print(cpus, type(exc).__name__, exc, exc.residual)
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no worker left")
+        """
+    )
+    path = os.pathsep.join(str(ROOT / d) for d in ("src", "tests"))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    failure = "SolveFailed oracle solve residual 1.000e+00 1.0"
+    assert out.stdout.splitlines() == [f"1 {failure}", f"2 {failure}", "no worker left"]
 
 
 def test_workers_run_no_exit_handler_and_flush_nothing():
