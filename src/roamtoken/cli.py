@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 config error, 2 runtime failure, 3 verification FAIL.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from functools import partial
 from pathlib import Path
@@ -37,6 +36,7 @@ from .harness import (
     verify_tail_bounds,
     write_compare_csv,
 )
+from .token import write_csv_lines
 
 def _config_keys_epilog() -> str:
     lines = ["config keys:"]
@@ -112,17 +112,11 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scores_path = out / "grid_scores.csv"
-    with open(scores_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "tau1", "tau2", "rmse_at_horizon"])
-        for cfg_pt, score in result.scores:
-            writer.writerow([cfg_pt.a, cfg_pt.b, cfg_pt.tau1, cfg_pt.tau2, f"{score:.17g}"])
+    scores = (f"{c.a},{c.b},{c.tau1},{c.tau2},{score:.17g}" for c, score in result.scores)
+    write_csv_lines(scores_path, "a,b,tau1,tau2,rmse_at_horizon", scores)
     curve_path = out / "grid_best_curve.csv"
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "rmse_ci_network"])
-        for t, v in enumerate(result.curve):
-            writer.writerow([t, f"{v:.17g}"])
+    curve = (f"{t},{v:.17g}" for t, v in enumerate(result.curve.tolist()))
+    write_csv_lines(curve_path, "t,rmse_ci_network", curve)
     best = result.best
     print(f"best: a={best.a} b={best.b} tau1={best.tau1} tau2={best.tau2}")
     print(f"wrote {scores_path}")

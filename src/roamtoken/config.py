@@ -80,6 +80,8 @@ CONFIG_KEYS = {
     },
 }
 _GRAPH_KINDS = {"static", "iid_failure", "deterministic", "geometric"}
+# libyaml's safe loader where PyYAML was built with it, else the pure-Python one
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(path: str | Path) -> dict:
@@ -90,7 +92,7 @@ def load_config(path: str | Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        cfg = yaml.safe_load(text)
+        cfg = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
@@ -110,7 +112,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         if len(parts) < 2:
             raise ConfigError(f"override key {dotted!r} must be section.key")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r}: {exc}") from None
         node = cfg

@@ -10,8 +10,10 @@ the chunk's holder path, and the running means ``ybar`` of every trial's
 stacked measurements.  Everything else is computed once per chunk from those
 two.  Since agent ``p``'s statistic is ``x_p = W_p ybar_p``, the payload is
 ``d = W ybar_seen``, where ``ybar_seen`` holds each agent's means as of its
-latest visit.  The estimate is solved in the eigenbasis of ``K``, which
-changes only on first visits.
+latest visit, gathered on flat indices.  The estimate is solved in the
+eigenbasis of ``K``, which changes only on first visits.  Every chunk-sized
+array is a view of a buffer that the block allocates once
+(``_TrialBlocks.buffer``), so a steady-state chunk allocates none.
 
 The walk (``_walk``, shared with the chain engine) steps on compact,
 CSR-style out-rows (``_OutRows``): a node's columns are its possible
@@ -96,13 +98,18 @@ class TickStats:
     With ``ratio_to`` it also reduces ``rows * t / ratio_to``, the per-tick
     weight applied to every trial before the reduction.  ``stats[w]`` is
     ``(mean, std)`` under weight ``w``, None for the rows as they are; the
-    std stays 0 for a single trial.
+    std stays 0 for a single trial.  The std takes numpy's ``_var`` steps from
+    the mean in a (trials, CHUNK_TICKS) ``scratch`` that readers may share.
     """
 
-    def __init__(self, trials: int, size: int, ratio_to: float | None = None) -> None:
+    def __init__(
+        self, trials: int, size: int, ratio_to: float | None = None,
+        scratch: np.ndarray | None = None,
+    ) -> None:
         self.trials = trials
         self.t = np.arange(size, dtype=float)
         self.stats = {w: (np.zeros(size), np.zeros(size)) for w in dict.fromkeys((None, ratio_to))}
+        self.scratch = np.empty((trials, CHUNK_TICKS)) if scratch is None else scratch
 
     @classmethod
     def of(cls, rows: np.ndarray, ratio_to: float | None = None) -> "TickStats":
@@ -114,11 +121,15 @@ class TickStats:
 
     def __call__(self, rows: np.ndarray, t0: int) -> None:
         span = slice(t0, t0 + rows.shape[1])
+        d = self.scratch[:, : rows.shape[1]]  # the weighted rows, then the deviations
         for w, (mean, std) in self.stats.items():
-            x = rows if w is None else rows * self.t[span] / w
-            mean[span] = x.mean(axis=0)
+            x = rows if w is None else np.divide(np.multiply(rows, self.t[span], out=d), w, out=d)
+            mean, std = np.mean(x, axis=0, out=mean[span]), std[span]
             if self.trials >= 2:
-                std[span] = x.std(axis=0, ddof=1)
+                np.square(np.subtract(x, mean, out=d), out=d)
+                np.add.reduce(d, axis=0, out=std)
+                std /= self.trials - 1
+                np.sqrt(std, out=std)
 
 
 # A recorded series is held as whole (trials, horizon + 1) rows where it was recorded,
@@ -252,15 +263,16 @@ class _TrialBlocks:
 
     def load(self, length: int) -> None:
         """Draw the next ``length`` ticks of every trial's streams."""
+        self.load_length = length
         if self.model is not None:
-            self.noise = self._buffer("noise", length, (self.model.total_measurements,))
+            self.noise = self.buffer("noise", (self.trials, length, self.model.total_measurements))
             for g, row in zip(self.noise_gens, self.noise):
                 self.model.fill_noise(g, row)
-        self.graph_u = self._buffer("graph", length, (self.draws,))
+        self.graph_u = self.buffer("graph", (self.trials, length, self.draws))
         if self.draws:
             for g, row in zip(self.graph_gens, self.graph_u):
                 g.random(out=row)
-        self.move_u = self._buffer("move", length, ())
+        self.move_u = self.buffer("move", (self.trials, length))
         for g, row in zip(self.move_gens, self.move_u):
             g.random(out=row)
 
@@ -269,16 +281,15 @@ class _TrialBlocks:
 
         Trial ``r``'s uniform ``e`` at chunk tick ``ti`` is at ``start[r] + ti * draws + e``.
         """
-        buf = self._buffers["graph"]
-        trials, ticks, draws = buf.shape
-        return buf.reshape(-1), np.arange(trials) * (ticks * draws) + self.at * draws
+        start = np.arange(self.trials) * (self.load_length * self.draws) + self.at * self.draws
+        return self._buffers["graph"], start
 
-    def _buffer(self, name: str, length: int, width: tuple[int, ...]) -> np.ndarray:
-        """A (trials, length, *width) view of a buffer that later loads reuse."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape[1] < length:
-            buf = self._buffers[name] = np.empty((self.trials, length, *width))
-        return buf[:, :length]
+    def buffer(self, name: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+        """A C-contiguous ``shape`` view of the block's flat buffer ``name``, grown as needed."""
+        size, buf = int(np.prod(shape)), self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def _usable_cpus() -> int:
@@ -500,9 +511,9 @@ class _MeasurementMap:
         for a, sl in zip(model.agents, model.measurement_slices()):
             self.chol_block[sl, sl] = a.chol_C
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
+    def __call__(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Stacked measurements from raw noise of shape (..., m), for example a chunk's."""
-        return self.h_theta + z @ self.chol_block.T
+        return np.add(np.matmul(z, self.chol_block.T, out=out), self.h_theta, out=out)
 
 
 class _RunningMeans:
@@ -510,9 +521,9 @@ class _RunningMeans:
 
     ``advance`` folds one loaded chunk into the means with the one per-tick
     recursion ``ybar += (y - ybar) / (t + 1)`` and returns the chunk's
-    (length, trials, m) stack, whose row ``ti`` holds the means after tick
-    ``t0 + ti``.  Row 0 of the buffer carries the means over from the
-    previous chunk.
+    (length + 1, trials, m) stack, whose row ``ti + 1`` holds the means after
+    tick ``t0 + ti``.  Row 0 carries the means over from the previous chunk
+    into the recursion; after that the caller may overwrite it.
     """
 
     def __init__(self, model: GlobalModel, trials: int) -> None:
@@ -520,19 +531,20 @@ class _RunningMeans:
         self.ticks = np.zeros((CHUNK_TICKS + 1, trials, model.total_measurements))
         self.filled = 0
 
-    def advance(self, noise: np.ndarray, t0: int) -> np.ndarray:
-        """Fold the (trials, length, m) noise of the chunk starting at ``t0``; return its means."""
-        length = noise.shape[1]
-        y = self.measure(noise)
-        ticks = self.ticks
+    def advance(self, blocks: _TrialBlocks) -> np.ndarray:
+        """Fold the loaded chunk's (trials, length, m) noise into the means; return the stack."""
+        noise, t0, ticks = blocks.noise, blocks.t0, self.ticks
+        R, length, m = noise.shape
+        y = blocks.buffer("wide", (length, R, m))  # tick-major: each tick's rows are contiguous
+        self.measure(noise, out=y.transpose(1, 0, 2))
         ticks[0] = ticks[self.filled]
         self.filled = length
         for ti in range(length):
             prev, cur = ticks[ti], ticks[ti + 1]
-            np.subtract(y[:, ti], prev, out=cur)
+            np.subtract(y[ti], prev, out=cur)
             cur /= t0 + ti + 1
             cur += prev
-        return ticks[1 : length + 1]
+        return ticks[: length + 1]
 
 
 class _CentralOracle:
@@ -543,10 +555,13 @@ class _CentralOracle:
         self.w_full = np.hstack([a.W for a in model.agents])
         self.theta = model.theta
 
-    def score(self, means: np.ndarray) -> np.ndarray:
+    def score(self, means: np.ndarray, blocks: _TrialBlocks) -> np.ndarray:
         """The (ticks, trials) squared errors of the estimates on (ticks, trials, m) running means."""
-        err = self.solve(means @ self.w_full.T) - self.theta
-        return (err * err).sum(axis=-1)
+        rhs = blocks.buffer("d", (*means.shape[:2], len(self.theta)))
+        err = self.solve(np.matmul(means, self.w_full.T, out=rhs))
+        err -= self.theta
+        sq = blocks.buffer("central", means.shape[:2])
+        return np.add.reduce(np.square(err, out=err), axis=-1, out=sq)
 
 
 class _OutRows:
@@ -595,14 +610,14 @@ def _walk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step every trial's holder through one loaded chunk on compact out-rows.
 
-    Returns the chunk's (length, trials) path, whose row ``ti`` holds each
-    trial's holder at tick ``t0 + ti``, and the holders after the chunk's
-    last step.  The path depends only on the graph and move streams.  Each
-    tick gathers the holders' rows (on an i.i.d. graph, their slots of the
-    chunk's uniforms, by one flat ``np.take``), steps them through
-    ``bulk_step`` and maps each drawn column back to a node.
+    Returns the chunk's (length, trials) path, in a buffer the next chunk
+    reuses, whose row ``ti`` holds each trial's holder at tick ``t0 + ti``,
+    and the holders after the last step.  The path depends only on the graph
+    and move streams.  Each tick gathers the holders' rows (on an i.i.d.
+    graph, their slots of the chunk's uniforms, by one flat ``np.take``),
+    steps them through ``bulk_step`` and maps each drawn column to a node.
     """
-    path = np.empty((length, len(pos)), dtype=np.int64)
+    path = blocks.buffer("path", (length, len(pos)), np.int64)
     if out.draws:
         uniforms, start = blocks.graph_flat()
         start = start[:, None]
@@ -610,100 +625,117 @@ def _walk(
     for ti in range(length):
         path[ti] = pos
         if out.cum is not None:
-            rows, cum = np.take(out.rows, pos, axis=0), np.take(out.cum, pos, axis=0)
+            rows, cum = out.rows.take(pos, axis=0), out.cum.take(pos, axis=0)
         elif out.draws:
-            at = np.take(out.slot, pos, axis=0)
+            at = out.slot.take(pos, axis=0)
             at += start + ti * out.draws
-            rows = np.take(uniforms, at) < np.take(out.keep, pos, axis=0)
+            rows = uniforms.take(at) < out.keep.take(pos, axis=0)
         else:
             frame = out.spec.adjacency(t0 + ti, None)
-            rows = np.take(frame, np.take(out.at_frame, pos, axis=0))
-        col = bulk_step(np.take(out.own, pos), rows, out.rule, blocks.move_u[:, ti], cum)
-        pos = np.take(out.cols, pos * out.width + col)
+            rows = frame.take(out.at_frame.take(pos, axis=0))
+        col = bulk_step(out.own.take(pos), rows, out.rule, blocks.move_u[:, ti], cum)
+        pos = out.cols.take(pos * out.width + col)
     return path, pos
 
 
 class _TokenPayload:
     """Every trial's token payload and estimate, computed a chunk at a time from the path.
 
-    ``last[ti, r, p]`` is one plus the latest chunk tick at or before ``ti``
-    at which node ``p`` held trial ``r``'s token, or 0 if ``p`` has not held
-    it in this chunk; the payload and last-seen errors are gathered there.
+    ``last[ti, r * n + p]`` is one plus the latest chunk tick at or before
+    ``ti`` at which node ``p`` held trial ``r``'s token, or 0 if ``p`` has not
+    held it in this chunk; the payload and last-seen errors are gathered
+    there, on flat (ticks, trials * width) views with offsets fixed here.
     Each trial keeps one ``K`` per visited count, in first-visit order, each
     eigendecomposed once.  Between chunks the object carries each agent's
     last-seen means and error and each trial's visited set.
     """
 
-    def __init__(self, model: GlobalModel, trials: int) -> None:
-        n, dim, R = model.n_agents, model.dim, trials
+    def __init__(self, model: GlobalModel, blocks: _TrialBlocks) -> None:
+        n, m, dim, R = model.n_agents, model.total_measurements, model.dim, blocks.trials
+        self.buffer = blocks.buffer
         self.theta = model.theta
         self.w_full = np.hstack([a.W for a in model.agents])
         self.b_stack = np.stack([a.B for a in model.agents])
-        self.col_agent = np.repeat(np.arange(n), [a.n_measurements for a in model.agents])
+        col_agent = np.repeat(np.arange(n), [a.n_measurements for a in model.agents])
+        self.tick, self.node0 = np.arange(CHUNK_TICKS)[:, None], np.arange(R) * n
+        # the flat offsets of trial r's measurement j in a tick of the means, of the column
+        # of ``last`` of its agent, and of trial r in a tick of the errors
+        self.mean_col, self.trial_col = np.arange(R * m), np.repeat(np.arange(R), n)
+        self.agent_col = (self.node0[:, None] + col_agent).ravel()
         # K after trial r's c-th first visit (c = 0..n) sits in slot r * (n + 1) + c, as does
         # its eigendecomposition; c = 0 is never read, as the start node holds at tick 0
+        self.slot0 = np.arange(R) * (n + 1)
         self.k_ver = np.zeros((R * (n + 1), dim, dim))
         self.lam = np.zeros((R * (n + 1), dim))
         self.vec = np.zeros((R * (n + 1), dim, dim))
-        self.seen_means = np.zeros((R, model.total_measurements))
+        self.seen_means = np.zeros((R, m))
         self.visited = np.zeros((R, n), dtype=bool)
         self.err_seen = np.zeros((R, n))  # 0 until visited, so a plain sum covers the visited
 
     def advance(
-        self, path: np.ndarray, ybar: np.ndarray, t0: int, schedule: AlphaSchedule,
+        self, path: np.ndarray, means: np.ndarray, t0: int, schedule: AlphaSchedule,
         last_seen: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """One chunk's (length, trials) squared errors, visited counts and last-seen means.
 
-        ``path`` and ``ybar`` are the chunk's holders and running means from
-        tick ``t0``.  The last-seen means are None unless ``last_seen``.
-        Raises SolveFailed at the first tick whose estimate residual exceeds
-        ``ESTIMATE_RTOL``.  Each step's chunk-sized temporaries die with its
-        helper, which keeps the peak memory at about one step's worth.
+        ``path`` is the chunk's holders from tick ``t0`` and ``means`` the
+        running means' stack, whose row 0 is overwritten here.  The last-seen
+        means are None unless ``last_seen``.  Raises SolveFailed at the first
+        tick whose estimate residual exceeds ``ESTIMATE_RTOL``.
         """
-        length, n = len(path), len(self.b_stack)
-        ticks = np.arange(1, length + 1)[:, None, None]
-        last = np.where(path[:, :, None] == np.arange(n), ticks, 0)
-        np.maximum.accumulate(last, axis=0, out=last)
-        held = last > 0
-        seen = held | self.visited
-        counts = seen.sum(axis=-1)
-        self._add_versions(path, counts)
-        err = self._estimate(self._payload(last, ybar), counts, t0, schedule) - self.theta
-        sq = np.einsum("tri,tri->tr", err, err)
-        mean_seen = self._last_seen(last, held, sq, counts) if last_seen else None
+        (length, R), n = path.shape, len(self.b_stack)
+        last = self.buffer("last", (length, R * n), np.int64)
+        last.fill(0)
+        cols = np.add(path, self.node0, out=self.buffer("at", path.shape, np.int64))
+        last[self.tick[:length], cols] = self.tick[:length] + 1
+        for ti in range(1, length):
+            np.maximum(last[ti - 1], last[ti], out=last[ti])
+        seen = np.greater(last, 0, out=self.buffer("mask", last.shape, bool)).reshape(length, R, n)
+        seen |= self.visited
+        counts = self.buffer("counts", (length + 1, R), np.int64)
+        np.add.reduce(self.visited, axis=-1, out=counts[0])
+        np.einsum("trp->tr", seen.view(np.uint8), dtype=np.int64, out=counts[1:])
         self.visited[...] = seen[-1]
-        return sq, counts, mean_seen
+        self._add_versions(path, counts)
+        s = self._estimate(self._payload(last, means), counts[1:], t0, schedule)
+        s -= self.theta
+        sq = self.buffer("sq", (length + 1, R))
+        sq[0] = 0.0
+        np.einsum("tri,tri->tr", s, s, out=sq[1:])
+        mean_seen = self._last_seen(last, sq, counts[1:]) if last_seen else None
+        return sq[1:], counts[1:], mean_seen
 
     def _add_versions(self, path: np.ndarray, counts: np.ndarray) -> None:
-        """Append a K version at each first visit: the holder's B plus the trial's previous K."""
-        before = np.vstack([self.visited.sum(axis=-1), counts[:-1]])
-        ti_new, r_new = np.nonzero(counts > before)
+        """Add a K version at each first visit; row 0 of ``counts`` holds the counts before."""
+        fresh = np.greater(counts[1:], counts[:-1], out=self.buffer("mask", path.shape, bool))
+        ti_new, r_new = np.nonzero(fresh)
         if not r_new.size:
             return
-        c_new, node_new = counts[ti_new, r_new], path[ti_new, r_new]
-        slot = r_new * (len(self.b_stack) + 1) + c_new
+        c_new, node_new = counts[ti_new + 1, r_new], path[ti_new, r_new]
+        slot = self.slot0[r_new] + c_new
         for c in range(c_new.min(), c_new.max() + 1):
             at = slot[c_new == c]
             self.k_ver[at] = self.k_ver[at - 1] + self.b_stack[node_new[c_new == c]]
         lam, self.vec[slot] = np.linalg.eigh(self.k_ver[slot])
         self.lam[slot] = np.maximum(lam, 0.0)  # K is semidefinite: drop roundoff below 0
 
-    def _payload(self, last: np.ndarray, ybar: np.ndarray) -> np.ndarray:
+    def _payload(self, last: np.ndarray, means: np.ndarray) -> np.ndarray:
         """The (length, trials, L) payloads ``d = W ybar_seen``; carries the last-seen means.
 
-        Block 0 of ``means`` holds the earlier chunks' last-seen means.  A
-        gather by ``np.take`` on flat indices is several times faster than
-        fancy indexing.
+        Row 0 of ``means`` takes the earlier chunks' last-seen means.  A flat ``np.take``
+        is several times faster than fancy indexing.
         """
-        R, m = ybar.shape[1:]
-        means = np.concatenate([self.seen_means[None], ybar])
-        at = np.take(last, self.col_agent, axis=-1)
+        length, (R, m) = len(last), means.shape[1:]
+        means[0] = self.seen_means
+        at = self.buffer("at", (length, R * m), np.int64)
+        np.take(last, self.agent_col, axis=1, out=at, mode="wrap")
         at *= R * m
-        at += np.arange(R)[:, None] * m + np.arange(m)
-        y_seen = np.take(means, at)
+        at += self.mean_col
+        y_seen = self.buffer("wide", (length, R, m))
+        np.take(means.reshape(-1), at, out=y_seen.reshape(at.shape), mode="wrap")
         self.seen_means[...] = y_seen[-1]
-        return y_seen @ self.w_full.T
+        d = self.buffer("d", (length, R, len(self.theta)))
+        return np.matmul(y_seen, self.w_full.T, out=d)
 
     def _estimate(
         self, d: np.ndarray, counts: np.ndarray, t0: int, schedule: AlphaSchedule
@@ -712,18 +744,24 @@ class _TokenPayload:
 
         The guard evaluates ``|(K + I/alpha) s - d| / |d|`` on K itself.
         """
-        length, R = counts.shape
-        alpha = np.array([schedule.alpha(t) for t in range(t0, t0 + length)])
-        inv_alpha = 1.0 / alpha[:, None, None]
-        version = np.arange(R) * (len(self.b_stack) + 1) + counts
-        v = np.take(self.vec, version, axis=0)
-        s = np.einsum("trji,trj->tri", v, d) / (np.take(self.lam, version, axis=0) + inv_alpha)
-        s = np.einsum("trij,trj->tri", v, s)
-
-        k = np.take(self.k_ver, version, axis=0)
-        resid = np.einsum("trij,trj->tri", k, s) + s * inv_alpha - d
-        scale = np.maximum(np.sqrt(np.einsum("tri,tri->tr", d, d)), 1e-300)
-        worst = (np.sqrt(np.einsum("tri,tri->tr", resid, resid)) / scale).max(axis=1)
+        length, R, dim = d.shape
+        inv_alpha = 1 / np.array([schedule.alpha(t) for t in range(t0, t0 + length)])[:, None, None]
+        version = np.add(counts, self.slot0, out=self.buffer("at", counts.shape, np.int64))
+        vk = self.buffer("wide", (length, R, dim, dim))  # free once the payload is made
+        v = np.take(self.vec, version, axis=0, out=vk, mode="wrap")
+        lam = np.take(self.lam, version, axis=0, out=self.buffer("lam", d.shape), mode="wrap")
+        lam += inv_alpha
+        s_eig = np.einsum("trji,trj->tri", v, d, out=self.buffer("resid", d.shape))
+        s_eig /= lam
+        s = np.einsum("trij,trj->tri", v, s_eig, out=self.buffer("s", d.shape))
+        k = np.take(self.k_ver, version, axis=0, out=vk, mode="wrap")
+        resid = np.einsum("trij,trj->tri", k, s, out=s_eig)
+        resid += np.multiply(s, inv_alpha, out=lam)
+        resid -= d
+        scale = np.einsum("tri,tri->tr", d, d, out=self.buffer("scale", counts.shape))
+        np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
+        worst = np.einsum("tri,tri->tr", resid, resid, out=self.buffer("norm", counts.shape))
+        worst = np.divide(np.sqrt(worst, out=worst), scale, out=worst).max(axis=1)
         bad = np.flatnonzero(worst > ESTIMATE_RTOL)
         if bad.size:
             ti, t = bad[0], t0 + int(bad[0])
@@ -731,15 +769,18 @@ class _TokenPayload:
             raise SolveFailed(msg, residual=float(worst[ti]), tick=t)
         return s
 
-    def _last_seen(
-        self, last: np.ndarray, held: np.ndarray, sq: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
+    def _last_seen(self, last: np.ndarray, sq: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Mean over visited agents of the squared error at each one's latest visit."""
-        R = sq.shape[1]
-        at = last * R + np.arange(R)[:, None]
-        errs = np.where(held, np.take(np.concatenate([np.zeros((1, R)), sq]), at), self.err_seen)
+        length, R = counts.shape
+        at = np.multiply(last, R, out=self.buffer("at", last.shape, np.int64))
+        at += self.trial_col
+        errs = self.buffer("wide", (length, R, len(self.b_stack)))
+        np.take(sq.reshape(-1), at, out=errs.reshape(at.shape), mode="wrap")
+        unheld = np.equal(last, 0, out=self.buffer("mask", last.shape, bool))
+        np.copyto(errs, self.err_seen, where=unheld.reshape(errs.shape))
         self.err_seen[...] = errs[-1]
-        return np.einsum("trp->tr", errs) / counts
+        mean_seen = np.einsum("trp->tr", errs, out=self.buffer("mean_seen", counts.shape))
+        return np.divide(mean_seen, counts, out=mean_seen)
 
 
 def _check_sizes(model: GlobalModel, spec: GraphSpec) -> None:
@@ -818,16 +859,16 @@ def run_token_trials(
     def run(blocks: _TrialBlocks, _: dict, own: dict[str, np.ndarray]) -> None:
         R = blocks.trials
         means = _RunningMeans(model, R)
-        payload = _TokenPayload(model, R)
+        payload = _TokenPayload(model, blocks)
         holder = np.full(R, int(start_node))
         out_rows = _OutRows(spec, rule)
         for t0, length in blocks.chunks(size):
             path, holder = _walk(out_rows, blocks, t0, length, holder)
-            ybar = means.advance(blocks.noise, t0)
+            stack = means.advance(blocks)
             values = {"holder": path}
             if oracle is not None:  # before the estimate, whose failure comes later
-                values["central"] = oracle.score(ybar)
-            sq, counts, mean_seen = payload.advance(path, ybar, t0, schedule, last_seen)
+                values["central"] = oracle.score(stack[1:], blocks)
+            sq, counts, mean_seen = payload.advance(path, stack, t0, schedule, last_seen)
             values.update(sq_err=sq, visited=counts, last_seen=mean_seen)
             for key, value in values.items():
                 if key in own:  # the block's first trial, for the trace
@@ -878,7 +919,7 @@ def run_central_trials(
     def run(blocks: _TrialBlocks, _: dict, __: dict) -> None:
         means = _RunningMeans(model, blocks.trials)
         for t0, length in blocks.chunks(size):
-            blocks.slot["central"][:, :length] = oracle.score(means.advance(blocks.noise, t0)).T
+            blocks.slot["central"][:, :length] = oracle.score(means.advance(blocks)[1:], blocks).T
 
     _sharded(trials, master_seed, model, None, {}, run, series=series, ticks=size)
     return CentralTrials(model.theta.copy(), trials, horizon, kept["central"])
@@ -936,7 +977,11 @@ def run_ci_trials(
         return (err * err).sum(axis=-1).mean(axis=-1)
 
     def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], own: dict[str, np.ndarray]) -> None:
-        s = np.zeros((K, blocks.trials, n, dim))
+        R = blocks.trials
+        s = np.zeros((K, R, n, dim))
+        buffers = np.empty_like(s), np.empty_like(s), np.empty(s.shape[:3])  # over the live ones
+        y, adj = np.empty((R, model.total_measurements)), np.empty((R, n, n))
+        deg = np.empty((R, n, dim))
         live, g_fold, g_rows = np.arange(K), g_fold_all, g_rows_all
         diverged, final = own["diverged"], out["final"]
         final[...] = theta_sq
@@ -944,22 +989,24 @@ def run_ci_trials(
             for t0, length in blocks.chunks(size):
                 if not live.size:
                     break
-                consensus, innovation = np.empty_like(s), np.empty_like(s)
-                resid = np.empty(s.shape[:3])
+                consensus, innovation, resid = (b[: live.size] for b in buffers)
+                ticks = range(t0, t0 + length)  # the chunk's gains of the live candidates
+                gain = np.array([[(c.beta(t), c.alpha(t)) for c in cfgs] for t in ticks])
+                beta, alpha = gain[:, live, 0, None, None, None], gain[:, live, 1, None, None, None]
                 for ti in range(length):
                     t = t0 + ti
                     if single:  # the error at tick t, before the step to t + 1
                         blocks.slot["netavg"][:, ti] = theta_sq if t == 0 else net_err(s[0])
                     if t == horizon:
                         break
-                    y = measure(blocks.noise[:, ti])
-                    adj = spec.adjacency(t, blocks.graph_u[:, ti]).astype(float)
-                    deg = np.repeat(adj.sum(axis=-1)[..., None], dim, axis=-1)
+                    measure(blocks.noise[:, ti], out=y)
+                    np.copyto(adj, spec.adjacency(t, blocks.graph_u[:, ti]))
+                    deg[...] = adj.sum(axis=-1)[..., None]
                     # s - beta * (deg * s - adj @ s) + alpha * innovation, in place; the
                     # innovation buffer holds adj @ s until the innovation overwrites it
                     np.multiply(deg, s, out=consensus)
                     consensus -= np.matmul(adj, s, out=innovation)
-                    consensus *= np.array([cfgs[k].beta(t) for k in live])[:, None, None, None]
+                    consensus *= beta[ti]
                     if all_scalar:
                         np.einsum("krnl,nl->krn", s, h_rows, out=resid)
                         np.subtract(y, resid, out=resid)
@@ -970,7 +1017,7 @@ def run_ci_trials(
                         for i, sl in enumerate(slices):
                             resid_i = y[:, sl] - s[:, :, i, :] @ model.agents[i].H.T
                             innovation[:, :, i, :] = resid_i @ g_fold[i].transpose(0, 2, 1)
-                    innovation *= np.array([cfgs[k].alpha(t) for k in live])[:, None, None, None]
+                    innovation *= alpha[ti]
                     s -= consensus
                     s += innovation
                     if t + 1 == horizon:

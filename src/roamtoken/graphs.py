@@ -246,13 +246,12 @@ def window_union_connected(frames: Sequence[np.ndarray], b: int) -> bool:
     return bool(reach.all())
 
 
-def sequential_reachability(frames: Sequence[np.ndarray]) -> np.ndarray:
-    """All-pairs matrix of sequential connectivity with self-loops over ``frames``."""
-    n = np.asarray(frames[0]).shape[0]
-    reach = np.eye(n, dtype=bool)
+def sequential_reachability(frames: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """All-pairs sequential connectivity with self-loops over (T, n, n) or (T, W, n, n) frames."""
+    frames = np.asarray(frames, dtype=bool)
+    reach = np.broadcast_to(np.eye(frames.shape[-1], dtype=bool), frames.shape[1:]).copy()
     for f in frames:
-        f = np.asarray(f, dtype=bool)
-        reach = reach | (reach.astype(np.uint8) @ f.astype(np.uint8) > 0)
+        reach |= reach @ f
     return reach
 
 

@@ -7,7 +7,6 @@ everywhere because all estimates start at zero.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from .chain import (
     tail_constants,
 )
 from .engine import (
+    CHUNK_TICKS,
     CentralTrials,
     CiTrials,
     Series,
@@ -49,7 +49,7 @@ from .graphs import (
     window_union_connected,
 )
 from .observation import GlobalModel
-from .token import AlphaSchedule, EpisodeTrace, run_episode, write_trace_csv
+from .token import AlphaSchedule, EpisodeTrace, run_episode, write_csv_lines, write_trace_csv
 
 Z_95 = 1.96
 ALGORITHMS = ("token", "ci", "central")
@@ -95,9 +95,9 @@ def _reducers(config: ExperimentConfig) -> dict[str, TickStats]:
     """
     trace_inv = trace_of_inverse(config.model.sigma_c)
     ratios = {series for _, series, ratio in METRICS if ratio and config.trials >= 2}
-    size = config.horizon + 1
+    size, scratch = config.horizon + 1, np.empty((config.trials, CHUNK_TICKS))
     return {
-        series: TickStats(config.trials, size, trace_inv if series in ratios else None)
+        series: TickStats(config.trials, size, trace_inv if series in ratios else None, scratch)
         for _, series, _ in METRICS
     }
 
@@ -329,14 +329,12 @@ class SequentialConnectivityReport:
 
 def _random_window_connected_sequence(
     n: int, b: int, length: int, rng: np.random.Generator, attempts: int = 200
-) -> list[np.ndarray] | None:
+) -> np.ndarray | None:
+    """A (length, n, n) stack of frames without self-loops whose b-window unions all connect."""
     for _ in range(attempts):
         p_edge = rng.uniform(0.25, 0.9)
-        frames = []
-        for _ in range(length):
-            a = rng.random((n, n)) < p_edge
-            np.fill_diagonal(a, False)
-            frames.append(a)
+        frames = rng.random((length, n, n)) < p_edge  # the draws of one (n, n) frame at a time
+        frames[:, np.arange(n), np.arange(n)] = False
         if window_union_connected(frames, b):
             return frames
     return None
@@ -365,14 +363,14 @@ def verify_sequential_connectivity(
             if frames is None:
                 continue
             checked += 1
-            for t0 in range(length - window + 1):
-                reach = sequential_reachability(frames[t0 : t0 + window])
-                if not reach.all():
-                    i, j = np.argwhere(~reach)[0]
-                    counterexamples.append(
-                        f"n={n} b={b} window start {t0}: no sequential path {i}->{j}"
-                    )
-                    break
+            # every window start at once: step k of the window from t0 reads frame t0 + k
+            starts = np.arange(length - window + 1)
+            reach = sequential_reachability(frames[np.arange(window)[:, None] + starts])
+            for t0 in np.flatnonzero(~reach.all(axis=(1, 2)))[:1]:  # the first failing start
+                i, j = np.argwhere(~reach[t0])[0]
+                counterexamples.append(
+                    f"n={n} b={b} window start {t0}: no sequential path {i}->{j}"
+                )
     return SequentialConnectivityReport(
         passed=not counterexamples, checked=checked, counterexamples=counterexamples
     )
@@ -559,27 +557,21 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
 
 def write_metrics_csv(path: Path | str, metrics: dict[str, MetricSeries]) -> None:
     """Long-format export: t, metric, value, ci_half_width, trials."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "metric", "value", "ci_half_width", "trials"])
-        for name in sorted(metrics):
-            series = metrics[name]
-            for t, (v, hw) in enumerate(zip(series.values, series.half_widths)):
-                writer.writerow([t, name, f"{v:.17g}", f"{hw:.17g}", series.trials])
+    rows = (
+        f"{t},{name},{v:.17g},{h:.17g},{s.trials}"
+        for name, s in sorted(metrics.items())
+        for t, (v, h) in enumerate(zip(s.values.tolist(), s.half_widths.tolist()))
+    )
+    write_csv_lines(path, "t,metric,value,ci_half_width,trials", rows)
 
 
 def write_compare_csv(path: Path | str, metrics: dict[str, MetricSeries]) -> None:
     """Wide-format export with one value column per metric."""
     names = sorted(metrics)
-    length = len(metrics[names[0]].values)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + names + [f"{n}_half_width" for n in names])
-        for t in range(length):
-            row: list = [t]
-            row += [f"{metrics[n].values[t]:.17g}" for n in names]
-            row += [f"{metrics[n].half_widths[t]:.17g}" for n in names]
-            writer.writerow(row)
+    columns = [metrics[n].values.tolist() for n in names]
+    columns += [metrics[n].half_widths.tolist() for n in names]
+    rows = (",".join([str(t), *(f"{v:.17g}" for v in row)]) for t, row in enumerate(zip(*columns)))
+    write_csv_lines(path, ",".join(["t", *names, *(f"{n}_half_width" for n in names)]), rows)
 
 
 def _version() -> str:
@@ -610,4 +602,4 @@ def _write_meta(path: Path, config: ExperimentConfig, ci_best: CiConfig | None) 
     if config.echo is not None:
         meta["config"] = config.echo
     with open(path, "w") as fh:
-        yaml.safe_dump(meta, fh, sort_keys=True)
+        yaml.dump(meta, fh, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=True)

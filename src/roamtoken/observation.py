@@ -180,11 +180,16 @@ def central_solver(model: GlobalModel) -> Callable[[np.ndarray], np.ndarray]:
     def solve(rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         flat = rhs.reshape(-1, sigma.shape[0])
-        x = np.linalg.solve(sigma, flat.T).T
-        resid = np.linalg.norm(flat - x @ sigma, axis=-1)
-        worst = np.max(resid / np.maximum(np.linalg.norm(flat, axis=-1), 1e-300))
+        x = np.linalg.solve(sigma, flat.T).T.reshape(rhs.shape)
+        resid = x.reshape(flat.shape) @ sigma  # each temporary goes before the next is made
+        resid -= flat
+        worst = np.einsum("ij,ij->i", resid, resid)
+        del resid
+        scale = np.einsum("ij,ij->i", flat, flat)
+        np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
+        worst = np.max(np.divide(np.sqrt(worst, out=worst), scale, out=worst))
         if worst > SOLVE_RTOL:
             raise SolveFailed(f"oracle solve residual {worst:.3e}", residual=float(worst))
-        return x.reshape(rhs.shape)
+        return x
 
     return solve

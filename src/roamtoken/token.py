@@ -15,6 +15,7 @@ semidefinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -194,18 +195,18 @@ def write_trace_csv(trace: EpisodeTrace, path) -> None:
 
     if trace.token_sq_err is None or trace.mean_last_seen_sq_err is None:
         raise MissingTrace("trace export needs token_sq_err and last_seen recorded")
-    import csv
+    series = (trace.holder, trace.visited_count, trace.token_sq_err, trace.mean_last_seen_sq_err)
+    rows = enumerate(zip(*(a[: trace.horizon + 1].tolist() for a in series)))
+    write_csv_lines(
+        path, "t,holder,visited_count,token_sq_err,mean_last_seen_sq_err",
+        (f"{t},{h},{c},{e:.17g},{s:.17g}" for t, (h, c, e, s) in rows),
+    )
 
+
+def write_csv_lines(path, header: str, rows: Iterable[str]) -> None:
+    """Write ``header`` and ``rows``, CSV lines joined beforehand, with ``csv.writer``'s bytes.
+
+    No field the package writes needs quoting; the line ends are csv's ``\\r\\n``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "holder", "visited_count", "token_sq_err", "mean_last_seen_sq_err"])
-        for t in range(trace.horizon + 1):
-            writer.writerow(
-                [
-                    t,
-                    int(trace.holder[t]),
-                    int(trace.visited_count[t]),
-                    f"{trace.token_sq_err[t]:.17g}",
-                    f"{trace.mean_last_seen_sq_err[t]:.17g}",
-                ]
-            )
+        fh.write(f"{header}\r\n")
+        fh.writelines(f"{line}\r\n" for line in rows)

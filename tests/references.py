@@ -5,10 +5,14 @@
 package computes both only in batched form, in ``engine.run_ci_trials`` and
 through ``observation.central_solver``.  ``stationary_distribution`` is the
 long-run law the token's visit frequencies are checked against.
+``csv_metrics``, ``csv_compare`` and ``csv_trace`` write the three CSV
+exports row by row through ``csv.writer``, as the package once did; its
+joined-line writers must match their bytes.
 """
 
 from __future__ import annotations
 
+import csv
 from typing import Sequence
 
 import numpy as np
@@ -70,3 +74,44 @@ def stationary_distribution(q: np.ndarray) -> np.ndarray:
     if pi.min() < -1e-10:
         raise ValueError("chain is not irreducible: negative stationary mass")
     return np.clip(pi, 0.0, None) / pi.sum()
+
+
+def csv_metrics(path, metrics) -> None:
+    """``harness.write_metrics_csv`` through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "metric", "value", "ci_half_width", "trials"])
+        for name in sorted(metrics):
+            series = metrics[name]
+            for t, (v, hw) in enumerate(zip(series.values, series.half_widths)):
+                writer.writerow([t, name, f"{v:.17g}", f"{hw:.17g}", series.trials])
+
+
+def csv_compare(path, metrics) -> None:
+    """``harness.write_compare_csv`` through ``csv.writer``."""
+    names = sorted(metrics)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + names + [f"{n}_half_width" for n in names])
+        for t in range(len(metrics[names[0]].values)):
+            row: list = [t]
+            row += [f"{metrics[n].values[t]:.17g}" for n in names]
+            row += [f"{metrics[n].half_widths[t]:.17g}" for n in names]
+            writer.writerow(row)
+
+
+def csv_trace(trace, path) -> None:
+    """``token.write_trace_csv`` through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "holder", "visited_count", "token_sq_err", "mean_last_seen_sq_err"])
+        for t in range(trace.horizon + 1):
+            writer.writerow(
+                [
+                    t,
+                    int(trace.holder[t]),
+                    int(trace.visited_count[t]),
+                    f"{trace.token_sq_err[t]:.17g}",
+                    f"{trace.mean_last_seen_sq_err[t]:.17g}",
+                ]
+            )

@@ -70,6 +70,18 @@ def test_unknown_section_and_key_rejected(tmp_path):
         load_config(bad)
 
 
+def test_malformed_yaml_exits_1_and_names_the_file(config_file, tmp_path, capsys):
+    # whichever PyYAML loader parses, a syntax error is a config error that names its source
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(BASE_CONFIG.replace("horizon: 30", "horizon: [30"))
+    out = str(tmp_path / "out")
+    assert main(["simulate", str(broken), "--out", out]) == 1
+    assert str(broken) in capsys.readouterr().err
+    assert main(["simulate", str(config_file), "--out", out, "--set", "run.horizon=[30"]) == 1
+    assert "run.horizon=[30" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
 def test_overrides_win_and_are_validated(config_file):
     cfg = load_config(config_file)
     updated = apply_overrides(cfg, ["run.trials=9", "graph.kind=iid_failure", "graph.p_fail=0.5"])

@@ -1,5 +1,6 @@
 """Batched engine vs the scalar per-tick path, determinism, and pairing."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from roamtoken.config import build_experiment, load_config
 from roamtoken.engine import (
     CHUNK_TICKS,
     LOAD_TICKS,
+    TickStats,
     _OutRows,
     _TrialBlocks,
     _walk,
@@ -329,7 +331,7 @@ def test_compact_walk_matches_dense_steps(kind, rule):
     paths = []
     for t0, length in blocks.chunks(ticks):
         path, pos = _walk(out_rows, blocks, t0, length, pos)
-        paths.append(path)
+        paths.append(path.copy())  # the next chunk reuses the path's buffer
     batched = np.concatenate(paths + [pos[None]])
     assert len(paths) >= 6 and ticks > LOAD_TICKS
     holds_on_empty_rows = 0
@@ -427,3 +429,53 @@ def test_loads_are_sized_from_the_byte_budget(monkeypatch):
     monkeypatch.setattr(engine, "LOAD_BYTES", 2 * trials * CHUNK_TICKS * (5 + 1) * 8)
     calls = _noise_draw_ticks(monkeypatch, horizon, trials)
     assert calls == [128] * trials * 2 + [horizon + 1 - 256] * trials
+
+
+@pytest.mark.parametrize("ratio_to", [None, 3.7], ids=["plain", "weighted"])
+@pytest.mark.parametrize("trials", [2, 500])
+def test_tick_stats_equal_whole_array_mean_and_std_bit_for_bit(trials, ratio_to):
+    # the std is built from the mean just taken; read as views of the whole rows and as
+    # (trials, CHUNK_TICKS) ring slots, with a short last chunk
+    ticks = 3 * CHUNK_TICKS + 17
+    rng = np.random.default_rng(trials)
+    rows = rng.standard_normal((trials, ticks)) * np.logspace(-3, 6, ticks) + rng.random(ticks)
+    slot = np.empty((trials, CHUNK_TICKS))
+    from_slots = TickStats(trials, ticks, ratio_to)
+    for t0 in range(0, ticks, CHUNK_TICKS):
+        chunk = rows[:, t0 : t0 + CHUNK_TICKS]
+        slot[:, : chunk.shape[1]] = chunk
+        from_slots(slot[:, : chunk.shape[1]], t0)
+    for stats in (TickStats.of(rows, ratio_to), from_slots):
+        for w, (mean, std) in stats.stats.items():
+            x = rows if w is None else rows * np.arange(ticks) / w
+            assert mean.tobytes() == x.mean(axis=0).tobytes()
+            assert std.tobytes() == x.std(axis=0, ddof=1).tobytes()
+        assert list(stats.stats) == list(dict.fromkeys([None, ratio_to]))
+
+
+def test_steady_state_token_chunk_allocates_little(monkeypatch):
+    # one process, static ref5 at R=250 with the oracle and the last-seen errors: the peak
+    # of traced memory above what is live at a chunk's end, within each chunk from the
+    # third on.  Before the chunk's steps wrote into the block's buffers it was 3,363,040 B
+    # (numpy 2.4); what is left is mostly the oracle's LAPACK solve, whose result is new.
+    root = Path(__file__).resolve().parents[1] / "configs"
+    shipped = build_experiment(load_config(root / "ref5_static.yaml"), root)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    transient = []
+
+    def probe(rows, t0):
+        current, peak = tracemalloc.get_traced_memory()
+        transient.append(peak - current)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        run_token_trials(
+            shipped.model, shipped.graph, shipped.rule, shipped.schedule, 10 * CHUNK_TICKS, 250,
+            master_seed=1, record=frozenset(), include_central=True,
+            reduce={"sq_err": probe, "last_seen": lambda rows, t0: None},
+        )
+    finally:
+        tracemalloc.stop()
+    assert len(transient) == 11
+    assert max(transient[2:]) <= 3_363_040 / 4

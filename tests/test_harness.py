@@ -34,8 +34,10 @@ from roamtoken.config import apply_overrides, build_experiment, load_config
 from roamtoken.engine import CiTrials, TokenTrials, run_central_trials, run_token_trials
 from roamtoken.harness import check_rule_support, write_compare_csv, write_metrics_csv
 from roamtoken._streams import derived_stream, trial_seed
+from roamtoken.token import EpisodeTrace, write_trace_csv
 
 from conftest import make_ref5_model, ref5_adjacency
+from references import csv_compare, csv_metrics, csv_trace
 
 
 def _token_fixture(theta, sq, last=None, visited=None):
@@ -350,6 +352,43 @@ def test_metrics_csv_long_format(tmp_path):
     assert lines[0] == "t,metric,value,ci_half_width,trials"
     assert lines[1].startswith("0,rmse_token,1")
     assert len(lines) == 3
+
+
+def test_csv_writers_match_csv_writer_bytes(tmp_path):
+    # the joined-line writers against csv.writer, row by row: a 1-trial series, -0.0,
+    # values that need all 17 digits, and the non-finite spellings
+    digits = [0.1 + 0.2, 1 / 3, -2 / 3, 5e-324, 1.7976931348623157e308, 123456789.12345678]
+    values = np.array([1.0, -0.0, 0.0, *digits, np.inf, -np.inf, np.nan])
+    half = np.abs(values[::-1]) * 1e-3
+    metrics = {
+        "rmse_token": MetricSeries("rmse_token", values, np.zeros_like(values), 1),
+        "rmse_ci_network": MetricSeries("rmse_ci_network", values[::-1], half, 250),
+        "optimality_ratio_token": MetricSeries("optimality_ratio_token", -values, half[::-1], 2),
+    }
+    horizon = len(values) - 1
+    trace = EpisodeTrace(
+        horizon=horizon,
+        theta=np.zeros(2),
+        holder=np.arange(horizon + 1) % 5,
+        visited_count=np.minimum(np.arange(1, horizon + 2), 5),
+        token_sq_err=values,
+        mean_last_seen_sq_err=values[::-1].copy(),
+    )
+    single = {"rmse_token": metrics["rmse_token"]}
+    cases = [
+        (write_metrics_csv, csv_metrics, (metrics,)),
+        (write_metrics_csv, csv_metrics, (single,)),
+        (write_compare_csv, csv_compare, (metrics,)),
+        (write_compare_csv, csv_compare, (single,)),
+    ]
+    for k, (write, reference, args) in enumerate(cases):
+        write(tmp_path / f"{k}.csv", *args)
+        reference(tmp_path / f"{k}-ref.csv", *args)
+        assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / f"{k}-ref.csv").read_bytes()
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    csv_trace(trace, tmp_path / "trace-ref.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "trace-ref.csv").read_bytes()
+    assert b"-0," in (tmp_path / "0.csv").read_bytes()  # the sign of -0.0 is kept
 
 
 def test_compare_csv_wide_format(tmp_path):
