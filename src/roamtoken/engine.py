@@ -13,7 +13,7 @@ two.  Since agent ``p``'s statistic is ``x_p = W_p ybar_p``, the payload is
 latest visit, gathered on flat indices.  The estimate is solved in the
 eigenbasis of ``K``, which changes only on first visits.  Every chunk-sized
 array is a view of a buffer that the block allocates once
-(``_TrialBlocks.buffer``), so a steady-state chunk allocates none.
+(``_TrialBlocks.buffer``); only the oracle's LAPACK solve returns new ones.
 
 The walk (``_walk``, shared with the chain engine) steps on compact,
 CSR-style out-rows (``_OutRows``): a node's columns are its possible
