@@ -7,6 +7,9 @@ bundles the estimator, a consensus+innovations baseline, graph process
 generators, hitting-time verification tools, a Monte Carlo harness, and a CLI.
 """
 
+# Set before the submodules load: the harness writes it into meta.yaml.
+__version__ = "0.1.0"
+
 from .baseline import CiConfig, GridSearchResult, grid_search
 from .chain import (
     Lazy,
@@ -60,5 +63,3 @@ from .observation import (
     sample_measurements,
 )
 from .token import AlphaSchedule, EpisodeTrace, run_episode
-
-__version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .graphs import GraphSpec
 from .observation import GlobalModel
 
 if TYPE_CHECKING:
-    from .engine import CiTrials
+    from .engine import TickStats
 
 
 @dataclass(eq=False)
@@ -75,7 +75,7 @@ class GridSearchResult:
     best: CiConfig
     curve: "np.ndarray"
     scores: list[tuple[CiConfig, float]]
-    best_trials: "CiTrials"
+    best_trials: "TickStats"
 
 
 def grid_search(
@@ -94,8 +94,8 @@ def grid_search(
     given the seed.  Diverged candidates score +inf and can never win; ties go
     to the first candidate in grid order.  The winner is then run once more
     on its own, its network error reduced over trials a chunk at a time
-    (``best_trials``, whose ``netavg_sq_err`` is a ``TickStats``); ``curve``
-    is that reduction's mean over ``||theta||^2``.
+    (``best_trials``, a ``TickStats``); ``curve`` is that reduction's mean
+    over ``||theta||^2``.
     """
     from .engine import TickStats, run_ci_trials
 
@@ -122,9 +122,9 @@ def grid_search(
     if math.isinf(scores[best][1]):
         raise RuntimeError("every grid candidate diverged")
     stats = TickStats(trials, horizon + 1)
-    winner = run_ci_trials(
+    run_ci_trials(
         model, spec, cfgs[best], horizon=horizon, trials=trials, master_seed=seed,
-        reduce={"netavg": stats},
+        readers={"netavg": stats},
     )
     curve = stats.stats[None][0] / theta_sq
-    return GridSearchResult(best=cfgs[best], curve=curve, scores=scores, best_trials=winner)
+    return GridSearchResult(best=cfgs[best], curve=curve, scores=scores, best_trials=stats)

@@ -33,16 +33,18 @@ trials because numpy's linear algebra takes a different path for a single
 row, which changes the last bits.  A worker's failure is re-raised in the
 parent as the serial loop would raise it.
 
-No per-tick series is kept whole unless asked for.  Each passes through a ring
+A run keeps no per-tick series: it hands each to the caller's reader for it,
+one ``Reader`` per series name, and computes the oracle's and the last-seen
+errors only for a reader.  A series with a reader passes through a ring
 (``_Ring``) of ``RING_SLOTS`` trial-major (trials, CHUNK_TICKS) slots in
 anonymous shared memory: a worker writes its rows of a chunk into the chunk's
 slot and signals the parent, and waits for a credit from the parent before it
 reuses a slot.  Once every block has filled a slot, the parent hands the
-slot's rows, all trials in trial order, to the series' readers, for example a
+slot's rows, all trials in trial order, to the series' reader, for example a
 ``TickStats`` reduction, and sends each worker a credit.  With one block the
-same ring is read in-process after each chunk.  Other outputs, such as the CI
-grid's horizon column or the chain's exact counts, are written straight into
-shared arrays.
+same ring is read in-process after each chunk.  Other outputs, such as trial
+0's trace, the CI grid's horizon column or the chain's exact counts, are
+written straight into shared arrays.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import pickle
 import signal
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -80,16 +81,16 @@ MIN_BLOCK_TRIALS = 2
 # On a 2-vCPU VM, 1,000-tick runs of the token, oracle and CI engines broke even at
 # about 32 trials and were faster sharded from 64.
 SHARD_MIN_TRIALS = 64
-# Slots of the ring each recorded series passes through.  A worker may run this many
+# Slots of the ring each series read passes through.  A worker may run this many
 # chunks ahead of the parent's reduction before it waits.
 RING_SLOTS = 4
 
-# A ring reader: called with a chunk's (trials, length) rows from tick t0, chunk by chunk.
+# A series reader: called with a chunk's (trials, length) rows from tick t0, chunk by chunk.
 Reader = Callable[[np.ndarray, int], None]
 
 
 class TickStats:
-    """Per-tick mean and sample standard deviation over trials of one recorded series.
+    """Per-tick mean and sample standard deviation over trials of one series.
 
     A ring reader.  Each chunk's rows are reduced over all trials in trial
     order, so every column equals the whole (trials, ticks) array's
@@ -111,14 +112,6 @@ class TickStats:
         self.stats = {w: (np.zeros(size), np.zeros(size)) for w in dict.fromkeys((None, ratio_to))}
         self.scratch = np.empty((trials, CHUNK_TICKS)) if scratch is None else scratch
 
-    @classmethod
-    def of(cls, rows: np.ndarray, ratio_to: float | None = None) -> "TickStats":
-        """The reduction of whole (trials, ticks) rows, read a chunk at a time."""
-        stats = cls(*rows.shape, ratio_to)
-        for t0 in range(0, rows.shape[1], CHUNK_TICKS):
-            stats(rows[:, t0 : t0 + CHUNK_TICKS], t0)
-        return stats
-
     def __call__(self, rows: np.ndarray, t0: int) -> None:
         span = slice(t0, t0 + rows.shape[1])
         d = self.scratch[:, : rows.shape[1]]  # the weighted rows, then the deviations
@@ -132,37 +125,13 @@ class TickStats:
                 np.sqrt(std, out=std)
 
 
-# A recorded series is held as whole (trials, horizon + 1) rows where it was recorded,
-# else as the TickStats it was reduced into.
-Series = np.ndarray | TickStats
-
-
 @dataclass(eq=False)
-class TokenTrials:
-    theta: np.ndarray
+class Trials:
+    """What a token, oracle or single CI run returns; its series went to the readers."""
+
     trials: int
     horizon: int
-    sq_err: Series | None = None
-    last_seen_mean_sq: Series | None = None
-    visited_count: np.ndarray | None = None
-    central: CentralTrials | None = None
-    trial0: EpisodeTrace | None = None
-
-
-@dataclass(eq=False)
-class CentralTrials:
-    theta: np.ndarray
-    trials: int
-    horizon: int
-    sq_err: Series
-
-
-@dataclass(eq=False)
-class CiTrials:
-    theta: np.ndarray
-    trials: int
-    horizon: int
-    netavg_sq_err: Series
+    trial0: EpisodeTrace | None = None  # the token engine's trial 0
 
 
 @dataclass(eq=False)
@@ -179,7 +148,6 @@ class CiGridTrials:
 class ChainTrials:
     trials: int
     horizon: int
-    n: int
     nonvisit_frac: np.ndarray
     gap_frac: np.ndarray
 
@@ -321,28 +289,27 @@ def _serial_order(exc: BaseException, t0: int) -> tuple[int, int, float]:
 
 
 class _Ring:
-    """``RING_SLOTS`` trial-major (trials, CHUNK_TICKS) slots per recorded series, and its readers.
+    """``RING_SLOTS`` trial-major (trials, CHUNK_TICKS) slots per series read, and its reader.
 
-    ``series`` maps each series to its dtype and readers.  Chunk ``c`` of
+    ``series`` maps each series to its dtype and reader.  Chunk ``c`` of
     every series is written into slot ``c % RING_SLOTS``.  ``read(c)`` hands
     each series' (trials, length) rows of that slot, all trials in trial
-    order, to its readers, after which the slot may be reused.
+    order, to its reader, after which the slot may be reused.
     """
 
     def __init__(
-        self, ticks: int, trials: int, series: Mapping[str, tuple[type, list[Reader]]], alloc
+        self, ticks: int, trials: int, series: Mapping[str, tuple[type, Reader]], alloc
     ) -> None:
         self.chunks = -(-ticks // CHUNK_TICKS)
         self.ticks = ticks
         self.slots = {k: alloc((RING_SLOTS, trials, CHUNK_TICKS), t) for k, (t, _) in series.items()}
-        self.readers = {k: readers for k, (_, readers) in series.items()}
+        self.readers = {k: reader for k, (_, reader) in series.items()}
 
     def read(self, c: int) -> None:
         t0 = c * CHUNK_TICKS
         length = min(CHUNK_TICKS, self.ticks - t0)
         for k, slots in self.slots.items():
-            for reader in self.readers[k]:
-                reader(slots[c % RING_SLOTS, :, :length], t0)
+            self.readers[k](slots[c % RING_SLOTS, :, :length], t0)
 
 
 def _worker(
@@ -402,7 +369,7 @@ def _sharded(
     rows: dict[str, tuple[tuple[int, ...], type]],
     run_block: Callable[[_TrialBlocks, dict, dict], None],
     per_block: dict[str, tuple[tuple[int, ...], type]] | None = None,
-    series: Mapping[str, tuple[type, list[Reader]]] | None = None,
+    series: Mapping[str, tuple[type, Reader]] | None = None,
     ticks: int = 0,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Run ``run_block`` over contiguous blocks of trials, one forked worker per block.
@@ -410,7 +377,7 @@ def _sharded(
     ``rows`` names the per-trial outputs, each ``(trials, *width)``, and
     ``per_block`` those each block keeps for itself, ``(blocks, *width)``.
     ``series`` names the per-tick series of a ``ticks``-tick run that pass
-    through the ring, each with its dtype and readers.  Block ``b`` holds
+    through the ring, each with its dtype and reader.  Block ``b`` holds
     trials ``lo..hi-1``; ``run_block(streams, rows[lo:hi], per_block[b])``
     fills its part and writes each chunk of its series into
     ``streams.slot``, where ``streams`` are those trials' ``_TrialBlocks``.
@@ -788,34 +755,15 @@ def _check_sizes(model: GlobalModel, spec: GraphSpec) -> None:
         raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
 
 
-def _ring_series(
-    trials: int,
-    size: int,
-    dtypes: Mapping[str, type],
-    record: frozenset[str] | set[str],
-    reduce: Mapping[str, Reader],
-) -> tuple[dict[str, tuple[type, list[Reader]]], dict[str, Series | None]]:
-    """The ring series among ``dtypes``, with their readers, and what the run returns of each.
-
-    A series in ``record`` is copied into whole (trials, size) rows, which
-    are returned; one that ``reduce`` names is handed to that reader, which
-    is returned unless the rows are; any other is not kept.
-    """
-    series, kept = {}, {}
-    for k, dtype in dtypes.items():
-        readers = [reduce[k]] if k in reduce else []
-        kept[k] = reduce.get(k)
-        if k in record:
-            kept[k] = np.zeros((trials, size), dtype)
-            readers.append(partial(_keep, kept[k]))
-        if readers:
-            series[k] = (dtype, readers)
-    return series, kept
-
-
-def _keep(rows: np.ndarray, chunk: np.ndarray, t0: int) -> None:
-    """Bound to whole (trials, ticks) rows, a ring reader that copies each chunk into them."""
-    rows[:, t0 : t0 + chunk.shape[1]] = chunk
+def _series(
+    readers: Mapping[str, Reader] | None, dtypes: Mapping[str, type]
+) -> dict[str, tuple[type, Reader]]:
+    """Each series that ``readers`` reads, with its dtype among the run's ``dtypes``, and reader."""
+    readers = readers or {}
+    for k in readers:
+        if k not in dtypes:
+            raise ValueError(f"no series {k!r} in this run; it makes {sorted(dtypes)}")
+    return {k: (dtypes[k], reader) for k, reader in readers.items()}
 
 
 def run_token_trials(
@@ -827,34 +775,26 @@ def run_token_trials(
     trials: int,
     start_node: int = 0,
     master_seed: SeedLike = 0,
-    record: frozenset[str] | set[str] = frozenset({"sq_err", "last_seen", "visited", "central"}),
-    include_central: bool = False,
-    reduce: Mapping[str, Reader] | None = None,
-) -> TokenTrials:
+    readers: Mapping[str, Reader] | None = None,
+) -> Trials:
     """Run many token episodes in lockstep; see ``token.run_episode`` for semantics.
 
     Only the walk and the running means step tick by tick; the payload, the
-    estimates and the records are computed once per chunk (``_TokenPayload``).
-    The series are ``sq_err``, ``last_seen``, ``visited`` and, with
-    ``include_central``, the oracle's ``central``.  Those in ``record`` are
-    kept whole; those ``reduce`` names are read chunk by chunk by their
-    reader and returned as it, unless also kept whole.  ``trial0`` holds
-    trial 0's trace, its last-seen errors only where ``last_seen`` was
-    recorded or reduced.
+    estimates and the series are computed once per chunk (``_TokenPayload``).
+    The series are ``sq_err``, ``visited``, ``last_seen`` and the oracle's
+    ``central``; ``readers`` maps those it wants to their readers, and the
+    last two are computed only for one.  ``trial0`` holds trial 0's trace,
+    its last-seen errors only where ``last_seen`` is read.
     """
     _check_sizes(model, spec)
     size = horizon + 1
-    reduce = reduce or {}
-    dtypes = {"sq_err": float, "visited": np.int64}
-    last_seen = "last_seen" in record or "last_seen" in reduce
+    dtypes = {"sq_err": float, "visited": np.int64, "last_seen": float, "central": float}
+    series = _series(readers, dtypes)
+    last_seen = "last_seen" in series
+    oracle = _CentralOracle(model) if "central" in series else None
+    trace = {"holder": np.int64, "visited": np.int64, "sq_err": float}
     if last_seen:
-        dtypes["last_seen"] = float
-    oracle = _CentralOracle(model) if include_central else None
-    if oracle is not None:
-        dtypes["central"] = float
-    series, kept = _ring_series(trials, size, dtypes, record, reduce)
-    trace = {"holder": np.int64, **dtypes}
-    trace.pop("central", None)
+        trace["last_seen"] = float
 
     def run(blocks: _TrialBlocks, _: dict, own: dict[str, np.ndarray]) -> None:
         R = blocks.trials
@@ -880,24 +820,14 @@ def run_token_trials(
         trials, master_seed, model, spec, {}, run,
         per_block={k: ((size,), dtype) for k, dtype in trace.items()}, series=series, ticks=size,
     )
-    theta = model.theta.copy()
-    return TokenTrials(
-        theta=theta,
-        trials=trials,
+    trial0 = EpisodeTrace(
         horizon=horizon,
-        sq_err=kept["sq_err"],
-        last_seen_mean_sq=kept.get("last_seen"),
-        visited_count=kept["visited"],
-        central=None if oracle is None else CentralTrials(theta, trials, horizon, kept["central"]),
-        trial0=EpisodeTrace(
-            horizon=horizon,
-            theta=theta,
-            holder=own["holder"][0],
-            visited_count=own["visited"][0],
-            token_sq_err=own["sq_err"][0],
-            mean_last_seen_sq_err=own["last_seen"][0] if last_seen else None,
-        ),
+        holder=own["holder"][0],
+        visited_count=own["visited"][0],
+        token_sq_err=own["sq_err"][0],
+        mean_last_seen_sq_err=own["last_seen"][0] if last_seen else None,
     )
+    return Trials(trials, horizon, trial0)
 
 
 def run_central_trials(
@@ -905,24 +835,22 @@ def run_central_trials(
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
-    reduce: Mapping[str, Reader] | None = None,
-) -> CentralTrials:
-    """Oracle-only runs: per-tick squared error of the centralized estimate.
-
-    The series ``central`` is kept whole unless ``reduce`` names it.
-    """
+    readers: Mapping[str, Reader] | None = None,
+) -> Trials:
+    """Oracle-only runs: the series ``central`` is the centralized estimate's squared error."""
     size = horizon + 1
+    series = _series(readers, {"central": float})
     oracle = _CentralOracle(model)
-    reduce = reduce or {}
-    series, kept = _ring_series(trials, size, {"central": float}, {"central"} - set(reduce), reduce)
 
     def run(blocks: _TrialBlocks, _: dict, __: dict) -> None:
         means = _RunningMeans(model, blocks.trials)
         for t0, length in blocks.chunks(size):
-            blocks.slot["central"][:, :length] = oracle.score(means.advance(blocks)[1:], blocks).T
+            sq = oracle.score(means.advance(blocks)[1:], blocks)
+            if series:
+                blocks.slot["central"][:, :length] = sq.T
 
     _sharded(trials, master_seed, model, None, {}, run, series=series, ticks=size)
-    return CentralTrials(model.theta.copy(), trials, horizon, kept["central"])
+    return Trials(trials, horizon)
 
 
 def run_ci_trials(
@@ -932,28 +860,31 @@ def run_ci_trials(
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
-    reduce: Mapping[str, Reader] | None = None,
-) -> CiTrials | CiGridTrials:
+    readers: Mapping[str, Reader] | None = None,
+) -> Trials | CiGridTrials:
     """Run many consensus+innovations trajectories in lockstep.
 
     Uses the same per-trial noise and graph streams as ``run_token_trials``
     (final-tick draws included even though unused), so token-vs-baseline
     comparisons are paired draw for draw.
 
-    One ``CiConfig`` records every tick of the series ``netavg``, whole unless
-    ``reduce`` names it (``CiTrials``), and raises NonFiniteMetric if its
-    trajectory diverges.  A sequence of K configs runs
+    One ``CiConfig`` makes the series ``netavg``, the network-average squared
+    error at every tick, for its reader in ``readers``, and raises
+    NonFiniteMetric if its trajectory diverges.  A sequence of K configs runs
     all of them in one pass over a (K, trials, n, L) state that shares the
-    draws, the measurements and the adjacency of each tick, and keeps only the
-    error at the horizon (``CiGridTrials``), so memory does not grow with the
-    horizon; a diverged candidate is flagged and scores inf.  Every
-    candidate's values equal those of its own single-config run bit for bit.
+    draws, the measurements and the adjacency of each tick, makes no series and
+    keeps only the error at the horizon (``CiGridTrials``), so memory does not
+    grow with the horizon; a diverged candidate is flagged and scores inf.
+    Every candidate's values equal those of its own single-config run bit for
+    bit.
     """
     _check_sizes(model, spec)
     single = isinstance(cfg, CiConfig)
     cfgs = [cfg] if single else list(cfg)
     if not cfgs:
         raise ValueError("need at least one CiConfig")
+    size = horizon + 1
+    series = _series(readers, {"netavg": float} if single else {})
     n, dim, K = model.n_agents, model.dim, len(cfgs)
     theta = model.theta
     theta_sq = float(theta @ theta)
@@ -965,11 +896,6 @@ def run_ci_trials(
     h_rows = np.stack([a.H[0] for a in model.agents]) if all_scalar else None
     g_rows_all = np.stack([g[:, :, 0] for g in g_fold_all], axis=1) if all_scalar else None
     slices = model.measurement_slices()
-    size = horizon + 1
-    reduce = reduce or {}
-    series, kept = {}, {}
-    if single:
-        series, kept = _ring_series(trials, size, {"netavg": float}, {"netavg"} - set(reduce), reduce)
 
     def net_err(s_k: np.ndarray) -> np.ndarray:
         """Each trial's network-average squared error of one candidate's (trials, n, L) state."""
@@ -995,7 +921,7 @@ def run_ci_trials(
                 beta, alpha = gain[:, live, 0, None, None, None], gain[:, live, 1, None, None, None]
                 for ti in range(length):
                     t = t0 + ti
-                    if single:  # the error at tick t, before the step to t + 1
+                    if series:  # the error at tick t, before the step to t + 1
                         blocks.slot["netavg"][:, ti] = theta_sq if t == 0 else net_err(s[0])
                     if t == horizon:
                         break
@@ -1038,7 +964,7 @@ def run_ci_trials(
         per_block={"diverged": ((K,), bool)}, series=series, ticks=size,
     )
     if single:
-        return CiTrials(theta.copy(), trials, horizon, netavg_sq_err=kept["netavg"])
+        return Trials(trials, horizon)
     diverged = own["diverged"].any(axis=0)  # a candidate diverged if it did in any block
     final = out["final"]
     final[:, diverged] = np.inf
@@ -1081,4 +1007,4 @@ def run_chain_trials(
     _, own = _sharded(trials, master_seed, None, spec, {}, run, per_block=counts)
     nonvisit = 1.0 - own["seen"].sum(axis=0) / trials
     gap = 1.0 - own["covered"].sum(axis=0) / trials
-    return ChainTrials(trials=trials, horizon=horizon, n=n, nonvisit_frac=nonvisit, gap_frac=gap)
+    return ChainTrials(trials=trials, horizon=horizon, nonvisit_frac=nonvisit, gap_frac=gap)

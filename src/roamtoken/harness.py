@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 import yaml
 
+from . import __version__
 from ._linalg import trace_of_inverse
 from ._streams import SeedLike, derived_stream, trial_seed
 from .baseline import CiConfig, GridSearchResult, grid_search
@@ -32,11 +33,7 @@ from .chain import (
 )
 from .engine import (
     CHUNK_TICKS,
-    CentralTrials,
-    CiTrials,
-    Series,
     TickStats,
-    TokenTrials,
     run_central_trials,
     run_chain_trials,
     run_ci_trials,
@@ -103,65 +100,60 @@ def _reducers(config: ExperimentConfig) -> dict[str, TickStats]:
 
 
 def _aggregate(
-    name: str, source: Series | None, trials: int, scale: float = 1.0, ratio_to: float | None = None
+    name: str, source: TickStats | None, scale: float = 1.0, ratio_to: float | None = None
 ) -> MetricSeries:
-    """The per-tick mean over trials of a recorded series, over ``scale``, with 95% half-widths.
+    """The per-tick mean over trials of a series, over ``scale``, with 95% half-widths.
 
-    ``source`` is the series' ``TickStats``, or its whole (trials, ticks)
-    rows, reduced here the same way, a chunk at a time.  ``ratio_to`` picks
-    the reduction of ``rows * t / ratio_to``.
+    ``source`` is the series' ``TickStats``; ``ratio_to`` picks its reduction
+    of ``rows * t / ratio_to``.
     """
-    if isinstance(source, np.ndarray):
-        source = TickStats.of(source, ratio_to)
     if source is None or ratio_to not in source.stats:
         raise MissingTrace(f"the series behind {name} was not recorded")
-    mean, std = source.stats[ratio_to]
-    values = mean / scale
-    if trials >= 2:
-        hw = Z_95 * std / math.sqrt(trials) / scale
-    else:
-        hw = np.zeros_like(values)
-    return MetricSeries(name=name, values=values, half_widths=hw, trials=trials)
+    mean, std = source.stats[ratio_to]  # the std stays 0 for a single trial
+    hw = Z_95 * std / math.sqrt(source.trials) / scale
+    return MetricSeries(name=name, values=mean / scale, half_widths=hw, trials=source.trials)
 
 
-def _theta_sq(trials: TokenTrials | CentralTrials | CiTrials) -> float:
-    return float(trials.theta @ trials.theta)
+def _theta_sq(model: GlobalModel) -> float:
+    return float(model.theta @ model.theta)
 
 
-def rmse_token(trials: TokenTrials) -> MetricSeries:
-    """Relative MSE of the token-carried estimate."""
-    return _aggregate("rmse_token", trials.sq_err, trials.trials, _theta_sq(trials))
+def rmse_token(stats: TickStats, model: GlobalModel) -> MetricSeries:
+    """Relative MSE of the token-carried estimate, from the series ``sq_err``."""
+    return _aggregate("rmse_token", stats, _theta_sq(model))
 
 
-def rmse_last_seen(trials: TokenTrials) -> MetricSeries:
+def rmse_last_seen(stats: TickStats | None, model: GlobalModel) -> MetricSeries:
     """Relative MSE of a network where each agent keeps the last estimate it saw.
 
-    Per trial: the sum of last-seen squared errors over visited agents divided
-    by the visited count; unvisited agents contribute nothing.
+    Per trial, the series ``last_seen``: the sum of last-seen squared errors
+    over visited agents divided by the visited count; unvisited agents
+    contribute nothing.
     """
-    source = trials.last_seen_mean_sq
-    return _aggregate("rmse_token_last_seen", source, trials.trials, _theta_sq(trials))
+    return _aggregate("rmse_token_last_seen", stats, _theta_sq(model))
 
 
-def rmse_network_ci(trials: CiTrials) -> MetricSeries:
-    """Agent-averaged relative MSE of the consensus+innovations network."""
-    return _aggregate("rmse_ci_network", trials.netavg_sq_err, trials.trials, _theta_sq(trials))
+def rmse_network_ci(stats: TickStats, model: GlobalModel) -> MetricSeries:
+    """Agent-averaged relative MSE of the consensus+innovations network (series ``netavg``)."""
+    return _aggregate("rmse_ci_network", stats, _theta_sq(model))
 
 
-def rmse_central(trials: CentralTrials) -> MetricSeries:
-    """Relative MSE of the centralized oracle on the same draws."""
-    return _aggregate("rmse_central", trials.sq_err, trials.trials, _theta_sq(trials))
+def rmse_central(stats: TickStats, model: GlobalModel) -> MetricSeries:
+    """Relative MSE of the centralized oracle on the same draws (series ``central``)."""
+    return _aggregate("rmse_central", stats, _theta_sq(model))
 
 
-def optimality_ratio(trials: TokenTrials | CentralTrials, model: GlobalModel, name: str = "optimality_ratio") -> MetricSeries:
+def optimality_ratio(
+    stats: TickStats, model: GlobalModel, name: str = "optimality_ratio"
+) -> MetricSeries:
     """``t * mean squared error / trace(sigma_c^{-1})`` per tick.
 
-    Approaches one for an estimator that attains the oracle error rate.
+    ``stats`` reduces ``sq_err`` or ``central`` under that weight.  Approaches
+    one for an estimator that attains the oracle error rate.
     """
-    if trials.trials < 2:
+    if stats.trials < 2:
         raise ValueError("optimality ratio needs at least two trials")
-    trace_inv = trace_of_inverse(model.sigma_c)
-    return _aggregate(name, trials.sq_err, trials.trials, ratio_to=trace_inv)
+    return _aggregate(name, stats, ratio_to=trace_of_inverse(model.sigma_c))
 
 
 @dataclass(eq=False)
@@ -290,7 +282,6 @@ def verify_state_identity(
             schedule,
             horizon=horizon,
             start_node=start_node,
-            record={"payload", "local_stats", "tau"},
             seed=trial_seed(master_seed, e),
         )
         for t in range(horizon + 1):
@@ -469,12 +460,12 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
     grid_result: GridSearchResult | None = None
     trace: EpisodeTrace | None = None
 
-    want_central = "central" in config.algorithms
-    central: CentralTrials | None = None
+    model, want_central = config.model, "central" in config.algorithms
     reduce = _reducers(config)
     if "token" in config.algorithms:
+        series = ("sq_err", "last_seen", "central") if want_central else ("sq_err", "last_seen")
         token = run_token_trials(
-            config.model,
+            model,
             config.graph,
             config.rule,
             config.schedule,
@@ -482,33 +473,31 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             trials=config.trials,
             start_node=config.start_node,
             master_seed=config.seed,
-            record=frozenset(),
-            include_central=want_central,
-            reduce=reduce,
+            readers={k: reduce[k] for k in series},
         )
-        metrics["rmse_token"] = rmse_token(token)
-        metrics["rmse_token_last_seen"] = rmse_last_seen(token)
+        metrics["rmse_token"] = rmse_token(reduce["sq_err"], model)
+        metrics["rmse_token_last_seen"] = rmse_last_seen(reduce["last_seen"], model)
         trace = token.trial0
         if config.trials >= 2:
             metrics["optimality_ratio_token"] = optimality_ratio(
-                token, config.model, name="optimality_ratio_token"
+                reduce["sq_err"], model, name="optimality_ratio_token"
             )
-        central = token.central
     elif want_central:
-        central = run_central_trials(
-            config.model, config.horizon, config.trials, master_seed=config.seed, reduce=reduce
+        run_central_trials(
+            model, config.horizon, config.trials, master_seed=config.seed,
+            readers={"central": reduce["central"]},
         )
-    if central is not None:
-        metrics["rmse_central"] = rmse_central(central)
+    if want_central:
+        metrics["rmse_central"] = rmse_central(reduce["central"], model)
         if config.trials >= 2:
             metrics["optimality_ratio_central"] = optimality_ratio(
-                central, config.model, name="optimality_ratio_central"
+                reduce["central"], model, name="optimality_ratio_central"
             )
 
     if "ci" in config.algorithms:
         if config.ci_grid is not None:
             grid_result = grid_search(
-                config.model,
+                model,
                 config.graph,
                 config.ci_grid,
                 trials=config.trials,
@@ -517,17 +506,17 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             )
             ci_cfg, ci = grid_result.best, grid_result.best_trials
         else:
-            ci_cfg = config.ci
-            ci = run_ci_trials(
-                config.model,
+            ci_cfg, ci = config.ci, reduce["netavg"]
+            run_ci_trials(
+                model,
                 config.graph,
                 ci_cfg,
                 horizon=config.horizon,
                 trials=config.trials,
                 master_seed=config.seed,
-                reduce=reduce,
+                readers={"netavg": ci},
             )
-        metrics["rmse_ci_network"] = rmse_network_ci(ci)
+        metrics["rmse_ci_network"] = rmse_network_ci(ci, model)
         ci_best = ci_cfg
 
     for series in metrics.values():
@@ -574,15 +563,6 @@ def write_compare_csv(path: Path | str, metrics: dict[str, MetricSeries]) -> Non
     write_csv_lines(path, ",".join(["t", *names, *(f"{n}_half_width" for n in names)]), rows)
 
 
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("roamtoken")
-    except Exception:
-        return "unknown"
-
-
 def _write_meta(path: Path, config: ExperimentConfig, ci_best: CiConfig | None) -> None:
     meta = {
         "seed": config.seed,
@@ -590,7 +570,7 @@ def _write_meta(path: Path, config: ExperimentConfig, ci_best: CiConfig | None) 
         "trials": config.trials,
         "algorithms": list(config.algorithms),
         "normalizer": "theta_squared_norm",
-        "version": _version(),
+        "version": __version__,
     }
     if ci_best is not None:
         meta["ci_parameters"] = {

@@ -22,16 +22,11 @@ import numpy as np
 from ._linalg import solve_spd
 from ._streams import SeedLike, episode_streams
 from .chain import TransitionRule, bulk_step
-from .errors import SolveFailed
+from .errors import MissingTrace, SolveFailed
 from .graphs import GraphSpec
 from .observation import GlobalModel, sample_measurements
 
 ESTIMATE_RTOL = 1e-8
-
-DEFAULT_RECORD = frozenset({"token_sq_err", "last_seen"})
-RECORDABLE = frozenset(
-    {"token_sq_err", "last_seen", "estimates", "payload", "local_stats", "tau"}
-)
 
 
 @dataclass(eq=False)
@@ -72,13 +67,17 @@ class AlphaSchedule:
 
 @dataclass(eq=False)
 class EpisodeTrace:
-    """Per-tick series recorded by one episode; optional fields are None unless requested."""
+    """Per-tick series of one episode.
+
+    ``run_episode`` fills every field.  The token engine's trial 0 fills the
+    first four, and ``mean_last_seen_sq_err`` only where its run reads the
+    series ``last_seen``; the spec-only fields from ``estimates`` on stay None.
+    """
 
     horizon: int
-    theta: np.ndarray
     holder: np.ndarray
     visited_count: np.ndarray
-    token_sq_err: np.ndarray | None = None
+    token_sq_err: np.ndarray
     mean_last_seen_sq_err: np.ndarray | None = None
     estimates: np.ndarray | None = None
     d_hist: np.ndarray | None = None
@@ -94,7 +93,6 @@ def run_episode(
     schedule: AlphaSchedule,
     horizon: int,
     start_node: int = 0,
-    record: frozenset[str] | set[str] = DEFAULT_RECORD,
     seed: SeedLike = 0,
 ) -> EpisodeTrace:
     """One full episode of the token algorithm, the spec the batched engine is tested against.
@@ -110,9 +108,6 @@ def run_episode(
     """
     if spec.n != model.n_agents:
         raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
-    unknown = set(record) - RECORDABLE
-    if unknown:
-        raise ValueError(f"unknown record keys: {sorted(unknown)}")
     n, dim = model.n_agents, model.dim
     streams = episode_streams(seed)
     x = np.zeros((n, dim))
@@ -124,13 +119,10 @@ def run_episode(
     size = horizon + 1
     holder = np.zeros(size, dtype=np.int64)
     visited_count = np.zeros(size, dtype=np.int64)
-    token_sq = np.zeros(size) if "token_sq_err" in record else None
-    last_seen_sq = np.zeros(size) if "last_seen" in record else None
-    estimates = np.zeros((size, dim)) if "estimates" in record else None
-    d_hist = np.zeros((size, dim)) if "payload" in record else None
-    k_hist = np.zeros((size, dim, dim)) if "payload" in record else None
-    tau = np.full((size, n), -1, dtype=np.int64) if "tau" in record else None
-    x_hist = np.zeros((size, n, dim)) if "local_stats" in record else None
+    token_sq, last_seen_sq = np.zeros(size), np.zeros(size)
+    estimates, d_hist = np.zeros((size, dim)), np.zeros((size, dim))
+    k_hist = np.zeros((size, dim, dim))
+    tau, x_hist = np.zeros((size, n), dtype=np.int64), np.zeros((size, n, dim))
 
     last_seen_err = np.full(n, float(model.theta @ model.theta))
     theta = model.theta
@@ -155,28 +147,15 @@ def run_episode(
         err = s - theta
         sq = float(err @ err)
         last_seen_err[node] = sq
-        holder[t] = node
-        visited_count[t] = visited.sum()
-        if token_sq is not None:
-            token_sq[t] = sq
-        if last_seen_sq is not None:
-            last_seen_sq[t] = last_seen_err[visited].sum() / visited.sum()
-        if estimates is not None:
-            estimates[t] = s
-        if d_hist is not None:
-            d_hist[t] = d
-            k_hist[t] = K
-        if tau is not None:
-            tau[t] = last_visit
-        if x_hist is not None:
-            x_hist[t] = x
+        holder[t], visited_count[t] = node, visited.sum()
+        token_sq[t], last_seen_sq[t] = sq, last_seen_err[visited].sum() / visited.sum()
+        estimates[t], d_hist[t], k_hist[t], tau[t], x_hist[t] = s, d, K, last_visit, x
 
         adj = spec.adjacency(t, streams.graph.random(spec.draws))
         node = int(bulk_step(np.array([node]), adj[[node]], rule, streams.move.random(1))[0])
 
     return EpisodeTrace(
         horizon=horizon,
-        theta=theta.copy(),
         holder=holder,
         visited_count=visited_count,
         token_sq_err=token_sq,
@@ -191,10 +170,8 @@ def run_episode(
 
 def write_trace_csv(trace: EpisodeTrace, path) -> None:
     """Per-tick trace export: t, holder, visited_count, token_sq_err, mean_last_seen_sq_err."""
-    from .errors import MissingTrace
-
-    if trace.token_sq_err is None or trace.mean_last_seen_sq_err is None:
-        raise MissingTrace("trace export needs token_sq_err and last_seen recorded")
+    if trace.mean_last_seen_sq_err is None:
+        raise MissingTrace("trace export needs the last-seen errors")
     series = (trace.holder, trace.visited_count, trace.token_sq_err, trace.mean_last_seen_sq_err)
     rows = enumerate(zip(*(a[: trace.horizon + 1].tolist() for a in series)))
     write_csv_lines(

@@ -7,19 +7,54 @@ through ``observation.central_solver``.  ``stationary_distribution`` is the
 long-run law the token's visit frequencies are checked against.
 ``csv_metrics``, ``csv_compare`` and ``csv_trace`` write the three CSV
 exports row by row through ``csv.writer``, as the package once did; its
-joined-line writers must match their bytes.
+joined-line writers must match their bytes.  The engines hand each per-tick
+series to a reader a chunk at a time: ``SeriesRows`` keeps whole rows of the
+series a test reads, ``ignore`` drops them, and ``tick_stats`` reduces whole
+rows as a run's ``TickStats`` reduces its chunks.
 """
 
 from __future__ import annotations
 
 import csv
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from roamtoken import AgentModel, CiConfig, GlobalModel, SingularModel, fisher_information
 from roamtoken._linalg import solve_spd
+from roamtoken.engine import CHUNK_TICKS, TickStats
 from roamtoken.observation import SOLVE_RTOL
+
+
+class SeriesRows(dict):
+    """Whole (trials, horizon + 1) rows of the series in ``names``, kept by ``readers``.
+
+    ``readers`` maps each name to a series reader that copies each chunk into
+    the series' rows, made in its dtype at the first chunk.
+    """
+
+    def __init__(self, horizon: int, *names: str) -> None:
+        super().__init__()
+        self.ticks = horizon + 1
+        self.readers = {name: partial(self._keep, name) for name in names}
+
+    def _keep(self, name: str, chunk: np.ndarray, t0: int) -> None:
+        if name not in self:
+            self[name] = np.zeros((len(chunk), self.ticks), chunk.dtype)
+        self[name][:, t0 : t0 + chunk.shape[1]] = chunk
+
+
+def ignore(chunk: np.ndarray, t0: int) -> None:
+    """A series reader that drops every chunk."""
+
+
+def tick_stats(rows: np.ndarray, ratio_to: float | None = None) -> TickStats:
+    """The ``TickStats`` of whole (trials, ticks) rows, read a chunk at a time."""
+    stats = TickStats(*rows.shape, ratio_to)
+    for t0 in range(0, rows.shape[1], CHUNK_TICKS):
+        stats(rows[:, t0 : t0 + CHUNK_TICKS], t0)
+    return stats
 
 
 def ci_step(

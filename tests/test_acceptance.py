@@ -37,7 +37,7 @@ from roamtoken.engine import run_token_trials
 from roamtoken.graphs import sequential_reachability
 
 from conftest import ACCEPTANCE_LINES, make_ref5_model, random_spd, ref5_adjacency
-from references import central_estimate
+from references import SeriesRows, central_estimate, tick_stats
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -51,7 +51,8 @@ def test_criterion_1_optimality_ratio():
     model = make_ref5_model()
     spec = StaticGraph(ref5_adjacency())
     horizon, trials = 20_000, 1000
-    result = run_token_trials(
+    result = SeriesRows(horizon, "sq_err")
+    run_token_trials(
         model,
         spec,
         OutDegreeReciprocal(),
@@ -59,12 +60,12 @@ def test_criterion_1_optimality_ratio():
         horizon=horizon,
         trials=trials,
         master_seed=2024,
-        record={"sq_err"},
+        readers=result.readers,
     )
-    series = optimality_ratio(result, model)
+    series = optimality_ratio(tick_stats(result["sq_err"], trace_of_inverse(model.sigma_c)), model)
     ratio = float(series.values[-1])
     # same quantity straight from the definition, independent of the metric op
-    direct = horizon * result.sq_err[:, -1].mean() / trace_of_inverse(model.sigma_c)
+    direct = horizon * result["sq_err"][:, -1].mean() / trace_of_inverse(model.sigma_c)
     assert ratio == pytest.approx(direct, rel=1e-12)
     ok = 0.9 <= ratio <= 1.2
     _report(1, "optimality ratio", ok, f"ratio={ratio:.4f} trials={trials} t={horizon}")
@@ -75,7 +76,8 @@ def test_criterion_2_consistency():
     model = make_ref5_model()
     spec = StaticGraph(ref5_adjacency())
     horizon, trials = 100_000, 100
-    result = run_token_trials(
+    result = SeriesRows(horizon, "sq_err")
+    run_token_trials(
         model,
         spec,
         OutDegreeReciprocal(),
@@ -83,9 +85,9 @@ def test_criterion_2_consistency():
         horizon=horizon,
         trials=trials,
         master_seed=512,
-        record={"sq_err"},
+        readers=result.readers,
     )
-    rel = np.sqrt(result.sq_err[:, -1]) / np.linalg.norm(model.theta)
+    rel = np.sqrt(result["sq_err"][:, -1]) / np.linalg.norm(model.theta)
     median = float(np.median(rel))
     ok = median < 0.01
     _report(2, "consistency", ok, f"median_rel_err={median:.5f} trials={trials} t={horizon}")
@@ -245,7 +247,8 @@ def test_criterion_8_token_beats_tuned_baseline():
     model = GlobalModel(agents, theta)
     horizon, trials, seed = 10_000, 100, 31337
 
-    token = run_token_trials(
+    token = SeriesRows(horizon, "sq_err")
+    run_token_trials(
         model,
         spec,
         OutDegreeReciprocal(),
@@ -253,10 +256,10 @@ def test_criterion_8_token_beats_tuned_baseline():
         horizon=horizon,
         trials=trials,
         master_seed=seed,
-        record={"sq_err"},
+        readers=token.readers,
     )
     theta_sq = float(theta @ theta)
-    token_rmse = token.sq_err.mean(axis=0) / theta_sq
+    token_rmse = token["sq_err"].mean(axis=0) / theta_sq
 
     grid = {"a": [0.5, 1.0, 2.0], "b": [0.1, 0.5, 1.0], "tau1": [1.0], "tau2": [0.25, 0.5]}
     search = grid_search(model, spec, grid, trials=trials, horizon=horizon, seed=seed)

@@ -26,6 +26,7 @@ from roamtoken.engine import CHUNK_TICKS, _MeasurementMap, _TrialBlocks
 from roamtoken.harness import ExperimentConfig, rmse_network_ci
 
 from conftest import make_ref5_model, random_spd, ref5_adjacency
+from references import SeriesRows, tick_stats
 
 PAPER_GRID = {"a": [0.5, 1.0, 2.0], "b": [0.1, 0.5, 1.0], "tau1": [1.0], "tau2": [0.25, 0.5]}
 
@@ -178,8 +179,12 @@ def test_run_experiment_grid_calls_ci_engine_twice(monkeypatch, tmp_path):
     result = run_experiment(config, out_dir=tmp_path)
     assert len(calls) == 2
     assert len(calls[0]) == 18 and calls[1] is result.ci_best
-    standalone = original(model, spec, result.ci_best, horizon=80, trials=5, master_seed=17)
-    expected = rmse_network_ci(standalone)
+    standalone = SeriesRows(80, "netavg")
+    original(
+        model, spec, result.ci_best, horizon=80, trials=5, master_seed=17,
+        readers=standalone.readers,
+    )
+    expected = rmse_network_ci(tick_stats(standalone["netavg"]), model)
     assert np.array_equal(result.metrics["rmse_ci_network"].values, expected.values)
     assert np.array_equal(result.metrics["rmse_ci_network"].half_widths, expected.half_widths)
 
@@ -192,7 +197,10 @@ def test_stacked_pass_keeps_no_series(ref5_model, ref5_iid):
     assert stacked.final_sq_err.shape == (4, 3)
     assert not stacked.diverged.any()
     for k, cfg in enumerate(cfgs):
-        single = run_ci_trials(ref5_model, ref5_iid, cfg, horizon=50, trials=4, master_seed=1)
-        assert np.array_equal(stacked.final_sq_err[:, k], single.netavg_sq_err[:, -1])
+        single = SeriesRows(50, "netavg")
+        run_ci_trials(
+            ref5_model, ref5_iid, cfg, horizon=50, trials=4, master_seed=1, readers=single.readers
+        )
+        assert np.array_equal(stacked.final_sq_err[:, k], single["netavg"][:, -1])
     with pytest.raises(ValueError, match="at least one"):
         run_ci_trials(ref5_model, ref5_iid, [], horizon=5, trials=2)

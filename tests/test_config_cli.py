@@ -523,17 +523,32 @@ def test_cli_compare_and_gridsearch(config_file, tmp_path, capsys):
     assert (gs_out / "grid_best_curve.csv").exists()
 
 
-def test_meta_config_echo_round_trips(config_file, tmp_path):
+SHIPPED_CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("name", ["fixture", *SHIPPED_CONFIGS])
+def test_meta_config_echo_round_trips(config_file, tmp_path, name):
+    # the config echoed in meta.yaml reproduces every file of the run, byte for byte; a
+    # shipped config runs at a cut size, through compare where it runs the baseline
     import yaml
 
+    config = config_file if name == "fixture" else ROOT / "configs" / f"{name}.yaml"
+    algorithms = yaml.safe_load(config.read_text())["run"]["algorithms"]
+    command = "compare" if "ci" in algorithms else "simulate"
     first = tmp_path / "first"
-    assert main(["simulate", str(config_file), "--out", str(first)]) == 0
+    cut = ["--set", "run.horizon=60", "--set", "run.trials=8"]
+    assert main([command, str(config), *cut, "--out", str(first)]) == 0
     meta = yaml.safe_load((first / "meta.yaml").read_text())
     echoed = tmp_path / "echoed.yaml"
     echoed.write_text(yaml.safe_dump(meta["config"]))
     second = tmp_path / "second"
-    assert main(["simulate", str(echoed), "--out", str(second)]) == 0
-    assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
+    assert main([command, str(echoed), "--out", str(second)]) == 0
+    files = sorted(p.name for p in first.iterdir())
+    assert {"metrics.csv", "trace_trial0.csv", "meta.yaml"} <= set(files)
+    assert files == sorted(p.name for p in second.iterdir())
+    assert ("compare.csv" in files) == (command == "compare")
+    for f in files:
+        assert (first / f).read_bytes() == (second / f).read_bytes(), f
 
 
 def test_cli_help_documents_config_keys(capsys):

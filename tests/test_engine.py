@@ -30,6 +30,7 @@ from roamtoken.engine import (
     CHUNK_TICKS,
     LOAD_TICKS,
     TickStats,
+    Trials,
     _OutRows,
     _TrialBlocks,
     _walk,
@@ -40,7 +41,9 @@ from roamtoken.engine import (
 )
 
 from conftest import make_ref5_model, ref5_adjacency, slow_ring
-from references import central_estimate, ci_step
+from references import SeriesRows, central_estimate, ci_step, ignore, tick_stats
+
+TOKEN_SERIES = ("sq_err", "last_seen", "visited")
 
 
 def test_block_draws_equal_per_call_draws():
@@ -71,15 +74,18 @@ def test_batched_trials_match_single_episodes(spec_kind):
     # 300 ticks cross several chunk edges, where the walker carries each holder over
     horizon, trials, seed = 300, 4, 99
     assert horizon > CHUNK_TICKS
-    batch = run_token_trials(model, spec, rule, sched, horizon, trials, master_seed=seed)
+    batch = SeriesRows(horizon, *TOKEN_SERIES)
+    run_token_trials(
+        model, spec, rule, sched, horizon, trials, master_seed=seed, readers=batch.readers
+    )
     for r in range(trials):
         trace = run_episode(
             model, spec, rule, sched, horizon, seed=trial_seed(seed, r)
         )
-        assert np.array_equal(batch.visited_count[r], trace.visited_count.astype(np.int16))
-        assert np.allclose(batch.sq_err[r], trace.token_sq_err, rtol=1e-9, atol=1e-13)
+        assert np.array_equal(batch["visited"][r], trace.visited_count.astype(np.int16))
+        assert np.allclose(batch["sq_err"][r], trace.token_sq_err, rtol=1e-9, atol=1e-13)
         assert np.allclose(
-            batch.last_seen_mean_sq[r], trace.mean_last_seen_sq_err, rtol=1e-9, atol=1e-13
+            batch["last_seen"][r], trace.mean_last_seen_sq_err, rtol=1e-9, atol=1e-13
         )
 
 
@@ -90,18 +96,21 @@ def test_batched_trials_match_single_episodes_when_cover_spans_chunks():
     sched = AlphaSchedule.linear()
     horizon, trials, seed = 400, 4, 0
     assert horizon > 3 * CHUNK_TICKS
-    batch = run_token_trials(model, spec, rule, sched, horizon, trials, master_seed=seed)
+    batch = SeriesRows(horizon, *TOKEN_SERIES)
+    trial0 = run_token_trials(
+        model, spec, rule, sched, horizon, trials, master_seed=seed, readers=batch.readers
+    ).trial0
     for r in range(trials):
         trace = run_episode(model, spec, rule, sched, horizon, seed=trial_seed(seed, r))
         first_visits = np.flatnonzero(np.diff(trace.visited_count, prepend=0))
         assert len(set(first_visits // CHUNK_TICKS)) >= 3
         assert trace.visited_count[-1] == 8
         if r == 0:
-            assert np.array_equal(batch.trial0.holder, trace.holder)
-        assert np.array_equal(batch.visited_count[r], trace.visited_count.astype(np.int16))
-        assert np.allclose(batch.sq_err[r], trace.token_sq_err, rtol=1e-9, atol=1e-13)
+            assert np.array_equal(trial0.holder, trace.holder)
+        assert np.array_equal(batch["visited"][r], trace.visited_count.astype(np.int16))
+        assert np.allclose(batch["sq_err"][r], trace.token_sq_err, rtol=1e-9, atol=1e-13)
         assert np.allclose(
-            batch.last_seen_mean_sq[r], trace.mean_last_seen_sq_err, rtol=1e-9, atol=1e-13
+            batch["last_seen"][r], trace.mean_last_seen_sq_err, rtol=1e-9, atol=1e-13
         )
 
 
@@ -143,26 +152,36 @@ def test_engine_heterogeneous_measurement_sizes():
     spec = IidFailureGraph(backbone, p_fail=0.3)
     rule = OutDegreeReciprocal()
     sched = AlphaSchedule.linear()
-    batch = run_token_trials(model, spec, rule, sched, horizon=120, trials=3, master_seed=5)
+    batch = SeriesRows(120, "sq_err", "visited")
+    run_token_trials(
+        model, spec, rule, sched, horizon=120, trials=3, master_seed=5, readers=batch.readers
+    )
     for r in range(3):
         trace = run_episode(model, spec, rule, sched, 120, seed=trial_seed(5, r))
-        assert np.array_equal(batch.visited_count[r], trace.visited_count.astype(np.int16))
-        assert np.allclose(batch.sq_err[r], trace.token_sq_err, rtol=1e-8, atol=1e-12)
+        assert np.array_equal(batch["visited"][r], trace.visited_count.astype(np.int16))
+        assert np.allclose(batch["sq_err"][r], trace.token_sq_err, rtol=1e-8, atol=1e-12)
 
 
 def test_engine_deterministic_given_seed(ref5_model, ref5_iid, reciprocal, linear_alpha):
-    a = run_token_trials(ref5_model, ref5_iid, reciprocal, linear_alpha, 100, 8, master_seed=3)
-    b = run_token_trials(ref5_model, ref5_iid, reciprocal, linear_alpha, 100, 8, master_seed=3)
-    assert np.array_equal(a.sq_err, b.sq_err)
-    assert np.array_equal(a.last_seen_mean_sq, b.last_seen_mean_sq)
-    c = run_token_trials(ref5_model, ref5_iid, reciprocal, linear_alpha, 100, 8, master_seed=4)
-    assert not np.array_equal(a.sq_err, c.sq_err)
+    def run(seed):
+        rows = SeriesRows(100, "sq_err", "last_seen")
+        args = (ref5_model, ref5_iid, reciprocal, linear_alpha, 100, 8)
+        run_token_trials(*args, master_seed=seed, readers=rows.readers)
+        return rows
+
+    a, b, c = run(3), run(3), run(4)
+    assert np.array_equal(a["sq_err"], b["sq_err"])
+    assert np.array_equal(a["last_seen"], b["last_seen"])
+    assert not np.array_equal(a["sq_err"], c["sq_err"])
 
 
 def test_ci_batch_matches_step_loop(ref5_model, ref5_iid):
     cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)
     horizon, seed = 150, 11
-    batch = run_ci_trials(ref5_model, ref5_iid, cfg, horizon, trials=3, master_seed=seed)
+    batch = SeriesRows(horizon, "netavg")
+    run_ci_trials(
+        ref5_model, ref5_iid, cfg, horizon, trials=3, master_seed=seed, readers=batch.readers
+    )
     for r in range(3):
         streams = episode_streams(trial_seed(seed, r))
         state = np.zeros((5, 2))
@@ -173,7 +192,7 @@ def test_ci_batch_matches_step_loop(ref5_model, ref5_iid):
             if t < horizon:
                 state = ci_step(state, ref5_model, a_t, ys, cfg, t)
                 values.append(float(((state - ref5_model.theta) ** 2).sum(axis=1).mean()))
-        assert np.allclose(batch.netavg_sq_err[r], values, rtol=1e-9, atol=1e-12)
+        assert np.allclose(batch["netavg"][r], values, rtol=1e-9, atol=1e-12)
 
 
 def test_token_and_ci_share_noise_and_graph_draws(ref5_model, ref5_iid):
@@ -205,12 +224,13 @@ def test_chain_and_token_engines_walk_the_same_paths(
 ):
     # both engines step the holder through the same walker on the same graph and move streams
     horizon, trials, seed = 300, 6, 13
-    token = run_token_trials(
+    token = SeriesRows(horizon, "visited")
+    run_token_trials(
         ref5_model, ref5_iid, reciprocal, linear_alpha, horizon, trials, start_node=1,
-        master_seed=seed,
+        master_seed=seed, readers=token.readers,
     )
     chain = run_chain_trials(ref5_iid, reciprocal, 1, horizon, trials, master_seed=seed)
-    assert np.array_equal(chain.gap_frac, 1 - (token.visited_count == 5).mean(axis=0))
+    assert np.array_equal(chain.gap_frac, 1 - (token["visited"] == 5).mean(axis=0))
 
 
 def test_engines_reject_graph_model_size_mismatch(ref5_model, reciprocal, linear_alpha):
@@ -220,6 +240,45 @@ def test_engines_reject_graph_model_size_mismatch(ref5_model, reciprocal, linear
     cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)
     with pytest.raises(ValueError, match="graph has 3 nodes but model has 5 agents"):
         run_ci_trials(ref5_model, spec, cfg, horizon=5, trials=2)
+
+
+def test_readers_name_only_series_the_run_makes(
+    monkeypatch, ref5_model, ref5_iid, reciprocal, linear_alpha
+):
+    # a reader for a series the run does not make fails before the run starts: no
+    # oracle is built and no block of trials is run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(engine, "_sharded", refuse)
+    monkeypatch.setattr(engine, "central_solver", refuse)
+    cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)
+    runs = {
+        "token": lambda readers: run_token_trials(
+            ref5_model, ref5_iid, reciprocal, linear_alpha, 10, 2, readers=readers
+        ),
+        "central": lambda readers: run_central_trials(ref5_model, 10, 2, readers=readers),
+        "ci": lambda readers: run_ci_trials(ref5_model, ref5_iid, cfg, 10, 2, readers=readers),
+        "ci grid": lambda readers: run_ci_trials(
+            ref5_model, ref5_iid, [cfg, cfg], 10, 2, readers=readers
+        ),
+    }
+    for run in runs.values():
+        with pytest.raises(ValueError, match="no series 'bogus'"):
+            run({"bogus": ignore})
+    with pytest.raises(ValueError, match="no series 'sq_err'"):
+        runs["central"]({"sq_err": ignore})
+    with pytest.raises(ValueError, match="no series 'netavg'"):
+        runs["ci grid"]({"netavg": ignore})
+
+    # without a central reader the token engine never builds the oracle, and without a
+    # last_seen reader trial 0 has no last-seen errors
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "central_solver", refuse)
+    token = runs["token"]({"sq_err": ignore})
+    assert isinstance(token, Trials) and (token.trials, token.horizon) == (2, 10)
+    assert token.trial0.mean_last_seen_sq_err is None
+    assert token.trial0.token_sq_err.shape == (11,)
 
 
 def test_custom_noise_blocks_fill_rows_in_trial_streams():
@@ -272,10 +331,11 @@ def test_central_trials_match_direct_estimates(ref5_model, ref5_iid, reciprocal,
     # horizon crosses several chunk edges, where the running means carry over
     horizon, seed = 300, 2
     assert horizon > CHUNK_TICKS
-    central = run_central_trials(ref5_model, horizon, trials=2, master_seed=seed)
-    token = run_token_trials(
+    central, token = SeriesRows(horizon, "central"), SeriesRows(horizon, "central")
+    run_central_trials(ref5_model, horizon, trials=2, master_seed=seed, readers=central.readers)
+    run_token_trials(
         ref5_model, ref5_iid, reciprocal, linear_alpha, horizon, trials=2, master_seed=seed,
-        include_central=True,
+        readers=token.readers,
     )
     for r in range(2):
         streams = episode_streams(trial_seed(seed, r))
@@ -286,8 +346,8 @@ def test_central_trials_match_direct_estimates(ref5_model, ref5_iid, reciprocal,
                 means[i] += (y - means[i]) / (t + 1)
             est = central_estimate(ref5_model.agents, means)
             sq = float(((est - ref5_model.theta) ** 2).sum())
-            assert central.sq_err[r, t] == pytest.approx(sq, rel=1e-9)
-            assert token.central.sq_err[r, t] == pytest.approx(sq, rel=1e-9)
+            assert central["central"][r, t] == pytest.approx(sq, rel=1e-9)
+            assert token["central"][r, t] == pytest.approx(sq, rel=1e-9)
 
 
 def test_chain_trials_start_node_and_monotonicity(ref5_iid, reciprocal):
@@ -374,12 +434,13 @@ def test_engines_build_no_per_tick_adjacency_on_iid_graphs(monkeypatch):
 
     spec = IidFailureGraph(ref5_adjacency(), p_fail=0.4)
     monkeypatch.setattr(IidFailureGraph, "adjacency", refuse)
-    token = run_token_trials(
+    token = SeriesRows(150, "visited")
+    run_token_trials(
         make_ref5_model(), spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=150,
-        trials=4, master_seed=2,
+        trials=4, master_seed=2, readers=token.readers,
     )
     chain = run_chain_trials(spec, OutDegreeReciprocal(), 0, horizon=150, trials=4, master_seed=2)
-    assert np.array_equal(chain.gap_frac, 1 - (token.visited_count == 5).mean(axis=0))
+    assert np.array_equal(chain.gap_frac, 1 - (token["visited"] == 5).mean(axis=0))
 
 
 def _noise_draw_ticks(monkeypatch, horizon: int, trials: int) -> list[int]:
@@ -445,7 +506,7 @@ def test_tick_stats_equal_whole_array_mean_and_std_bit_for_bit(trials, ratio_to)
         chunk = rows[:, t0 : t0 + CHUNK_TICKS]
         slot[:, : chunk.shape[1]] = chunk
         from_slots(slot[:, : chunk.shape[1]], t0)
-    for stats in (TickStats.of(rows, ratio_to), from_slots):
+    for stats in (tick_stats(rows, ratio_to), from_slots):
         for w, (mean, std) in stats.stats.items():
             x = rows if w is None else rows * np.arange(ticks) / w
             assert mean.tobytes() == x.mean(axis=0).tobytes()
@@ -472,8 +533,8 @@ def test_steady_state_token_chunk_allocates_little(monkeypatch):
     try:
         run_token_trials(
             shipped.model, shipped.graph, shipped.rule, shipped.schedule, 10 * CHUNK_TICKS, 250,
-            master_seed=1, record=frozenset(), include_central=True,
-            reduce={"sq_err": probe, "last_seen": lambda rows, t0: None},
+            master_seed=1,
+            readers={"sq_err": probe, "last_seen": ignore, "central": ignore},
         )
     finally:
         tracemalloc.stop()

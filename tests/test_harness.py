@@ -6,13 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import roamtoken
 import roamtoken.engine as engine
 
 from roamtoken import (
+    AgentModel,
     AlphaSchedule,
     CiConfig,
     ExperimentConfig,
+    GlobalModel,
     IidFailureGraph,
     MetricSeries,
     MissingTrace,
@@ -29,42 +33,37 @@ from roamtoken import (
     verify_state_identity,
     verify_tail_bounds,
 )
+from roamtoken._linalg import trace_of_inverse
 from roamtoken.chain import apply_rule
 from roamtoken.config import apply_overrides, build_experiment, load_config
-from roamtoken.engine import CiTrials, TokenTrials, run_central_trials, run_token_trials
+from roamtoken.engine import TickStats, run_central_trials, run_token_trials
 from roamtoken.harness import check_rule_support, write_compare_csv, write_metrics_csv
 from roamtoken._streams import derived_stream, trial_seed
 from roamtoken.token import EpisodeTrace, write_trace_csv
 
 from conftest import make_ref5_model, ref5_adjacency
-from references import csv_compare, csv_metrics, csv_trace
+from references import csv_compare, csv_metrics, csv_trace, tick_stats
 
 
-def _token_fixture(theta, sq, last=None, visited=None):
-    sq = np.asarray(sq, dtype=float)
-    return TokenTrials(
-        theta=np.asarray(theta, dtype=float),
-        trials=sq.shape[0],
-        horizon=sq.shape[1] - 1,
-        sq_err=sq,
-        last_seen_mean_sq=None if last is None else np.asarray(last, dtype=float),
-        visited_count=visited,
-    )
+def _model(theta):
+    """A one-agent model of parameter ``theta``: the metrics read only its theta."""
+    dim = len(theta)
+    return GlobalModel([AgentModel(0, np.eye(dim), np.eye(dim))], theta)
 
 
 def test_rmse_token_trivial_values():
-    theta = [3.0, 4.0]  # norm^2 = 25
-    exact = _token_fixture(theta, np.zeros((3, 4)))
-    assert np.array_equal(rmse_token(exact).values, np.zeros(4))
-    initial = _token_fixture(theta, np.full((3, 4), 25.0))
-    assert np.allclose(rmse_token(initial).values, np.ones(4))
-    assert np.allclose(rmse_token(initial).half_widths, 0.0)
+    model = _model([3.0, 4.0])  # norm^2 = 25
+    exact = tick_stats(np.zeros((3, 4)))
+    assert np.array_equal(rmse_token(exact, model).values, np.zeros(4))
+    initial = tick_stats(np.full((3, 4), 25.0))
+    assert np.allclose(rmse_token(initial, model).values, np.ones(4))
+    assert np.allclose(rmse_token(initial, model).half_widths, 0.0)
 
 
 def test_rmse_token_hand_fixture():
-    theta = [1.0, 0.0]  # norm^2 = 1
+    model = _model([1.0, 0.0])  # norm^2 = 1
     sq = np.array([[1.0, 0.5], [1.0, 0.1]])
-    series = rmse_token(_token_fixture(theta, sq))
+    series = rmse_token(tick_stats(sq), model)
     assert np.allclose(series.values, [1.0, 0.3])
     expected_hw = 1.96 * np.std(sq, axis=0, ddof=1) / np.sqrt(2)
     assert np.allclose(series.half_widths, expected_hw)
@@ -72,28 +71,25 @@ def test_rmse_token_hand_fixture():
 
 
 def test_rmse_last_seen_trivial_and_missing():
-    theta = [1.0]
-    trials = _token_fixture(theta, np.zeros((2, 3)), last=np.zeros((2, 3)))
-    assert np.array_equal(rmse_last_seen(trials).values, np.zeros(3))
-    single = _token_fixture(theta, np.zeros((2, 3)), last=np.full((2, 3), 1.0))
-    assert np.allclose(rmse_last_seen(single).values, np.ones(3))
+    model = _model([1.0])
+    assert np.array_equal(rmse_last_seen(tick_stats(np.zeros((2, 3))), model).values, np.zeros(3))
+    single = tick_stats(np.full((2, 3), 1.0))
+    assert np.allclose(rmse_last_seen(single, model).values, np.ones(3))
     with pytest.raises(MissingTrace):
-        rmse_last_seen(_token_fixture(theta, np.zeros((2, 3))))
+        rmse_last_seen(None, model)
 
 
 def test_rmse_ci_hand_fixture():
-    theta = [2.0]  # norm^2 = 4
-    net = CiTrials(
-        theta=np.array(theta), trials=2, horizon=1, netavg_sq_err=np.array([[4.0, 2.0], [4.0, 0.0]])
-    )
-    series = rmse_network_ci(net)
+    model = _model([2.0])  # norm^2 = 4
+    series = rmse_network_ci(tick_stats(np.array([[4.0, 2.0], [4.0, 0.0]])), model)
     assert np.allclose(series.values, [1.0, 0.25])
 
 
 def test_optimality_ratio_of_central_is_near_one():
     model = make_ref5_model()
-    trials = run_central_trials(model, horizon=400, trials=400, master_seed=8)
-    series = optimality_ratio(trials, model)
+    stats = TickStats(400, 401, trace_of_inverse(model.sigma_c))
+    run_central_trials(model, horizon=400, trials=400, master_seed=8, readers={"central": stats})
+    series = optimality_ratio(stats, model)
     t = np.arange(401)
     with np.errstate(invalid="ignore"):
         expected = t / (t + 1.0)
@@ -104,16 +100,18 @@ def test_optimality_ratio_of_central_is_near_one():
 def test_optimality_ratio_zero_noise_vanishes():
     model = make_ref5_model(noise="zero")
     spec = StaticGraph(ref5_adjacency())
-    trials = run_token_trials(
-        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), 2000, 4, master_seed=0
+    stats = TickStats(4, 2001, trace_of_inverse(model.sigma_c))
+    run_token_trials(
+        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), 2000, 4, master_seed=0,
+        readers={"sq_err": stats},
     )
-    series = optimality_ratio(trials, model)
+    series = optimality_ratio(stats, model)
     assert series.values[-1] < 0.01
 
 
 def test_optimality_ratio_needs_two_trials():
     with pytest.raises(ValueError):
-        optimality_ratio(_token_fixture([1.0], np.zeros((1, 3))), make_ref5_model())
+        optimality_ratio(tick_stats(np.zeros((1, 3))), make_ref5_model())
 
 
 def test_metric_series_validation():
@@ -236,6 +234,13 @@ def test_run_experiment_smoke_files_and_rows(tmp_path):
     assert len(trace_rows) == 1 + 2  # header + horizon+1 ticks
     assert "rmse_token" in result.metrics
     assert "rmse_central" in result.metrics
+
+
+def test_meta_reports_the_package_version(tmp_path):
+    # read from the package itself, so a source checkout reports it too
+    run_experiment(_smoke_config(horizon=1, trials=1), out_dir=tmp_path)
+    meta = yaml.safe_load((tmp_path / "meta.yaml").read_text())
+    assert meta["version"] == roamtoken.__version__ == "0.1.0"
 
 
 @pytest.mark.parametrize("spec_kind", ["static", "iid"])
@@ -368,7 +373,6 @@ def test_csv_writers_match_csv_writer_bytes(tmp_path):
     horizon = len(values) - 1
     trace = EpisodeTrace(
         horizon=horizon,
-        theta=np.zeros(2),
         holder=np.arange(horizon + 1) % 5,
         visited_count=np.minimum(np.arange(1, horizon + 2), 5),
         token_sq_err=values,

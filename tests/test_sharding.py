@@ -26,8 +26,12 @@ from roamtoken.cli import main
 from roamtoken.engine import run_chain_trials, run_ci_trials, run_token_trials
 
 from conftest import make_ref5_model, slow_ring
+from references import ignore
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Readers that drop every chunk: the workers still fill the ring and wait on the parent.
+TOKEN_READERS = dict.fromkeys(("sq_err", "last_seen", "visited"), ignore)
 
 
 def _shard(monkeypatch, cpus: int) -> None:
@@ -178,10 +182,10 @@ def _skewed_eigh(monkeypatch) -> None:
 @pytest.mark.parametrize("seed, first", [(4, 20), (1, 17), (19, 36)])
 def test_solve_failure_met_first_by_the_serial_loop_wins(monkeypatch, seed, first):
     model, spec, rule = slow_ring()
-    args = (model, spec, rule, AlphaSchedule.linear())
+    args = (model, spec, rule, AlphaSchedule.linear(), 400, 4)
     _skewed_eigh(monkeypatch)
     serial, sharded = _serial_and_sharded(
-        monkeypatch, lambda: run_token_trials(*args, horizon=400, trials=4, master_seed=seed)
+        monkeypatch, lambda: run_token_trials(*args, master_seed=seed, readers=TOKEN_READERS)
     )
     assert type(serial) is type(sharded) is SolveFailed
     assert str(serial).endswith(f" at t={first}")
@@ -193,9 +197,9 @@ def test_solve_failure_in_every_block_at_once_names_the_worst_residual(monkeypat
     # trials; at this seed it is in block 1
     monkeypatch.setattr(engine, "ESTIMATE_RTOL", -1.0)
     model, spec, rule = slow_ring()
-    args = (model, spec, rule, AlphaSchedule.linear())
+    args = (model, spec, rule, AlphaSchedule.linear(), 100, 6)
     serial, sharded = _serial_and_sharded(
-        monkeypatch, lambda: run_token_trials(*args, horizon=100, trials=6, master_seed=1)
+        monkeypatch, lambda: run_token_trials(*args, master_seed=1, readers=TOKEN_READERS)
     )
     assert type(sharded) is SolveFailed and str(serial).endswith(" at t=0")
     assert str(sharded) == str(serial)
@@ -203,8 +207,9 @@ def test_solve_failure_in_every_block_at_once_names_the_worst_residual(monkeypat
 
 def test_diverging_ci_config_raises_as_in_one_process(monkeypatch, ref5_iid):
     cfg = CiConfig(a=1.0, b=80.0, tau1=1.0, tau2=0.01)
+    args = (make_ref5_model(), ref5_iid, cfg, 400, 4)
     serial, sharded = _serial_and_sharded(
-        monkeypatch, lambda: run_ci_trials(make_ref5_model(), ref5_iid, cfg, 400, trials=4)
+        monkeypatch, lambda: run_ci_trials(*args, readers={"netavg": ignore})
     )
     assert type(serial) is type(sharded) is NonFiniteMetric
     assert str(sharded) == str(serial)
@@ -229,7 +234,7 @@ def test_exhausted_sequence_raises_as_in_one_process(monkeypatch, ref5_model, re
     spec = DeterministicSequence(frames, cycle=False)
     args = (ref5_model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
     serial, sharded = _serial_and_sharded(
-        monkeypatch, lambda: run_token_trials(*args, horizon=100, trials=4)
+        monkeypatch, lambda: run_token_trials(*args, horizon=100, trials=4, readers=TOKEN_READERS)
     )
     assert type(serial) is type(sharded) is SequenceExhausted
     assert str(sharded) == str(serial) == "no frame for t=3; sequence has 3"
@@ -247,18 +252,20 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
         import roamtoken.engine as engine
         from roamtoken import AlphaSchedule, OutDegreeReciprocal, SolveFailed, StaticGraph
         from conftest import make_ref5_model, ref5_adjacency
+        from references import ignore
 
         solver = engine.central_solver
         model, spec = make_ref5_model(), StaticGraph(ref5_adjacency())
         args = (model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
         seen = []
+        readers = dict.fromkeys(("sq_err", "last_seen", "visited", "central"), ignore)
 
         def recording(m):
             solve = solver(m)
             return lambda rhs: seen.append(rhs.copy()) or solve(rhs)
 
         engine.central_solver = recording
-        engine.run_token_trials(*args, horizon=400, trials=4, include_central=True)
+        engine.run_token_trials(*args, horizon=400, trials=4, readers=readers)
         poison = seen[4][300 - 4 * engine.CHUNK_TICKS, 2]
 
         def poisoned(m):
@@ -276,7 +283,7 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
         for cpus in (1, 2):
             engine._usable_cpus = lambda: cpus
             try:
-                engine.run_token_trials(*args, horizon=400, trials=4, include_central=True)
+                engine.run_token_trials(*args, horizon=400, trials=4, readers=readers)
             except SolveFailed as exc:
                 print(cpus, type(exc).__name__, exc, exc.residual)
         try:
@@ -302,6 +309,7 @@ def test_workers_run_no_exit_handler_and_flush_nothing():
         import roamtoken.engine as engine
         from roamtoken import CiConfig, IidFailureGraph, NonFiniteMetric
         from conftest import make_ref5_model
+        from references import ignore
         import numpy as np
 
         engine.SHARD_MIN_TRIALS = 0
@@ -309,10 +317,11 @@ def test_workers_run_no_exit_handler_and_flush_nothing():
         atexit.register(print, "exit handler")
         print("before the runs")
         model = make_ref5_model()
-        engine.run_central_trials(model, horizon=10, trials=4)
+        engine.run_central_trials(model, horizon=10, trials=4, readers={"central": ignore})
         graph = IidFailureGraph(~np.eye(5, dtype=bool), p_fail=0.5)
+        cfg = CiConfig(1.0, 80.0, 1.0, 0.01)
         try:
-            engine.run_ci_trials(model, graph, CiConfig(1.0, 80.0, 1.0, 0.01), 400, trials=4)
+            engine.run_ci_trials(model, graph, cfg, 400, trials=4, readers={"netavg": ignore})
         except NonFiniteMetric:
             print("failed once")
         """

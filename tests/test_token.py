@@ -15,6 +15,7 @@ from roamtoken import (
     sample_measurements,
 )
 from roamtoken._streams import episode_streams
+from roamtoken.engine import run_token_trials
 from roamtoken.token import write_trace_csv
 
 from conftest import make_ref5_model, ref5_adjacency
@@ -41,8 +42,7 @@ def test_local_update_first_measurement():
     model = GlobalModel(agents, [1.5, -0.5])
     spec = StaticGraph(~np.eye(2, dtype=bool))
     trace = run_episode(
-        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=3,
-        record={"local_stats"}, seed=4,
+        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=3, seed=4
     )
     y0 = sample_measurements(model, episode_streams(4).noise)
     for i, agent in enumerate(agents):
@@ -62,8 +62,7 @@ def test_local_update_matches_from_scratch_average():
     spec = StaticGraph(~np.eye(3, dtype=bool))
     horizon, seed = 60, 8
     trace = run_episode(
-        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon,
-        record={"local_stats"}, seed=seed,
+        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, seed=seed
     )
     noise = episode_streams(seed).noise
     ys = [sample_measurements(model, noise) for _ in range(horizon + 1)]
@@ -77,8 +76,7 @@ def test_local_stats_with_zero_noise_are_information_times_theta():
     model = make_ref5_model(noise="zero")
     spec = StaticGraph(ref5_adjacency())
     trace = run_episode(
-        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=30,
-        record={"local_stats"}, seed=2,
+        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=30, seed=2
     )
     b_theta = np.stack([a.B @ model.theta for a in model.agents])
     assert np.abs(trace.x_hist - b_theta).max() < 1e-12
@@ -94,7 +92,6 @@ def test_single_agent_episode_matches_closed_form():
         OutDegreeReciprocal(),
         AlphaSchedule.linear(),
         horizon=200,
-        record={"token_sq_err", "last_seen", "estimates", "local_stats"},
         seed=5,
     )
     assert np.all(trace.holder == 0)
@@ -131,9 +128,7 @@ def test_visited_set_monotone_and_start_counted(ref5_model, ref5_static, recipro
 
 
 def test_holder_tau_is_current_tick(ref5_model, ref5_static, reciprocal, linear_alpha):
-    trace = run_episode(
-        ref5_model, ref5_static, reciprocal, linear_alpha, horizon=60, record={"tau"}, seed=9
-    )
+    trace = run_episode(ref5_model, ref5_static, reciprocal, linear_alpha, horizon=60, seed=9)
     for t in range(61):
         holder = trace.holder[t]
         assert trace.tau[t, holder] == t
@@ -158,7 +153,6 @@ def test_incremental_payload_matches_from_scratch_sums(ref5_model, reciprocal, l
         reciprocal,
         linear_alpha,
         horizon=200,
-        record={"payload", "local_stats", "tau"},
         seed=23,
     )
     b_stack = np.stack([a.B for a in agents])
@@ -186,7 +180,6 @@ def test_last_seen_metric_hand_check():
         OutDegreeReciprocal(),
         AlphaSchedule.linear(),
         horizon=2,
-        record={"token_sq_err", "last_seen", "estimates"},
         seed=0,
     )
     assert list(trace.holder) == [0, 1, 2]
@@ -197,20 +190,15 @@ def test_last_seen_metric_hand_check():
     assert trace.mean_last_seen_sq_err[2] == pytest.approx((e[0] + e[1] + e[2]) / 3)
 
 
-def test_record_validation_and_trace_export(tmp_path, ref5_model, ref5_static, reciprocal, linear_alpha):
-    with pytest.raises(ValueError, match="unknown record keys"):
-        run_episode(
-            ref5_model, ref5_static, reciprocal, linear_alpha, horizon=2, record={"bogus"}, seed=0
-        )
+def test_trace_export(tmp_path, ref5_model, ref5_static, reciprocal, linear_alpha):
     trace = run_episode(ref5_model, ref5_static, reciprocal, linear_alpha, horizon=5, seed=0)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,holder,visited_count,token_sq_err,mean_last_seen_sq_err"
     assert len(lines) == 7
-    bare = run_episode(
-        ref5_model, ref5_static, reciprocal, linear_alpha, horizon=5, record={"tau"}, seed=0
-    )
+    # the engine's trial 0 of a run that reads no last-seen errors has none to export
+    bare = run_token_trials(ref5_model, ref5_static, reciprocal, linear_alpha, 5, 2).trial0
     with pytest.raises(MissingTrace):
         write_trace_csv(bare, tmp_path / "bare.csv")
 
