@@ -38,10 +38,11 @@ from .harness import (
 )
 from .token import write_csv_lines
 
+
 def _config_keys_epilog() -> str:
     lines = ["config keys:"]
-    for section, keys in CONFIG_KEYS.items():
-        lines += [f"  {section + '.' + key:<22}  {line}" for key, line in keys.items()]
+    for section, entry in CONFIG_KEYS.items():
+        lines += [f"  {section + '.' + name:<22}  {key.help}" for name, key in entry.fields.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -52,10 +53,10 @@ def _load(args: argparse.Namespace) -> tuple[dict, Path]:
         overrides.append(f"run.seed={args.seed}")
     if overrides:
         cfg = apply_overrides(cfg, overrides)
-    _, defaulted = default_seed(cfg)
+    seed, defaulted = default_seed(cfg)
     if defaulted:
-        print("warning: run.seed not set; defaulting to 0", file=sys.stderr)
-        cfg = apply_overrides(cfg, ["run.seed=0"])
+        print(f"warning: run.seed not set; defaulting to {seed}", file=sys.stderr)
+        cfg = apply_overrides(cfg, [f"run.seed={seed}"])
     return cfg, Path(args.config).parent
 
 

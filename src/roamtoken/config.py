@@ -1,16 +1,20 @@
 """Config file schema, validation, and construction of experiment objects.
 
 One YAML file describes a whole run, with one section per subsystem:
-``model``, ``graph``, ``chain``, ``token``, ``ci``, ``run``.  Unknown keys are
-rejected.  Command-line overrides use dotted paths (``run.trials=50``) and
-win over file values.
+``model``, ``graph``, ``chain``, ``token``, ``ci``, ``run``.  ``CONFIG_KEYS``
+is the one table of every key: the kind of value it takes, its help line and
+its default.  Unknown keys, and keys that the chosen variant never reads, are
+rejected.  Command-line overrides use dotted paths (``run.trials=50``) and win
+over file values.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
+import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -18,7 +22,7 @@ import yaml
 from ._streams import derived_stream
 from .baseline import CiConfig
 from .chain import Lazy, OutDegreeReciprocal, TransitionRule
-from .errors import ConfigError
+from .errors import ConfigError, GenerationFailed, SingularModel
 from .graphs import (
     DeterministicSequence,
     GraphSpec,
@@ -30,56 +34,135 @@ from .graphs import (
     read_adjacency,
     read_frames_csv,
 )
-from .harness import ExperimentConfig
+from .harness import ALGORITHMS, ExperimentConfig
 from .observation import AgentModel, GlobalModel
 from .token import AlphaSchedule
 
-# Every config key with its help line; the CLI's --help epilog is rendered from this.
-CONFIG_KEYS = {
-    "model": {
-        "L": "parameter dimension",
-        "theta": "true parameter (list of L numbers)",
-        "agents": "per-agent {H: observation matrix (rows x L), C: SPD noise covariance}",
-        "noise": "gaussian (default) or zero",
-    },
-    "graph": {
-        "kind": "static | iid_failure | deterministic | geometric",
-        "n": "node count",
-        "backbone": "inline 0/1 adjacency (static, iid_failure)",
-        "backbone_file": "adjacency file, 0/1 matrix rows (alternative)",
-        "p_fail": "per-edge failure probability (iid_failure, geometric)",
-        "radius": "geometric connection radius",
-        "target_degree": "geometric target relative degree (alternative)",
-        "frames_file": "edge-list CSV t,from,to (deterministic)",
-        "frames_count": "frame count override (deterministic)",
-        "cycle": "repeat the frame sequence (deterministic)",
-        "seed": "generation stream for geometric (defaults to run.seed)",
-    },
-    "chain": {
-        "rule": "out_degree_reciprocal (default) | lazy",
-        "delta_self": "lazy self-weight (default 1/n)",
-    },
-    "token": {
-        "alpha_form": "linear (default) | power",
-        "alpha_params": "{c, q} for the power schedule (needs q > 1/2)",
-        "start_node": "initial token holder (default 0)",
-    },
-    "ci": {
-        "a": "innovation gain scale: alpha(t) = a / (t+1)^tau1",
-        "b": "consensus gain scale: beta(t) = b / (t+1)^tau2",
-        "tau1": "innovation gain decay (0 < tau2 < tau1 <= 1)",
-        "tau2": "consensus gain decay",
-        "gain_mode": "identity (default)",
-        "grid": "{a: [...], b: [...], tau1: [...], tau2: [...]}",
-    },
-    "run": {
-        "horizon": "ticks per trial",
-        "trials": "Monte Carlo trials",
-        "seed": "non-negative master seed (warned + defaulted to 0 if absent)",
-        "algorithms": "subset of [token, ci, central]",
-    },
+
+class Kind(NamedTuple):
+    """The test a key's value must pass, and what a value that fails it "must be"."""
+
+    ok: Callable[[Any], bool]
+    must: str
+
+
+REQUIRED = object()  # the default of a key that every config must set
+
+
+class Key(NamedTuple):
+    """One config key.  ``fields`` holds the keys of a nested mapping, or of each mapping in
+    a list; ``only`` names a sibling key and the values of it under which this key is read."""
+
+    kind: Kind
+    help: str = ""
+    default: Any = None
+    fields: dict[str, Key] | None = None
+    only: tuple[str, tuple[str, ...]] | None = None
+
+
+def _is_number(value: Any) -> bool:
+    """A finite int or float; YAML's ``true`` is a bool, not a number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
+def _integer(minimum: int, must: str) -> Kind:
+    """An int of at least ``minimum``; YAML's ``true`` is a bool, not an integer."""
+    return Kind(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum, must)
+
+
+def _choice(choices: tuple[str, ...], help: str, required: bool = False) -> Key:
+    """A key that takes one of ``choices``; unless it is required, the first is its default."""
+    kind = Kind(lambda v: v in choices, " or ".join(map(repr, choices)))
+    return Key(kind, help, REQUIRED if required else choices[0])
+
+
+def _list_of(item: Callable[[Any], bool], must: str) -> Kind:
+    """A nonempty list of values that each pass ``item``."""
+    return Kind(lambda v: isinstance(v, list) and v != [] and all(map(item, v)), must)
+
+
+def _matrix(entry: Callable[[Any], bool], must: str) -> Kind:
+    """A nonempty list of nonempty, equal-length rows of values that each pass ``entry``."""
+    rows = _list_of(_list_of(entry, must).ok, must).ok
+    return Kind(lambda v: rows(v) and len({len(row) for row in v}) == 1, must)
+
+
+_NUMBER = Kind(_is_number, "a number")
+_NUMBERS = _list_of(_is_number, "a nonempty list of numbers")
+_MATRIX = _matrix(_is_number, "a matrix (list of rows of numbers)")
+_MAPPING = Kind(lambda v: isinstance(v, dict), "a mapping")
+_POSITIVE = _integer(1, "a positive integer")
+_SEED = _integer(0, "a non-negative integer")
+_PATH = Kind(lambda v: isinstance(v, str) and v != "", "a file path")
+_GAINS = ("a", "b", "tau1", "tau2")
+# the graph kinds that read a key: a given backbone, a geometric one, a frame sequence
+_GIVEN = ("kind", ("static", "iid_failure"))
+_GEO = ("kind", ("geometric",))
+_FRAMES = ("kind", ("deterministic",))
+
+# Every config key with its kind, help line, default and nested keys.  The CLI's --help
+# epilog is rendered from the help lines; builders read defaults through `_setting`.
+CONFIG_KEYS: dict[str, Key] = {
+    "model": Key(_MAPPING, default=REQUIRED, fields={
+        "L": Key(_POSITIVE, "parameter dimension", REQUIRED),
+        "theta": Key(_NUMBERS, "true parameter (list of L numbers)", REQUIRED),
+        "agents": Key(_list_of(_MAPPING.ok, "a nonempty list of mappings"),
+                      "per-agent {H: observation matrix (rows x L), C: SPD noise covariance}",
+                      REQUIRED, dict.fromkeys(("H", "C"), Key(_MATRIX, default=REQUIRED))),
+        "noise": _choice(("gaussian", "zero"), "gaussian (default) or zero"),
+    }),
+    "graph": Key(_MAPPING, default=REQUIRED, fields={
+        "kind": _choice(("static", "iid_failure", "deterministic", "geometric"),
+                        "static | iid_failure | deterministic | geometric", required=True),
+        "n": Key(_POSITIVE, "node count", REQUIRED),
+        "backbone": Key(_matrix(lambda v: v in (0, 1), "a 0/1 matrix (list of rows)"),
+                        "inline 0/1 adjacency (static, iid_failure)", only=_GIVEN),
+        "backbone_file": Key(_PATH, "adjacency file, 0/1 matrix rows (alternative)", only=_GIVEN),
+        "p_fail": Key(Kind(lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+                      "per-edge failure probability (iid_failure, geometric)",
+                      only=("kind", ("iid_failure", "geometric"))),
+        "radius": Key(_NUMBER, "geometric connection radius", only=_GEO),
+        "target_degree": Key(_NUMBER, "geometric target relative degree (alternative)", only=_GEO),
+        "frames_file": Key(_PATH, "edge-list CSV t,from,to (deterministic)", only=_FRAMES),
+        "frames_count": Key(_POSITIVE, "frame count override (deterministic)", only=_FRAMES),
+        "cycle": Key(Kind(lambda v: isinstance(v, bool), "true or false"),
+                     "repeat the frame sequence (deterministic)", False, only=_FRAMES),
+        "seed": Key(_SEED, "generation stream for geometric (defaults to run.seed)", only=_GEO),
+    }),
+    "chain": Key(_MAPPING, fields={
+        "rule": _choice(
+            ("out_degree_reciprocal", "lazy"), "out_degree_reciprocal (default) | lazy"
+        ),
+        "delta_self": Key(_NUMBER, "lazy self-weight (default 1/n)", only=("rule", ("lazy",))),
+    }),
+    "token": Key(_MAPPING, fields={
+        "alpha_form": _choice(("linear", "power"), "linear (default) | power"),
+        "alpha_params": Key(_MAPPING, "{c, q} for the power schedule (needs q > 1/2)",
+                            fields={"c": Key(_NUMBER, default=1.0), "q": Key(_NUMBER, default=1.0)},
+                            only=("alpha_form", ("power",))),
+        "start_node": Key(_integer(0, "an integer in [0, graph.n)"),
+                          "initial token holder (default 0)", 0),
+    }),
+    "ci": Key(_MAPPING, fields={
+        "a": Key(_NUMBER, "innovation gain scale: alpha(t) = a / (t+1)^tau1"),
+        "b": Key(_NUMBER, "consensus gain scale: beta(t) = b / (t+1)^tau2"),
+        "tau1": Key(_NUMBER, "innovation gain decay (0 < tau2 < tau1 <= 1)"),
+        "tau2": Key(_NUMBER, "consensus gain decay"),
+        "gain_mode": _choice(("identity",), "identity (default)"),
+        "grid": Key(_MAPPING, "{a: [...], b: [...], tau1: [...], tau2: [...]}",
+                    fields=dict.fromkeys(_GAINS, Key(_NUMBERS, default=REQUIRED))),
+    }),
+    "run": Key(_MAPPING, default=REQUIRED, fields={
+        "horizon": Key(_POSITIVE, "ticks per trial", REQUIRED),
+        "trials": Key(_POSITIVE, "Monte Carlo trials", REQUIRED),
+        # an empty `seed:` line loads as null, which counts as unset
+        "seed": Key(Kind(lambda v: v is None or _SEED.ok(v), _SEED.must),
+                    "non-negative master seed (warned + defaulted to 0 if absent)", 0),
+        "algorithms": Key(_list_of(lambda v: v in ALGORITHMS, f"a nonempty subset of {ALGORITHMS}"),
+                          "subset of [token, ci, central]", ("token",)),
+    }),
 }
-_GRAPH_KINDS = {"static", "iid_failure", "deterministic", "geometric"}
 # libyaml's safe loader where PyYAML was built with it, else the pure-Python one
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -125,168 +208,87 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def _is_int(value: Any, minimum: int) -> bool:
-    """An int of at least ``minimum``; YAML's ``true`` is a bool, not an integer."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
-def _is_number(value: Any) -> bool:
-    """An int or float; YAML's ``true`` is a bool, not a number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_numbers(section: dict, keys: tuple[str, ...], where: str) -> None:
-    """Each of ``keys`` that ``section`` sets must be a number."""
-    for key in keys:
-        if key in section and not _is_number(section[key]):
-            raise ConfigError(f"{where}.{key}: must be a number")
-
-
-def _require(section: dict, key: str, where: str) -> Any:
-    if key not in section:
-        raise ConfigError(f"{where}.{key}: required key missing")
-    return section[key]
-
-
-def _check_keys(cfg: dict) -> None:
-    unknown = set(cfg) - CONFIG_KEYS.keys()
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for name, allowed in CONFIG_KEYS.items():
-        if name not in cfg:
-            continue
-        section = cfg[name]
-        if not isinstance(section, dict):
-            raise ConfigError(f"{name}: must be a mapping")
-        bad = set(section) - allowed.keys()
-        if bad:
-            raise ConfigError(f"{name}.{sorted(bad)[0]}: unknown key")
+def _walk(node: dict, fields: dict[str, Key], prefix: str) -> None:
+    """Check one mapping against its table entries: missing keys, then each key's kind in
+    turn (nested mappings included), then the keys that its variant never reads."""
+    for name, key in fields.items():
+        if key.default is REQUIRED and name not in node:
+            raise ConfigError(f"{prefix}{name}: required key missing")
+    for name, value in node.items():
+        key = fields.get(name)
+        if key is None:
+            raise ConfigError(f"{prefix}{name}: unknown key")
+        if not key.kind.ok(value):
+            raise ConfigError(f"{prefix}{name}: must be {key.kind.must}")
+        if key.fields is not None and isinstance(value, list):
+            for i, item in enumerate(value):
+                _walk(item, key.fields, f"{prefix}{name}[{i}].")
+        elif key.fields is not None:
+            _walk(value, key.fields, f"{prefix}{name}.")
+    for name in node:
+        if fields[name].only is not None:
+            switch, readers = fields[name].only
+            chosen = node.get(switch, fields[switch].default)
+            if chosen not in readers:
+                raise ConfigError(f"{prefix}{name}: not read when {prefix}{switch} is {chosen}")
 
 
 def validate_config(cfg: dict) -> None:
-    """Structural validation with key-path error messages."""
-    _check_keys(cfg)
-    for required in ("model", "graph", "run"):
-        if required not in cfg:
-            raise ConfigError(f"{required}: required section missing")
-
+    """One walk over ``CONFIG_KEYS``, then the rules that join keys; key-path messages."""
+    _walk(cfg, CONFIG_KEYS, "")
     model = cfg["model"]
-    dim = _require(model, "L", "model")
-    if not _is_int(dim, 1):
-        raise ConfigError("model.L: must be a positive integer")
-    theta = _require(model, "theta", "model")
-    if (
-        not isinstance(theta, list)
-        or len(theta) != dim
-        or not all(_is_number(v) for v in theta)
-    ):
-        raise ConfigError(f"model.theta: must be a list of {dim} numbers")
-    if sum(v * v for v in theta) == 0:
+    if len(model["theta"]) != model["L"]:
+        raise ConfigError(f"model.theta: must be a list of {model['L']} numbers")
+    if sum(v * v for v in model["theta"]) == 0:
         raise ConfigError("model.theta: must be nonzero (metrics are normalized by ||theta||^2)")
-    agents = _require(model, "agents", "model")
-    if not isinstance(agents, list) or not agents:
-        raise ConfigError("model.agents: must be a nonempty list")
-    for idx, agent in enumerate(agents):
-        if not isinstance(agent, dict) or set(agent) - {"H", "C"}:
-            raise ConfigError(f"model.agents[{idx}]: must have exactly the keys H and C")
-        for key in ("H", "C"):
-            if key not in agent or not isinstance(agent[key], list):
-                raise ConfigError(f"model.agents[{idx}].{key}: must be a matrix (list of rows)")
-    noise = model.get("noise", "gaussian")
-    if noise not in ("gaussian", "zero"):
-        raise ConfigError("model.noise: must be 'gaussian' or 'zero'")
 
     graph = cfg["graph"]
-    kind = _require(graph, "kind", "graph")
-    if kind not in _GRAPH_KINDS:
-        raise ConfigError(f"graph.kind: must be one of {sorted(_GRAPH_KINDS)}")
-    n = _require(graph, "n", "graph")
-    if not _is_int(n, 1):
-        raise ConfigError("graph.n: must be a positive integer")
-    if "seed" in graph and not _is_int(graph["seed"], 0):
-        raise ConfigError("graph.seed: must be a non-negative integer")
-    if kind in ("static", "iid_failure"):
-        if ("backbone" in graph) == ("backbone_file" in graph):
-            raise ConfigError(f"graph: kind {kind} needs exactly one of backbone, backbone_file")
-    p = graph.get("p_fail")
-    if kind == "iid_failure" and p is None:
+    kind = graph["kind"]
+    if kind in ("static", "iid_failure") and ("backbone" in graph) == ("backbone_file" in graph):
+        raise ConfigError(f"graph: kind {kind} needs exactly one of backbone, backbone_file")
+    if kind == "geometric" and ("radius" in graph) == ("target_degree" in graph):
+        raise ConfigError("graph: geometric needs exactly one of radius, target_degree")
+    if kind == "iid_failure" and "p_fail" not in graph:
         raise ConfigError("graph.p_fail: required for iid_failure")
-    if p is not None and not (_is_number(p) and 0.0 <= p <= 1.0):
-        raise ConfigError("graph.p_fail: must be a number in [0, 1]")
-    _check_numbers(graph, ("radius", "target_degree"), "graph")
-    if kind == "geometric":
-        if ("radius" in graph) == ("target_degree" in graph):
-            raise ConfigError("graph: geometric needs exactly one of radius, target_degree")
     if kind == "deterministic" and "frames_file" not in graph:
         raise ConfigError("graph.frames_file: required for deterministic sequences")
-    if "frames_count" in graph and not _is_int(graph["frames_count"], 1):
-        raise ConfigError("graph.frames_count: must be a positive integer")
-    if "cycle" in graph and not isinstance(graph["cycle"], bool):
-        raise ConfigError("graph.cycle: must be true or false")
-
-    chain = cfg.get("chain", {})
-    rule = chain.get("rule", "out_degree_reciprocal")
-    if rule not in ("out_degree_reciprocal", "lazy"):
-        raise ConfigError("chain.rule: must be 'out_degree_reciprocal' or 'lazy'")
-    _check_numbers(chain, ("delta_self",), "chain")
-
-    token = cfg.get("token", {})
-    form = token.get("alpha_form", "linear")
-    if form not in ("linear", "power"):
-        raise ConfigError("token.alpha_form: must be 'linear' or 'power'")
-    params = token.get("alpha_params") or {}
-    if not isinstance(params, dict):
-        raise ConfigError("token.alpha_params: must be a mapping of c, q")
-    _check_numbers(params, ("c", "q"), "token.alpha_params")
-
-    run = cfg["run"]
-    for key in ("horizon", "trials"):
-        value = _require(run, key, "run")
-        if not _is_int(value, 1):
-            raise ConfigError(f"run.{key}: must be a positive integer")
-    if run.get("seed") is not None and not _is_int(run["seed"], 0):
-        raise ConfigError("run.seed: must be a non-negative integer")
-    algorithms = run.get("algorithms", ["token"])
-    if not isinstance(algorithms, list) or not algorithms:
-        raise ConfigError("run.algorithms: must be a nonempty list")
-    for alg in algorithms:
-        if alg not in ("token", "ci", "central"):
-            raise ConfigError(f"run.algorithms: unknown algorithm {alg!r}")
-    if "ci" in algorithms and "ci" not in cfg:
+    agents = len(model["agents"])
+    if agents != graph["n"]:
+        raise ConfigError(f"graph.n: {graph['n']} nodes but model has {agents} agents")
+    if _setting(cfg, "token.start_node") >= graph["n"]:
+        raise ConfigError(f"token.start_node: must be an integer in [0, {graph['n']})")
+    if "ci" in _setting(cfg, "run.algorithms") and "ci" not in cfg:
         raise ConfigError("ci: section required when running the ci algorithm")
 
-    ci = cfg.get("ci") or {}
-    _check_numbers(ci, ("a", "b", "tau1", "tau2"), "ci")
-    if ci.get("gain_mode", "identity") != "identity":
-        raise ConfigError("ci.gain_mode: must be 'identity'")
-    if "grid" in ci:
-        grid = ci["grid"]
-        if not isinstance(grid, dict) or set(grid) - {"a", "b", "tau1", "tau2"}:
-            raise ConfigError("ci.grid: must map a, b, tau1, tau2 to value lists")
-        for key, values in grid.items():
-            if not isinstance(values, list) or not values or not all(map(_is_number, values)):
-                raise ConfigError(f"ci.grid.{key}: must be a nonempty list of numbers")
+
+def _setting(cfg: dict, dotted: str) -> Any:
+    """The value ``cfg`` sets at a dotted key path, else the table's default for the key; a
+    default is never written into ``cfg``, which ``meta.yaml`` echoes as given."""
+    *sections, name = dotted.split(".")
+    node, fields = cfg, CONFIG_KEYS
+    for section in sections:
+        node, fields = node.get(section, {}), fields[section].fields
+    return fields[name].default if node.get(name) is None else node[name]
 
 
 def default_seed(cfg: dict) -> tuple[int, bool]:
     """The run seed, and whether it was defaulted (caller should warn)."""
-    seed = cfg["run"].get("seed")
-    return (0, True) if seed is None else (seed, False)
+    return _setting(cfg, "run.seed"), cfg["run"].get("seed") is None
 
 
 def build_model(cfg: dict) -> GlobalModel:
     model = cfg["model"]
-    agents = [
-        AgentModel(id=i, H=np.asarray(a["H"], dtype=float), C=np.asarray(a["C"], dtype=float))
-        for i, a in enumerate(model["agents"])
-    ]
     try:
+        agents = [
+            AgentModel(id=i, H=np.asarray(a["H"], dtype=float), C=np.asarray(a["C"], dtype=float))
+            for i, a in enumerate(model["agents"])
+        ]
         return GlobalModel(
             agents=agents,
             theta=np.asarray(model["theta"], dtype=float),
-            noise=model.get("noise", "gaussian"),
+            noise=_setting(cfg, "model.noise"),
         )
-    except ValueError as exc:
+    except (ValueError, SingularModel) as exc:
         raise ConfigError(f"model: {exc}") from None
 
 
@@ -295,18 +297,11 @@ def build_graph(cfg: dict, base_dir: Path, seed: int) -> GraphSpec:
     kind = graph["kind"]
     n = graph["n"]
     try:
-        if kind in ("static", "iid_failure"):
-            if "backbone" in graph:
-                backbone = as_adjacency(np.asarray(graph["backbone"]))
-            else:
-                backbone = read_adjacency(base_dir / graph["backbone_file"])
-            if backbone.shape[0] != n:
-                raise ConfigError(
-                    f"graph.n: {n} does not match backbone size {backbone.shape[0]}"
-                )
-            if kind == "static":
-                return StaticGraph(backbone)
-            return IidFailureGraph(backbone, p_fail=float(graph["p_fail"]))
+        if kind == "deterministic":
+            frames = read_frames_csv(
+                base_dir / graph["frames_file"], n=n, count=graph.get("frames_count")
+            )
+            return DeterministicSequence(frames, cycle=_setting(cfg, "graph.cycle"))
         if kind == "geometric":
             rng = derived_stream(graph.get("seed", seed), 3)
             if "radius" in graph:
@@ -315,93 +310,78 @@ def build_graph(cfg: dict, base_dir: Path, seed: int) -> GraphSpec:
                 backbone, _ = generate_backbone_with_degree(
                     n, float(graph["target_degree"]), rng
                 )
-            if "p_fail" in graph:
-                return IidFailureGraph(backbone, p_fail=float(graph["p_fail"]))
-            return StaticGraph(backbone)
-        frames = read_frames_csv(
-            base_dir / graph["frames_file"], n=n, count=graph.get("frames_count")
-        )
-        return DeterministicSequence(frames, cycle=graph.get("cycle", False))
-    except ConfigError:
-        raise
-    except (ValueError, OSError) as exc:
+        elif "backbone" in graph:
+            backbone = as_adjacency(np.asarray(graph["backbone"]))
+        else:
+            backbone = read_adjacency(base_dir / graph["backbone_file"])
+        if backbone.shape[0] != n:
+            raise ConfigError(f"graph.n: {n} does not match backbone size {backbone.shape[0]}")
+        # only iid_failure and geometric graphs read p_fail, and iid_failure requires it
+        if "p_fail" in graph:
+            return IidFailureGraph(backbone, p_fail=float(graph["p_fail"]))
+        return StaticGraph(backbone)
+    except (ValueError, OSError, GenerationFailed) as exc:
         raise ConfigError(f"graph: {exc}") from None
 
 
 def build_rule(cfg: dict, n: int) -> TransitionRule:
-    chain = cfg.get("chain", {})
-    kind = chain.get("rule", "out_degree_reciprocal")
-    if kind == "out_degree_reciprocal":
+    if _setting(cfg, "chain.rule") != "lazy":
         return OutDegreeReciprocal()
-    delta_self = chain.get("delta_self", 1.0 / n)
+    delta_self = _setting(cfg, "chain.delta_self")
     try:
-        return Lazy(delta_self=float(delta_self))
+        return Lazy(delta_self=1.0 / n if delta_self is None else float(delta_self))
     except ValueError as exc:
         raise ConfigError(f"chain.delta_self: {exc}") from None
 
 
 def build_schedule(cfg: dict) -> AlphaSchedule:
-    token = cfg.get("token", {})
-    form = token.get("alpha_form", "linear")
-    params = token.get("alpha_params", {}) or {}
+    if _setting(cfg, "token.alpha_form") != "power":
+        return AlphaSchedule.linear()
+    params = [float(_setting(cfg, f"token.alpha_params.{name}")) for name in ("c", "q")]
     try:
-        if form == "linear":
-            return AlphaSchedule.linear()
-        return AlphaSchedule.power(float(params.get("c", 1.0)), float(params.get("q", 1.0)))
+        return AlphaSchedule.power(*params)
     except ValueError as exc:
         raise ConfigError(f"token.alpha_params: {exc}") from None
 
 
+def _gains(values: dict, where: str) -> CiConfig:
+    try:
+        return CiConfig(**{name: float(values[name]) for name in _GAINS})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def build_ci(cfg: dict) -> tuple[CiConfig | None, dict | None]:
+    """The fixed gains and the search grid, each grid candidate checked before any engine runs."""
     ci = cfg.get("ci")
     if ci is None:
         return None, None
     grid = ci.get("grid")
-    fixed = None
-    if all(k in ci for k in ("a", "b", "tau1", "tau2")):
-        try:
-            fixed = CiConfig(
-                a=float(ci["a"]),
-                b=float(ci["b"]),
-                tau1=float(ci["tau1"]),
-                tau2=float(ci["tau2"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"ci: {exc}") from None
+    fixed = _gains(ci, "ci") if all(name in ci for name in _GAINS) else None
     if fixed is None and grid is None:
         raise ConfigError("ci: need either all of a, b, tau1, tau2 or a grid")
+    for candidate in itertools.product(*(grid[name] for name in _GAINS)) if grid else ():
+        _gains(dict(zip(_GAINS, candidate)), "ci.grid")
     return fixed, grid
 
 
 def build_experiment(cfg: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     """Construct the full experiment description from a validated config dict."""
-    base_dir = Path(base_dir)
     seed, _ = default_seed(cfg)
     model = build_model(cfg)
-    graph = build_graph(cfg, base_dir, seed)
-    if graph.n != model.n_agents:
-        raise ConfigError(
-            f"graph.n: {graph.n} nodes but model has {model.n_agents} agents"
-        )
-    rule = build_rule(cfg, graph.n)
-    schedule = build_schedule(cfg)
+    graph = build_graph(cfg, Path(base_dir), seed)
     ci_fixed, ci_grid = build_ci(cfg)
-    run = cfg["run"]
-    token = cfg.get("token", {})
-    start = token.get("start_node", 0)
-    if not _is_int(start, 0) or start >= graph.n:
-        raise ConfigError(f"token.start_node: must be an integer in [0, {graph.n})")
     try:
         return ExperimentConfig(
             model=model,
             graph=graph,
-            rule=rule,
-            schedule=schedule,
-            algorithms=tuple(run.get("algorithms", ["token"])),
-            horizon=run["horizon"],
-            trials=run["trials"],
+            rule=build_rule(cfg, graph.n),
+            schedule=build_schedule(cfg),
+            algorithms=tuple(_setting(cfg, "run.algorithms")),
+            horizon=cfg["run"]["horizon"],
+            trials=cfg["run"]["trials"],
             seed=seed,
-            start_node=start,
+            start_node=_setting(cfg, "token.start_node"),
             ci=ci_fixed,
             ci_grid=ci_grid,
             echo=copy.deepcopy(cfg),

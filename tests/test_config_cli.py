@@ -1,6 +1,8 @@
 """Config parsing, overrides, and CLI subcommand behavior."""
 
+import functools
 import hashlib
+import operator
 import os
 import re
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from roamtoken import ConfigError, relative_degree
 from roamtoken.cli import main
@@ -210,6 +213,7 @@ _BAD_SEQUENCE_KEYS = [
     ("graph.cycle=3", "graph.cycle: must be true or false"),
     ("graph.frames_count=2.5", "graph.frames_count: must be a positive integer"),
     ("graph.frames_count=true", "graph.frames_count: must be a positive integer"),
+    ("graph.frames_file=7", "graph.frames_file: must be a file path"),
 ]
 
 
@@ -218,7 +222,7 @@ _BAD_SEQUENCE_KEYS = [
 )
 def test_cli_sequence_keys_are_type_checked(short_sequence_file, tmp_path, capsys, item, message):
     # bool('false') is true, so the string cycled; 3 was echoed into meta.yaml; 2.5 escaped
-    # as a TypeError with exit code 2; true counted as one frame
+    # as a TypeError with exit code 2; true counted as one frame; 7 escaped as Path / int
     out = tmp_path / "out"
     assert main(["simulate", str(short_sequence_file), "--out", str(out), "--set", item]) == 1
     assert message in capsys.readouterr().err
@@ -339,9 +343,131 @@ def test_cli_bool_and_negative_integers_rejected(config_file, tmp_path, capsys, 
     assert not out.exists()
 
 
+_DROP = object()
+# Inputs that escaped the type checks, as edits of the fixture config: each maps a key path
+# (a tuple of keys and list indices) to its new value, or to _DROP to delete the key.
+_ESCAPED_TYPES = {
+    "graph.kind": ({("graph", "kind"): ["static"]}, "graph.kind: must be"),
+    "graph.backbone_file": (
+        {("graph", "backbone"): _DROP, ("graph", "backbone_file"): 5},
+        "graph.backbone_file: must be a file path",
+    ),
+    "model.agents[0].H": (
+        {("model", "agents", 0, "H"): [[1, "x"]]}, "model.agents[0].H: must be a matrix"
+    ),
+    "model.agents[0].C": (
+        {("model", "agents", 0, "C"): [[True]]}, "model.agents[0].C: must be a matrix"
+    ),
+    "token.alpha_params.zz": (
+        {("token",): {"alpha_form": "power", "alpha_params": {"c": 1, "zz": 3}}},
+        "token.alpha_params.zz: unknown key",
+    ),
+    "mixed-type-sections": ({(1,): {}, ("extra",): {}}, "1: unknown key"),
+    "mixed-type-run-keys": ({("run", "zz"): 1, ("run", 2): 1}, "run.zz: unknown key"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ESCAPED_TYPES))
+def test_cli_inputs_that_escaped_the_type_checks_rejected(tmp_path, capsys, name):
+    # an unhashable kind, Path / int and a string in H escaped as TypeError or ValueError with
+    # exit code 2, as did sorting unknown keys of mixed types; [[true]] ran as C = 1.0 and an
+    # unknown alpha_params key was ignored
+    edits, message = _ESCAPED_TYPES[name]
+    cfg = yaml.safe_load(BASE_CONFIG)
+    for (*parents, key), value in edits.items():
+        node = functools.reduce(operator.getitem, parents, cfg)
+        if value is _DROP:
+            del node[key]
+        else:
+            node[key] = value
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 ROOT = Path(__file__).resolve().parents[1]
 GEO20_CONFIG = ROOT / "configs" / "geo20_compare.yaml"
 REF5_STATIC_CONFIG = ROOT / "configs" / "ref5_static.yaml"
+
+# A key that the config's variant never reads: the fixture config, its overrides and the message.
+_UNREAD_KEYS = [
+    ("config_file", ["graph.p_fail=0.25"], "graph.p_fail: not read when graph.kind is static"),
+    ("config_file", ["graph.radius=0.5"], "graph.radius: not read when graph.kind is static"),
+    ("config_file", ["graph.target_degree=0.3"], "graph.target_degree: not read when graph.kind"),
+    ("config_file", ["graph.seed=3"], "graph.seed: not read when graph.kind is static"),
+    ("config_file", ["graph.frames_file=f.csv"], "graph.frames_file: not read when graph.kind"),
+    ("config_file", ["graph.frames_count=2"], "graph.frames_count: not read when graph.kind"),
+    ("config_file", ["graph.cycle=true"], "graph.cycle: not read when graph.kind is static"),
+    (
+        "config_file",
+        ["chain.delta_self=0.3"],
+        "chain.delta_self: not read when chain.rule is out_degree_reciprocal",
+    ),
+    (
+        "config_file",
+        ["token.alpha_params.c=2.0"],
+        "token.alpha_params: not read when token.alpha_form is linear",
+    ),
+    (
+        "short_sequence_file",
+        ["graph.cycle=true", "graph.p_fail=0.5"],
+        "graph.p_fail: not read when graph.kind is deterministic",
+    ),
+    (
+        "short_sequence_file",
+        ["graph.cycle=true", "graph.backbone=[[0, 1], [1, 0]]"],
+        "graph.backbone: not read when graph.kind is deterministic",
+    ),
+    ("geo20", ["graph.backbone_file=b.txt"], "graph.backbone_file: not read when graph.kind"),
+    ("geo20", ["graph.cycle=false"], "graph.cycle: not read when graph.kind is geometric"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, sets, message",
+    _UNREAD_KEYS,
+    ids=[f"{fixture}-{sets[-1]}" for fixture, sets, _ in _UNREAD_KEYS],
+)
+def test_cli_keys_the_variant_never_reads_rejected(
+    request, tmp_path, capsys, fixture, sets, message
+):
+    # each ran as if the key were absent: --set graph.p_fail=0.25 on the static reference
+    # config wrote the same metrics.csv as the run without it
+    config = GEO20_CONFIG if fixture == "geo20" else request.getfixturevalue(fixture)
+    out = tmp_path / "out"
+    argv = ["simulate", str(config), "--out", str(out)]
+    for item in ["run.horizon=2", "run.trials=2", *sets]:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("ci.grid.tau1=[2.0]", "ci.grid: (tau1, tau2) = (2.0, 0.25) outside 0 < tau2 < tau1"),
+        ("ci.grid={a: [1.0]}", "ci.grid.b: required key missing"),
+    ],
+    ids=["candidate-out-of-range", "partial-grid"],
+)
+def test_cli_grid_candidates_checked_at_config_time(tmp_path, capsys, item, message):
+    # a bad candidate passed validation, ran the token engine, then failed in grid_search
+    # with exit code 2
+    out = tmp_path / "out"
+    argv = ["compare", str(GEO20_CONFIG), "--out", str(out), "--set", item]
+    assert main(argv + ["--set", "run.horizon=2", "--set", "run.trials=2"]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section", ["model", "graph", "chain", "token", "run", "ci"])
