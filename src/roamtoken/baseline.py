@@ -4,10 +4,10 @@ Every agent keeps its own estimate and mixes a neighbor-disagreement term with
 a local innovation correction under separately decaying gains:
 
     s_i(t+1) = s_i(t) - beta(t) * sum_{l in out(i, t)} (s_i(t) - s_l(t))
-                      + alpha(t) * G_i (y_i(t) - H_i s_i(t))
+                      + alpha(t) * W_i (y_i(t) - H_i s_i(t))
 
-with alpha(t) = a / (t+1)^tau1 and beta(t) = b / (t+1)^tau2.  The per-agent
-gain ``G_i`` is the identity by default or a constant matrix per agent.
+with alpha(t) = a / (t+1)^tau1, beta(t) = b / (t+1)^tau2 and W_i = H_i^T C_i^{-1}
+the agent's own noise-weighted observation matrix (``AgentModel.W``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class CiConfig:
     b: float
     tau1: float
     tau2: float
-    gain_mode: str | Sequence[np.ndarray] = "identity"
 
     def __post_init__(self) -> None:
         if self.a <= 0:
@@ -50,24 +49,12 @@ class CiConfig:
             raise ValueError(
                 f"(tau1, tau2) = ({self.tau1}, {self.tau2}) outside 0 < tau2 < tau1 <= 1"
             )
-        if isinstance(self.gain_mode, str):
-            if self.gain_mode != "identity":
-                raise ValueError(f"unknown gain mode {self.gain_mode!r}")
-        else:
-            self.gain_mode = [np.asarray(g, dtype=float) for g in self.gain_mode]
 
     def alpha(self, t: int) -> float:
         return self.a / (t + 1) ** self.tau1
 
     def beta(self, t: int) -> float:
         return self.b / (t + 1) ** self.tau2
-
-    def gains(self, model: GlobalModel) -> list[np.ndarray]:
-        if isinstance(self.gain_mode, str):
-            return [np.eye(model.dim) for _ in model.agents]
-        if len(self.gain_mode) != model.n_agents:
-            raise ValueError("need one gain matrix per agent")
-        return list(self.gain_mode)
 
 
 @dataclass(eq=False)
@@ -85,17 +72,18 @@ def grid_search(
     trials: int,
     horizon: int,
     seed: SeedLike | int = 0,
-    gain_mode: str | Sequence[np.ndarray] = "identity",
 ) -> GridSearchResult:
     """Pick the gain parameters with the best network error at the horizon.
 
-    All candidates run in one stacked pass on the same per-trial noise and
-    graph draws, so the comparison is paired and the result is deterministic
-    given the seed.  Diverged candidates score +inf and can never win; ties go
-    to the first candidate in grid order.  The winner is then run once more
-    on its own, its network error reduced over trials a chunk at a time
-    (``best_trials``, a ``TickStats``); ``curve`` is that reduction's mean
-    over ``||theta||^2``.
+    Two or more candidates run in one stacked pass on the same per-trial noise
+    and graph draws, so the comparison is paired and the result is
+    deterministic given the seed.  Diverged candidates score +inf and can
+    never win; ties go to the first candidate in grid order.  The winner, or
+    a lone candidate, which wins unscored, then runs on its own, its network
+    error reduced over trials a chunk at a time (``best_trials``, a
+    ``TickStats``); ``curve`` is that reduction's mean over ``||theta||^2``.
+    A lone candidate's score is its curve at the horizon, and a diverging one
+    raises ``NonFiniteMetric``.
     """
     from .engine import TickStats, run_ci_trials
 
@@ -104,27 +92,32 @@ def grid_search(
     if missing:
         raise ValueError(f"grid is missing values for: {missing}")
     cfgs = [
-        CiConfig(a=a, b=b, tau1=tau1, tau2=tau2, gain_mode=gain_mode)
+        CiConfig(a=a, b=b, tau1=tau1, tau2=tau2)
         for a, b, tau1, tau2 in itertools.product(*(grid[k] for k in keys))
     ]
-    stacked = run_ci_trials(model, spec, cfgs, horizon=horizon, trials=trials, master_seed=seed)
-    # Sum trial by trial: the mean over trials of a full (trials, horizon + 1)
-    # series adds up its last column in this order, whereas a mean over a
-    # single column sums pairwise and can differ in the last bit.  A diverged
-    # candidate's errors are inf, so its score is inf.
-    total = stacked.final_sq_err[0].copy()
-    for row in stacked.final_sq_err[1:]:
-        total += row
     theta_sq = float(model.theta @ model.theta)
-    values = total / trials / theta_sq
-    scores = [(c, float(v)) for c, v in zip(cfgs, values)]
-    best = min(range(len(cfgs)), key=lambda k: scores[k][1])
-    if math.isinf(scores[best][1]):
-        raise RuntimeError("every grid candidate diverged")
+    best = 0
+    if len(cfgs) > 1:
+        stacked = run_ci_trials(model, spec, cfgs, horizon=horizon, trials=trials, master_seed=seed)
+        # Sum trial by trial: the mean over trials of a full (trials, horizon + 1)
+        # series adds up its last column in this order, whereas a mean over a
+        # single column sums pairwise and can differ in the last bit.  So a
+        # candidate's score equals its curve's last value bit for bit.  A
+        # diverged candidate's errors are inf, so its score is inf.
+        total = stacked.final_sq_err[0].copy()
+        for row in stacked.final_sq_err[1:]:
+            total += row
+        values = total / trials / theta_sq
+        best = min(range(len(cfgs)), key=lambda k: values[k])
+        if math.isinf(values[best]):
+            raise RuntimeError("every grid candidate diverged")
     stats = TickStats(trials, horizon + 1)
     run_ci_trials(
-        model, spec, cfgs[best], horizon=horizon, trials=trials, master_seed=seed,
+        model, spec, cfgs[best : best + 1], horizon=horizon, trials=trials, master_seed=seed,
         readers={"netavg": stats},
     )
     curve = stats.stats[None][0] / theta_sq
+    if len(cfgs) == 1:
+        values = curve[-1:]
+    scores = [(c, float(v)) for c, v in zip(cfgs, values)]
     return GridSearchResult(best=cfgs[best], curve=curve, scores=scores, best_trials=stats)

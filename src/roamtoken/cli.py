@@ -74,7 +74,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     experiment = build_experiment(cfg, base)
     algorithms = set(experiment.algorithms) | {"token", "ci"}
     experiment.algorithms = tuple(a for a in ("token", "ci", "central") if a in algorithms)
-    if experiment.ci is None and experiment.ci_grid is None:
+    if experiment.ci_grid is None:
         raise ConfigError("ci: section required for compare")
     result = run_experiment(experiment, out_dir=args.out)
     out = Path(args.out)
@@ -99,9 +99,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_gridsearch(args: argparse.Namespace) -> int:
     cfg, base = _load(args)
-    experiment = build_experiment(cfg, base)
-    if experiment.ci_grid is None:
+    if "grid" not in cfg.get("ci", {}):
         raise ConfigError("ci.grid: required for gridsearch")
+    experiment = build_experiment(cfg, base)
     result = grid_search(
         experiment.model,
         experiment.graph,

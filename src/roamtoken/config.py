@@ -100,6 +100,7 @@ _GAINS = ("a", "b", "tau1", "tau2")
 _GIVEN = ("kind", ("static", "iid_failure"))
 _GEO = ("kind", ("geometric",))
 _FRAMES = ("kind", ("deterministic",))
+_FIXED = ("grid", (None,))  # fixed gains are read only where no grid is set
 
 # Every config key with its kind, help line, default and nested keys.  The CLI's --help
 # epilog is rendered from the help lines; builders read defaults through `_setting`.
@@ -145,12 +146,12 @@ CONFIG_KEYS: dict[str, Key] = {
                           "initial token holder (default 0)", 0),
     }),
     "ci": Key(_MAPPING, fields={
-        "a": Key(_NUMBER, "innovation gain scale: alpha(t) = a / (t+1)^tau1"),
-        "b": Key(_NUMBER, "consensus gain scale: beta(t) = b / (t+1)^tau2"),
-        "tau1": Key(_NUMBER, "innovation gain decay (0 < tau2 < tau1 <= 1)"),
-        "tau2": Key(_NUMBER, "consensus gain decay"),
-        "gain_mode": _choice(("identity",), "identity (default)"),
-        "grid": Key(_MAPPING, "{a: [...], b: [...], tau1: [...], tau2: [...]}",
+        "a": Key(_NUMBER, "fixed innovation gain scale: alpha(t) = a / (t+1)^tau1", only=_FIXED),
+        "b": Key(_NUMBER, "fixed consensus gain scale: beta(t) = b / (t+1)^tau2", only=_FIXED),
+        "tau1": Key(_NUMBER, "fixed innovation gain decay (0 < tau2 < tau1 <= 1)", only=_FIXED),
+        "tau2": Key(_NUMBER, "fixed consensus gain decay", only=_FIXED),
+        "grid": Key(_MAPPING, "{a: [...], b: [...], tau1: [...], tau2: [...]}, exclusive of "
+                    "fixed a, b, tau1, tau2 (a one-point grid)",
                     fields=dict.fromkeys(_GAINS, Key(_NUMBERS, default=REQUIRED))),
     }),
     "run": Key(_MAPPING, default=REQUIRED, fields={
@@ -230,7 +231,8 @@ def _walk(node: dict, fields: dict[str, Key], prefix: str) -> None:
             switch, readers = fields[name].only
             chosen = node.get(switch, fields[switch].default)
             if chosen not in readers:
-                raise ConfigError(f"{prefix}{name}: not read when {prefix}{switch} is {chosen}")
+                state = "set" if readers == (None,) else chosen
+                raise ConfigError(f"{prefix}{name}: not read when {prefix}{switch} is {state}")
 
 
 def validate_config(cfg: dict) -> None:
@@ -351,18 +353,20 @@ def _gains(values: dict, where: str) -> CiConfig:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def build_ci(cfg: dict) -> tuple[CiConfig | None, dict | None]:
-    """The fixed gains and the search grid, each grid candidate checked before any engine runs."""
+def build_ci(cfg: dict) -> dict | None:
+    """The gain grid, fixed gains as a one-point grid, each candidate checked before any
+    engine runs."""
     ci = cfg.get("ci")
     if ci is None:
-        return None, None
-    grid = ci.get("grid")
-    fixed = _gains(ci, "ci") if all(name in ci for name in _GAINS) else None
-    if fixed is None and grid is None:
-        raise ConfigError("ci: need either all of a, b, tau1, tau2 or a grid")
-    for candidate in itertools.product(*(grid[name] for name in _GAINS)) if grid else ():
-        _gains(dict(zip(_GAINS, candidate)), "ci.grid")
-    return fixed, grid
+        return None
+    grid, where = ci.get("grid"), "ci.grid"
+    if grid is None:
+        if not all(name in ci for name in _GAINS):
+            raise ConfigError("ci: need either all of a, b, tau1, tau2 or a grid")
+        grid, where = {name: [float(ci[name])] for name in _GAINS}, "ci"
+    for candidate in itertools.product(*(grid[name] for name in _GAINS)):
+        _gains(dict(zip(_GAINS, candidate)), where)
+    return grid
 
 
 def build_experiment(cfg: dict, base_dir: str | Path = ".") -> ExperimentConfig:
@@ -370,7 +374,15 @@ def build_experiment(cfg: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     seed, _ = default_seed(cfg)
     model = build_model(cfg)
     graph = build_graph(cfg, Path(base_dir), seed)
-    ci_fixed, ci_grid = build_ci(cfg)
+    horizon = cfg["run"]["horizon"]
+    # the walk draws a move at the horizon tick too, so a run reads horizon + 1 frames
+    if isinstance(graph, DeterministicSequence) and not graph.cycle:
+        if len(graph.frames) <= horizon:
+            raise ConfigError(
+                f"graph.frames_file: {len(graph.frames)} frames, but run.horizon {horizon} "
+                f"reads {horizon + 1}; add frames or set graph.cycle: true"
+            )
+    ci_grid = build_ci(cfg)
     try:
         return ExperimentConfig(
             model=model,
@@ -378,11 +390,10 @@ def build_experiment(cfg: dict, base_dir: str | Path = ".") -> ExperimentConfig:
             rule=build_rule(cfg, graph.n),
             schedule=build_schedule(cfg),
             algorithms=tuple(_setting(cfg, "run.algorithms")),
-            horizon=cfg["run"]["horizon"],
+            horizon=horizon,
             trials=cfg["run"]["trials"],
             seed=seed,
             start_node=_setting(cfg, "token.start_node"),
-            ci=ci_fixed,
             ci_grid=ci_grid,
             echo=copy.deepcopy(cfg),
         )

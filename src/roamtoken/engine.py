@@ -43,7 +43,7 @@ reuses a slot.  Once every block has filled a slot, the parent hands the
 slot's rows, all trials in trial order, to the series' reader, for example a
 ``TickStats`` reduction, and sends each worker a credit.  With one block the
 same ring is read in-process after each chunk.  Other outputs, such as trial
-0's trace, the CI grid's horizon column or the chain's exact counts, are
+0's trace, the CI candidates' horizon column or the chain's exact counts, are
 written straight into shared arrays.
 """
 
@@ -127,7 +127,7 @@ class TickStats:
 
 @dataclass(eq=False)
 class Trials:
-    """What a token, oracle or single CI run returns; its series went to the readers."""
+    """What a token or oracle run returns; its series went to the readers."""
 
     trials: int
     horizon: int
@@ -135,8 +135,8 @@ class Trials:
 
 
 @dataclass(eq=False)
-class CiGridTrials:
-    """One stacked pass over K gain candidates: only the horizon tick is kept."""
+class CiTrials:
+    """What a pass over K gain candidates returns: of the per-tick errors, only the horizon's."""
 
     trials: int
     horizon: int
@@ -856,45 +856,38 @@ def run_central_trials(
 def run_ci_trials(
     model: GlobalModel,
     spec: GraphSpec,
-    cfg: CiConfig | Sequence[CiConfig],
+    cfgs: Sequence[CiConfig],
     horizon: int,
     trials: int,
     master_seed: SeedLike = 0,
     readers: Mapping[str, Reader] | None = None,
-) -> Trials | CiGridTrials:
+) -> CiTrials:
     """Run many consensus+innovations trajectories in lockstep.
 
     Uses the same per-trial noise and graph streams as ``run_token_trials``
     (final-tick draws included even though unused), so token-vs-baseline
     comparisons are paired draw for draw.
 
-    One ``CiConfig`` makes the series ``netavg``, the network-average squared
-    error at every tick, for its reader in ``readers``, and raises
-    NonFiniteMetric if its trajectory diverges.  A sequence of K configs runs
-    all of them in one pass over a (K, trials, n, L) state that shares the
-    draws, the measurements and the adjacency of each tick, makes no series and
-    keeps only the error at the horizon (``CiGridTrials``), so memory does not
-    grow with the horizon; a diverged candidate is flagged and scores inf.
-    Every candidate's values equal those of its own single-config run bit for
-    bit.
+    The K gain candidates ``cfgs`` run in one pass over a (K, trials, n, L)
+    state that shares the draws, the measurements and the adjacency of each
+    tick.  Every candidate's values equal those of its own one-candidate run
+    bit for bit.  A one-candidate run also makes the series ``netavg``, the
+    network-average squared error at every tick, for its reader in
+    ``readers``.  A diverged candidate raises NonFiniteMetric if that series
+    is read; otherwise it is flagged, and its error at the horizon is inf.
     """
     _check_sizes(model, spec)
-    single = isinstance(cfg, CiConfig)
-    cfgs = [cfg] if single else list(cfg)
     if not cfgs:
         raise ValueError("need at least one CiConfig")
     size = horizon + 1
-    series = _series(readers, {"netavg": float} if single else {})
     n, dim, K = model.n_agents, model.dim, len(cfgs)
+    series = _series(readers, {"netavg": float} if K == 1 else {})
     theta = model.theta
     theta_sq = float(theta @ theta)
     measure = _MeasurementMap(model)
     all_scalar = all(a.n_measurements == 1 for a in model.agents)
-    # Gains folded with W and stacked over candidates: one (K, L, m_i) array per agent.
-    folded = [[g @ a.W for g, a in zip(c.gains(model), model.agents)] for c in cfgs]
-    g_fold_all = [np.stack(per_agent) for per_agent in zip(*folded)]
     h_rows = np.stack([a.H[0] for a in model.agents]) if all_scalar else None
-    g_rows_all = np.stack([g[:, :, 0] for g in g_fold_all], axis=1) if all_scalar else None
+    w_rows = np.stack([a.W[:, 0] for a in model.agents]) if all_scalar else None
     slices = model.measurement_slices()
 
     def net_err(s_k: np.ndarray) -> np.ndarray:
@@ -908,7 +901,7 @@ def run_ci_trials(
         buffers = np.empty_like(s), np.empty_like(s), np.empty(s.shape[:3])  # over the live ones
         y, adj = np.empty((R, model.total_measurements)), np.empty((R, n, n))
         deg = np.empty((R, n, dim))
-        live, g_fold, g_rows = np.arange(K), g_fold_all, g_rows_all
+        live = np.arange(K)
         diverged, final = own["diverged"], out["final"]
         final[...] = theta_sq
         with np.errstate(over="ignore", invalid="ignore"):
@@ -938,11 +931,11 @@ def run_ci_trials(
                         np.subtract(y, resid, out=resid)
                         # broadcasting along the last axis is slow: spell the (..., L) operand out
                         innovation[...] = resid[..., None]
-                        innovation *= g_rows[:, None]
+                        innovation *= w_rows
                     else:
-                        for i, sl in enumerate(slices):
-                            resid_i = y[:, sl] - s[:, :, i, :] @ model.agents[i].H.T
-                            innovation[:, :, i, :] = resid_i @ g_fold[i].transpose(0, 2, 1)
+                        for i, (sl, agent) in enumerate(zip(slices, model.agents)):
+                            resid_i = y[:, sl] - s[:, :, i, :] @ agent.H.T
+                            innovation[:, :, i, :] = resid_i @ agent.W.T
                     innovation *= alpha[ti]
                     s -= consensus
                     s += innovation
@@ -951,24 +944,19 @@ def run_ci_trials(
                             final[:, k] = net_err(s_k)
                 finite = np.isfinite(s).all(axis=(1, 2, 3))
                 if not finite.all():
-                    if single:
+                    if series:
                         raise NonFiniteMetric("consensus+innovations trajectory diverged")
                     diverged[live[~finite]] = True
                     live, s = live[finite], s[finite]
-                    g_fold = [g[finite] for g in g_fold]
-                    if all_scalar:
-                        g_rows = g_rows[finite]
 
     out, own = _sharded(
         trials, master_seed, model, spec, {"final": ((K,), float)}, run,
         per_block={"diverged": ((K,), bool)}, series=series, ticks=size,
     )
-    if single:
-        return Trials(trials, horizon)
     diverged = own["diverged"].any(axis=0)  # a candidate diverged if it did in any block
     final = out["final"]
     final[:, diverged] = np.inf
-    return CiGridTrials(trials=trials, horizon=horizon, final_sq_err=final, diverged=diverged)
+    return CiTrials(trials=trials, horizon=horizon, final_sq_err=final, diverged=diverged)
 
 
 def run_chain_trials(

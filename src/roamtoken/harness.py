@@ -36,7 +36,7 @@ from .engine import (
     TickStats,
     run_central_trials,
     run_chain_trials,
-    run_ci_trials,
+    run_ci_trials,  # noqa: F401 - unused here; perfbench/layers.py patches this binding
     run_token_trials,
 )
 from .errors import MissingTrace, NonFiniteMetric
@@ -70,17 +70,17 @@ class MetricSeries:
             raise ValueError("half-widths must be nonnegative")
 
 
-# The metrics a run reports: (metric, the engine series it reduces, optimality ratio?).
-# A relative MSE is the series' mean over trials divided by ||theta||^2.  An optimality
-# ratio is the mean of t * series / trace(sigma_c^{-1}), each trial weighted before the
-# reduction, so that its half-widths come from the weighted values.
+# The token and oracle metrics a run reports: (metric, the engine series it reduces,
+# optimality ratio?).  A relative MSE is the series' mean over trials divided by
+# ||theta||^2.  An optimality ratio is the mean of t * series / trace(sigma_c^{-1}), each
+# trial weighted before the reduction, so that its half-widths come from the weighted
+# values.  ``grid_search`` reduces the CI series ``netavg`` of the winner's run itself.
 METRICS = (
     ("rmse_token", "sq_err", False),
     ("rmse_token_last_seen", "last_seen", False),
     ("optimality_ratio_token", "sq_err", True),
     ("rmse_central", "central", False),
     ("optimality_ratio_central", "central", True),
-    ("rmse_ci_network", "netavg", False),
 )
 
 
@@ -415,8 +415,7 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     start_node: int = 0
-    ci: CiConfig | None = None
-    ci_grid: dict[str, Sequence[float]] | None = None
+    ci_grid: dict[str, Sequence[float]] | None = None  # fixed gains are a one-point grid
     echo: dict | None = None
 
     def __post_init__(self) -> None:
@@ -430,8 +429,8 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if "ci" in self.algorithms and self.ci is None and self.ci_grid is None:
-            raise ValueError("ci runs need either fixed parameters or a search grid")
+        if "ci" in self.algorithms and self.ci_grid is None:
+            raise ValueError("ci runs need a gain grid; fixed gains are a one-point grid")
 
 
 @dataclass(eq=False)
@@ -495,29 +494,16 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             )
 
     if "ci" in config.algorithms:
-        if config.ci_grid is not None:
-            grid_result = grid_search(
-                model,
-                config.graph,
-                config.ci_grid,
-                trials=config.trials,
-                horizon=config.horizon,
-                seed=config.seed,
-            )
-            ci_cfg, ci = grid_result.best, grid_result.best_trials
-        else:
-            ci_cfg, ci = config.ci, reduce["netavg"]
-            run_ci_trials(
-                model,
-                config.graph,
-                ci_cfg,
-                horizon=config.horizon,
-                trials=config.trials,
-                master_seed=config.seed,
-                readers={"netavg": ci},
-            )
-        metrics["rmse_ci_network"] = rmse_network_ci(ci, model)
-        ci_best = ci_cfg
+        grid_result = grid_search(
+            model,
+            config.graph,
+            config.ci_grid,
+            trials=config.trials,
+            horizon=config.horizon,
+            seed=config.seed,
+        )
+        metrics["rmse_ci_network"] = rmse_network_ci(grid_result.best_trials, model)
+        ci_best = grid_result.best
 
     for series in metrics.values():
         _check_finite(series)

@@ -64,21 +64,22 @@ def ci_step(
     ys: Sequence[np.ndarray],
     cfg: CiConfig,
     t: int,
+    gains: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """One synchronous update of every agent's (n, L) estimate.
 
     Neighbors are the out-neighbors in the current adjacency (information
-    flows along directed edges).
+    flows along directed edges).  ``gains``, one (L, L) matrix per agent,
+    multiplies each agent's innovation; the package has none.
     """
     s = np.atleast_2d(np.asarray(s, dtype=float))
     adj = np.asarray(a, dtype=float)
     deg = adj.sum(axis=1)
     consensus = deg[:, None] * s - adj @ s
     innovation = np.zeros_like(s)
-    gains = cfg.gains(model)
     for i, agent in enumerate(model.agents):
         resid = ys[i] - agent.H @ s[i]
-        innovation[i] = gains[i] @ (agent.W @ resid)
+        innovation[i] = agent.W @ resid if gains is None else gains[i] @ (agent.W @ resid)
     return s - cfg.beta(t) * consensus + cfg.alpha(t) * innovation
 
 

@@ -30,8 +30,6 @@ def test_config_validation():
         CiConfig(a=1.0, b=0.1, tau1=0.5, tau2=0.5)
     with pytest.raises(ValueError):
         CiConfig(a=1.0, b=0.1, tau1=1.2, tau2=0.5)
-    with pytest.raises(ValueError):
-        CiConfig(a=1.0, b=0.1, tau1=1.0, tau2=0.5, gain_mode="optimal")
 
 
 def test_step_matches_from_scratch_recomputation(ref5_model):
@@ -97,13 +95,13 @@ def test_zero_gain_consensus_reaches_agreement():
     )
     ring = _adj(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0), (2, 1), (3, 2), (0, 3)])
     gains = [np.zeros((2, 2)) for _ in range(4)]
-    cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.25, gain_mode=gains)
+    cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.25)
     rng = np.random.default_rng(1)
     state = np.random.default_rng(2).standard_normal((4, 2))
     initial_spread = np.ptp(state, axis=0).max()
     for t in range(3000):
         ys = sample_measurements(model, rng)
-        state = ci_step(state, model, ring, ys, cfg, t)
+        state = ci_step(state, model, ring, ys, cfg, t, gains)
     final_spread = np.ptp(state, axis=0).max()
     assert final_spread < 0.05 * initial_spread
 

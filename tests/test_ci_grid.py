@@ -8,26 +8,27 @@ and curve bit for bit.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from roamtoken import (
     AgentModel,
-    AlphaSchedule,
     CiConfig,
     GlobalModel,
     IidFailureGraph,
-    OutDegreeReciprocal,
     grid_search,
     run_experiment,
 )
+from roamtoken.config import apply_overrides, build_experiment, load_config, validate_config
 from roamtoken.engine import CHUNK_TICKS, _MeasurementMap, _TrialBlocks
-from roamtoken.harness import ExperimentConfig, rmse_network_ci
+from roamtoken.harness import rmse_network_ci
 
-from conftest import make_ref5_model, random_spd, ref5_adjacency
+from conftest import random_spd
 from references import SeriesRows, tick_stats
 
+GEO20 = Path(__file__).resolve().parents[1] / "configs" / "geo20_compare.yaml"
 PAPER_GRID = {"a": [0.5, 1.0, 2.0], "b": [0.1, 0.5, 1.0], "tau1": [1.0], "tau2": [0.25, 0.5]}
 
 
@@ -38,8 +39,7 @@ def _oracle_ci_trials(model, spec, cfg, horizon, trials, master_seed, chunk=CHUN
     measure = _MeasurementMap(model)
     all_scalar = all(a.n_measurements == 1 for a in model.agents)
     h_rows = np.stack([a.H[0] for a in model.agents]) if all_scalar else None
-    g_fold = [g @ a.W for g, a in zip(cfg.gains(model), model.agents)]
-    g_rows = np.stack([g[:, 0] for g in g_fold]) if all_scalar else None
+    w_rows = np.stack([a.W[:, 0] for a in model.agents]) if all_scalar else None
     slices = model.measurement_slices()
 
     s = np.zeros((R, n, dim))
@@ -61,12 +61,12 @@ def _oracle_ci_trials(model, spec, cfg, horizon, trials, master_seed, chunk=CHUN
                     break
                 if all_scalar:
                     resid = y - np.einsum("rnl,nl->rn", s, h_rows)
-                    innovation = resid[:, :, None] * g_rows[None, :, :]
+                    innovation = resid[:, :, None] * w_rows[None, :, :]
                 else:
                     innovation = np.empty((R, n, dim))
                     for i, sl in enumerate(slices):
                         resid_i = y[:, sl] - s[:, i, :] @ model.agents[i].H.T
-                        innovation[:, i, :] = resid_i @ g_fold[i].T
+                        innovation[:, i, :] = resid_i @ model.agents[i].W.T
                 adj = spec.adjacency(t, blocks.graph_u[:, ti]).astype(float)
                 deg = adj.sum(axis=-1)
                 consensus = deg[..., None] * s - adj @ s
@@ -151,42 +151,50 @@ def test_single_point_grid_score_matches_oracle(ref5_model, ref5_iid):
         _assert_matches_oracle(ref5_model, ref5_iid, single, trials=16, horizon=40, seed=seed)
 
 
-def test_run_experiment_grid_calls_ci_engine_twice(monkeypatch, tmp_path):
+def test_engine_calls_and_fixed_gains_as_a_one_point_grid(monkeypatch, tmp_path):
+    # the 18-point grid takes a stacked scoring pass and the winner's run; fixed gains are a
+    # one-point grid, which runs once and writes the same metrics.csv byte for byte
     import roamtoken.engine
-    import roamtoken.harness
 
     calls = []
     original = roamtoken.engine.run_ci_trials
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(list(args[2]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(roamtoken.engine, "run_ci_trials", counting)
-    monkeypatch.setattr(roamtoken.harness, "run_ci_trials", counting)
-    model, spec = make_ref5_model(), IidFailureGraph(ref5_adjacency(), p_fail=0.3)
-    config = ExperimentConfig(
-        model=model,
-        graph=spec,
-        rule=OutDegreeReciprocal(),
-        schedule=AlphaSchedule.linear(),
-        algorithms=("token", "ci"),
-        ci_grid=PAPER_GRID,
-        horizon=80,
-        trials=5,
-        seed=17,
-    )
-    result = run_experiment(config, out_dir=tmp_path)
-    assert len(calls) == 2
-    assert len(calls[0]) == 18 and calls[1] is result.ci_best
-    standalone = SeriesRows(80, "netavg")
+    cfg = apply_overrides(load_config(GEO20), ["run.horizon=80", "run.trials=5"])
+    fixed = {"a": 1.0, "b": 0.5, "tau1": 1.0, "tau2": 0.25}
+    runs = {
+        "grid": cfg["ci"],
+        "fixed": fixed,
+        "one-point grid": {"grid": {k: [v] for k, v in fixed.items()}},
+    }
+    counts, results = {}, {}
+    for name, ci in runs.items():
+        calls.clear()
+        variant = {**cfg, "ci": ci}
+        validate_config(variant)
+        results[name] = run_experiment(build_experiment(variant, GEO20.parent), tmp_path / name)
+        counts[name] = [len(c) for c in calls]
+        if name == "grid":
+            assert calls[1][0] is results[name].ci_best
+    assert counts == {"grid": [18, 1], "fixed": [1], "one-point grid": [1]}
+    metrics = {name: (tmp_path / name / "metrics.csv").read_bytes() for name in runs}
+    assert metrics["fixed"] == metrics["one-point grid"]
+    assert results["fixed"].grid.scores[0][1] == results["fixed"].grid.curve[-1]
+
+    # the grid winner's metric is its standalone run reduced over trials
+    experiment, standalone = build_experiment(cfg, GEO20.parent), SeriesRows(80, "netavg")
     original(
-        model, spec, result.ci_best, horizon=80, trials=5, master_seed=17,
-        readers=standalone.readers,
+        experiment.model, experiment.graph, [results["grid"].ci_best], horizon=80, trials=5,
+        master_seed=experiment.seed, readers=standalone.readers,
     )
-    expected = rmse_network_ci(tick_stats(standalone["netavg"]), model)
-    assert np.array_equal(result.metrics["rmse_ci_network"].values, expected.values)
-    assert np.array_equal(result.metrics["rmse_ci_network"].half_widths, expected.half_widths)
+    expected = rmse_network_ci(tick_stats(standalone["netavg"]), experiment.model)
+    got = results["grid"].metrics["rmse_ci_network"]
+    assert np.array_equal(got.values, expected.values)
+    assert np.array_equal(got.half_widths, expected.half_widths)
 
 
 def test_stacked_pass_keeps_no_series(ref5_model, ref5_iid):
@@ -199,7 +207,7 @@ def test_stacked_pass_keeps_no_series(ref5_model, ref5_iid):
     for k, cfg in enumerate(cfgs):
         single = SeriesRows(50, "netavg")
         run_ci_trials(
-            ref5_model, ref5_iid, cfg, horizon=50, trials=4, master_seed=1, readers=single.readers
+            ref5_model, ref5_iid, [cfg], horizon=50, trials=4, master_seed=1, readers=single.readers
         )
         assert np.array_equal(stacked.final_sq_err[:, k], single["netavg"][:, -1])
     with pytest.raises(ValueError, match="at least one"):

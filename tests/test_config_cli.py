@@ -202,10 +202,29 @@ def short_sequence_file(tmp_path):
     return path
 
 
-def test_cli_runtime_failure_exit_code(short_sequence_file, tmp_path):
-    # deterministic sequence shorter than the horizon exhausts mid-run
-    code = main(["simulate", str(short_sequence_file), "--out", str(tmp_path / "out")])
-    assert code == 2
+def test_cli_short_sequence_is_config_error(short_sequence_file, tmp_path, capsys):
+    # a sequence that does not cycle and has fewer frames than the run reads (horizon + 1, as
+    # the walk draws a move at the horizon) ran until it exhausted, then exited 2
+    out = tmp_path / "out"
+    assert main(["simulate", str(short_sequence_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "graph.frames_file: 1 frames, but run.horizon 30 reads 31" in err
+    assert not out.exists()
+    argv = ["simulate", str(short_sequence_file), "--out", str(out), "--set", "run.horizon=1"]
+    assert main(argv + ["--set", "graph.cycle=true"]) == 0
+
+
+def test_cli_runtime_failure_exit_code(tmp_path, capsys):
+    # fixed gains far beyond stability make the baseline diverge mid-run
+    text = re.sub(r"^  grid: .*$", "  a: 1.0\n  b: 80.0\n  tau1: 1.0\n  tau2: 0.01",
+                  GEO20_CONFIG.read_text(), flags=re.M)
+    path = tmp_path / "diverging.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = ["compare", str(path), "--out", str(out), "--set", "run.trials=4"]
+    assert main(argv + ["--set", "run.horizon=400"]) == 2
+    assert "error: consensus+innovations trajectory diverged" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 _BAD_SEQUENCE_KEYS = [
@@ -483,18 +502,14 @@ def test_cli_empty_section_is_config_error(tmp_path, capsys, section):
     assert captured.out == ""
     assert not out.exists()
 
-@pytest.mark.parametrize("gain_mode", ["foo", "[[1.0]]"])
-def test_cli_gain_mode_other_than_identity_rejected(tmp_path, capsys, gain_mode):
-    # a grid-only ci section dropped gain_mode unread: grid_search always uses identity gains
-    text = re.sub(r"^  (a|b|tau1|tau2): .*\n", "", GEO20_CONFIG.read_text(), flags=re.M)
-    assert "grid:" in text and "tau1: 1.0\n" not in text
-    path = tmp_path / "grid_only.yaml"
-    path.write_text(text)
+@pytest.mark.parametrize("key", ["a", "b", "tau1", "tau2"])
+def test_cli_fixed_gains_next_to_a_grid_rejected(tmp_path, capsys, key):
+    # the grid won and the fixed value was never read, though meta.yaml echoed it
     out = tmp_path / "out"
-    argv = ["compare", str(path), "--out", str(out), "--set", f"ci.gain_mode={gain_mode}"]
+    argv = ["compare", str(GEO20_CONFIG), "--out", str(out), "--set", f"ci.{key}=0.2"]
     assert main(argv + ["--set", "run.horizon=2", "--set", "run.trials=2"]) == 1
     captured = capsys.readouterr()
-    assert "ci.gain_mode: must be 'identity'" in captured.err
+    assert f"config error: ci.{key}: not read when ci.grid is set" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -615,10 +630,6 @@ def test_cli_compare_and_gridsearch(config_file, tmp_path, capsys):
     text += textwrap.dedent(
         """
         ci:
-          a: 1.0
-          b: 0.2
-          tau1: 1.0
-          tau2: 0.5
           grid: {a: [0.5, 1.0], b: [0.2], tau1: [1.0], tau2: [0.5]}
         """
     )
@@ -647,6 +658,14 @@ def test_cli_compare_and_gridsearch(config_file, tmp_path, capsys):
     assert main(["gridsearch", str(path), "--out", str(gs_out)]) == 0
     assert (gs_out / "grid_scores.csv").exists()
     assert (gs_out / "grid_best_curve.csv").exists()
+
+    # fixed gains are a one-point grid to compare, but gridsearch needs a grid to search
+    fixed = tmp_path / "fixed.yaml"
+    fixed.write_text(re.sub(r"^  grid: .*$", "  a: 1.0\n  b: 0.2\n  tau1: 1.0\n  tau2: 0.5",
+                            text, flags=re.M))
+    assert main(["compare", str(fixed), "--out", str(tmp_path / "fixed_out")]) == 0
+    assert main(["gridsearch", str(fixed), "--out", str(tmp_path / "fixed_gs")]) == 1
+    assert "ci.grid: required for gridsearch" in capsys.readouterr().err
 
 
 SHIPPED_CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml"))

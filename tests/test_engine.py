@@ -180,7 +180,7 @@ def test_ci_batch_matches_step_loop(ref5_model, ref5_iid):
     horizon, seed = 150, 11
     batch = SeriesRows(horizon, "netavg")
     run_ci_trials(
-        ref5_model, ref5_iid, cfg, horizon, trials=3, master_seed=seed, readers=batch.readers
+        ref5_model, ref5_iid, [cfg], horizon, trials=3, master_seed=seed, readers=batch.readers
     )
     for r in range(3):
         streams = episode_streams(trial_seed(seed, r))
@@ -239,7 +239,7 @@ def test_engines_reject_graph_model_size_mismatch(ref5_model, reciprocal, linear
         run_token_trials(ref5_model, spec, reciprocal, linear_alpha, horizon=5, trials=2)
     cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)
     with pytest.raises(ValueError, match="graph has 3 nodes but model has 5 agents"):
-        run_ci_trials(ref5_model, spec, cfg, horizon=5, trials=2)
+        run_ci_trials(ref5_model, spec, [cfg], horizon=5, trials=2)
 
 
 def test_readers_name_only_series_the_run_makes(
@@ -258,7 +258,7 @@ def test_readers_name_only_series_the_run_makes(
             ref5_model, ref5_iid, reciprocal, linear_alpha, 10, 2, readers=readers
         ),
         "central": lambda readers: run_central_trials(ref5_model, 10, 2, readers=readers),
-        "ci": lambda readers: run_ci_trials(ref5_model, ref5_iid, cfg, 10, 2, readers=readers),
+        "ci": lambda readers: run_ci_trials(ref5_model, ref5_iid, [cfg], 10, 2, readers=readers),
         "ci grid": lambda readers: run_ci_trials(
             ref5_model, ref5_iid, [cfg, cfg], 10, 2, readers=readers
         ),
@@ -317,11 +317,13 @@ def test_misshaped_noise_sampler_rejected_by_both_paths():
 
 
 def test_ci_divergence_detection(ref5_model, ref5_iid):
-    # a consensus weight far beyond stability makes the linear part explode
+    # a consensus weight far beyond stability makes the linear part explode; the run
+    # raises where the candidate's series is read and flags the candidate where it is not
     cfg = CiConfig(a=1.0, b=80.0, tau1=1.0, tau2=0.01)
+    args = (ref5_model, ref5_iid, [cfg], 4000, 2)
     with pytest.raises(NonFiniteMetric):
-        run_ci_trials(ref5_model, ref5_iid, cfg, horizon=4000, trials=2, master_seed=0)
-    soft = run_ci_trials(ref5_model, ref5_iid, [cfg], horizon=4000, trials=2, master_seed=0)
+        run_ci_trials(*args, master_seed=0, readers={"netavg": ignore})
+    soft = run_ci_trials(*args, master_seed=0)
     assert soft.diverged[0]
     assert np.isinf(soft.final_sq_err[:, 0]).all()
 

@@ -14,7 +14,6 @@ import roamtoken.engine as engine
 from roamtoken import (
     AgentModel,
     AlphaSchedule,
-    CiConfig,
     ExperimentConfig,
     GlobalModel,
     IidFailureGraph,
@@ -288,7 +287,7 @@ def test_run_experiment_pairs_token_and_ci(tmp_path):
     config = _smoke_config(
         graph=IidFailureGraph(ref5_adjacency(), p_fail=0.3),
         algorithms=("token", "ci"),
-        ci=CiConfig(a=1.0, b=0.2, tau1=1.0, tau2=0.5),
+        ci_grid={"a": [1.0], "b": [0.2], "tau1": [1.0], "tau2": [0.5]},
         horizon=60,
         trials=4,
     )
@@ -319,7 +318,7 @@ def test_run_experiment_nonfinite_fails_loudly(tmp_path):
     config = _smoke_config(
         graph=IidFailureGraph(ref5_adjacency(), p_fail=0.3),
         algorithms=("ci",),
-        ci=CiConfig(a=1.0, b=80.0, tau1=1.0, tau2=0.01),
+        ci_grid={"a": [1.0], "b": [80.0], "tau1": [1.0], "tau2": [0.01]},
         horizon=4000,
         trials=2,
     )

@@ -207,7 +207,7 @@ def test_solve_failure_in_every_block_at_once_names_the_worst_residual(monkeypat
 
 def test_diverging_ci_config_raises_as_in_one_process(monkeypatch, ref5_iid):
     cfg = CiConfig(a=1.0, b=80.0, tau1=1.0, tau2=0.01)
-    args = (make_ref5_model(), ref5_iid, cfg, 400, 4)
+    args = (make_ref5_model(), ref5_iid, [cfg], 400, 4)
     serial, sharded = _serial_and_sharded(
         monkeypatch, lambda: run_ci_trials(*args, readers={"netavg": ignore})
     )
@@ -321,7 +321,7 @@ def test_workers_run_no_exit_handler_and_flush_nothing():
         graph = IidFailureGraph(~np.eye(5, dtype=bool), p_fail=0.5)
         cfg = CiConfig(1.0, 80.0, 1.0, 0.01)
         try:
-            engine.run_ci_trials(model, graph, cfg, 400, trials=4, readers={"netavg": ignore})
+            engine.run_ci_trials(model, graph, [cfg], 400, trials=4, readers={"netavg": ignore})
         except NonFiniteMetric:
             print("failed once")
         """
