@@ -3,7 +3,10 @@
 Explicit matrix inversion is deliberately avoided everywhere.  A Cholesky
 factorization checks that the matrix is positive definite, an LU solve
 (``np.linalg.solve``) computes the answer, and the relative residual of that
-answer is verified before it is returned.
+answer is verified before it is returned.  The oracle's gain matrix
+(``observation.central_solver``) follows the same rule: it is a solve against
+the stacked ``W_i``, not an inverse, and every estimate made with it has its
+residual verified.
 """
 
 from __future__ import annotations

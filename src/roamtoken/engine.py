@@ -11,9 +11,11 @@ stacked measurements.  Everything else is computed once per chunk from those
 two.  Since agent ``p``'s statistic is ``x_p = W_p ybar_p``, the payload is
 ``d = W ybar_seen``, where ``ybar_seen`` holds each agent's means as of its
 latest visit, gathered on flat indices.  The estimate is solved in the
-eigenbasis of ``K``, which changes only on first visits.  Every chunk-sized
-array is a view of a buffer that the block allocates once
-(``_TrialBlocks.buffer``); only the oracle's LAPACK solve returns new ones.
+eigenbasis of ``K``, which changes only on first visits.  The oracle's
+estimates are one matmul of the running means by a gain matrix solved once
+per run (``observation.central_solver``).  Every chunk-sized array is a view
+of a buffer that the block (``_TrialBlocks.buffer``) or the oracle allocates
+once.
 
 The walk (``_walk``, shared with the chain engine) steps on compact,
 CSR-style out-rows (``_OutRows``): a node's columns are its possible
@@ -21,7 +23,9 @@ out-neighbours and itself.  A static graph's rows and cumulative transition
 weights are computed once per worker; an i.i.d. graph's holders read their
 out-edge uniforms from one contiguous slice of each tick's draws; a sequence
 reads its frame at the compact columns.  No tick builds an (R, n, n)
-adjacency, and one step costs O(out-degree) per trial.
+adjacency, and one step costs O(out-degree) per trial.  The walk checks its
+moves once per chunk, not once per tick: each drawn column must be an edge
+that was up at its tick or the holder's own, a sanctioned hold.
 
 All four engines (token, central, consensus+innovations and chain) shard
 their trials across the usable cores through one function, ``_sharded``.  Each
@@ -181,7 +185,7 @@ class _TrialBlocks:
         spec: GraphSpec | None,
         first: int = 0,
     ) -> None:
-        self.trials = trials
+        self.trials, self.first = trials, first
         self.model = model
         self.draws = 0 if spec is None else spec.draws
         width = (0 if model is None else model.total_measurements) + self.draws + 1
@@ -277,15 +281,16 @@ def _shared_zeros(shape: tuple[int, ...], dtype: type) -> np.ndarray:
 def _serial_order(exc: BaseException, t0: int) -> tuple[int, int, float]:
     """Where the serial loop, running all trials, would meet the failure ``exc`` of chunk ``t0``.
 
-    Within a chunk, errors in loading and walking come first, then the
-    oracle's, then the estimate's by tick.  A solve failure that several
-    blocks meet at the same point is reported with the worst residual, as
-    the serial loop takes the worst over all trials.
+    Within a chunk, errors in loading come first, then the walk's by tick,
+    then the oracle's, then the estimate's by tick.  A solve failure that
+    several blocks meet at the same point is reported with the worst
+    residual, as the serial loop takes the worst over all trials.
     """
     residual = getattr(exc, "residual", None)
     tick = getattr(exc, "tick", None)
-    stage = -2 if residual is None else -1 if tick is None else tick
-    return t0, stage, -(residual or 0.0)
+    if residual is None:
+        return t0, -2, -1 if tick is None else tick
+    return t0, -1 if tick is None else tick, -residual
 
 
 class _Ring:
@@ -515,20 +520,19 @@ class _RunningMeans:
 
 
 class _CentralOracle:
-    """The centralized estimate on every trial's running means, solved once per chunk."""
+    """The centralized estimate on every trial's running means, a chunk at a time."""
 
     def __init__(self, model: GlobalModel) -> None:
-        self.solve = central_solver(model)
-        self.w_full = np.hstack([a.W for a in model.agents])
-        self.theta = model.theta
+        self.estimate = central_solver(model)
+        self.theta, self.ones = model.theta, np.ones(model.dim)
 
     def score(self, means: np.ndarray, blocks: _TrialBlocks) -> np.ndarray:
         """The (ticks, trials) squared errors of the estimates on (ticks, trials, m) running means."""
-        rhs = blocks.buffer("d", (*means.shape[:2], len(self.theta)))
-        err = self.solve(np.matmul(means, self.w_full.T, out=rhs))
-        err -= self.theta
+        err = self.estimate(means)
+        for i, value in enumerate(self.theta):  # broadcasting along the last axis is slow
+            err[..., i] -= value
         sq = blocks.buffer("central", means.shape[:2])
-        return np.add.reduce(np.square(err, out=err), axis=-1, out=sq)
+        return np.matmul(np.square(err, out=err), self.ones, out=sq)
 
 
 class _OutRows:
@@ -581,27 +585,53 @@ def _walk(
     reuses, whose row ``ti`` holds each trial's holder at tick ``t0 + ti``,
     and the holders after the last step.  The path depends only on the graph
     and move streams.  Each tick gathers the holders' rows (on an i.i.d.
-    graph, their slots of the chunk's uniforms, by one flat ``np.take``),
-    steps them through ``bulk_step`` and maps each drawn column to a node.
+    graph, their slots of the chunk's uniforms, by one flat ``np.take``) and
+    own columns into the chunk's buffers, steps them through ``bulk_step``
+    and maps each drawn column to a node.  After the chunk, one pass checks
+    that every drawn column was an edge up at its tick or the holder's own
+    column, a sanctioned hold; the first step that was neither, by tick and
+    then trial, raises RuntimeError.
     """
-    path = blocks.buffer("path", (length, len(pos)), np.int64)
+    R, width = len(pos), out.width
+    path = blocks.buffer("path", (length, R), np.int64)
+    rows = blocks.buffer("rows", (length, R, width), bool)
+    own = blocks.buffer("own", (length, R), np.int64)
+    col = blocks.buffer("col", (length, R), np.int64)
     if out.draws:
         uniforms, start = blocks.graph_flat()
         start = start[:, None]
     cum = None
     for ti in range(length):
-        path[ti] = pos
+        # a take into ``out=`` copies its result first unless out-of-range indices wrap or
+        # clip; assigning the returned rows is faster
+        path[ti], own[ti] = pos, out.own.take(pos)
         if out.cum is not None:
-            rows, cum = out.rows.take(pos, axis=0), out.cum.take(pos, axis=0)
+            rows[ti], cum = out.rows.take(pos, axis=0), out.cum.take(pos, axis=0)
         elif out.draws:
             at = out.slot.take(pos, axis=0)
             at += start + ti * out.draws
-            rows = uniforms.take(at) < out.keep.take(pos, axis=0)
+            np.less(uniforms.take(at), out.keep.take(pos, axis=0), out=rows[ti])
         else:
             frame = out.spec.adjacency(t0 + ti, None)
-            rows = frame.take(out.at_frame.take(pos, axis=0))
-        col = bulk_step(out.own.take(pos), rows, out.rule, blocks.move_u[:, ti], cum)
-        pos = out.cols.take(pos * out.width + col)
+            rows[ti] = frame.take(out.at_frame.take(pos, axis=0))
+        col[ti] = bulk_step(own[ti], rows[ti], out.rule, blocks.move_u[:, ti], cum)
+        pos = out.cols.take(pos * width + col[ti])
+    # each step's drawn column, flat in ``rows``: (ti * R + r) * width + col, in range
+    at = np.add(
+        np.arange(0, length * R * width, R * width)[:, None], np.arange(0, R * width, width),
+        out=blocks.buffer("step", (length, R), np.int64),
+    )
+    at += col
+    moved = blocks.buffer("moved", (length, R), bool)
+    np.take(rows.reshape(-1), at, out=moved, mode="clip")
+    moved |= np.equal(col, own, out=blocks.buffer("held", (length, R), bool))
+    if not moved.all():
+        ti, r = np.unravel_index(np.argmin(moved), moved.shape)
+        exc = RuntimeError(
+            f"token jumped a nonexistent edge at t={t0 + ti} in trial {blocks.first + r}"
+        )
+        exc.tick = t0 + int(ti)  # where the serial loop meets it, for ``_serial_order``
+        raise exc
     return path, pos
 
 

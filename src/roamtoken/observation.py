@@ -167,29 +167,49 @@ def fisher_information(agents: Sequence[AgentModel], floor: float = EIGENVALUE_F
 
 
 def central_solver(model: GlobalModel) -> Callable[[np.ndarray], np.ndarray]:
-    """The oracle solve ``sigma_c x = rhs`` for stacked right-hand sides.
+    """The oracle's estimates on stacked running means, through one gain matrix.
 
-    The returned solve maps rhs of shape (..., L), for example a chunk's
-    (ticks, trials, L) stack, to estimates of the same shape in one LU solve,
-    and raises SolveFailed when a row's relative residual exceeds
-    ``SOLVE_RTOL``.  ``sigma_c`` is checked positive definite once, here.
+    The oracle solves ``sigma_c x = W_full ybar`` for running means ``ybar``,
+    so ``x = G ybar`` with ``G`` the solution of ``sigma_c G = W_full``.  ``G``
+    is solved here once, after a Cholesky check that ``sigma_c`` is positive
+    definite; it is a solve against ``W_full``, not an inverse.  The returned
+    callable maps means of shape (..., m), for example a chunk's (ticks,
+    trials, m) stack, to the (..., L) estimates ``ybar G^T`` by one matmul.  It
+    raises SolveFailed when a row's relative residual
+    ``|sigma_c x - W_full ybar| / |W_full ybar|`` exceeds ``SOLVE_RTOL``, on
+    the ``x`` that matmul produced.  It writes into scratch that it keeps, so
+    its result holds until the next call.
     """
     sigma = model.sigma_c
     np.linalg.cholesky(sigma)  # raises LinAlgError unless sigma_c is positive definite
+    w_full = np.hstack([a.W for a in model.agents])
+    gain_t = np.ascontiguousarray(np.linalg.solve(sigma, w_full).T)
+    w_t = np.ascontiguousarray(w_full.T)
+    m, dim = w_t.shape
+    ones = np.ones(dim)
+    scratch = np.empty(0)
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        flat = rhs.reshape(-1, sigma.shape[0])
-        x = np.linalg.solve(sigma, flat.T).T.reshape(rhs.shape)
-        resid = x.reshape(flat.shape) @ sigma  # each temporary goes before the next is made
-        resid -= flat
-        worst = np.einsum("ij,ij->i", resid, resid)
-        del resid
-        scale = np.einsum("ij,ij->i", flat, flat)
+    def estimate(means: np.ndarray) -> np.ndarray:
+        nonlocal scratch
+        means = np.asarray(means, dtype=float)
+        flat = means.reshape(-1, m)
+        rows = len(flat)
+        size = rows * (3 * dim + 2)
+        if scratch.size < size:
+            scratch = np.empty(size)
+        x, rhs, resid = scratch[: 3 * rows * dim].reshape(3, rows, dim)
+        worst, scale = scratch[3 * rows * dim : size].reshape(2, rows)
+        np.matmul(flat, gain_t, out=x)
+        np.matmul(flat, w_t, out=rhs)
+        np.matmul(x, sigma, out=resid)
+        resid -= rhs
+        # squared row norms, as a product with ones: faster than einsum over so few columns
+        np.matmul(np.square(resid, out=resid), ones, out=worst)
+        np.matmul(np.square(rhs, out=rhs), ones, out=scale)
         np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
         worst = np.max(np.divide(np.sqrt(worst, out=worst), scale, out=worst))
         if worst > SOLVE_RTOL:
             raise SolveFailed(f"oracle solve residual {worst:.3e}", residual=float(worst))
-        return x
+        return x.reshape(*means.shape[:-1], dim)
 
-    return solve
+    return estimate

@@ -103,8 +103,9 @@ def run_episode(
     statistic; the holder replaces its contribution in ``d`` and, on its first
     visit, adds its ``B_i`` to ``K``; the estimate is solved (its error
     becomes the holder's last-seen error); an adjacency is drawn and the token
-    steps.  Strictly sequential and reproducible from ``seed``, which feeds
-    three independent streams (noise, graph, move).
+    steps, along an edge of it or by holding, or RuntimeError is raised.
+    Strictly sequential and reproducible from ``seed``, which feeds three
+    independent streams (noise, graph, move).
     """
     if spec.n != model.n_agents:
         raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
@@ -152,7 +153,10 @@ def run_episode(
         estimates[t], d_hist[t], k_hist[t], tau[t], x_hist[t] = s, d, K, last_visit, x
 
         adj = spec.adjacency(t, streams.graph.random(spec.draws))
-        node = int(bulk_step(np.array([node]), adj[[node]], rule, streams.move.random(1))[0])
+        nxt = int(bulk_step(np.array([node]), adj[[node]], rule, streams.move.random(1))[0])
+        if nxt != node and not adj[node, nxt]:
+            raise RuntimeError(f"token jumped a nonexistent edge at t={t}")
+        node = nxt
 
     return EpisodeTrace(
         horizon=horizon,

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from roamtoken import (
     AgentModel,
     AlphaSchedule,
+    DeterministicSequence,
     GlobalModel,
     IidFailureGraph,
     Lazy,
     OutDegreeReciprocal,
     StaticGraph,
 )
+from roamtoken.graphs import GraphSpec
 
 REF5_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (2, 4), (3, 1), (1, 3)]
 REF5_H = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [0.5, 2.0]]
@@ -69,6 +72,40 @@ def linear_alpha() -> AlphaSchedule:
 def random_spd(rng: np.random.Generator, m: int) -> np.ndarray:
     a = rng.standard_normal((m, m))
     return a @ a.T + 0.2 * np.eye(m)
+
+
+@st.composite
+def models_and_graphs(draw) -> tuple[GlobalModel, GraphSpec]:
+    """A drawn model and graph for the engines' property tests.
+
+    The model has 2 to 6 agents and 1 to 3 parameters; every agent takes one measurement,
+    or each takes one or two.  The graph is static, i.i.d. failure or a cycling sequence of
+    1 to 4 frames on those agents.
+    """
+    n, scalar = draw(st.integers(2, 6)), draw(st.booleans())
+    counts = [1 if scalar else draw(st.integers(1, 2)) for _ in range(n)]
+    dim = draw(st.integers(1, min(3, sum(counts))))  # fewer measurements leave theta unseen
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    agents = [
+        AgentModel(i, rng.uniform(-1, 1, (m, dim)), random_spd(rng, m) + np.eye(m))
+        for i, m in enumerate(counts)
+    ]
+    model = GlobalModel(agents, rng.uniform(0.5, 2.0, dim) * rng.choice([-1, 1], dim))
+
+    def frame(p_edge: float) -> np.ndarray:
+        a = rng.random((n, n)) < p_edge
+        np.fill_diagonal(a, False)
+        return a
+
+    kind = draw(st.sampled_from(["static", "iid_failure", "sequence"]))
+    p_edge = draw(st.floats(0.2, 1.0))
+    if kind == "static":
+        graph = StaticGraph(frame(p_edge))
+    elif kind == "iid_failure":
+        graph = IidFailureGraph(frame(p_edge), p_fail=draw(st.floats(0.0, 0.9)))
+    else:
+        graph = DeterministicSequence([frame(p_edge) for _ in range(draw(st.integers(1, 4)))], True)
+    return model, graph
 
 
 ACCEPTANCE_LINES: list[str] = []

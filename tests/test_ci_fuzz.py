@@ -18,48 +18,19 @@ import numpy as np
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from roamtoken import (
-    AgentModel,
-    CiConfig,
-    DeterministicSequence,
-    GlobalModel,
-    IidFailureGraph,
-    StaticGraph,
-    sample_measurements,
-)
+from roamtoken import CiConfig, sample_measurements
 from roamtoken._streams import episode_streams, trial_seed
 from roamtoken.engine import run_ci_trials
 
-from conftest import random_spd
+from conftest import models_and_graphs
 from references import SeriesRows, ci_step
 
 
 @st.composite
 def setups(draw):
     """(model, graph, gain candidates, horizon, trials, seed)."""
-    n, scalar = draw(st.integers(2, 6)), draw(st.booleans())
-    counts = [1 if scalar else draw(st.integers(1, 2)) for _ in range(n)]
-    dim = draw(st.integers(1, min(3, sum(counts))))  # fewer measurements leave theta unseen
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    agents = [
-        AgentModel(i, rng.uniform(-1, 1, (m, dim)), random_spd(rng, m) + np.eye(m))
-        for i, m in enumerate(counts)
-    ]
-    model = GlobalModel(agents, rng.uniform(0.5, 2.0, dim) * rng.choice([-1, 1], dim))
-
-    def frame(p_edge: float) -> np.ndarray:
-        a = rng.random((n, n)) < p_edge
-        np.fill_diagonal(a, False)
-        return a
-
-    kind = draw(st.sampled_from(["static", "iid_failure", "sequence"]))
-    p_edge = draw(st.floats(0.2, 1.0))
-    if kind == "static":
-        graph = StaticGraph(frame(p_edge))
-    elif kind == "iid_failure":
-        graph = IidFailureGraph(frame(p_edge), p_fail=draw(st.floats(0.0, 0.9)))
-    else:
-        graph = DeterministicSequence([frame(p_edge) for _ in range(draw(st.integers(1, 4)))], True)
+    model, graph = draw(models_and_graphs())
+    n = model.n_agents
 
     def gains() -> CiConfig:
         tau1 = draw(st.floats(0.5, 1.0))

@@ -40,7 +40,7 @@ from roamtoken.engine import (
     run_token_trials,
 )
 
-from conftest import make_ref5_model, ref5_adjacency, slow_ring
+from conftest import make_ref5_model, random_spd, ref5_adjacency, slow_ring
 from references import SeriesRows, central_estimate, ci_step, ignore, tick_stats
 
 TOKEN_SERIES = ("sq_err", "last_seen", "visited")
@@ -328,26 +328,38 @@ def test_ci_divergence_detection(ref5_model, ref5_iid):
     assert np.isinf(soft.final_sq_err[:, 0]).all()
 
 
-def test_central_trials_match_direct_estimates(ref5_model, ref5_iid, reciprocal, linear_alpha):
+def _vector_model() -> GlobalModel:
+    """Four agents of a parameter in R^3, three of them with two measurements each."""
+    rng = np.random.default_rng(12)
+    agents = [
+        AgentModel(i, rng.standard_normal((m, 3)), random_spd(rng, m) + np.eye(m))
+        for i, m in enumerate([2, 1, 2, 2])
+    ]
+    return GlobalModel(agents, [0.5, -1.0, 2.0])
+
+
+@pytest.mark.parametrize("make_model", [make_ref5_model, _vector_model], ids=["ref5", "vector"])
+def test_central_trials_match_direct_estimates(make_model, reciprocal, linear_alpha):
     # the oracle-only engine and the token engine's in-loop oracle, per tick; the
     # horizon crosses several chunk edges, where the running means carry over
-    horizon, seed = 300, 2
+    horizon, seed, model = 300, 2, make_model()
     assert horizon > CHUNK_TICKS
+    spec = IidFailureGraph(~np.eye(model.n_agents, dtype=bool), p_fail=0.5)
     central, token = SeriesRows(horizon, "central"), SeriesRows(horizon, "central")
-    run_central_trials(ref5_model, horizon, trials=2, master_seed=seed, readers=central.readers)
+    run_central_trials(model, horizon, trials=2, master_seed=seed, readers=central.readers)
     run_token_trials(
-        ref5_model, ref5_iid, reciprocal, linear_alpha, horizon, trials=2, master_seed=seed,
+        model, spec, reciprocal, linear_alpha, horizon, trials=2, master_seed=seed,
         readers=token.readers,
     )
     for r in range(2):
         streams = episode_streams(trial_seed(seed, r))
-        means = [np.zeros(a.n_measurements) for a in ref5_model.agents]
+        means = [np.zeros(a.n_measurements) for a in model.agents]
         for t in range(horizon + 1):
-            ys = sample_measurements(ref5_model, streams.noise)
+            ys = sample_measurements(model, streams.noise)
             for i, y in enumerate(ys):
                 means[i] += (y - means[i]) / (t + 1)
-            est = central_estimate(ref5_model.agents, means)
-            sq = float(((est - ref5_model.theta) ** 2).sum())
+            est = central_estimate(model.agents, means)
+            sq = float(((est - model.theta) ** 2).sum())
             assert central["central"][r, t] == pytest.approx(sq, rel=1e-9)
             assert token["central"][r, t] == pytest.approx(sq, rel=1e-9)
 
@@ -411,21 +423,48 @@ def test_compact_walk_matches_dense_steps(kind, rule):
         assert holds_on_empty_rows > 0
 
 
-@pytest.mark.parametrize("kind", ["static", "iid"])
+# Under a sampler that always draws the last column, the compact walk from ``start`` first
+# leaves the graph at tick ``first``.  On the reference graph, node 0's last compact column is
+# node 2 and node 2's is node 4, both edges, and node 4's is padding, never an edge; on the
+# sequence, node 0's is node 3, an edge of frame 0, and node 3's is padding.  On a dense row
+# the last column is node n - 1, which node 1 has no edge to at t=0 in any of the three.
+GUARD_CASES = {"static": (0, 2), "iid": (4, 0), "sequence": (0, 1)}
+
+
+@pytest.mark.parametrize("kind", sorted(GUARD_CASES))
 def test_batched_walk_keeps_the_nonexistent_edge_guard(kind, monkeypatch):
-    # a sampler that always draws the last compact column: for node 4 of the
-    # reference graph, whose one out-edge leaves a padding column, that is never an edge
-    spec = WALK_SPECS[kind]()
+    spec, (start, first) = WALK_SPECS[kind](), GUARD_CASES[kind]
     monkeypatch.setattr(
         "roamtoken.chain._sample_rows", lambda cum, u: np.full(len(u), cum.shape[1] - 1)
     )
-    with pytest.raises(RuntimeError, match="nonexistent edge"):
-        run_chain_trials(spec, OutDegreeReciprocal(), start_node=4, horizon=10, trials=3)
-    with pytest.raises(RuntimeError, match="nonexistent edge"):
-        run_token_trials(
-            make_ref5_model(), spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=10,
-            trials=3, start_node=4,
-        )
+    named = rf"token jumped a nonexistent edge at t={first} in trial 0$"
+    with pytest.raises(RuntimeError, match=named):
+        run_chain_trials(spec, OutDegreeReciprocal(), start_node=start, horizon=10, trials=3)
+    model = GlobalModel([AgentModel(i, [[1.0, 0.5 * i]], [[1.0]]) for i in range(spec.n)], [1, 2])
+    args = (model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
+    with pytest.raises(RuntimeError, match=named):
+        run_token_trials(*args, horizon=10, trials=3, start_node=start)
+    with pytest.raises(RuntimeError, match=r"token jumped a nonexistent edge at t=0$"):
+        run_episode(*args, horizon=10, start_node=1)
+
+
+def test_walk_guard_names_the_first_bad_step_of_a_later_chunk(monkeypatch):
+    # the sampler as it is, except that at tick 150, in the third chunk, trial 2 draws a
+    # column whose edge is down
+    spec, ticks = IidFailureGraph(ref5_adjacency(), p_fail=0.9), []
+
+    def one_bad_step(pos, rows, rule, u, cum=None):
+        col = bulk_step(pos, rows, rule, u, cum)
+        if len(ticks) == 150:
+            down = np.flatnonzero(~rows[2] & (np.arange(rows.shape[1]) != pos[2]))
+            col[2] = down[0]
+        ticks.append(len(ticks))
+        return col
+
+    monkeypatch.setattr(engine, "bulk_step", one_bad_step)
+    with pytest.raises(RuntimeError, match=r"nonexistent edge at t=150 in trial 2$"):
+        run_chain_trials(spec, OutDegreeReciprocal(), start_node=0, horizon=300, trials=4)
+    assert len(ticks) == 3 * CHUNK_TICKS  # the walk stops at the end of the chunk
 
 
 def test_engines_build_no_per_tick_adjacency_on_iid_graphs(monkeypatch):
@@ -520,7 +559,8 @@ def test_steady_state_token_chunk_allocates_little(monkeypatch):
     # one process, static ref5 at R=250 with the oracle and the last-seen errors: the peak
     # of traced memory above what is live at a chunk's end, within each chunk from the
     # third on.  Before the chunk's steps wrote into the block's buffers it was 3,363,040 B
-    # (numpy 2.4); what is left is mostly the oracle's LAPACK solve, whose result is new.
+    # (numpy 2.4), and 641,633 B while the oracle LU-solved every chunk into new arrays; with
+    # the oracle one matmul by a gain matrix into its own scratch it is about 140,000 B.
     root = Path(__file__).resolve().parents[1] / "configs"
     shipped = build_experiment(load_config(root / "ref5_static.yaml"), root)
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
@@ -541,4 +581,4 @@ def test_steady_state_token_chunk_allocates_little(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(transient) == 11
-    assert max(transient[2:]) <= 3_363_040 / 4
+    assert max(transient[2:]) <= 3_363_040 / 16

@@ -170,20 +170,28 @@ def test_solve_spd_residual_guard(monkeypatch):
 
 
 def test_central_solver_batched_shapes_and_residual_guard(ref5_model, monkeypatch):
-    solve = central_solver(ref5_model)
-    rhs = np.random.default_rng(4).standard_normal((3, 4, ref5_model.dim))
-    x = solve(rhs)
-    assert x.shape == rhs.shape
-    assert np.allclose(x @ ref5_model.sigma_c, rhs, rtol=0, atol=1e-12)
-    assert np.allclose(solve(rhs[1, 2]), x[1, 2], rtol=1e-13, atol=0)
+    estimate = central_solver(ref5_model)
+    w_full = np.hstack([a.W for a in ref5_model.agents])
+    means = np.random.default_rng(4).standard_normal((3, 4, ref5_model.total_measurements))
+    x = estimate(means).copy()  # the next call writes over the result
+    assert x.shape == (3, 4, ref5_model.dim)
+    assert np.allclose(x @ ref5_model.sigma_c, means @ w_full.T, rtol=0, atol=1e-12)
+    assert np.allclose(estimate(means[1, 2]), x[1, 2], rtol=1e-13, atol=0)
 
+    # a gain matrix with its last column off: every row that reads that column fails the
+    # per-row guard, and rows that do not read it pass
     exact = np.linalg.solve
 
-    def last_rhs_off(m, b):
+    def last_column_off(m, b):
         out = exact(m, b)
-        out[..., -1] *= 1 + 1e-6  # only the batch's last right-hand side is off
+        out[:, -1] *= 1 + 1e-6
         return out
 
-    monkeypatch.setattr(np.linalg, "solve", last_rhs_off)
+    monkeypatch.setattr(np.linalg, "solve", last_column_off)
+    perturbed = central_solver(ref5_model)
+    monkeypatch.undo()
+    means[..., -1] = 0.0
+    perturbed(means)
+    means[2, 1, -1] = 1.0  # one row of twelve
     with pytest.raises(SolveFailed, match="oracle solve residual"):
-        solve(rhs)
+        perturbed(means)

@@ -15,6 +15,7 @@ from roamtoken import (
     AlphaSchedule,
     CiConfig,
     DeterministicSequence,
+    IidFailureGraph,
     Lazy,
     NonFiniteMetric,
     OutDegreeReciprocal,
@@ -25,7 +26,7 @@ from roamtoken._streams import trial_seed
 from roamtoken.cli import main
 from roamtoken.engine import run_chain_trials, run_ci_trials, run_token_trials
 
-from conftest import make_ref5_model, slow_ring
+from conftest import make_ref5_model, ref5_adjacency, slow_ring
 from references import ignore
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -238,6 +239,23 @@ def test_exhausted_sequence_raises_as_in_one_process(monkeypatch, ref5_model, re
     )
     assert type(serial) is type(sharded) is SequenceExhausted
     assert str(sharded) == str(serial) == "no frame for t=3; sequence has 3"
+
+
+def test_walk_guard_names_the_step_the_serial_loop_meets_first(monkeypatch):
+    # a sampler that always draws the last compact column, on an i.i.d. reference graph from
+    # node 0: a trial leaves the graph at t=0 where its edge to node 2 is down, else at t=1
+    # or t=2.  At this seed block 1 (trials 2 and 3) leaves it first, in the same chunk as
+    # block 0, at an earlier tick
+    spec = IidFailureGraph(ref5_adjacency(), p_fail=0.5)
+    monkeypatch.setattr(
+        "roamtoken.chain._sample_rows", lambda cum, u: np.full(len(u), cum.shape[1] - 1)
+    )
+    args = (spec, OutDegreeReciprocal(), 0, 10, 4)
+    serial, sharded = _serial_and_sharded(
+        monkeypatch, lambda: run_chain_trials(*args, master_seed=5)
+    )
+    assert type(serial) is type(sharded) is RuntimeError
+    assert str(sharded) == str(serial) == "token jumped a nonexistent edge at t=0 in trial 2"
 
 
 def test_failure_while_a_worker_waits_on_a_full_ring():
