@@ -75,12 +75,19 @@ def transition_rows(rule: TransitionRule, rows: np.ndarray, pos: np.ndarray) -> 
 
 
 def apply_rule(rule: TransitionRule, a: np.ndarray) -> np.ndarray:
-    """The row-stochastic transition matrix induced by ``rule`` on adjacency ``a``."""
+    """The row-stochastic transition matrix induced by ``rule`` on adjacency ``a``.
+
+    Raises RuntimeError if a row is not stochastic or weights a missing edge.
+    """
     a = as_adjacency(a)
     q = transition_rows(rule, a, np.arange(a.shape[0]))
     dev = np.abs(q.sum(axis=1) - 1.0).max()
     if dev > ROW_SUM_TOL:
         raise RuntimeError(f"transition rows deviate from stochastic by {dev:.3e}")
+    off_edge = np.argwhere((q > 0) & ~a & ~np.eye(a.shape[0], dtype=bool))
+    if off_edge.size:
+        i, j = off_edge[0]
+        raise RuntimeError(f"positive transition weight on missing edge {i}->{j}")
     return q
 
 
@@ -134,10 +141,7 @@ def mean_transition_matrix(spec: GraphSpec, rule: TransitionRule) -> np.ndarray:
 
 def is_irreducible(q: np.ndarray) -> bool:
     """True iff the support digraph of the stochastic matrix is strongly connected."""
-    q = np.asarray(q, dtype=float)
-    support = q > 0
-    np.fill_diagonal(support, False)
-    return is_strongly_connected(support)
+    return is_strongly_connected(np.asarray(q, dtype=float) > 0)
 
 
 def support_diameter(q: np.ndarray) -> int:

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 from ._streams import derived_stream
 from .baseline import grid_search
-from .chain import apply_rule, is_irreducible, mean_transition_matrix
+from .chain import is_irreducible, mean_transition_matrix
 from .config import (
     CONFIG_KEYS,
     apply_overrides,
@@ -29,7 +28,6 @@ from .graphs import (
     write_adjacency,
 )
 from .harness import (
-    check_rule_support,
     run_experiment,
     verify_sequential_connectivity,
     verify_state_identity,
@@ -133,15 +131,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
 
     if isinstance(spec, DeterministicSequence):
-        print("SKIP transition support: sampled check needs a random or static process")
         print("SKIP mean-chain irreducibility: undefined for deterministic sequences")
         print("SKIP tail bounds: need a static or i.i.d. failure process")
     else:
-        support = check_rule_support(
-            spec, samples=200, rng=derived_stream(seed, 11), rule_apply=partial(apply_rule, rule)
-        )
-        print(support.summary())
-        failed |= not support.passed
         try:
             irreducible = is_irreducible(mean_transition_matrix(spec, rule))
             print(("PASS" if irreducible else "FAIL") + " mean-chain irreducibility")

@@ -134,23 +134,19 @@ class DeterministicSequence:
 GraphSpec = Union[StaticGraph, IidFailureGraph, DeterministicSequence]
 
 
-def _reachable_from(a: np.ndarray, start: int) -> np.ndarray:
-    seen = np.zeros(a.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = seen.copy()
-    while frontier.any():
-        nxt = a[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
+def _closure(a: np.ndarray) -> np.ndarray:
+    """Reflexive transitive closure of ``(..., n, n)`` adjacencies: a path leads from i to j."""
+    a = np.asarray(a, dtype=bool)
+    n = a.shape[-1]
+    reach = a | np.eye(n, dtype=bool)
+    for _ in range(max(n - 2, 0).bit_length()):  # paths of up to 2^k >= n - 1 edges
+        reach = reach @ reach
+    return reach
 
 
 def is_strongly_connected(a: np.ndarray) -> bool:
-    """True iff every ordered node pair is joined by a directed path."""
-    a = np.asarray(a, dtype=bool)
-    if a.shape[0] == 1:
-        return True
-    return bool(_reachable_from(a, 0).all() and _reachable_from(a.T, 0).all())
+    """True iff every ordered node pair is joined by a directed path, read off ``_closure``."""
+    return bool(_closure(a).all())
 
 
 def relative_degree(a: np.ndarray) -> float:
@@ -229,8 +225,7 @@ def window_union_connected(frames: Sequence[np.ndarray], b: int) -> bool:
 
     A window's union is where the sliding count of each edge over its frames,
     a difference of running sums, is positive.  All windows are tested at
-    once: a union is strongly connected iff its reflexive transitive closure,
-    built by repeated boolean squaring, is all true.
+    once, through the one closure behind ``is_strongly_connected``.
     """
     if b < 1:
         raise ValueError("window size must be >= 1")
@@ -240,10 +235,7 @@ def window_union_connected(frames: Sequence[np.ndarray], b: int) -> bool:
     n = stack.shape[1]
     counts = np.zeros((len(stack) + 1, n, n), dtype=np.int64)
     np.cumsum(stack, axis=0, out=counts[1:])
-    reach = (counts[b:] - counts[:-b] > 0) | np.eye(n, dtype=bool)
-    for _ in range(max(n - 2, 0).bit_length()):  # paths of up to 2^k >= n - 1 edges
-        reach = reach @ reach
-    return bool(reach.all())
+    return bool(_closure(counts[b:] - counts[:-b] > 0).all())
 
 
 def sequential_reachability(frames: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import yaml
@@ -365,41 +365,6 @@ def verify_sequential_connectivity(
     return SequentialConnectivityReport(
         passed=not counterexamples, checked=checked, counterexamples=counterexamples
     )
-
-
-@dataclass(eq=False)
-class RuleSupportReport:
-    passed: bool
-    samples: int
-    violations: list[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        state = "PASS" if self.passed else "FAIL"
-        return f"{state} transition support/stochasticity: samples={self.samples}"
-
-
-def check_rule_support(
-    spec: GraphSpec,
-    samples: int,
-    rng: np.random.Generator,
-    rule_apply: Callable[[np.ndarray], np.ndarray],
-) -> RuleSupportReport:
-    """Sampled adjacencies: rows must be stochastic and supported by real edges."""
-    violations: list[str] = []
-    for k in range(samples):
-        a = spec.adjacency(k, rng.random(spec.draws))
-        q = np.asarray(rule_apply(a))
-        dev = float(np.abs(q.sum(axis=1) - 1.0).max())
-        if dev > 1e-12:
-            violations.append(f"sample {k}: row sums deviate by {dev:.3e}")
-        off = q.copy()
-        np.fill_diagonal(off, 0.0)
-        if ((off > 0) & ~a).any():
-            i, j = np.argwhere((off > 0) & ~a)[0]
-            violations.append(f"sample {k}: positive weight on missing edge {i}->{j}")
-        if violations:
-            break
-    return RuleSupportReport(passed=not violations, samples=samples, violations=violations)
 
 
 @dataclass(eq=False)

@@ -17,7 +17,7 @@ import yaml
 from roamtoken import ConfigError, relative_degree
 from roamtoken.cli import main
 from roamtoken.config import apply_overrides, build_experiment, load_config
-from roamtoken.graphs import read_adjacency
+from roamtoken.graphs import read_adjacency, window_union_connected, write_frames_csv
 
 BASE_CONFIG = textwrap.dedent(
     """
@@ -579,6 +579,44 @@ def test_cli_verify_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "FAIL" in out
+
+
+def test_cli_verify_on_a_window_connected_sequence(tmp_path, capsys):
+    # two cycling frames, neither strongly connected alone, whose union is the cycle 0->1->2->0
+    frames = [np.zeros((3, 3), dtype=bool) for _ in range(2)]
+    frames[0][0, 1] = frames[0][1, 2] = frames[1][2, 0] = True
+    assert not window_union_connected(frames, 1) and window_union_connected(frames * 2, 2)
+    write_frames_csv(tmp_path / "frames.csv", frames)
+    path = tmp_path / "seq.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """
+            model:
+              L: 2
+              theta: [1.0, -0.7]
+              agents:
+                - {H: [[1.0, 0.0]], C: [[1.0]]}
+                - {H: [[0.0, 1.0]], C: [[1.0]]}
+                - {H: [[1.0, 1.0]], C: [[1.0]]}
+            graph:
+              kind: deterministic
+              n: 3
+              frames_file: frames.csv
+              cycle: true
+            run:
+              horizon: 30
+              trials: 2
+              seed: 5
+            """
+        )
+    )
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("SKIP")] == [
+        "SKIP mean-chain irreducibility: undefined for deterministic sequences",
+        "SKIP tail bounds: need a static or i.i.d. failure process",
+    ]
+    assert "transition support" not in out
 
 
 def test_cli_verify_high_degree_delta_is_exact(tmp_path, capsys):

@@ -177,14 +177,15 @@ def test_window_union_connected_cases():
 
 
 def test_window_union_connected_matches_each_window_union():
-    # the sliding counts and the batched closure against each window's OR and BFS check
+    # the sliding counts and the batched closure against each window's OR and path search
     rng = np.random.default_rng(21)
     for _ in range(500):
         n, length = int(rng.integers(1, 7)), int(rng.integers(1, 9))
         b = int(rng.integers(1, length + 1))
         frames = [rng.random((n, n)) < rng.uniform(0.05, 0.6) for _ in range(length)]
         unions = [np.logical_or.reduce(frames[s : s + b]) for s in range(length - b + 1)]
-        assert window_union_connected(frames, b) == all(map(is_strongly_connected, unions))
+        expected = all(map(_brute_force_strongly_connected, unions))
+        assert window_union_connected(frames, b) == expected
 
 
 def test_sequential_connectivity_basics():

@@ -36,7 +36,7 @@ from roamtoken._linalg import trace_of_inverse
 from roamtoken.chain import apply_rule
 from roamtoken.config import apply_overrides, build_experiment, load_config
 from roamtoken.engine import TickStats, run_central_trials, run_token_trials
-from roamtoken.harness import check_rule_support, write_compare_csv, write_metrics_csv
+from roamtoken.harness import write_compare_csv, write_metrics_csv
 from roamtoken._streams import derived_stream, trial_seed
 from roamtoken.token import EpisodeTrace, write_trace_csv
 
@@ -191,20 +191,18 @@ def test_verify_sequential_connectivity_small_sample():
     assert report.checked > 0
 
 
-def test_rule_support_check_flags_broken_rules(ref5_iid, reciprocal):
+def test_rule_support_check_flags_broken_rules(ref5_iid, reciprocal, monkeypatch):
+    # apply_rule guards the support of every matrix it builds
     rng = derived_stream(0, 5)
-    good = check_rule_support(
-        ref5_iid, samples=50, rng=rng, rule_apply=lambda a: apply_rule(reciprocal, a)
-    )
-    assert good.passed
+    for k in range(50):
+        apply_rule(reciprocal, ref5_iid.adjacency(k, rng.random(ref5_iid.draws)))
 
-    def broken(a):
-        n = a.shape[0]
-        return np.full((n, n), 1.0 / n)  # ignores the support entirely
+    def broken(rule, rows, pos):
+        return np.full(rows.shape, 1.0 / rows.shape[1])  # ignores the support entirely
 
-    bad = check_rule_support(ref5_iid, samples=50, rng=derived_stream(0, 6), rule_apply=broken)
-    assert not bad.passed
-    assert "missing edge" in bad.violations[0]
+    monkeypatch.setattr(roamtoken.chain, "transition_rows", broken)
+    with pytest.raises(RuntimeError, match="missing edge"):
+        apply_rule(reciprocal, ref5_iid.adjacency(0, rng.random(ref5_iid.draws)))
 
 
 def _smoke_config(**kw):

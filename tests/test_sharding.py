@@ -261,7 +261,7 @@ def test_walk_guard_names_the_step_the_serial_loop_meets_first(monkeypatch):
 def test_failure_while_a_worker_waits_on_a_full_ring():
     # a ring of one slot: block 0 (trials 0, 1) waits for the parent's credit after every
     # chunk, while block 1 (trials 2, 3) fails in the oracle at t=300, in the fifth chunk,
-    # where trial 2 meets a poisoned right-hand side; the parent must release block 0,
+    # where trial 2 meets a poisoned row of running means; the parent must release block 0,
     # reap both workers and raise what the serial loop raises
     script = textwrap.dedent(
         """
@@ -280,7 +280,7 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
 
         def recording(m):
             solve = solver(m)
-            return lambda rhs: seen.append(rhs.copy()) or solve(rhs)
+            return lambda means: seen.append(means.copy()) or solve(means)
 
         engine.central_solver = recording
         engine.run_token_trials(*args, horizon=400, trials=4, readers=readers)
@@ -289,10 +289,10 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
         def poisoned(m):
             solve = solver(m)
 
-            def checked(rhs):
-                if np.isclose(rhs, poison, rtol=1e-12, atol=0).all(axis=-1).any():
+            def checked(means):
+                if np.isclose(means, poison, rtol=1e-12, atol=0).all(axis=-1).any():
                     raise SolveFailed("oracle solve residual 1.000e+00", residual=1.0)
-                return solve(rhs)
+                return solve(means)
 
             return checked
 

@@ -4,13 +4,15 @@ Each example draws a model and a graph as the consensus+innovations property tes
 (``conftest.models_and_graphs``), the reciprocal or a lazy transition rule, a linear or a
 power alpha schedule, a start node, a horizon of 1 to 199 ticks and 2 to 4 trials.
 
-Two properties hold on every draw:
+Three properties hold on every draw:
 
 - trial ``r`` of a batched run replays through ``run_episode(seed=trial_seed(master, r))``:
   equal visited counts, squared and last-seen errors within rtol 1e-9 and atol 1e-13, and
   trial 0's holder path equal;
 - the oracle's series ``central`` equals ``references.central_estimate`` on each trial's
-  running means, at rtol 1e-9.
+  running means, at rtol 1e-9;
+- ``run_chain_trials`` walks the same paths: its ``gap_frac`` is exactly the share of
+  token trials that have not yet visited every node.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from roamtoken import AlphaSchedule, Lazy, OutDegreeReciprocal, run_episode, sample_measurements
 from roamtoken._streams import episode_streams, trial_seed
-from roamtoken.engine import run_token_trials
+from roamtoken.engine import run_chain_trials, run_token_trials
 
 from conftest import models_and_graphs
 from references import SeriesRows, central_estimate
@@ -82,3 +84,6 @@ def test_token_engine_replays_through_run_episode_and_central_estimate(setup):
         )
         expected = _central_errors(model, horizon, seed, r)
         np.testing.assert_allclose(rows["central"][r], expected, rtol=1e-9, atol=0)
+    chain = run_chain_trials(graph, rule, start, horizon, trials, master_seed=seed)
+    covered = rows["visited"] == model.n_agents
+    assert np.array_equal(chain.gap_frac, 1 - covered.mean(axis=0))
