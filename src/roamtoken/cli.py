@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 config error, 2 runtime failure, 3 verification FAIL.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -181,9 +182,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gen_graph(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError("gen-graph --seed: must be a non-negative integer")
-    rng = derived_stream(args.seed, 3)
+    if args.n < 2:
+        raise ConfigError("gen-graph -n: must be an integer of at least 2")
     if (args.radius is None) == (args.target_degree is None):
         raise ConfigError("gen-graph needs exactly one of --radius, --target-degree")
+    if args.radius is not None and not 0 < args.radius < math.inf:  # NaN included
+        raise ConfigError("gen-graph --radius: must be a finite positive number")
+    if args.target_degree is not None and not 0 < args.target_degree <= 1:
+        raise ConfigError("gen-graph --target-degree: must be in (0, 1]")
+    rng = derived_stream(args.seed, 3)
     if args.radius is not None:
         backbone = generate_geometric_backbone(args.n, args.radius, rng)
         radius = args.radius

@@ -40,15 +40,17 @@ parent as the serial loop would raise it.
 A run keeps no per-tick series: it hands each to the caller's reader for it,
 one ``Reader`` per series name, and computes the oracle's and the last-seen
 errors only for a reader.  A series with a reader passes through a ring
-(``_Ring``) of ``RING_SLOTS`` trial-major (trials, CHUNK_TICKS) slots in
-anonymous shared memory: a worker writes its rows of a chunk into the chunk's
-slot and signals the parent, and waits for a credit from the parent before it
-reuses a slot.  Once every block has filled a slot, the parent hands the
-slot's rows, all trials in trial order, to the series' reader, for example a
-``TickStats`` reduction, and sends each worker a credit.  With one block the
-same ring is read in-process after each chunk.  Other outputs, such as trial
-0's trace, the CI candidates' horizon column or the chain's exact counts, are
-written straight into shared arrays.
+(``_Ring``) of one trial-major (trials, CHUNK_TICKS) slot in anonymous shared
+memory.  A worker computes a chunk into its own buffers first; only then does
+it wait for the parent's credit for the chunk before, copy its rows of the
+chunk into the slot, transposed, and signal the parent.  Once every block has filled the
+slot, the parent hands its rows, all trials in trial order, to the series'
+reader, for example a ``TickStats`` reduction, and sends each worker a
+credit.  So a worker runs at most one chunk ahead of the slowest, and the
+ring costs series × trials × CHUNK_TICKS × 8 bytes.  With one block the slot
+is read in-process right after each chunk is written.  Other outputs, such
+as trial 0's trace, the CI candidates' horizon column or the chain's exact
+counts, are written straight into shared arrays.
 """
 
 from __future__ import annotations
@@ -85,9 +87,6 @@ MIN_BLOCK_TRIALS = 2
 # On a 2-vCPU VM, 1,000-tick runs of the token, oracle and CI engines broke even at
 # about 32 trials and were faster sharded from 64.
 SHARD_MIN_TRIALS = 64
-# Slots of the ring each series read passes through.  A worker may run this many
-# chunks ahead of the parent's reduction before it waits.
-RING_SLOTS = 4
 
 # A series reader: called with a chunk's (trials, length) rows from tick t0, chunk by chunk.
 Reader = Callable[[np.ndarray, int], None]
@@ -171,10 +170,11 @@ class _TrialBlocks:
     no graph generator; the three streams are independent, so what a block
     skips never shifts what it draws.
 
-    ``_sharded`` sets ``ring``, the block's rows of every ring slot, and the
-    calls ``wait(c)``, which returns once chunk ``c``'s slot is free, and
-    ``filled(c)``, which hands the filled slot over.  During chunk ``c``,
-    ``slot`` holds the block's (trials, CHUNK_TICKS) rows of its slot.
+    ``_sharded`` sets ``ring``, the block's (trials, CHUNK_TICKS) rows of
+    each read series' slot, and the calls ``wait(c)``, which returns once
+    the slot may take chunk ``c``, and ``filled(c)``, which hands the filled
+    slot over.  The loop body puts each chunk's (ticks, trials) values of
+    every read series in ``series``.
     """
 
     def __init__(
@@ -206,7 +206,7 @@ class _TrialBlocks:
         self.graph_u: np.ndarray | None = None
         self.move_u: np.ndarray | None = None
         self.ring: dict[str, np.ndarray] = {}
-        self.slot: dict[str, np.ndarray] = {}
+        self.series: dict[str, np.ndarray] = {}
         self.wait: Callable[[int], None] = lambda c: None
         self.filled: Callable[[int], None] = lambda c: None
 
@@ -215,8 +215,9 @@ class _TrialBlocks:
 
         Every ``load_ticks`` ticks, the next ``load_ticks`` (fewer at the end)
         are drawn at once; ``noise``, ``graph_u`` and ``move_u`` then view the
-        chunk's slice of them.  ``slot`` is the chunk's ring slot, handed over
-        once the loop body is done with it.
+        chunk's slice of them.  Once the loop body is done, each read series'
+        first ``length`` rows of ``series`` go into its slot, transposed, as
+        soon as the slot is free, and the slot is handed over.
         """
         for c, t0 in enumerate(range(0, ticks, CHUNK_TICKS)):
             self.t0, length = t0, min(CHUNK_TICKS, ticks - t0)
@@ -228,10 +229,12 @@ class _TrialBlocks:
             self.noise, self.graph_u, self.move_u = (
                 None if a is None else a[:, span] for a in loaded
             )
-            self.wait(c)
-            self.slot = {k: v[c % RING_SLOTS] for k, v in self.ring.items()}
             yield t0, length
-            self.filled(c)
+            if self.ring:
+                self.wait(c)
+                for k, slot in self.ring.items():
+                    slot[:, :length] = self.series[k][:length].T
+                self.filled(c)
 
     def load(self, length: int) -> None:
         """Draw the next ``length`` ticks of every trial's streams."""
@@ -294,12 +297,13 @@ def _serial_order(exc: BaseException, t0: int) -> tuple[int, int, float]:
 
 
 class _Ring:
-    """``RING_SLOTS`` trial-major (trials, CHUNK_TICKS) slots per series read, and its reader.
+    """One trial-major (trials, CHUNK_TICKS) slot per series read, and its reader.
 
-    ``series`` maps each series to its dtype and reader.  Chunk ``c`` of
-    every series is written into slot ``c % RING_SLOTS``.  ``read(c)`` hands
-    each series' (trials, length) rows of that slot, all trials in trial
-    order, to its reader, after which the slot may be reused.
+    ``series`` maps each series to its dtype and reader.  Every chunk of a
+    series is written into its one slot once the chunk is computed.
+    ``read(c)`` hands each series' (trials, length) rows of chunk ``c``, all
+    trials in trial order, to its reader, after which the slot may take
+    chunk ``c + 1``.
     """
 
     def __init__(
@@ -307,14 +311,14 @@ class _Ring:
     ) -> None:
         self.chunks = -(-ticks // CHUNK_TICKS)
         self.ticks = ticks
-        self.slots = {k: alloc((RING_SLOTS, trials, CHUNK_TICKS), t) for k, (t, _) in series.items()}
+        self.slots = {k: alloc((trials, CHUNK_TICKS), t) for k, (t, _) in series.items()}
         self.readers = {k: reader for k, (_, reader) in series.items()}
 
     def read(self, c: int) -> None:
         t0 = c * CHUNK_TICKS
         length = min(CHUNK_TICKS, self.ticks - t0)
-        for k, slots in self.slots.items():
-            self.readers[k](slots[c % RING_SLOTS, :, :length], t0)
+        for k, slot in self.slots.items():
+            self.readers[k](slot[:, :length], t0)
 
 
 def _worker(
@@ -325,12 +329,13 @@ def _worker(
 ) -> NoReturn:
     """A forked worker's life: run its block; send up ``up`` any failure and where it was.
 
-    If the block writes ring series, each filled chunk is signalled up
-    ``up`` with one byte ``r``, and before chunk ``c >= RING_SLOTS`` the
-    worker reads one credit byte from ``credit``, sent once the parent has
-    read chunk ``c - RING_SLOTS``.  When the parent closes ``credit``, the
-    worker stops waiting.  Every exception, an interrupt included, goes to
-    the parent as a pickle after the signals, and the parent raises it.
+    If the block writes ring series, each chunk is computed first.  Then,
+    for chunk ``c >= 1``, the worker reads one credit byte from ``credit``,
+    sent once the parent has read chunk ``c - 1``; it fills the slots and
+    signals up ``up`` with one byte ``r``.  When the parent closes
+    ``credit``, the worker stops waiting.  Every exception, an interrupt
+    included, goes to the parent as a pickle after the signals, and the
+    parent raises it.
     ``os._exit`` ends the worker without running the parent's exit handlers
     or flushing the buffers it inherited, so nothing runs or prints twice.
     """
@@ -341,7 +346,7 @@ def _worker(
 
             def wait(c: int) -> None:
                 nonlocal draining
-                if c >= RING_SLOTS and not draining:
+                if c and not draining:
                     draining = os.read(credit, 1) == b""
 
             def filled(c: int) -> None:
@@ -350,8 +355,7 @@ def _worker(
 
             try:
                 streams, part, mine = block()
-                if streams.ring:
-                    streams.wait, streams.filled = wait, filled
+                streams.wait, streams.filled = wait, filled
                 run_block(streams, part, mine)
                 code = 0
             except BaseException as exc:
@@ -384,17 +388,18 @@ def _sharded(
     ``series`` names the per-tick series of a ``ticks``-tick run that pass
     through the ring, each with its dtype and reader.  Block ``b`` holds
     trials ``lo..hi-1``; ``run_block(streams, rows[lo:hi], per_block[b])``
-    fills its part and writes each chunk of its series into
-    ``streams.slot``, where ``streams`` are those trials' ``_TrialBlocks``.
+    fills its part and puts each chunk of its series in ``streams.series``,
+    where ``streams`` are those trials' ``_TrialBlocks``, which copy it into
+    the block's rows of the slot.
 
-    The parent reads chunk ``c`` once every worker has signalled it, then
-    grants each worker a credit for chunk ``c + RING_SLOTS``.  One block,
-    run in this process, serves runs of fewer than ``SHARD_MIN_TRIALS``
-    trials, a single usable core and platforms without ``os.fork``; it reads
-    each chunk as soon as it is filled.  If workers fail, the parent stops
-    reading, closes the credit pipes so that no worker waits on it, and
-    raises the failure the serial loop would meet first, once every worker
-    has been reaped.
+    The parent reads chunk ``c`` once every worker has signalled it, then,
+    if a chunk follows, grants each worker a credit to fill the slot with
+    chunk ``c + 1``.  One block, run in this process, serves runs of fewer
+    than ``SHARD_MIN_TRIALS`` trials, a single usable core and platforms
+    without ``os.fork``; it reads each chunk right after it is written.  If
+    workers fail, the parent stops reading, closes the credit pipes so that
+    no worker waits on it, and raises the failure the serial loop would meet
+    first, once every worker has been reaped.
     """
     workers = 1
     if hasattr(os, "fork") and trials >= SHARD_MIN_TRIALS:
@@ -409,7 +414,7 @@ def _sharded(
         """Block ``b``'s streams, with its rows of the ring, and its parts of the outputs."""
         lo, hi = bounds[b], bounds[b + 1]
         streams = _TrialBlocks(hi - lo, master_seed, model, spec, lo)
-        streams.ring = {k: v[:, lo:hi] for k, v in ring.slots.items()}
+        streams.ring = {k: v[lo:hi] for k, v in ring.slots.items()}
         return streams, {k: v[lo:hi] for k, v in out.items()}, {k: v[b] for k, v in own.items()}
 
     if workers == 1:
@@ -443,7 +448,7 @@ def _sharded(
             if heads != [b"r"] * workers:
                 break  # a worker failed or died
             ring.read(c)
-            if c + RING_SLOTS < ring.chunks:
+            if c + 1 < ring.chunks:
                 for credit in credits:
                     with suppress(BrokenPipeError):  # a dead worker shows at its next signal
                         os.write(credit, b"c")
@@ -843,8 +848,7 @@ def run_token_trials(
             for key, value in values.items():
                 if key in own:  # the block's first trial, for the trace
                     own[key][t0 : t0 + length] = value[:, 0]
-                if key in blocks.slot:
-                    blocks.slot[key][:, :length] = value.T
+            blocks.series = values
 
     _, own = _sharded(
         trials, master_seed, model, spec, {}, run,
@@ -874,10 +878,8 @@ def run_central_trials(
 
     def run(blocks: _TrialBlocks, _: dict, __: dict) -> None:
         means = _RunningMeans(model, blocks.trials)
-        for t0, length in blocks.chunks(size):
-            sq = oracle.score(means.advance(blocks)[1:], blocks)
-            if series:
-                blocks.slot["central"][:, :length] = sq.T
+        for _ in blocks.chunks(size):
+            blocks.series["central"] = oracle.score(means.advance(blocks)[1:], blocks)
 
     _sharded(trials, master_seed, model, None, {}, run, series=series, ticks=size)
     return Trials(trials, horizon)
@@ -934,6 +936,8 @@ def run_ci_trials(
         live = np.arange(K)
         diverged, final = own["diverged"], out["final"]
         final[...] = theta_sq
+        if series:  # staged tick by tick, and handed over once the chunk is done
+            netavg = blocks.series["netavg"] = blocks.buffer("netavg", (CHUNK_TICKS, R))
         with np.errstate(over="ignore", invalid="ignore"):
             for t0, length in blocks.chunks(size):
                 if not live.size:
@@ -945,7 +949,7 @@ def run_ci_trials(
                 for ti in range(length):
                     t = t0 + ti
                     if series:  # the error at tick t, before the step to t + 1
-                        blocks.slot["netavg"][:, ti] = theta_sq if t == 0 else net_err(s[0])
+                        netavg[ti] = theta_sq if t == 0 else net_err(s[0])
                     if t == horizon:
                         break
                     measure(blocks.noise[:, ti], out=y)

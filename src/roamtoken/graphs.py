@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -158,30 +158,44 @@ def relative_degree(a: np.ndarray) -> float:
     return float(a.sum()) / (n * (n - 1))
 
 
+def _geometric(
+    n: int,
+    radius_of: Callable[[np.ndarray], float],
+    rng: np.random.Generator,
+    max_retries: int,
+    what: str,
+) -> tuple[np.ndarray, float]:
+    """Draw points in the unit square until their radius graph is strongly connected.
+
+    Each attempt draws all ``n`` points afresh, keeping the geometric
+    distribution clean, and joins every pair closer than the radius that
+    ``radius_of`` picks from the (n, n) distances.  Returns the adjacency
+    and the radius.
+    """
+    if n < 2:
+        raise ValueError("need at least two nodes")
+    for _ in range(max_retries):
+        pts = rng.random((n, 2))
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        radius = radius_of(dist)
+        a = dist < radius
+        np.fill_diagonal(a, False)
+        if is_strongly_connected(a):
+            return a, float(radius)
+    raise GenerationFailed(f"no strongly connected {what} in {max_retries} tries")
+
+
 def generate_geometric_backbone(
     n: int,
     radius: float,
     rng: np.random.Generator,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> np.ndarray:
-    """A strongly connected geometric graph on uniform points in the unit square.
-
-    Points are resampled wholesale until the bidirectional radius graph is
-    strongly connected, keeping the geometric distribution clean.
-    """
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if radius <= 0:
+    """A strongly connected geometric graph on uniform points in the unit square."""
+    if not radius > 0:  # NaN included
         raise ValueError("radius must be positive")
-    for _ in range(max_retries):
-        pts = rng.random((n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        a = dist < radius
-        np.fill_diagonal(a, False)
-        if is_strongly_connected(a):
-            return a
-    raise GenerationFailed(f"no strongly connected geometric graph in {max_retries} tries")
+    return _geometric(n, lambda dist: radius, rng, max_retries, "geometric graph")[0]
 
 
 def generate_backbone_with_degree(
@@ -196,28 +210,19 @@ def generate_backbone_with_degree(
     of the pairwise distances, so the realized relative degree differs from
     the target by at most one edge pair.  Returns ``(adjacency, radius)``.
     """
-    if n < 2:
-        raise ValueError("need at least two nodes")
     if not 0.0 < target_degree <= 1.0:
         raise ValueError("target relative degree must be in (0, 1]")
     pairs_wanted = int(round(target_degree * n * (n - 1) / 2.0))
     pairs_wanted = max(1, min(pairs_wanted, n * (n - 1) // 2))
-    for _ in range(max_retries):
-        pts = rng.random((n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
+
+    def radius_of(dist: np.ndarray) -> float:
         upper = np.sort(dist[np.triu_indices(n, k=1)])
         if pairs_wanted >= len(upper):
-            radius = upper[-1] * (1.0 + 1e-9)
-        else:
-            radius = (upper[pairs_wanted - 1] + upper[pairs_wanted]) / 2.0
-        a = dist < radius
-        np.fill_diagonal(a, False)
-        if is_strongly_connected(a):
-            return a, float(radius)
-    raise GenerationFailed(
-        f"no strongly connected backbone at relative degree {target_degree} in {max_retries} tries"
-    )
+            return upper[-1] * (1.0 + 1e-9)
+        return (upper[pairs_wanted - 1] + upper[pairs_wanted]) / 2.0
+
+    what = f"backbone at relative degree {target_degree}"
+    return _geometric(n, radius_of, rng, max_retries, what)
 
 
 def window_union_connected(frames: Sequence[np.ndarray], b: int) -> bool:

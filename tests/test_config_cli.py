@@ -362,6 +362,36 @@ def test_cli_bool_and_negative_integers_rejected(config_file, tmp_path, capsys, 
     assert not out.exists()
 
 
+_BAD_GEN_GRAPH = [
+    (["-n", "1", "--radius", "0.5"], "gen-graph -n: must be an integer of at least 2"),
+    (["-n", "-3", "--target-degree", "0.5"], "gen-graph -n: must be an integer of at least 2"),
+    (["-n", "6", "--radius", "0"], "gen-graph --radius: must be a finite positive number"),
+    (["-n", "6", "--radius", "-1"], "gen-graph --radius: must be a finite positive number"),
+    (["-n", "6", "--radius", "nan"], "gen-graph --radius: must be a finite positive number"),
+    (["-n", "6", "--radius", "inf"], "gen-graph --radius: must be a finite positive number"),
+    (["-n", "6", "--target-degree", "0"], "gen-graph --target-degree: must be in (0, 1]"),
+    (["-n", "6", "--target-degree", "1.5"], "gen-graph --target-degree: must be in (0, 1]"),
+    (["-n", "6", "--target-degree", "nan"], "gen-graph --target-degree: must be in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, message", _BAD_GEN_GRAPH, ids=[" ".join(args) for args, _ in _BAD_GEN_GRAPH]
+)
+def test_cli_gen_graph_rejects_bad_flags_before_drawing(
+    tmp_path, capsys, monkeypatch, args, message
+):
+    # these used to exit 2 from the generator, and a NaN radius only after 1,000 draws
+    def no_draws(*_):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr("roamtoken.cli.derived_stream", no_draws)
+    out = tmp_path / "g.txt"
+    assert main(["gen-graph", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 _DROP = object()
 # Inputs that escaped the type checks, as edits of the fixture config: each maps a key path
 # (a tuple of keys and list indices) to its new value, or to _DROP to delete the key.

@@ -47,23 +47,19 @@ def _no_worker_left() -> None:
 
 
 _BLOCKS = {"2+2": (4, 2), "3+3": (6, 2), "7+7": (14, 2), "2+2+3": (7, 3)}
-# the workers' ring sizes: the default, then 1 and 2 slots
-_RINGS = [(*blocks, ring) for blocks in _BLOCKS.values() for ring in (engine.RING_SLOTS, 1, 2)]
-_RING_IDS = [name + ("" if ring == engine.RING_SLOTS else f"-ring{ring}")
-             for name in _BLOCKS for ring in (engine.RING_SLOTS, 1, 2)]
 
 
-@pytest.mark.parametrize("trials, cpus, ring", _RINGS, ids=_RING_IDS)
+@pytest.mark.parametrize("trials, cpus", list(_BLOCKS.values()), ids=list(_BLOCKS))
 @pytest.mark.parametrize(
     "command, config", [("simulate", "ref5_static.yaml"), ("compare", "geo20_compare.yaml")]
 )
 def test_outputs_do_not_depend_on_the_worker_count(
-    tmp_path, capsys, monkeypatch, command, config, trials, cpus, ring
+    tmp_path, capsys, monkeypatch, command, config, trials, cpus
 ):
     # 150 ticks cross two chunk edges; compare runs the token engine, the stacked CI grid
-    # and the winner's single CI config.  The serial run reads each ring slot in-process
-    # at the default ring size; the workers' ring of 1 makes them wait on the parent
-    # after every chunk.
+    # and the winner's single CI config.  The serial run reads the ring's one slot
+    # in-process; the workers wait on the parent's credit before they fill it with each
+    # chunk after the first.
     assert 150 > 2 * engine.CHUNK_TICKS
     forks = []
     fork = os.fork
@@ -76,8 +72,6 @@ def test_outputs_do_not_depend_on_the_worker_count(
             argv += ["--set", item]
         with monkeypatch.context() as m:
             _shard(m, workers)
-            if workers > 1:
-                m.setattr(engine, "RING_SLOTS", ring)
             assert main(argv) == 0
         stdout = capsys.readouterr().out.replace(str(out), "<out>")
         return {"stdout": stdout.encode(), **{p.name: p.read_bytes() for p in out.iterdir()}}
@@ -259,7 +253,7 @@ def test_walk_guard_names_the_step_the_serial_loop_meets_first(monkeypatch):
 
 
 def test_failure_while_a_worker_waits_on_a_full_ring():
-    # a ring of one slot: block 0 (trials 0, 1) waits for the parent's credit after every
+    # the ring's one slot: block 0 (trials 0, 1) waits for the parent's credit after every
     # chunk, while block 1 (trials 2, 3) fails in the oracle at t=300, in the fifth chunk,
     # where trial 2 meets a poisoned row of running means; the parent must release block 0,
     # reap both workers and raise what the serial loop raises
@@ -297,7 +291,7 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
             return checked
 
         engine.central_solver = poisoned
-        engine.SHARD_MIN_TRIALS, engine.RING_SLOTS = 0, 1
+        engine.SHARD_MIN_TRIALS = 0
         for cpus in (1, 2):
             engine._usable_cpus = lambda: cpus
             try:
@@ -317,6 +311,79 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
     )
     failure = "SolveFailed oracle solve residual 1.000e+00 1.0"
     assert out.stdout.splitlines() == [f"1 {failure}", f"2 {failure}", "no worker left"]
+
+
+def test_ring_holds_one_chunk_of_each_read_series(monkeypatch, ref5_model, ref5_static):
+    # two workers and the CLI's three token readers: besides trial 0's trace, one
+    # (trials, CHUNK_TICKS) slot per series read, whatever the horizon
+    _shard(monkeypatch, 2)
+    shared = engine._shared_zeros
+    allocs = []
+
+    def recording(shape, dtype):
+        allocs.append((shape, np.dtype(dtype).itemsize))
+        return shared(shape, dtype)
+
+    monkeypatch.setattr(engine, "_shared_zeros", recording)
+    readers = dict.fromkeys(("sq_err", "last_seen", "central"), ignore)
+    trials, horizon = 10, 300
+    run_token_trials(
+        ref5_model, ref5_static, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, trials,
+        readers=readers,
+    )
+    _no_worker_left()
+    trace = [((2, horizon + 1), 8)] * 4  # holder, visited, sq_err and last_seen, per block
+    assert allocs[:4] == trace
+    ring = sum(int(np.prod(shape)) * size for shape, size in allocs[4:])
+    assert ring == 3 * trials * engine.CHUNK_TICKS * 8
+
+
+_SERIES_RUNS = {
+    "token": lambda model, spec, horizon, readers: run_token_trials(
+        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, 7, master_seed=5,
+        readers=readers,
+    ),
+    "central": lambda model, _, horizon, readers: engine.run_central_trials(
+        model, horizon, 7, master_seed=5, readers=readers
+    ),
+    "ci": lambda model, spec, horizon, readers: run_ci_trials(
+        model, spec, [CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)], horizon, 7, master_seed=5,
+        readers=readers,
+    ),
+}
+_SERIES_READ = {"token": ("sq_err", "visited", "last_seen", "central"),
+                "central": ("central",), "ci": ("netavg",)}
+# horizons whose horizon + 1 ticks end at and next to chunk edges: one 1-tick chunk, one
+# full chunk (no credit), a 1-tick second chunk, and two full chunks (one credit)
+_EDGES = {"1": 0, "C": engine.CHUNK_TICKS - 1, "C+1": engine.CHUNK_TICKS,
+          "2C": 2 * engine.CHUNK_TICKS - 1}
+
+
+@pytest.mark.parametrize("horizon", list(_EDGES.values()), ids=list(_EDGES))
+@pytest.mark.parametrize("kind", list(_SERIES_RUNS))
+def test_series_reach_their_readers_whole_at_chunk_edges(monkeypatch, ref5_iid, kind, horizon):
+    # three workers, each filling its rows of the one slot per series after it computes a
+    # chunk; every reader gets each chunk once, in order, with the serial run's bits
+    ticks = horizon + 1
+
+    def run(cpus: int) -> dict[str, list[tuple[int, np.ndarray]]]:
+        seen = {k: [] for k in _SERIES_READ[kind]}
+        readers = {k: lambda chunk, t0, k=k: seen[k].append((t0, chunk.copy()))
+                   for k in seen}
+        with monkeypatch.context() as m:
+            _shard(m, cpus)
+            _SERIES_RUNS[kind](make_ref5_model(), ref5_iid, horizon, readers)
+        _no_worker_left()
+        return seen
+
+    serial, sharded = run(1), run(3)
+    for k, chunks in sharded.items():
+        assert [t0 for t0, _ in chunks] == list(range(0, ticks, engine.CHUNK_TICKS))
+        assert [c.shape for _, c in chunks] == [
+            (7, min(engine.CHUNK_TICKS, ticks - t0)) for t0, _ in chunks
+        ]
+        assert [t0 for t0, _ in serial[k]] == [t0 for t0, _ in chunks]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(serial[k], chunks)), k
 
 
 def test_workers_run_no_exit_handler_and_flush_nothing():
