@@ -35,7 +35,7 @@ from .harness import (
     verify_tail_bounds,
     write_compare_csv,
 )
-from .token import write_csv_lines
+from .token import column_rows, write_csv_lines
 
 
 def _config_keys_epilog() -> str:
@@ -115,7 +115,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     scores = (f"{c.a},{c.b},{c.tau1},{c.tau2},{score:.17g}" for c, score in result.scores)
     write_csv_lines(scores_path, "a,b,tau1,tau2,rmse_at_horizon", scores)
     curve_path = out / "grid_best_curve.csv"
-    curve = (f"{t},{v:.17g}" for t, v in enumerate(result.curve.tolist()))
+    curve = (f"{t},{v:.17g}" for t, (v,) in enumerate(column_rows(result.curve)))
     write_csv_lines(curve_path, "t,rmse_ci_network", curve)
     best = result.best
     print(f"best: a={best.a} b={best.b} tau1={best.tau1} tau2={best.tau2}")

@@ -42,15 +42,18 @@ one ``Reader`` per series name, and computes the oracle's and the last-seen
 errors only for a reader.  A series with a reader passes through a ring
 (``_Ring``) of one trial-major (trials, CHUNK_TICKS) slot in anonymous shared
 memory.  A worker computes a chunk into its own buffers first; only then does
-it wait for the parent's credit for the chunk before, copy its rows of the
-chunk into the slot, transposed, and signal the parent.  Once every block has filled the
+it wait for the parent's credit for the chunk, copy its rows of the chunk into
+the slot, transposed, and signal the parent.  Once every block has filled the
 slot, the parent hands its rows, all trials in trial order, to the series'
 reader, for example a ``TickStats`` reduction, and sends each worker a
 credit.  So a worker runs at most one chunk ahead of the slowest, and the
-ring costs series × trials × CHUNK_TICKS × 8 bytes.  With one block the slot
-is read in-process right after each chunk is written.  Other outputs, such
-as trial 0's trace, the CI candidates' horizon column or the chain's exact
-counts, are written straight into shared arrays.
+ring costs series × trials × CHUNK_TICKS × 8 bytes.  A block's draws, one
+generator call per trial, stream and chunk, cost trials × CHUNK_TICKS ×
+(m + draws + 1) × 8 bytes, for m stacked measurements and ``draws`` graph
+uniforms a tick.  With one block the slot is read in-process right after
+each chunk is written.  Other outputs, such as trial 0's trace, the CI
+candidates' horizon column or the chain's exact counts, are written straight
+into shared arrays.
 """
 
 from __future__ import annotations
@@ -74,10 +77,6 @@ from .observation import GlobalModel, central_solver
 from .token import ESTIMATE_RTOL, AlphaSchedule, EpisodeTrace
 
 CHUNK_TICKS = 64
-# Each generator call draws at most this many ticks of a trial's stream, a whole number
-# of chunks, and fewer where a block's load of every stream would pass LOAD_BYTES.
-LOAD_TICKS = 4 * CHUNK_TICKS
-LOAD_BYTES = 16 << 20
 # A worker's block holds at least this many trials: numpy's linear algebra takes
 # another path for a single row, which changes the last bits of the values.
 MIN_BLOCK_TRIALS = 2
@@ -156,19 +155,19 @@ class ChainTrials:
 
 
 class _TrialBlocks:
-    """Per-trial stream generators with chunked block draws, for trials ``first`` onwards.
+    """Per-trial stream generators that draw one chunk a call, for trials ``first`` onwards.
 
     Block draws from numpy generators consume the underlying bit stream
     exactly like successive per-tick draws, which keeps batched trials
-    replayable through the scalar path (pinned by a unit test).  Each trial's
-    block is drawn straight into its row of a buffer that later loads reuse,
-    ``load_ticks`` ticks per generator call, and each chunk views its slice.
-    ``load_ticks`` is the most whole chunks, up to ``LOAD_TICKS``, whose draws
-    for all the block's trials fit in ``LOAD_BYTES``, and at least one chunk.
-    A block without a model neither makes a noise generator nor draws noise,
-    and one whose graph draws no uniforms (none, static or a sequence) makes
-    no graph generator; the three streams are independent, so what a block
-    skips never shifts what it draws.
+    replayable through the scalar path (pinned by a unit test).  Each chunk,
+    every trial's generators draw the chunk's ticks straight into its rows of
+    buffers that the next chunk reuses, one call per stream.  So a block's
+    draws cost trials × CHUNK_TICKS × (m + draws + 1) × 8 bytes, with ``m``
+    the model's stacked measurements (0 without a model) and ``draws`` the
+    graph's uniforms per tick.  A block without a model neither makes a noise
+    generator nor draws noise, and one whose graph draws no uniforms (none,
+    static or a sequence) makes no graph generator; the three streams are
+    independent, so what a block skips never shifts what it draws.
 
     ``_sharded`` sets ``ring``, the block's (trials, CHUNK_TICKS) rows of
     each read series' slot, and the calls ``wait(c)``, which returns once
@@ -188,11 +187,7 @@ class _TrialBlocks:
         self.trials, self.first = trials, first
         self.model = model
         self.draws = 0 if spec is None else spec.draws
-        width = (0 if model is None else model.total_measurements) + self.draws + 1
-        fit = LOAD_BYTES // (max(trials, 1) * CHUNK_TICKS * width * 8)
-        self.load_ticks = CHUNK_TICKS * min(LOAD_TICKS // CHUNK_TICKS, max(1, fit))
         self.t0 = 0  # first tick of the chunk being run
-        self.at = 0  # the chunk's first tick within the loaded draws
         self.noise_gens, self.graph_gens, self.move_gens = [], [], []
         for r in range(first, first + trials):
             noise, graph, move = trial_seed(master_seed, r).spawn(3)
@@ -213,22 +208,13 @@ class _TrialBlocks:
     def chunks(self, ticks: int) -> Iterator[tuple[int, int]]:
         """Yield ``(t0, length)`` for each chunk of ``ticks`` ticks, its draws loaded.
 
-        Every ``load_ticks`` ticks, the next ``load_ticks`` (fewer at the end)
-        are drawn at once; ``noise``, ``graph_u`` and ``move_u`` then view the
-        chunk's slice of them.  Once the loop body is done, each read series'
-        first ``length`` rows of ``series`` go into its slot, transposed, as
-        soon as the slot is free, and the slot is handed over.
+        Once the loop body is done, each read series' first ``length`` rows
+        of ``series`` go into its slot, transposed, as soon as the slot is
+        free, and the slot is handed over.
         """
         for c, t0 in enumerate(range(0, ticks, CHUNK_TICKS)):
             self.t0, length = t0, min(CHUNK_TICKS, ticks - t0)
-            self.at = t0 % self.load_ticks
-            if self.at == 0:
-                self.load(min(self.load_ticks, ticks - t0))
-                loaded = self.noise, self.graph_u, self.move_u
-            span = slice(self.at, self.at + length)
-            self.noise, self.graph_u, self.move_u = (
-                None if a is None else a[:, span] for a in loaded
-            )
+            self.load(length)
             yield t0, length
             if self.ring:
                 self.wait(c)
@@ -237,8 +223,7 @@ class _TrialBlocks:
                 self.filled(c)
 
     def load(self, length: int) -> None:
-        """Draw the next ``length`` ticks of every trial's streams."""
-        self.load_length = length
+        """Draw every trial's next ``length`` ticks into ``noise``, ``graph_u`` and ``move_u``."""
         if self.model is not None:
             self.noise = self.buffer("noise", (self.trials, length, self.model.total_measurements))
             for g, row in zip(self.noise_gens, self.noise):
@@ -250,14 +235,6 @@ class _TrialBlocks:
         self.move_u = self.buffer("move", (self.trials, length))
         for g, row in zip(self.move_gens, self.move_u):
             g.random(out=row)
-
-    def graph_flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """The loaded graph uniforms, flat, and where each trial's chunk starts in them.
-
-        Trial ``r``'s uniform ``e`` at chunk tick ``ti`` is at ``start[r] + ti * draws + e``.
-        """
-        start = np.arange(self.trials) * (self.load_length * self.draws) + self.at * self.draws
-        return self._buffers["graph"], start
 
     def buffer(self, name: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
         """A C-contiguous ``shape`` view of the block's flat buffer ``name``, grown as needed."""
@@ -485,7 +462,7 @@ class _MeasurementMap:
         self.h_theta = np.concatenate([a.H @ model.theta for a in model.agents])
         m = model.total_measurements
         self.chol_block = np.zeros((m, m))
-        for a, sl in zip(model.agents, model.measurement_slices()):
+        for a, sl in zip(model.agents, model.measurement_slices):
             self.chol_block[sl, sl] = a.chol_C
 
     def __call__(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -602,9 +579,9 @@ def _walk(
     rows = blocks.buffer("rows", (length, R, width), bool)
     own = blocks.buffer("own", (length, R), np.int64)
     col = blocks.buffer("col", (length, R), np.int64)
-    if out.draws:
-        uniforms, start = blocks.graph_flat()
-        start = start[:, None]
+    if out.draws:  # trial r's uniform e at chunk tick ti is at (r * length + ti) * draws + e
+        uniforms = blocks.graph_u.reshape(-1)
+        start = (np.arange(R) * (length * out.draws))[:, None]
     cum = None
     for ti in range(length):
         # a take into ``out=`` copies its result first unless out-of-range indices wrap or
@@ -920,7 +897,7 @@ def run_ci_trials(
     all_scalar = all(a.n_measurements == 1 for a in model.agents)
     h_rows = np.stack([a.H[0] for a in model.agents]) if all_scalar else None
     w_rows = np.stack([a.W[:, 0] for a in model.agents]) if all_scalar else None
-    slices = model.measurement_slices()
+    slices = model.measurement_slices
 
     def net_err(s_k: np.ndarray) -> np.ndarray:
         """Each trial's network-average squared error of one candidate's (trials, n, L) state."""

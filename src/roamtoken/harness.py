@@ -46,7 +46,14 @@ from .graphs import (
     window_union_connected,
 )
 from .observation import GlobalModel
-from .token import AlphaSchedule, EpisodeTrace, run_episode, write_csv_lines, write_trace_csv
+from .token import (
+    AlphaSchedule,
+    EpisodeTrace,
+    column_rows,
+    run_episode,
+    write_csv_lines,
+    write_trace_csv,
+)
 
 Z_95 = 1.96
 ALGORITHMS = ("token", "ci", "central")
@@ -500,7 +507,7 @@ def write_metrics_csv(path: Path | str, metrics: dict[str, MetricSeries]) -> Non
     rows = (
         f"{t},{name},{v:.17g},{h:.17g},{s.trials}"
         for name, s in sorted(metrics.items())
-        for t, (v, h) in enumerate(zip(s.values.tolist(), s.half_widths.tolist()))
+        for t, (v, h) in enumerate(column_rows(s.values, s.half_widths))
     )
     write_csv_lines(path, "t,metric,value,ci_half_width,trials", rows)
 
@@ -508,9 +515,11 @@ def write_metrics_csv(path: Path | str, metrics: dict[str, MetricSeries]) -> Non
 def write_compare_csv(path: Path | str, metrics: dict[str, MetricSeries]) -> None:
     """Wide-format export with one value column per metric."""
     names = sorted(metrics)
-    columns = [metrics[n].values.tolist() for n in names]
-    columns += [metrics[n].half_widths.tolist() for n in names]
-    rows = (",".join([str(t), *(f"{v:.17g}" for v in row)]) for t, row in enumerate(zip(*columns)))
+    columns = [metrics[n].values for n in names] + [metrics[n].half_widths for n in names]
+    rows = (
+        ",".join([str(t), *(f"{v:.17g}" for v in row)])
+        for t, row in enumerate(column_rows(*columns))
+    )
     write_csv_lines(path, ",".join(["t", *names, *(f"{n}_half_width" for n in names)]), rows)
 
 

@@ -8,6 +8,7 @@ oracle fuses the per-agent running means through the information matrix
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -78,8 +79,8 @@ class GlobalModel:
     agents: list[AgentModel]
     theta: np.ndarray
     noise: str | NoiseSampler = "gaussian"
-    eig_floor: float = EIGENVALUE_FLOOR
     sigma_c: np.ndarray = field(init=False)
+    measurement_slices: list[slice] = field(init=False)  # per agent, into the stacked vector
 
     def __post_init__(self) -> None:
         if not self.agents:
@@ -92,12 +93,14 @@ class GlobalModel:
         if isinstance(self.noise, str) and self.noise not in ("gaussian", "zero"):
             raise ValueError(f"unknown noise kind {self.noise!r}")
         hth = sum(a.H.T @ a.H for a in self.agents)
-        if min_eigenvalue(hth) <= self.eig_floor:
+        if min_eigenvalue(hth) <= EIGENVALUE_FLOOR:
             raise SingularModel(
                 "combined observation matrix is not invertible "
-                f"(min eigenvalue of sum H_i^T H_i <= {self.eig_floor:g})"
+                f"(min eigenvalue of sum H_i^T H_i <= {EIGENVALUE_FLOOR:g})"
             )
-        self.sigma_c = fisher_information(self.agents, floor=self.eig_floor)
+        self.sigma_c = fisher_information(self.agents)
+        ends = list(itertools.accumulate([a.n_measurements for a in self.agents], initial=0))
+        self.measurement_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
 
     @property
     def n_agents(self) -> int:
@@ -110,14 +113,6 @@ class GlobalModel:
     @property
     def total_measurements(self) -> int:
         return sum(a.n_measurements for a in self.agents)
-
-    def measurement_slices(self) -> list[slice]:
-        """Per-agent slices into the stacked measurement vector."""
-        out, start = [], 0
-        for a in self.agents:
-            out.append(slice(start, start + a.n_measurements))
-            start += a.n_measurements
-        return out
 
     def fill_noise(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with raw unit-variance noise from ``rng`` and return it.
@@ -146,14 +141,14 @@ def sample_measurements(model: GlobalModel, rng: np.random.Generator) -> list[np
     raw = model.fill_noise(rng, np.empty(model.total_measurements))
     return [
         a.H @ model.theta + a.chol_C @ raw[sl]
-        for a, sl in zip(model.agents, model.measurement_slices())
+        for a, sl in zip(model.agents, model.measurement_slices)
     ]
 
 
-def fisher_information(agents: Sequence[AgentModel], floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+def fisher_information(agents: Sequence[AgentModel]) -> np.ndarray:
     """Sum of the per-agent information matrices ``B_i``.
 
-    Raises SingularModel when the smallest eigenvalue is at or below ``floor``.
+    Raises SingularModel when the smallest eigenvalue is at or below ``EIGENVALUE_FLOOR``.
     """
     if not agents:
         raise ValueError("need at least one agent")
@@ -161,8 +156,8 @@ def fisher_information(agents: Sequence[AgentModel], floor: float = EIGENVALUE_F
     for a in agents:
         total += a.B
     total = (total + total.T) / 2.0
-    if min_eigenvalue(total) <= floor:
-        raise SingularModel(f"information matrix min eigenvalue <= {floor:g}")
+    if min_eigenvalue(total) <= EIGENVALUE_FLOOR:
+        raise SingularModel(f"information matrix min eigenvalue <= {EIGENVALUE_FLOOR:g}")
     return total
 
 

@@ -15,7 +15,7 @@ semidefinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -177,11 +177,19 @@ def write_trace_csv(trace: EpisodeTrace, path) -> None:
     if trace.mean_last_seen_sq_err is None:
         raise MissingTrace("trace export needs the last-seen errors")
     series = (trace.holder, trace.visited_count, trace.token_sq_err, trace.mean_last_seen_sq_err)
-    rows = enumerate(zip(*(a[: trace.horizon + 1].tolist() for a in series)))
+    rows = enumerate(column_rows(*(a[: trace.horizon + 1] for a in series)))
     write_csv_lines(
         path, "t,holder,visited_count,token_sq_err,mean_last_seen_sq_err",
         (f"{t},{h},{c},{e:.17g},{s:.17g}" for t, (h, c, e, s) in rows),
     )
+
+
+def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """Equally long ``columns`` row by row, in Python scalars converted a chunk at a time."""
+    from .engine import CHUNK_TICKS  # the engine imports this module
+
+    for t0 in range(0, len(columns[0]), CHUNK_TICKS):
+        yield from zip(*(c[t0 : t0 + CHUNK_TICKS].tolist() for c in columns))
 
 
 def write_csv_lines(path, header: str, rows: Iterable[str]) -> None:

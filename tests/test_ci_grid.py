@@ -40,7 +40,7 @@ def _oracle_ci_trials(model, spec, cfg, horizon, trials, master_seed, chunk=CHUN
     all_scalar = all(a.n_measurements == 1 for a in model.agents)
     h_rows = np.stack([a.H[0] for a in model.agents]) if all_scalar else None
     w_rows = np.stack([a.W[:, 0] for a in model.agents]) if all_scalar else None
-    slices = model.measurement_slices()
+    slices = model.measurement_slices
 
     s = np.zeros((R, n, dim))
     size = horizon + 1

@@ -28,7 +28,6 @@ from roamtoken.chain import bulk_step
 from roamtoken.config import build_experiment, load_config
 from roamtoken.engine import (
     CHUNK_TICKS,
-    LOAD_TICKS,
     TickStats,
     Trials,
     _OutRows,
@@ -407,7 +406,7 @@ def test_compact_walk_matches_dense_steps(kind, rule):
         path, pos = _walk(out_rows, blocks, t0, length, pos)
         paths.append(path.copy())  # the next chunk reuses the path's buffer
     batched = np.concatenate(paths + [pos[None]])
-    assert len(paths) >= 6 and ticks > LOAD_TICKS
+    assert len(paths) == 7  # six chunk edges, then a short chunk
     holds_on_empty_rows = 0
     for r in range(trials):
         streams = episode_streams(trial_seed(seed, r))
@@ -498,39 +497,48 @@ def _noise_draw_ticks(monkeypatch, horizon: int, trials: int) -> list[int]:
     return calls
 
 
-def test_each_generator_call_draws_several_chunks(monkeypatch):
-    # one noise draw per trial every LOAD_TICKS ticks, never past the horizon
-    horizon, trials = 2 * LOAD_TICKS + 10, 3
+def test_each_generator_call_draws_one_chunk(monkeypatch):
+    # one noise draw per trial every CHUNK_TICKS ticks, the last one short, never past
+    # the horizon
+    horizon, trials = 2 * CHUNK_TICKS + 10, 3
     calls = _noise_draw_ticks(monkeypatch, horizon, trials)
-    assert calls == [LOAD_TICKS] * trials * 2 + [horizon + 1 - 2 * LOAD_TICKS] * trials
+    assert calls == [CHUNK_TICKS] * trials * 2 + [horizon + 1 - 2 * CHUNK_TICKS] * trials
 
 
-def test_loads_are_sized_from_the_byte_budget(monkeypatch):
-    # verify's 10,000 chain trials draw 20 edge uniforms a tick: one chunk per load, at
-    # any worker count, where 256 ticks once took a 410 MB buffer; both benchmark
-    # workloads keep their 256-tick loads
+def test_block_draws_hold_one_chunk_of_every_stream(monkeypatch, ref5_model, ref5_iid):
+    # each block's draw buffers, whatever the horizon: trials × CHUNK_TICKS × (m + draws +
+    # 1) × 8 bytes, for m stacked measurements (none without a model) and the graph's
+    # uniforms a tick (none without a graph).  verify's 10,000 chain trials run as two
+    # 5,000-trial blocks, where one process's 256-tick loads once took a 410 MB buffer.
     root = Path(__file__).resolve().parents[1] / "configs"
+    verify = build_experiment(load_config(root / "ref5_iid_verify.yaml"), root)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    load, drawn = _TrialBlocks.load, []
 
-    def experiment(name):
-        return build_experiment(load_config(root / name), root)
+    def recording(self, length):
+        load(self, length)
+        streams = [self._buffers[k] for k in ("noise", "graph", "move") if k in self._buffers]
+        drawn.append((self.trials, sum(b.nbytes for b in streams)))
 
-    verify = experiment("ref5_iid_verify.yaml")
-    for cpus in (1, 2, 3, 4):
-        block = -(-max(verify.trials, 2000) // cpus)
-        assert _TrialBlocks(block, 0, None, verify.graph).load_ticks == CHUNK_TICKS
-    for name in ("ref5_static.yaml", "geo20_compare.yaml"):
-        shipped = experiment(name)
-        for cpus in (1, 2):
-            block = -(-shipped.trials // cpus)
-            blocks = _TrialBlocks(block, 0, shipped.model, shipped.graph)
-            assert blocks.load_ticks == LOAD_TICKS == 4 * CHUNK_TICKS
-
-    # a budget of two chunks' draws for three trials (5 measurements and the move
-    # uniform a tick): one noise draw every 128 ticks
-    trials, horizon = 3, 300
-    monkeypatch.setattr(engine, "LOAD_BYTES", 2 * trials * CHUNK_TICKS * (5 + 1) * 8)
-    calls = _noise_draw_ticks(monkeypatch, horizon, trials)
-    assert calls == [128] * trials * 2 + [horizon + 1 - 256] * trials
+    monkeypatch.setattr(_TrialBlocks, "load", recording)
+    horizon, trials = 2 * CHUNK_TICKS + 10, 3
+    m, draws = ref5_model.total_measurements, ref5_iid.draws  # 5 and 20
+    rule, ci = OutDegreeReciprocal(), [CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)]
+    token = (rule, AlphaSchedule.linear(), horizon, trials)
+    runs = {
+        "token": (lambda: run_token_trials(ref5_model, ref5_iid, *token), m + draws + 1),
+        "central": (lambda: run_central_trials(ref5_model, horizon, trials), m + 1),
+        "ci": (lambda: run_ci_trials(ref5_model, ref5_iid, ci, horizon, trials), m + draws + 1),
+        "chain": (lambda: run_chain_trials(ref5_iid, rule, 0, horizon, trials), draws + 1),
+    }
+    for name, (run, width) in runs.items():
+        drawn.clear()
+        run()
+        assert drawn == [(trials, trials * CHUNK_TICKS * width * 8)] * 3, name
+    assert verify.graph.draws == 20
+    drawn.clear()
+    run_chain_trials(verify.graph, verify.rule, 0, CHUNK_TICKS, verify.trials // 2)
+    assert drawn == [(5_000, 5_000 * CHUNK_TICKS * 21 * 8)] * 2  # 21.5 MB
 
 
 @pytest.mark.parametrize("ratio_to", [None, 3.7], ids=["plain", "weighted"])

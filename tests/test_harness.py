@@ -357,10 +357,12 @@ def test_metrics_csv_long_format(tmp_path):
 
 
 def test_csv_writers_match_csv_writer_bytes(tmp_path):
-    # the joined-line writers against csv.writer, row by row: a 1-trial series, -0.0,
-    # values that need all 17 digits, and the non-finite spellings
+    # the joined-line writers against csv.writer, row by row, across the edges of the
+    # chunks they format: a 1-trial series, -0.0, values that need all 17 digits, and the
+    # non-finite spellings
     digits = [0.1 + 0.2, 1 / 3, -2 / 3, 5e-324, 1.7976931348623157e308, 123456789.12345678]
     values = np.array([1.0, -0.0, 0.0, *digits, np.inf, -np.inf, np.nan])
+    values = np.resize(values, 2 * engine.CHUNK_TICKS + 3)
     half = np.abs(values[::-1]) * 1e-3
     metrics = {
         "rmse_token": MetricSeries("rmse_token", values, np.zeros_like(values), 1),
@@ -390,6 +392,34 @@ def test_csv_writers_match_csv_writer_bytes(tmp_path):
     csv_trace(trace, tmp_path / "trace-ref.csv")
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "trace-ref.csv").read_bytes()
     assert b"-0," in (tmp_path / "0.csv").read_bytes()  # the sign of -0.0 is kept
+
+
+def test_csv_writers_hold_no_horizon_long_list(tmp_path):
+    # each writer formats its series a chunk at a time, so its traced peak stays below the
+    # bytes of one of its 20,001-tick float64 series; whole-series lists of Python floats
+    # took 1.3-2.6 MB (numpy 2.4)
+    size = 20_001
+    rng = np.random.default_rng(3)
+    metrics = {
+        n: MetricSeries(n, rng.random(size), rng.random(size), 500)
+        for n in ("rmse_token", "rmse_central")
+    }
+    trace = EpisodeTrace(
+        horizon=size - 1, holder=np.arange(size) % 5,
+        visited_count=np.minimum(np.arange(1, size + 1), 5),
+        token_sq_err=rng.random(size), mean_last_seen_sq_err=rng.random(size),
+    )
+    for write in (
+        lambda: write_metrics_csv(tmp_path / "metrics.csv", metrics),
+        lambda: write_compare_csv(tmp_path / "compare.csv", metrics),
+        lambda: write_trace_csv(trace, tmp_path / "trace.csv"),
+    ):
+        tracemalloc.start()
+        try:
+            write()
+            assert tracemalloc.get_traced_memory()[1] < size * 8
+        finally:
+            tracemalloc.stop()
 
 
 def test_compare_csv_wide_format(tmp_path):
