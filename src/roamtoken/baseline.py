@@ -116,7 +116,7 @@ def grid_search(
         model, spec, cfgs[best : best + 1], horizon=horizon, trials=trials, master_seed=seed,
         readers={"netavg": stats},
     )
-    curve = stats.stats[None][0] / theta_sq
+    curve = stats.mean / theta_sq
     if len(cfgs) == 1:
         values = curve[-1:]
     scores = [(c, float(v)) for c, v in zip(cfgs, values)]

@@ -51,9 +51,9 @@ ring costs series × trials × CHUNK_TICKS × 8 bytes.  A block's draws, one
 generator call per trial, stream and chunk, cost trials × CHUNK_TICKS ×
 (m + draws + 1) × 8 bytes, for m stacked measurements and ``draws`` graph
 uniforms a tick.  With one block the slot is read in-process right after
-each chunk is written.  Other outputs, such as trial 0's trace, the CI
-candidates' horizon column or the chain's exact counts, are written straight
-into shared arrays.
+each chunk is written.  Other outputs, such as trial 0's trace (written by
+trial 0's block alone), the CI candidates' horizon column or the chain's
+exact counts, are written straight into shared arrays.
 """
 
 from __future__ import annotations
@@ -95,36 +95,28 @@ class TickStats:
     """Per-tick mean and sample standard deviation over trials of one series.
 
     A ring reader.  Each chunk's rows are reduced over all trials in trial
-    order, so every column equals the whole (trials, ticks) array's
-    ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` bit for bit; tick-major
-    slots or sums of per-block partial sums would differ in the last bits.
-    With ``ratio_to`` it also reduces ``rows * t / ratio_to``, the per-tick
-    weight applied to every trial before the reduction.  ``stats[w]`` is
-    ``(mean, std)`` under weight ``w``, None for the rows as they are; the
-    std stays 0 for a single trial.  The std takes numpy's ``_var`` steps from
-    the mean in a (trials, CHUNK_TICKS) ``scratch`` that readers may share.
+    order, so every column of ``mean`` and ``std`` equals the whole (trials,
+    ticks) array's ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` bit for bit;
+    tick-major slots or sums of per-block partial sums would differ in the
+    last bits.  The std stays 0 for a single trial.  It takes numpy's
+    ``_var`` steps from the mean in a (trials, CHUNK_TICKS) ``scratch`` that
+    readers may share.
     """
 
-    def __init__(
-        self, trials: int, size: int, ratio_to: float | None = None,
-        scratch: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, trials: int, size: int, scratch: np.ndarray | None = None) -> None:
         self.trials = trials
-        self.t = np.arange(size, dtype=float)
-        self.stats = {w: (np.zeros(size), np.zeros(size)) for w in dict.fromkeys((None, ratio_to))}
+        self.mean, self.std = np.zeros(size), np.zeros(size)
         self.scratch = np.empty((trials, CHUNK_TICKS)) if scratch is None else scratch
 
     def __call__(self, rows: np.ndarray, t0: int) -> None:
         span = slice(t0, t0 + rows.shape[1])
-        d = self.scratch[:, : rows.shape[1]]  # the weighted rows, then the deviations
-        for w, (mean, std) in self.stats.items():
-            x = rows if w is None else np.divide(np.multiply(rows, self.t[span], out=d), w, out=d)
-            mean, std = np.mean(x, axis=0, out=mean[span]), std[span]
-            if self.trials >= 2:
-                np.square(np.subtract(x, mean, out=d), out=d)
-                np.add.reduce(d, axis=0, out=std)
-                std /= self.trials - 1
-                np.sqrt(std, out=std)
+        mean = np.mean(rows, axis=0, out=self.mean[span])
+        if self.trials >= 2:
+            d, std = self.scratch[:, : rows.shape[1]], self.std[span]  # d: the deviations
+            np.square(np.subtract(rows, mean, out=d), out=d)
+            np.add.reduce(d, axis=0, out=std)
+            std /= self.trials - 1
+            np.sqrt(std, out=std)
 
 
 @dataclass(eq=False)
@@ -814,6 +806,7 @@ def run_token_trials(
         payload = _TokenPayload(model, blocks)
         holder = np.full(R, int(start_node))
         out_rows = _OutRows(spec, rule)
+        trace0 = own if blocks.first == 0 else {}  # only trial 0's block writes the trace
         for t0, length in blocks.chunks(size):
             path, holder = _walk(out_rows, blocks, t0, length, holder)
             stack = means.advance(blocks)
@@ -823,8 +816,8 @@ def run_token_trials(
             sq, counts, mean_seen = payload.advance(path, stack, t0, schedule, last_seen)
             values.update(sq_err=sq, visited=counts, last_seen=mean_seen)
             for key, value in values.items():
-                if key in own:  # the block's first trial, for the trace
-                    own[key][t0 : t0 + length] = value[:, 0]
+                if key in trace0:
+                    trace0[key][t0 : t0 + length] = value[:, 0]
             blocks.series = values
 
     _, own = _sharded(

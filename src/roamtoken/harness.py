@@ -56,6 +56,10 @@ from .token import (
 )
 
 Z_95 = 1.96
+# The payload identity's tolerance on (d, K), relative to 1 + max |d|.
+IDENTITY_TOL = 1e-10
+# Draws of a random window-connected sequence before a sample is given up.
+SEQUENCE_ATTEMPTS = 200
 ALGORITHMS = ("token", "ci", "central")
 
 
@@ -77,48 +81,34 @@ class MetricSeries:
             raise ValueError("half-widths must be nonnegative")
 
 
-# The token and oracle metrics a run reports: (metric, the engine series it reduces,
-# optimality ratio?).  A relative MSE is the series' mean over trials divided by
-# ||theta||^2.  An optimality ratio is the mean of t * series / trace(sigma_c^{-1}), each
-# trial weighted before the reduction, so that its half-widths come from the weighted
-# values.  ``grid_search`` reduces the CI series ``netavg`` of the winner's run itself.
+# The token and oracle metrics a run reports, each with the engine series it reduces.
+# A relative MSE is the series' mean over trials divided by ||theta||^2; an optimality
+# ratio scales the same series' mean and half-widths by t / trace(sigma_c^{-1}).
+# ``grid_search`` reduces the CI series ``netavg`` of the winner's run itself.
 METRICS = (
-    ("rmse_token", "sq_err", False),
-    ("rmse_token_last_seen", "last_seen", False),
-    ("optimality_ratio_token", "sq_err", True),
-    ("rmse_central", "central", False),
-    ("optimality_ratio_central", "central", True),
+    ("rmse_token", "sq_err"),
+    ("rmse_token_last_seen", "last_seen"),
+    ("optimality_ratio_token", "sq_err"),
+    ("rmse_central", "central"),
+    ("optimality_ratio_central", "central"),
 )
 
 
 def _reducers(config: ExperimentConfig) -> dict[str, TickStats]:
-    """A chunk-at-a-time reduction of every engine series ``METRICS`` reads.
-
-    A series that an optimality ratio reads is also reduced under the
-    ratio's weight, from two trials on.
-    """
-    trace_inv = trace_of_inverse(config.model.sigma_c)
-    ratios = {series for _, series, ratio in METRICS if ratio and config.trials >= 2}
+    """One chunk-at-a-time reduction of each engine series that ``METRICS`` reads."""
     size, scratch = config.horizon + 1, np.empty((config.trials, CHUNK_TICKS))
     return {
-        series: TickStats(config.trials, size, trace_inv if series in ratios else None, scratch)
-        for _, series, _ in METRICS
+        series: TickStats(config.trials, size, scratch)
+        for series in dict.fromkeys(series for _, series in METRICS)
     }
 
 
-def _aggregate(
-    name: str, source: TickStats | None, scale: float = 1.0, ratio_to: float | None = None
-) -> MetricSeries:
-    """The per-tick mean over trials of a series, over ``scale``, with 95% half-widths.
-
-    ``source`` is the series' ``TickStats``; ``ratio_to`` picks its reduction
-    of ``rows * t / ratio_to``.
-    """
-    if source is None or ratio_to not in source.stats:
+def _aggregate(name: str, source: TickStats | None, scale: float = 1.0) -> MetricSeries:
+    """The per-tick mean over trials of ``source``'s series over ``scale``, with 95% half-widths."""
+    if source is None:
         raise MissingTrace(f"the series behind {name} was not recorded")
-    mean, std = source.stats[ratio_to]  # the std stays 0 for a single trial
-    hw = Z_95 * std / math.sqrt(source.trials) / scale
-    return MetricSeries(name=name, values=mean / scale, half_widths=hw, trials=source.trials)
+    hw = Z_95 * source.std / math.sqrt(source.trials) / scale  # 0 for a single trial
+    return MetricSeries(name=name, values=source.mean / scale, half_widths=hw, trials=source.trials)
 
 
 def _theta_sq(model: GlobalModel) -> float:
@@ -155,12 +145,17 @@ def optimality_ratio(
 ) -> MetricSeries:
     """``t * mean squared error / trace(sigma_c^{-1})`` per tick.
 
-    ``stats`` reduces ``sq_err`` or ``central`` under that weight.  Approaches
-    one for an estimator that attains the oracle error rate.
+    ``stats`` reduces ``sq_err`` or ``central``; its mean and half-widths are
+    scaled by ``t / trace(sigma_c^{-1})``.  Approaches one for an estimator
+    that attains the oracle error rate.
     """
     if stats.trials < 2:
         raise ValueError("optimality ratio needs at least two trials")
-    return _aggregate(name, stats, ratio_to=trace_of_inverse(model.sigma_c))
+    series = _aggregate(name, stats)
+    weight = np.arange(series.values.size) / trace_of_inverse(model.sigma_c)
+    series.values *= weight
+    series.half_widths *= weight
+    return series
 
 
 @dataclass(eq=False)
@@ -215,23 +210,16 @@ def verify_tail_bounds(
     t = np.arange(horizon + 1, dtype=float)
     env = nonvisit_bound(consts, t)
     gap_env = cover_gap_bound(consts, n, t)
-    violations: list[str] = []
-    se_node = 3.0 * np.sqrt(result.nonvisit_frac * (1 - result.nonvisit_frac) / trials)
-    for i in range(n):
-        bad = result.nonvisit_frac[:, i] > env + se_node[:, i]
-        if bad.any():
-            first = int(np.flatnonzero(bad)[0])
-            violations.append(
-                f"node {i}: empirical nonvisit {result.nonvisit_frac[first, i]:.4g} above "
-                f"envelope {env[first]:.4g} at t={first}"
-            )
-    se_gap = 3.0 * np.sqrt(result.gap_frac * (1 - result.gap_frac) / trials)
-    bad = result.gap_frac > gap_env + se_gap
-    if bad.any():
-        first = int(np.flatnonzero(bad)[0])
+    # one check of the n node columns and the cover-gap column against their envelopes
+    frac = np.column_stack([result.nonvisit_frac, result.gap_frac])
+    envelope = np.column_stack([*[env] * n, gap_env])
+    bad = frac > envelope + 3.0 * np.sqrt(frac * (1 - frac) / trials)
+    labels = [f"node {i}: empirical nonvisit" for i in range(n)] + ["cover gap: empirical"]
+    violations = []
+    for j in np.flatnonzero(bad.any(axis=0)):
+        first = int(bad[:, j].argmax())
         violations.append(
-            f"cover gap: empirical {result.gap_frac[first]:.4g} above envelope "
-            f"{gap_env[first]:.4g} at t={first}"
+            f"{labels[j]} {frac[first, j]:.4g} above envelope {envelope[first, j]:.4g} at t={first}"
         )
     return TailBoundReport(
         passed=not violations,
@@ -274,7 +262,6 @@ def verify_state_identity(
     horizon: int = 200,
     master_seed: SeedLike = 0,
     start_node: int = 0,
-    tol: float = 1e-10,
 ) -> StateIdentityReport:
     """Replay episodes and recompute (d, K) from logged visit times and statistics."""
     b_stack = np.stack([a.B for a in model.agents])
@@ -300,8 +287,8 @@ def verify_state_identity(
             k_dev = float(np.abs(trace.K_hist[t] - k_ref).max())
             max_d = max(max_d, d_dev)
             max_k = max(max_k, k_dev)
-            scale = 1.0 + float(np.abs(trace.d_hist[t]).max())
-            if first_failure is None and (d_dev > tol * scale or k_dev > tol * scale):
+            limit = IDENTITY_TOL * (1.0 + float(np.abs(trace.d_hist[t]).max()))
+            if first_failure is None and (d_dev > limit or k_dev > limit):
                 first_failure = f"episode {e}, t={t}: d_dev={d_dev:.3e} k_dev={k_dev:.3e}"
     return StateIdentityReport(
         passed=first_failure is None,
@@ -326,10 +313,10 @@ class SequentialConnectivityReport:
 
 
 def _random_window_connected_sequence(
-    n: int, b: int, length: int, rng: np.random.Generator, attempts: int = 200
+    n: int, b: int, length: int, rng: np.random.Generator
 ) -> np.ndarray | None:
     """A (length, n, n) stack of frames without self-loops whose b-window unions all connect."""
-    for _ in range(attempts):
+    for _ in range(SEQUENCE_ATTEMPTS):
         p_edge = rng.uniform(0.25, 0.9)
         frames = rng.random((length, n, n)) < p_edge  # the draws of one (n, n) frame at a time
         frames[:, np.arange(n), np.arange(n)] = False

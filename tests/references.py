@@ -49,9 +49,9 @@ def ignore(chunk: np.ndarray, t0: int) -> None:
     """A series reader that drops every chunk."""
 
 
-def tick_stats(rows: np.ndarray, ratio_to: float | None = None) -> TickStats:
+def tick_stats(rows: np.ndarray) -> TickStats:
     """The ``TickStats`` of whole (trials, ticks) rows, read a chunk at a time."""
-    stats = TickStats(*rows.shape, ratio_to)
+    stats = TickStats(*rows.shape)
     for t0 in range(0, rows.shape[1], CHUNK_TICKS):
         stats(rows[:, t0 : t0 + CHUNK_TICKS], t0)
     return stats

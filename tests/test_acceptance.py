@@ -62,7 +62,7 @@ def test_criterion_1_optimality_ratio():
         master_seed=2024,
         readers=result.readers,
     )
-    series = optimality_ratio(tick_stats(result["sq_err"], trace_of_inverse(model.sigma_c)), model)
+    series = optimality_ratio(tick_stats(result["sq_err"]), model)
     ratio = float(series.values[-1])
     # same quantity straight from the definition, independent of the metric op
     direct = horizon * result["sq_err"][:, -1].mean() / trace_of_inverse(model.sigma_c)

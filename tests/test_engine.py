@@ -541,26 +541,22 @@ def test_block_draws_hold_one_chunk_of_every_stream(monkeypatch, ref5_model, ref
     assert drawn == [(5_000, 5_000 * CHUNK_TICKS * 21 * 8)] * 2  # 21.5 MB
 
 
-@pytest.mark.parametrize("ratio_to", [None, 3.7], ids=["plain", "weighted"])
 @pytest.mark.parametrize("trials", [2, 500])
-def test_tick_stats_equal_whole_array_mean_and_std_bit_for_bit(trials, ratio_to):
+def test_tick_stats_equal_whole_array_mean_and_std_bit_for_bit(trials):
     # the std is built from the mean just taken; read as views of the whole rows and as
     # (trials, CHUNK_TICKS) ring slots, with a short last chunk
     ticks = 3 * CHUNK_TICKS + 17
     rng = np.random.default_rng(trials)
     rows = rng.standard_normal((trials, ticks)) * np.logspace(-3, 6, ticks) + rng.random(ticks)
     slot = np.empty((trials, CHUNK_TICKS))
-    from_slots = TickStats(trials, ticks, ratio_to)
+    from_slots = TickStats(trials, ticks)
     for t0 in range(0, ticks, CHUNK_TICKS):
         chunk = rows[:, t0 : t0 + CHUNK_TICKS]
         slot[:, : chunk.shape[1]] = chunk
         from_slots(slot[:, : chunk.shape[1]], t0)
-    for stats in (tick_stats(rows, ratio_to), from_slots):
-        for w, (mean, std) in stats.stats.items():
-            x = rows if w is None else rows * np.arange(ticks) / w
-            assert mean.tobytes() == x.mean(axis=0).tobytes()
-            assert std.tobytes() == x.std(axis=0, ddof=1).tobytes()
-        assert list(stats.stats) == list(dict.fromkeys([None, ratio_to]))
+    for stats in (tick_stats(rows), from_slots):
+        assert stats.mean.tobytes() == rows.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == rows.std(axis=0, ddof=1).tobytes()
 
 
 def test_steady_state_token_chunk_allocates_little(monkeypatch):

@@ -32,10 +32,9 @@ from roamtoken import (
     verify_state_identity,
     verify_tail_bounds,
 )
-from roamtoken._linalg import trace_of_inverse
 from roamtoken.chain import apply_rule
 from roamtoken.config import apply_overrides, build_experiment, load_config
-from roamtoken.engine import TickStats, run_central_trials, run_token_trials
+from roamtoken.engine import ChainTrials, TickStats, run_central_trials, run_token_trials
 from roamtoken.harness import write_compare_csv, write_metrics_csv
 from roamtoken._streams import derived_stream, trial_seed
 from roamtoken.token import EpisodeTrace, write_trace_csv
@@ -86,7 +85,7 @@ def test_rmse_ci_hand_fixture():
 
 def test_optimality_ratio_of_central_is_near_one():
     model = make_ref5_model()
-    stats = TickStats(400, 401, trace_of_inverse(model.sigma_c))
+    stats = TickStats(400, 401)
     run_central_trials(model, horizon=400, trials=400, master_seed=8, readers={"central": stats})
     series = optimality_ratio(stats, model)
     t = np.arange(401)
@@ -99,7 +98,7 @@ def test_optimality_ratio_of_central_is_near_one():
 def test_optimality_ratio_zero_noise_vanishes():
     model = make_ref5_model(noise="zero")
     spec = StaticGraph(ref5_adjacency())
-    stats = TickStats(4, 2001, trace_of_inverse(model.sigma_c))
+    stats = TickStats(4, 2001)
     run_token_trials(
         model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), 2000, 4, master_seed=0,
         readers={"sq_err": stats},
@@ -173,6 +172,27 @@ def test_verify_tail_bounds_rejects_deterministic():
     frames = [np.array([[False, True], [True, False]])]
     with pytest.raises(UnsupportedProcess):
         verify_tail_bounds(DeterministicSequence(frames, cycle=True), OutDegreeReciprocal())
+
+
+def test_verify_tail_bounds_names_each_violation(monkeypatch):
+    # tails that never decay, except at the start node: with no binomial slack at a
+    # fraction of 1, each other node breaks its envelope where the envelope first drops
+    # below 1, and the cover gap where its own envelope does
+    def stuck(spec, rule, start_node, horizon, trials, master_seed):
+        nonvisit = np.ones((horizon + 1, spec.n))
+        nonvisit[:, start_node] = 0.0
+        return ChainTrials(trials, horizon, nonvisit, np.ones(horizon + 1))
+
+    monkeypatch.setattr(roamtoken.harness, "run_chain_trials", stuck)
+    spec = StaticGraph(ref5_adjacency())
+    report = verify_tail_bounds(spec, OutDegreeReciprocal(), trials=100, horizon=60)
+    assert report.summary() == (
+        "FAIL tail bounds: delta=0.5 eps=0.125 c2=0.0445105 trials=100 horizon=60"
+    )
+    assert report.violations == [
+        *(f"node {i}: empirical nonvisit 1 above envelope 0.9565 at t=4" for i in range(1, 5)),
+        "cover gap: empirical 1 above envelope 0.9632 at t=40",
+    ]
 
 
 def test_verify_state_identity_passes(ref5_model, ref5_iid, reciprocal, linear_alpha):
@@ -344,6 +364,23 @@ def test_peak_memory_is_flat_in_the_horizon(monkeypatch):
             tracemalloc.stop()
 
     assert peak(1000) <= 1.1 * peak(500)
+
+
+def test_reducers_hold_one_mean_and_std_per_series():
+    # sq_err, last_seen and central are each reduced once, into one mean and one std over
+    # the horizon; the optimality ratios scale those, and the readers share one scratch
+    horizon, trials = 20_000, 500
+    config = _smoke_config(horizon=horizon, trials=trials)
+    tracemalloc.start()
+    try:
+        reducers = roamtoken.harness._reducers(config)
+        domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        arrays = tracemalloc.take_snapshot().filter_traces([domain]).traces
+    finally:
+        tracemalloc.stop()
+    assert list(reducers) == ["sq_err", "last_seen", "central"]
+    sizes = sorted(trace.size for trace in arrays)
+    assert sizes == [(horizon + 1) * 8] * 3 * 2 + [trials * engine.CHUNK_TICKS * 8]
 
 
 def test_metrics_csv_long_format(tmp_path):

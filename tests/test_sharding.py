@@ -338,6 +338,28 @@ def test_ring_holds_one_chunk_of_each_read_series(monkeypatch, ref5_model, ref5_
     assert ring == 3 * trials * engine.CHUNK_TICKS * 8
 
 
+def test_only_trial_0s_block_writes_the_trace(monkeypatch, ref5_model, ref5_static):
+    # two workers: the parent reads trial 0's trace from block 0's row, and block 1's
+    # rows stay zero
+    _shard(monkeypatch, 2)
+    shared = engine._shared_zeros
+    allocs = []
+    monkeypatch.setattr(engine, "_shared_zeros", lambda *a: allocs.append(shared(*a)) or allocs[-1])
+    horizon = 150
+    token = run_token_trials(
+        ref5_model, ref5_static, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, 10,
+        readers=TOKEN_READERS,
+    )
+    _no_worker_left()
+    trace = allocs[:4]  # holder, visited, sq_err and last_seen, per block
+    assert [rows.shape for rows in trace] == [(2, horizon + 1)] * 4
+    assert not any(rows[1].any() for rows in trace)
+    trial0 = token.trial0
+    expected = (trial0.holder, trial0.visited_count, trial0.token_sq_err)
+    assert all(np.array_equal(rows[0], e) for rows, e in zip(trace, expected))
+    assert trial0.token_sq_err.any()
+
+
 _SERIES_RUNS = {
     "token": lambda model, spec, horizon, readers: run_token_trials(
         model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, 7, master_seed=5,
