@@ -52,7 +52,6 @@ from .harness import (
     rmse_network_ci,
     rmse_token,
     run_experiment,
-    verify_sequential_connectivity,
     verify_state_identity,
     verify_tail_bounds,
 )

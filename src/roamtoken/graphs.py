@@ -16,6 +16,7 @@ callers must not modify.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -241,6 +242,22 @@ def window_union_connected(frames: Sequence[np.ndarray], b: int) -> bool:
     counts = np.zeros((len(stack) + 1, n, n), dtype=np.int64)
     np.cumsum(stack, axis=0, out=counts[1:])
     return bool(_closure(counts[b:] - counts[:-b] > 0).all())
+
+
+def smallest_connected_window(frames: Sequence[np.ndarray], cycle: bool) -> int | None:
+    """The smallest ``b`` at which every ``b``-window of ``frames`` has a strongly connected union.
+
+    With ``cycle`` the windows wrap around the end of ``frames``, as those of a
+    repeated sequence do.  None when even the union of all frames is not
+    strongly connected.  A window's union only grows with ``b``, so a binary
+    search over ``window_union_connected`` finds it.
+    """
+    stack = np.asarray(frames, dtype=bool)
+    k = len(stack)
+    if cycle:  # k - 1 repeated frames let a window start at each of the k frames and wrap
+        stack = np.concatenate([stack, stack[:-1]])
+    b = bisect.bisect_left(range(1, k + 1), True, key=lambda w: window_union_connected(stack, w))
+    return b + 1 if b < k else None
 
 
 def sequential_reachability(frames: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:

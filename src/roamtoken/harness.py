@@ -7,7 +7,6 @@ everywhere because all estimates start at zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ import yaml
 
 from . import __version__
 from ._linalg import trace_of_inverse
-from ._streams import SeedLike, derived_stream, trial_seed
+from ._streams import SeedLike, trial_seed
 from .baseline import CiConfig, GridSearchResult, grid_search
 from .chain import (
     TailConstants,
@@ -40,11 +39,7 @@ from .engine import (
     run_token_trials,
 )
 from .errors import MissingTrace, NonFiniteMetric
-from .graphs import (
-    GraphSpec,
-    sequential_reachability,
-    window_union_connected,
-)
+from .graphs import GraphSpec
 from .observation import GlobalModel
 from .token import (
     AlphaSchedule,
@@ -58,8 +53,6 @@ from .token import (
 Z_95 = 1.96
 # The payload identity's tolerance on (d, K), relative to 1 + max |d|.
 IDENTITY_TOL = 1e-10
-# Draws of a random window-connected sequence before a sample is given up.
-SEQUENCE_ATTEMPTS = 200
 ALGORITHMS = ("token", "ci", "central")
 
 
@@ -296,68 +289,6 @@ def verify_state_identity(
         max_d_dev=max_d,
         max_k_dev=max_k,
         first_failure=first_failure,
-    )
-
-
-@dataclass(eq=False)
-class SequentialConnectivityReport:
-    """Window-connected deterministic sequences vs frontier reachability."""
-
-    passed: bool
-    checked: int
-    counterexamples: list[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        state = "PASS" if self.passed else "FAIL"
-        return f"{state} sequential connectivity: sequences={self.checked}"
-
-
-def _random_window_connected_sequence(
-    n: int, b: int, length: int, rng: np.random.Generator
-) -> np.ndarray | None:
-    """A (length, n, n) stack of frames without self-loops whose b-window unions all connect."""
-    for _ in range(SEQUENCE_ATTEMPTS):
-        p_edge = rng.uniform(0.25, 0.9)
-        frames = rng.random((length, n, n)) < p_edge  # the draws of one (n, n) frame at a time
-        frames[:, np.arange(n), np.arange(n)] = False
-        if window_union_connected(frames, b):
-            return frames
-    return None
-
-
-def verify_sequential_connectivity(
-    n_values: Sequence[int] = (2, 3, 4),
-    b_values: Sequence[int] = (1, 2),
-    samples_per_combo: int = 2000,
-    master_seed: int = 0,
-) -> SequentialConnectivityReport:
-    """Sample window-connected sequences and check all-pairs frontier reachability.
-
-    For every sampled sequence whose complete b-windows all have strongly
-    connected unions, every ordered node pair must be sequentially connected
-    with self-loops within each window of (n-1)*b frames.
-    """
-    rng = derived_stream(master_seed, 7)
-    checked = 0
-    counterexamples: list[str] = []
-    for n, b in itertools.product(n_values, b_values):
-        window = (n - 1) * b
-        length = window + b
-        for _ in range(samples_per_combo):
-            frames = _random_window_connected_sequence(n, b, length, rng)
-            if frames is None:
-                continue
-            checked += 1
-            # every window start at once: step k of the window from t0 reads frame t0 + k
-            starts = np.arange(length - window + 1)
-            reach = sequential_reachability(frames[np.arange(window)[:, None] + starts])
-            for t0 in np.flatnonzero(~reach.all(axis=(1, 2)))[:1]:  # the first failing start
-                i, j = np.argwhere(~reach[t0])[0]
-                counterexamples.append(
-                    f"n={n} b={b} window start {t0}: no sequential path {i}->{j}"
-                )
-    return SequentialConnectivityReport(
-        passed=not counterexamples, checked=checked, counterexamples=counterexamples
     )
 
 

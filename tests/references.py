@@ -11,11 +11,15 @@ joined-line writers must match their bytes.  The engines hand each per-tick
 series to a reader a chunk at a time: ``SeriesRows`` keeps whole rows of the
 series a test reads, ``ignore`` drops them, and ``tick_stats`` reduces whole
 rows as a run's ``TickStats`` reduces its chunks.
+``verify_sequential_connectivity`` samples window-connected sequences and
+checks acceptance 5's lemma, all-pairs sequential reachability, on each.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
@@ -23,8 +27,13 @@ import numpy as np
 
 from roamtoken import AgentModel, CiConfig, GlobalModel, SingularModel, fisher_information
 from roamtoken._linalg import solve_spd
+from roamtoken._streams import derived_stream
 from roamtoken.engine import CHUNK_TICKS, TickStats
+from roamtoken.graphs import sequential_reachability, window_union_connected
 from roamtoken.observation import SOLVE_RTOL
+
+# Draws of a random window-connected sequence before a sample is given up.
+SEQUENCE_ATTEMPTS = 200
 
 
 class SeriesRows(dict):
@@ -151,3 +160,65 @@ def csv_trace(trace, path) -> None:
                     f"{trace.mean_last_seen_sq_err[t]:.17g}",
                 ]
             )
+
+
+@dataclass(eq=False)
+class SequentialConnectivityReport:
+    """Window-connected deterministic sequences vs frontier reachability."""
+
+    passed: bool
+    checked: int
+    counterexamples: list[str] = field(default_factory=list)
+
+    def summary(self) -> str:
+        state = "PASS" if self.passed else "FAIL"
+        return f"{state} sequential connectivity: sequences={self.checked}"
+
+
+def _random_window_connected_sequence(
+    n: int, b: int, length: int, rng: np.random.Generator
+) -> np.ndarray | None:
+    """A (length, n, n) stack of frames without self-loops whose b-window unions all connect."""
+    for _ in range(SEQUENCE_ATTEMPTS):
+        p_edge = rng.uniform(0.25, 0.9)
+        frames = rng.random((length, n, n)) < p_edge  # the draws of one (n, n) frame at a time
+        frames[:, np.arange(n), np.arange(n)] = False
+        if window_union_connected(frames, b):
+            return frames
+    return None
+
+
+def verify_sequential_connectivity(
+    n_values: Sequence[int] = (2, 3, 4),
+    b_values: Sequence[int] = (1, 2),
+    samples_per_combo: int = 2000,
+    master_seed: int = 0,
+) -> SequentialConnectivityReport:
+    """Sample window-connected sequences and check all-pairs frontier reachability.
+
+    For every sampled sequence whose complete b-windows all have strongly
+    connected unions, every ordered node pair must be sequentially connected
+    with self-loops within each window of (n-1)*b frames.
+    """
+    rng = derived_stream(master_seed, 7)
+    checked = 0
+    counterexamples: list[str] = []
+    for n, b in itertools.product(n_values, b_values):
+        window = (n - 1) * b
+        length = window + b
+        for _ in range(samples_per_combo):
+            frames = _random_window_connected_sequence(n, b, length, rng)
+            if frames is None:
+                continue
+            checked += 1
+            # every window start at once: step k of the window from t0 reads frame t0 + k
+            starts = np.arange(length - window + 1)
+            reach = sequential_reachability(frames[np.arange(window)[:, None] + starts])
+            for t0 in np.flatnonzero(~reach.all(axis=(1, 2)))[:1]:  # the first failing start
+                i, j = np.argwhere(~reach[t0])[0]
+                counterexamples.append(
+                    f"n={n} b={b} window start {t0}: no sequential path {i}->{j}"
+                )
+    return SequentialConnectivityReport(
+        passed=not counterexamples, checked=checked, counterexamples=counterexamples
+    )

@@ -25,7 +25,6 @@ from roamtoken import (
     optimality_ratio,
     relative_degree,
     run_episode,
-    verify_sequential_connectivity,
     verify_state_identity,
     verify_tail_bounds,
     window_union_connected,
@@ -37,7 +36,12 @@ from roamtoken.engine import run_token_trials
 from roamtoken.graphs import sequential_reachability
 
 from conftest import ACCEPTANCE_LINES, make_ref5_model, random_spd, ref5_adjacency
-from references import SeriesRows, central_estimate, tick_stats
+from references import (
+    SeriesRows,
+    central_estimate,
+    tick_stats,
+    verify_sequential_connectivity,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -611,42 +611,72 @@ def test_cli_verify_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_cli_verify_on_a_window_connected_sequence(tmp_path, capsys):
-    # two cycling frames, neither strongly connected alone, whose union is the cycle 0->1->2->0
-    frames = [np.zeros((3, 3), dtype=bool) for _ in range(2)]
-    frames[0][0, 1] = frames[0][1, 2] = frames[1][2, 0] = True
-    assert not window_union_connected(frames, 1) and window_union_connected(frames * 2, 2)
+def _verify_frames(tmp_path, capsys, frames, cycle=True, horizon=30) -> tuple[int, str]:
+    """Exit code and stdout of ``verify`` on the sequence ``frames`` under a 3-agent model."""
     write_frames_csv(tmp_path / "frames.csv", frames)
     path = tmp_path / "seq.yaml"
     path.write_text(
         textwrap.dedent(
-            """
+            f"""
             model:
               L: 2
               theta: [1.0, -0.7]
               agents:
-                - {H: [[1.0, 0.0]], C: [[1.0]]}
-                - {H: [[0.0, 1.0]], C: [[1.0]]}
-                - {H: [[1.0, 1.0]], C: [[1.0]]}
+                - {{H: [[1.0, 0.0]], C: [[1.0]]}}
+                - {{H: [[0.0, 1.0]], C: [[1.0]]}}
+                - {{H: [[1.0, 1.0]], C: [[1.0]]}}
             graph:
               kind: deterministic
               n: 3
               frames_file: frames.csv
-              cycle: true
+              frames_count: {len(frames)}
+              cycle: {str(cycle).lower()}
             run:
-              horizon: 30
+              horizon: {horizon}
               trials: 2
               seed: 5
             """
         )
     )
-    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 0
-    out = capsys.readouterr().out
+    code = main(["verify", str(path), "--out", str(tmp_path / "v")])
+    return code, capsys.readouterr().out
+
+
+def _cycle_halves() -> list[np.ndarray]:
+    """Two frames, neither strongly connected alone, whose union is the cycle 0->1->2->0."""
+    frames = [np.zeros((3, 3), dtype=bool) for _ in range(2)]
+    frames[0][0, 1] = frames[0][1, 2] = frames[1][2, 0] = True
+    return frames
+
+
+def test_cli_verify_on_a_window_connected_sequence(tmp_path, capsys):
+    frames = _cycle_halves()
+    assert not window_union_connected(frames, 1) and window_union_connected(frames * 2, 2)
+    code, out = _verify_frames(tmp_path, capsys, frames)
+    assert code == 0
+    assert "PASS window connectivity: b=2 frames=2 cycle=true" in out.splitlines()
     assert [line for line in out.splitlines() if line.startswith("SKIP")] == [
-        "SKIP mean-chain irreducibility: undefined for deterministic sequences",
         "SKIP tail bounds: need a static or i.i.d. failure process",
     ]
     assert "transition support" not in out
+
+
+def test_cli_verify_reads_the_frames_a_non_cycling_run_uses(tmp_path, capsys):
+    # all four frames would need b=4, for the empty tail; a 1-tick run reads only the first two
+    frames = _cycle_halves() + [np.zeros((3, 3), dtype=bool)] * 2
+    code, out = _verify_frames(tmp_path, capsys, frames, cycle=False, horizon=1)
+    assert code == 0
+    assert "PASS window connectivity: b=2 frames=2 cycle=false" in out.splitlines()
+
+
+def test_cli_verify_fails_a_sequence_whose_frames_never_connect(tmp_path, capsys):
+    frames = _cycle_halves()
+    frames[1][2, 0] = False  # frame 1 is left empty
+    code, out = _verify_frames(tmp_path, capsys, frames)
+    assert code == 3
+    assert out.splitlines()[0] == (
+        "FAIL window connectivity: the union of all 2 frames is not strongly connected"
+    )
 
 
 def test_cli_verify_high_degree_delta_is_exact(tmp_path, capsys):

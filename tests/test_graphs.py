@@ -22,9 +22,12 @@ from roamtoken.graphs import (
     read_adjacency,
     read_frames_csv,
     sequential_reachability,
+    smallest_connected_window,
     write_adjacency,
     write_frames_csv,
 )
+
+from conftest import ref5_adjacency
 
 
 def _adj(n, edges):
@@ -186,6 +189,31 @@ def test_window_union_connected_matches_each_window_union():
         unions = [np.logical_or.reduce(frames[s : s + b]) for s in range(length - b + 1)]
         expected = all(map(_brute_force_strongly_connected, unions))
         assert window_union_connected(frames, b) == expected
+
+
+def test_smallest_connected_window():
+    # ref5's 9 edges dealt round-robin, in argwhere order, into 3 frames: only 3-windows connect
+    deal = [_adj(5, np.argwhere(ref5_adjacency())[k::3]) for k in range(3)]
+    assert smallest_connected_window(deal, cycle=True) == 3
+    # read once, [f0, f1, f0] connects at b=2; cycled, its wrapped window [f0, f0] does not
+    f0, f1 = _adj(3, [(0, 1), (1, 2)]), _adj(3, [(2, 0)])
+    assert smallest_connected_window([f0, f1, f0], cycle=False) == 2
+    assert smallest_connected_window([f0, f1, f0], cycle=True) == 3
+    assert smallest_connected_window([f0, f0], cycle=True) is None
+    # against the union of each window, wrapped ones included
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        frames = [rng.random((n, n)) < rng.uniform(0.05, 0.5) for _ in range(k)]
+        for cycle in (False, True):
+
+            def connected(b):
+                starts = range(k) if cycle else range(k - b + 1)
+                windows = ([frames[(s + i) % k] for i in range(b)] for s in starts)
+                return all(_brute_force_strongly_connected(np.logical_or.reduce(w)) for w in windows)
+
+            expected = next((b for b in range(1, k + 1) if connected(b)), None)
+            assert smallest_connected_window(frames, cycle) == expected
 
 
 def test_sequential_connectivity_basics():

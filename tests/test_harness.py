@@ -28,7 +28,6 @@ from roamtoken import (
     rmse_token,
     run_episode,
     run_experiment,
-    verify_sequential_connectivity,
     verify_state_identity,
     verify_tail_bounds,
 )
@@ -40,7 +39,13 @@ from roamtoken._streams import derived_stream, trial_seed
 from roamtoken.token import EpisodeTrace, write_trace_csv
 
 from conftest import make_ref5_model, ref5_adjacency
-from references import csv_compare, csv_metrics, csv_trace, tick_stats
+from references import (
+    csv_compare,
+    csv_metrics,
+    csv_trace,
+    tick_stats,
+    verify_sequential_connectivity,
+)
 
 
 def _model(theta):
