@@ -22,6 +22,7 @@ from roamtoken import (
     run_episode,
     sample_measurements,
 )
+import roamtoken._sharding as sharding
 import roamtoken.engine as engine
 from roamtoken._streams import episode_streams, trial_seed
 from roamtoken.chain import bulk_step
@@ -38,6 +39,7 @@ from roamtoken.engine import (
     run_ci_trials,
     run_token_trials,
 )
+from roamtoken.observation import central_solver
 
 from conftest import make_ref5_model, random_spd, ref5_adjacency, slow_ring
 from references import SeriesRows, central_estimate, ci_step, ignore, tick_stats
@@ -117,7 +119,7 @@ def test_estimate_guard_names_first_failing_tick(monkeypatch):
     model, spec, rule = slow_ring()
     args = (model, spec, rule, AlphaSchedule.linear())
     with monkeypatch.context() as m:
-        m.setattr("roamtoken.engine.ESTIMATE_RTOL", -1.0)
+        m.setattr("roamtoken._kernels.ESTIMATE_RTOL", -1.0)
         with pytest.raises(SolveFailed, match=r"estimate solve residual .* at t=0$"):
             run_token_trials(*args, horizon=100, trials=2, master_seed=0)
 
@@ -279,6 +281,40 @@ def test_readers_name_only_series_the_run_makes(
     assert token.trial0.mean_last_seen_sq_err is None
     assert token.trial0.token_sq_err.shape == (11,)
 
+
+
+def test_call_time_bindings_see_every_step_and_oracle(monkeypatch, ref5_model, ref5_static):
+    # the benchmark's traced pass wraps ``engine.bulk_step`` and ``engine.central_solver``,
+    # looked up at call time; in one process a wrap sees every tick's step of the token and
+    # chain walks, and each run's oracle, built once and solved once per chunk
+    monkeypatch.setattr(sharding, "_usable_cpus", lambda: 1)
+    steps, solves = [], []
+
+    def counted_step(*args, **kwargs):
+        steps.append(len(args[0]))
+        return bulk_step(*args, **kwargs)
+
+    def counted_solver(model):
+        solve = central_solver(model)
+        solves.append(0)
+
+        def counted(means):
+            solves[-1] += 1
+            return solve(means)
+
+        return counted
+
+    monkeypatch.setattr(engine, "bulk_step", counted_step)
+    monkeypatch.setattr(engine, "central_solver", counted_solver)
+    rule, schedule, horizon = OutDegreeReciprocal(), AlphaSchedule.linear(), 150
+    trials = sharding.SHARD_MIN_TRIALS  # sharded but for the one usable core
+    readers = {"sq_err": ignore, "central": ignore}
+    run_token_trials(ref5_model, ref5_static, rule, schedule, horizon, trials, readers=readers)
+    assert steps == [trials] * (horizon + 1) and solves == [3]
+    run_chain_trials(ref5_static, rule, 0, horizon, trials)
+    assert steps == [trials] * 2 * (horizon + 1)
+    run_central_trials(ref5_model, horizon, trials, readers={"central": ignore})
+    assert solves == [3, 3]
 
 def test_custom_noise_blocks_fill_rows_in_trial_streams():
     from roamtoken.engine import _TrialBlocks
@@ -447,6 +483,22 @@ def test_batched_walk_keeps_the_nonexistent_edge_guard(kind, monkeypatch):
         run_episode(*args, horizon=10, start_node=1)
 
 
+
+def test_walk_buffers_take_few_bytes_per_trial_tick(ref5_iid):
+    # beside the block's draws, each trial-tick of the walk keeps its holder and the flat
+    # index of its drawn column (8 bytes each), the holder's out-row (one flag a column),
+    # its own and drawn columns in the narrowest type that holds the width (1 byte each
+    # here) and two check flags: 25 bytes at ref5's width of 5.  With int64 own and drawn
+    # columns it was 39.
+    trials = 7
+    blocks = _TrialBlocks(trials, 3, None, ref5_iid)
+    out_rows, pos = _OutRows(ref5_iid, OutDegreeReciprocal()), np.zeros(trials, dtype=np.int64)
+    for t0, length in blocks.chunks(2 * CHUNK_TICKS):
+        _, pos = _walk(out_rows, blocks, t0, length, pos)
+    walk = [v.nbytes for k, v in blocks._buffers.items() if k not in ("noise", "graph", "move")]
+    assert out_rows.width == 5
+    assert sum(walk) == 25 * trials * CHUNK_TICKS
+
 def test_walk_guard_names_the_first_bad_step_of_a_later_chunk(monkeypatch):
     # the sampler as it is, except that at tick 150, in the third chunk, trial 2 draws a
     # column whose edge is down
@@ -512,7 +564,7 @@ def test_block_draws_hold_one_chunk_of_every_stream(monkeypatch, ref5_model, ref
     # 5,000-trial blocks, where one process's 256-tick loads once took a 410 MB buffer.
     root = Path(__file__).resolve().parents[1] / "configs"
     verify = build_experiment(load_config(root / "ref5_iid_verify.yaml"), root)
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(sharding, "_usable_cpus", lambda: 1)
     load, drawn = _TrialBlocks.load, []
 
     def recording(self, length):
@@ -567,7 +619,7 @@ def test_steady_state_token_chunk_allocates_little(monkeypatch):
     # the oracle one matmul by a gain matrix into its own scratch it is about 140,000 B.
     root = Path(__file__).resolve().parents[1] / "configs"
     shipped = build_experiment(load_config(root / "ref5_static.yaml"), root)
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(sharding, "_usable_cpus", lambda: 1)
     transient = []
 
     def probe(rows, t0):

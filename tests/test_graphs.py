@@ -1,5 +1,7 @@
 """Graph processes, connectivity checks, and sequence connectivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,21 @@ def test_smallest_connected_window():
             expected = next((b for b in range(1, k + 1) if connected(b)), None)
             assert smallest_connected_window(frames, cycle) == expected
 
+
+
+def test_smallest_connected_window_allocates_little():
+    # a random 20-node, 2,001-frame sequence read once: the traced peak was 13.6 MB with
+    # int64 running counts taken again at each bisection step and an int64 difference per
+    # window; with uint16 counts taken once and compared directly it is 4.0 MB (numpy 2.4)
+    frames = np.random.default_rng(3).random((2001, 20, 20)) < 0.05
+    tracemalloc.start()
+    try:
+        b = smallest_connected_window(frames, cycle=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b == 14
+    assert peak <= 5_000_000
 
 def test_sequential_connectivity_basics():
     reach = sequential_reachability([_adj(3, [(1, 2)])])

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import roamtoken
+import roamtoken._sharding as sharding
 import roamtoken.engine as engine
 
 from roamtoken import (
@@ -354,7 +355,7 @@ def test_peak_memory_is_flat_in_the_horizon(monkeypatch):
     # every recorded series is reduced a chunk at a time, so doubling the horizon adds
     # only per-tick means and half-widths; whole (trials, T + 1) rows grew the peak by a
     # quarter here
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(sharding, "_usable_cpus", lambda: 1)
     configs = Path(__file__).resolve().parents[1] / "configs"
 
     def peak(horizon: int) -> int:

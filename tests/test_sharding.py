@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import roamtoken._kernels as kernels
+import roamtoken._sharding as sharding
 import roamtoken.engine as engine
 from roamtoken import (
     AlphaSchedule,
@@ -37,8 +39,8 @@ TOKEN_READERS = dict.fromkeys(("sq_err", "last_seen", "visited"), ignore)
 
 def _shard(monkeypatch, cpus: int) -> None:
     """Shard every run, however small, over up to ``cpus`` workers; 1 keeps one block."""
-    monkeypatch.setattr(engine, "SHARD_MIN_TRIALS", 0)
-    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sharding, "SHARD_MIN_TRIALS", 0)
+    monkeypatch.setattr(sharding, "_usable_cpus", lambda: cpus)
 
 
 def _no_worker_left() -> None:
@@ -190,7 +192,7 @@ def test_solve_failure_met_first_by_the_serial_loop_wins(monkeypatch, seed, firs
 def test_solve_failure_in_every_block_at_once_names_the_worst_residual(monkeypatch):
     # every block fails at t=0, and the serial loop reports the worst residual over all
     # trials; at this seed it is in block 1
-    monkeypatch.setattr(engine, "ESTIMATE_RTOL", -1.0)
+    monkeypatch.setattr(kernels, "ESTIMATE_RTOL", -1.0)
     model, spec, rule = slow_ring()
     args = (model, spec, rule, AlphaSchedule.linear(), 100, 6)
     serial, sharded = _serial_and_sharded(
@@ -261,6 +263,7 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
         """
         import os
         import numpy as np
+        import roamtoken._sharding as sharding
         import roamtoken.engine as engine
         from roamtoken import AlphaSchedule, OutDegreeReciprocal, SolveFailed, StaticGraph
         from conftest import make_ref5_model, ref5_adjacency
@@ -291,9 +294,9 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
             return checked
 
         engine.central_solver = poisoned
-        engine.SHARD_MIN_TRIALS = 0
+        sharding.SHARD_MIN_TRIALS = 0
         for cpus in (1, 2):
-            engine._usable_cpus = lambda: cpus
+            sharding._usable_cpus = lambda: cpus
             try:
                 engine.run_token_trials(*args, horizon=400, trials=4, readers=readers)
             except SolveFailed as exc:
@@ -317,14 +320,14 @@ def test_ring_holds_one_chunk_of_each_read_series(monkeypatch, ref5_model, ref5_
     # two workers and the CLI's three token readers: besides trial 0's trace, one
     # (trials, CHUNK_TICKS) slot per series read, whatever the horizon
     _shard(monkeypatch, 2)
-    shared = engine._shared_zeros
+    shared = sharding._shared_zeros
     allocs = []
 
     def recording(shape, dtype):
         allocs.append((shape, np.dtype(dtype).itemsize))
         return shared(shape, dtype)
 
-    monkeypatch.setattr(engine, "_shared_zeros", recording)
+    monkeypatch.setattr(sharding, "_shared_zeros", recording)
     readers = dict.fromkeys(("sq_err", "last_seen", "central"), ignore)
     trials, horizon = 10, 300
     run_token_trials(
@@ -342,9 +345,9 @@ def test_only_trial_0s_block_writes_the_trace(monkeypatch, ref5_model, ref5_stat
     # two workers: the parent reads trial 0's trace from block 0's row, and block 1's
     # rows stay zero
     _shard(monkeypatch, 2)
-    shared = engine._shared_zeros
+    shared = sharding._shared_zeros
     allocs = []
-    monkeypatch.setattr(engine, "_shared_zeros", lambda *a: allocs.append(shared(*a)) or allocs[-1])
+    monkeypatch.setattr(sharding, "_shared_zeros", lambda *a: allocs.append(shared(*a)) or allocs[-1])
     horizon = 150
     token = run_token_trials(
         ref5_model, ref5_static, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, 10,
@@ -413,14 +416,15 @@ def test_workers_run_no_exit_handler_and_flush_nothing():
     script = textwrap.dedent(
         """
         import atexit
+        import roamtoken._sharding as sharding
         import roamtoken.engine as engine
         from roamtoken import CiConfig, IidFailureGraph, NonFiniteMetric
         from conftest import make_ref5_model
         from references import ignore
         import numpy as np
 
-        engine.SHARD_MIN_TRIALS = 0
-        engine._usable_cpus = lambda: 2
+        sharding.SHARD_MIN_TRIALS = 0
+        sharding._usable_cpus = lambda: 2
         atexit.register(print, "exit handler")
         print("before the runs")
         model = make_ref5_model()
