@@ -40,7 +40,6 @@ from .graphs import (
     generate_geometric_backbone,
     is_strongly_connected,
     relative_degree,
-    window_union_connected,
 )
 from .harness import (
     ExperimentConfig,

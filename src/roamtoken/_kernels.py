@@ -110,7 +110,7 @@ class _TokenPayload:
         ``path`` is the chunk's holders from tick ``t0`` and ``means`` the
         running means' stack, whose row 0 is overwritten here.  The last-seen
         means are None unless ``last_seen``.  Raises SolveFailed at the first
-        tick whose estimate residual exceeds ``ESTIMATE_RTOL``.
+        tick whose estimate residual exceeds ``ESTIMATE_RTOL`` or is NaN.
         """
         (length, R), n = path.shape, len(self.b_stack)
         last = self.buffer("last", (length, R * n), np.int64)
@@ -191,7 +191,7 @@ class _TokenPayload:
         np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
         worst = np.einsum("tri,tri->tr", resid, resid, out=self.buffer("norm", counts.shape))
         worst = np.divide(np.sqrt(worst, out=worst), scale, out=worst).max(axis=1)
-        bad = np.flatnonzero(worst > ESTIMATE_RTOL)
+        bad = np.flatnonzero(~(worst <= ESTIMATE_RTOL))  # NaN included
         if bad.size:
             ti, t = bad[0], t0 + int(bad[0])
             msg = f"estimate solve residual {worst[ti]:.3e} at t={t}"

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from ._streams import SeedLike
 from .graphs import GraphSpec
 from .observation import GlobalModel
@@ -60,7 +58,6 @@ class CiConfig:
 @dataclass(eq=False)
 class GridSearchResult:
     best: CiConfig
-    curve: "np.ndarray"
     scores: list[tuple[CiConfig, float]]
     best_trials: "TickStats"
 
@@ -81,9 +78,8 @@ def grid_search(
     never win; ties go to the first candidate in grid order.  The winner, or
     a lone candidate, which wins unscored, then runs on its own, its network
     error reduced over trials a chunk at a time (``best_trials``, a
-    ``TickStats``); ``curve`` is that reduction's mean over ``||theta||^2``.
-    A lone candidate's score is its curve at the horizon, and a diverging one
-    raises ``NonFiniteMetric``.
+    ``TickStats``).  A lone candidate's score is that reduction's mean at the
+    horizon over ``||theta||^2``, and a diverging one raises ``NonFiniteMetric``.
     """
     from .engine import TickStats, run_ci_trials
 
@@ -102,7 +98,7 @@ def grid_search(
         # Sum trial by trial: the mean over trials of a full (trials, horizon + 1)
         # series adds up its last column in this order, whereas a mean over a
         # single column sums pairwise and can differ in the last bit.  So a
-        # candidate's score equals its curve's last value bit for bit.  A
+        # candidate's score equals its relative MSE at the horizon bit for bit.  A
         # diverged candidate's errors are inf, so its score is inf.
         total = stacked.final_sq_err[0].copy()
         for row in stacked.final_sq_err[1:]:
@@ -116,8 +112,7 @@ def grid_search(
         model, spec, cfgs[best : best + 1], horizon=horizon, trials=trials, master_seed=seed,
         readers={"netavg": stats},
     )
-    curve = stats.mean / theta_sq
     if len(cfgs) == 1:
-        values = curve[-1:]
+        values = stats.mean[-1:] / theta_sq
     scores = [(c, float(v)) for c, v in zip(cfgs, values)]
-    return GridSearchResult(best=cfgs[best], curve=curve, scores=scores, best_trials=stats)
+    return GridSearchResult(best=cfgs[best], scores=scores, best_trials=stats)

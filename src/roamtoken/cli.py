@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from ._streams import derived_stream
-from .baseline import grid_search
 from .chain import is_irreducible, mean_transition_matrix
 from .config import (
     CONFIG_KEYS,
@@ -35,7 +34,6 @@ from .harness import (
     verify_tail_bounds,
     write_compare_csv,
 )
-from .token import column_rows, write_csv_lines
 
 
 def _config_keys_epilog() -> str:
@@ -85,42 +83,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     }
     write_compare_csv(compare_path, side_by_side)
     result.files.append(compare_path)
-    if result.ci_best is not None:
-        print(
-            "ci parameters: "
-            f"a={result.ci_best.a} b={result.ci_best.b} "
-            f"tau1={result.ci_best.tau1} tau2={result.ci_best.tau2}"
-        )
+    best = result.grid.best
+    print(f"ci parameters: a={best.a} b={best.b} tau1={best.tau1} tau2={best.tau2}")
     for path in result.files:
         print(f"wrote {path}")
-    return 0
-
-
-def cmd_gridsearch(args: argparse.Namespace) -> int:
-    cfg, base = _load(args)
-    if "grid" not in cfg.get("ci", {}):
-        raise ConfigError("ci.grid: required for gridsearch")
-    experiment = build_experiment(cfg, base)
-    result = grid_search(
-        experiment.model,
-        experiment.graph,
-        experiment.ci_grid,
-        trials=experiment.trials,
-        horizon=experiment.horizon,
-        seed=experiment.seed,
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    scores_path = out / "grid_scores.csv"
-    scores = (f"{c.a},{c.b},{c.tau1},{c.tau2},{score:.17g}" for c, score in result.scores)
-    write_csv_lines(scores_path, "a,b,tau1,tau2,rmse_at_horizon", scores)
-    curve_path = out / "grid_best_curve.csv"
-    curve = (f"{t},{v:.17g}" for t, (v,) in enumerate(column_rows(result.curve)))
-    write_csv_lines(curve_path, "t,rmse_ci_network", curve)
-    best = result.best
-    print(f"best: a={best.a} b={best.b} tau1={best.tau1} tau2={best.tau2}")
-    print(f"wrote {scores_path}")
-    print(f"wrote {curve_path}")
     return 0
 
 
@@ -228,10 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="paired token vs consensus+innovations run")
     add_common(p)
     p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("gridsearch", help="search the baseline gain grid")
-    add_common(p)
-    p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("verify", help="run bound and identity checks; exit 3 on FAIL")
     add_common(p)

@@ -100,7 +100,6 @@ _GAINS = ("a", "b", "tau1", "tau2")
 _GIVEN = ("kind", ("static", "iid_failure"))
 _GEO = ("kind", ("geometric",))
 _FRAMES = ("kind", ("deterministic",))
-_FIXED = ("grid", (None,))  # fixed gains are read only where no grid is set
 
 # Every config key with its kind, help line, default and nested keys.  The CLI's --help
 # epilog is rendered from the help lines; builders read defaults through `_setting`.
@@ -146,13 +145,8 @@ CONFIG_KEYS: dict[str, Key] = {
                           "initial token holder (default 0)", 0),
     }),
     "ci": Key(_MAPPING, fields={
-        "a": Key(_NUMBER, "fixed innovation gain scale: alpha(t) = a / (t+1)^tau1", only=_FIXED),
-        "b": Key(_NUMBER, "fixed consensus gain scale: beta(t) = b / (t+1)^tau2", only=_FIXED),
-        "tau1": Key(_NUMBER, "fixed innovation gain decay (0 < tau2 < tau1 <= 1)", only=_FIXED),
-        "tau2": Key(_NUMBER, "fixed consensus gain decay", only=_FIXED),
-        "grid": Key(_MAPPING, "{a: [...], b: [...], tau1: [...], tau2: [...]}, exclusive of "
-                    "fixed a, b, tau1, tau2 (a one-point grid)",
-                    fields=dict.fromkeys(_GAINS, Key(_NUMBERS, default=REQUIRED))),
+        "grid": Key(_MAPPING, "{a, b, tau1, tau2: lists}: alpha=a/(t+1)^tau1, beta=b/(t+1)^tau2",
+                    REQUIRED, dict.fromkeys(_GAINS, Key(_NUMBERS, default=REQUIRED))),
     }),
     "run": Key(_MAPPING, default=REQUIRED, fields={
         "horizon": Key(_POSITIVE, "ticks per trial", REQUIRED),
@@ -231,8 +225,7 @@ def _walk(node: dict, fields: dict[str, Key], prefix: str) -> None:
             switch, readers = fields[name].only
             chosen = node.get(switch, fields[switch].default)
             if chosen not in readers:
-                state = "set" if readers == (None,) else chosen
-                raise ConfigError(f"{prefix}{name}: not read when {prefix}{switch} is {state}")
+                raise ConfigError(f"{prefix}{name}: not read when {prefix}{switch} is {chosen}")
 
 
 def validate_config(cfg: dict) -> None:
@@ -346,26 +339,17 @@ def build_schedule(cfg: dict) -> AlphaSchedule:
         raise ConfigError(f"token.alpha_params: {exc}") from None
 
 
-def _gains(values: dict, where: str) -> CiConfig:
-    try:
-        return CiConfig(**{name: float(values[name]) for name in _GAINS})
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def build_ci(cfg: dict) -> dict | None:
-    """The gain grid, fixed gains as a one-point grid, each candidate checked before any
-    engine runs."""
+    """The gain grid, each candidate checked before any engine runs."""
     ci = cfg.get("ci")
     if ci is None:
         return None
-    grid, where = ci.get("grid"), "ci.grid"
-    if grid is None:
-        if not all(name in ci for name in _GAINS):
-            raise ConfigError("ci: need either all of a, b, tau1, tau2 or a grid")
-        grid, where = {name: [float(ci[name])] for name in _GAINS}, "ci"
+    grid = ci["grid"]
     for candidate in itertools.product(*(grid[name] for name in _GAINS)):
-        _gains(dict(zip(_GAINS, candidate)), where)
+        try:
+            CiConfig(**dict(zip(_GAINS, map(float, candidate))))
+        except ValueError as exc:
+            raise ConfigError(f"ci.grid: {exc}") from None
     return grid
 
 

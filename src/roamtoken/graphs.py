@@ -146,7 +146,8 @@ def _closure(a: np.ndarray) -> np.ndarray:
 
 
 def is_strongly_connected(a: np.ndarray) -> bool:
-    """True iff every ordered node pair is joined by a directed path, read off ``_closure``."""
+    """True iff every ordered node pair of every ``(..., n, n)`` adjacency is joined by a
+    directed path, read off ``_closure``."""
     return bool(_closure(a).all())
 
 
@@ -226,47 +227,25 @@ def generate_backbone_with_degree(
     return _geometric(n, radius_of, rng, max_retries, what)
 
 
-def window_union_connected(frames: Sequence[np.ndarray], b: int) -> bool:
-    """True iff every complete length-``b`` window has a strongly connected edge union.
-
-    A window's union is where the running count of each edge grows over its
-    frames.  All windows are tested at once, through the one closure behind
-    ``is_strongly_connected``.
-    """
-    if b < 1:
-        raise ValueError("window size must be >= 1")
-    stack = np.asarray(frames, dtype=bool)
-    if len(stack) < b:
-        raise ValueError(f"need at least {b} frames, got {len(stack)}")
-    return _windows_connected(_running_counts(stack), b)
-
-
-def _running_counts(stack: np.ndarray) -> np.ndarray:
-    """Each edge's count in the first 0..k of (k, n, n) frames, in the narrowest unsigned type."""
-    counts = np.zeros((len(stack) + 1, *stack.shape[1:]), dtype=np.min_scalar_type(len(stack)))
-    np.cumsum(stack, axis=0, dtype=counts.dtype, out=counts[1:])
-    return counts
-
-
-def _windows_connected(counts: np.ndarray, b: int) -> bool:
-    """True iff each ``b``-window's union, where the running counts grow, is strongly connected."""
-    return bool(_closure(counts[b:] > counts[:-b]).all())
-
-
 def smallest_connected_window(frames: Sequence[np.ndarray], cycle: bool) -> int | None:
     """The smallest ``b`` at which every ``b``-window of ``frames`` has a strongly connected union.
 
     With ``cycle`` the windows wrap around the end of ``frames``, as those of a
     repeated sequence do.  None when even the union of all frames is not
     strongly connected.  A window's union only grows with ``b``, so a binary
-    search over the windows of one set of running counts finds it.
+    search over the windows of one set of running counts finds it: a window's
+    union is where each edge's count grows over its frames.
     """
     stack = np.asarray(frames, dtype=bool)
     k = len(stack)
     if cycle:  # k - 1 repeated frames let a window start at each of the k frames and wrap
         stack = np.concatenate([stack, stack[:-1]])
-    counts = _running_counts(stack)
-    b = bisect.bisect_left(range(1, k + 1), True, key=lambda w: _windows_connected(counts, w))
+    # each edge's count in the first 0..len(stack) frames, in the narrowest unsigned type
+    counts = np.zeros((len(stack) + 1, *stack.shape[1:]), dtype=np.min_scalar_type(len(stack)))
+    np.cumsum(stack, axis=0, dtype=counts.dtype, out=counts[1:])
+    b = bisect.bisect_left(
+        range(1, k + 1), True, key=lambda w: is_strongly_connected(counts[w:] > counts[:-w])
+    )
     return b + 1 if b < k else None
 
 

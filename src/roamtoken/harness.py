@@ -327,7 +327,6 @@ class ExperimentConfig:
 class ExperimentResult:
     metrics: dict[str, MetricSeries]
     files: list[Path]
-    ci_best: CiConfig | None = None
     grid: GridSearchResult | None = None
 
 
@@ -340,12 +339,11 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
     """Run all requested algorithms on shared per-trial draws and write CSVs.
 
     Per-trial noise and graph streams are shared across algorithms, so
-    differences in the metrics are purely algorithmic.  Output is
-    deterministic given the config and seed; partial files are removed if the
-    run fails.
+    differences in the metrics are purely algorithmic.  A run of the baseline
+    also writes its grid's scores.  Output is deterministic given the config
+    and seed; partial files are removed if the run fails.
     """
     metrics: dict[str, MetricSeries] = {}
-    ci_best: CiConfig | None = None
     grid_result: GridSearchResult | None = None
     trace: EpisodeTrace | None = None
 
@@ -393,7 +391,6 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             seed=config.seed,
         )
         metrics["rmse_ci_network"] = rmse_network_ci(grid_result.best_trials, model)
-        ci_best = grid_result.best
 
     for series in metrics.values():
         _check_finite(series)
@@ -406,18 +403,23 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             metrics_path = out / "metrics.csv"
             write_metrics_csv(metrics_path, metrics)
             files.append(metrics_path)
+            if grid_result is not None:
+                scores_path = out / "grid_scores.csv"
+                scores = (f"{c.a},{c.b},{c.tau1},{c.tau2},{v:.17g}" for c, v in grid_result.scores)
+                write_csv_lines(scores_path, "a,b,tau1,tau2,rmse_at_horizon", scores)
+                files.append(scores_path)
             if trace is not None:
                 trace_path = out / "trace_trial0.csv"
                 write_trace_csv(trace, trace_path)
                 files.append(trace_path)
             meta_path = out / "meta.yaml"
-            _write_meta(meta_path, config, ci_best)
+            _write_meta(meta_path, config, grid_result.best if grid_result else None)
             files.append(meta_path)
         except BaseException:
             for f in files:
                 f.unlink(missing_ok=True)
             raise
-    return ExperimentResult(metrics=metrics, files=files, ci_best=ci_best, grid=grid_result)
+    return ExperimentResult(metrics=metrics, files=files, grid=grid_result)
 
 
 def write_metrics_csv(path: Path | str, metrics: dict[str, MetricSeries]) -> None:

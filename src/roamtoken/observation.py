@@ -171,8 +171,8 @@ def central_solver(model: GlobalModel) -> Callable[[np.ndarray], np.ndarray]:
     callable maps means of shape (..., m), for example a chunk's (ticks,
     trials, m) stack, to the (..., L) estimates ``ybar G^T`` by one matmul.  It
     raises SolveFailed when a row's relative residual
-    ``|sigma_c x - W_full ybar| / |W_full ybar|`` exceeds ``SOLVE_RTOL``, on
-    the ``x`` that matmul produced.  It writes into scratch that it keeps, so
+    ``|sigma_c x - W_full ybar| / |W_full ybar|`` exceeds ``SOLVE_RTOL`` or is
+    NaN, on the ``x`` that matmul produced.  It writes into scratch that it keeps, so
     its result holds until the next call.
     """
     sigma = model.sigma_c
@@ -203,7 +203,7 @@ def central_solver(model: GlobalModel) -> Callable[[np.ndarray], np.ndarray]:
         np.matmul(np.square(rhs, out=rhs), ones, out=scale)
         np.maximum(np.sqrt(scale, out=scale), 1e-300, out=scale)
         worst = np.max(np.divide(np.sqrt(worst, out=worst), scale, out=worst))
-        if worst > SOLVE_RTOL:
+        if not worst <= SOLVE_RTOL:  # NaN included
             raise SolveFailed(f"oracle solve residual {worst:.3e}", residual=float(worst))
         return x.reshape(*means.shape[:-1], dim)
 

@@ -29,7 +29,7 @@ from roamtoken import AgentModel, CiConfig, GlobalModel, SingularModel, fisher_i
 from roamtoken._linalg import solve_spd
 from roamtoken._streams import derived_stream
 from roamtoken.engine import CHUNK_TICKS, TickStats
-from roamtoken.graphs import sequential_reachability, window_union_connected
+from roamtoken.graphs import sequential_reachability, smallest_connected_window
 from roamtoken.observation import SOLVE_RTOL
 
 # Draws of a random window-connected sequence before a sample is given up.
@@ -183,7 +183,7 @@ def _random_window_connected_sequence(
         p_edge = rng.uniform(0.25, 0.9)
         frames = rng.random((length, n, n)) < p_edge  # the draws of one (n, n) frame at a time
         frames[:, np.arange(n), np.arange(n)] = False
-        if window_union_connected(frames, b):
+        if smallest_connected_window(frames, cycle=False) in range(1, b + 1):
             return frames
     return None
 

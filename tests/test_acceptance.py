@@ -24,16 +24,16 @@ from roamtoken import (
     mean_transition_matrix,
     optimality_ratio,
     relative_degree,
+    rmse_network_ci,
     run_episode,
     verify_state_identity,
     verify_tail_bounds,
-    window_union_connected,
 )
 from roamtoken._linalg import trace_of_inverse
 from roamtoken._streams import derived_stream, trial_seed
 from roamtoken.baseline import grid_search
 from roamtoken.engine import run_token_trials
-from roamtoken.graphs import sequential_reachability
+from roamtoken.graphs import sequential_reachability, smallest_connected_window
 
 from conftest import ACCEPTANCE_LINES, make_ref5_model, random_spd, ref5_adjacency
 from references import (
@@ -181,7 +181,7 @@ def test_criterion_5_sequential_connectivity():
     frames2 = list(_all_digraphs(2))
     for combo in itertools.product(frames2, repeat=3):
         frames = list(combo)
-        if not window_union_connected(frames, 2):
+        if smallest_connected_window(frames, cycle=False) not in (1, 2):
             continue
         checked += 1
         for t0 in range(2):
@@ -267,7 +267,7 @@ def test_criterion_8_token_beats_tuned_baseline():
 
     grid = {"a": [0.5, 1.0, 2.0], "b": [0.1, 0.5, 1.0], "tau1": [1.0], "tau2": [0.25, 0.5]}
     search = grid_search(model, spec, grid, trials=trials, horizon=horizon, seed=seed)
-    ci_rmse = search.curve
+    ci_rmse = rmse_network_ci(search.best_trials, model).values
 
     probes = (100, 1000, 10_000)
     ratios = {t: token_rmse[t] / ci_rmse[t] for t in probes}

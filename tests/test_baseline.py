@@ -8,6 +8,7 @@ from roamtoken import (
     CiConfig,
     GlobalModel,
     grid_search,
+    rmse_network_ci,
     sample_measurements,
 )
 
@@ -116,22 +117,23 @@ def test_grid_search_single_point_and_domination(ref5_model, ref5_iid):
     result2 = grid_search(ref5_model, ref5_iid, two, trials=6, horizon=300, seed=1)
     scores = {cfg.tau2: score for cfg, score in result2.scores}
     assert result2.best.tau2 == min(scores, key=scores.get)
-    assert np.isfinite(result2.curve).all()
-    assert len(result2.curve) == 301
+    curve = rmse_network_ci(result2.best_trials, ref5_model).values
+    assert np.isfinite(curve).all()
+    assert len(curve) == 301
 
 
 def test_grid_search_paper_style_grid_smoke(ref5_model, ref5_iid):
     grid = {"a": [0.5, 1.0, 2.0], "b": [0.1, 0.5, 1.0], "tau1": [1.0], "tau2": [0.25, 0.5]}
     result = grid_search(ref5_model, ref5_iid, grid, trials=3, horizon=200, seed=2)
     assert len(result.scores) == 18
-    assert np.isfinite(result.curve).all()
+    assert np.isfinite(rmse_network_ci(result.best_trials, ref5_model).values).all()
     assert np.isfinite(min(score for _, score in result.scores))
 
 
 def test_grid_search_best_curve_trends_down(ref5_model, ref5_iid):
     grid = {"a": [1.0], "b": [0.1, 0.3], "tau1": [1.0], "tau2": [0.5]}
     result = grid_search(ref5_model, ref5_iid, grid, trials=8, horizon=600, seed=3)
-    curve = result.curve
+    curve = rmse_network_ci(result.best_trials, ref5_model).values
     head = curve[1:60].mean()
     tail = curve[-60:].mean()
     assert np.isfinite(curve).all()

@@ -104,7 +104,7 @@ def _assert_matches_oracle(model, spec, grid, trials, horizon, seed):
     scores, best, curve = _oracle_grid_search(model, spec, grid, trials, horizon, seed)
     assert [score for _, score in result.scores] == scores
     assert result.best is result.scores[best][0]
-    assert np.array_equal(result.curve, curve)
+    assert np.array_equal(rmse_network_ci(result.best_trials, model).values, curve)
     return result
 
 
@@ -153,7 +153,7 @@ def test_single_point_grid_score_matches_oracle(ref5_model, ref5_iid):
 
 def test_engine_calls_and_fixed_gains_as_a_one_point_grid(monkeypatch, tmp_path):
     # the 18-point grid takes a stacked scoring pass and the winner's run; fixed gains are a
-    # one-point grid, which runs once and writes the same metrics.csv byte for byte
+    # one-point grid, which runs once
     import roamtoken.engine
 
     calls = []
@@ -166,11 +166,7 @@ def test_engine_calls_and_fixed_gains_as_a_one_point_grid(monkeypatch, tmp_path)
     monkeypatch.setattr(roamtoken.engine, "run_ci_trials", counting)
     cfg = apply_overrides(load_config(GEO20), ["run.horizon=80", "run.trials=5"])
     fixed = {"a": 1.0, "b": 0.5, "tau1": 1.0, "tau2": 0.25}
-    runs = {
-        "grid": cfg["ci"],
-        "fixed": fixed,
-        "one-point grid": {"grid": {k: [v] for k, v in fixed.items()}},
-    }
+    runs = {"grid": cfg["ci"], "one-point grid": {"grid": {k: [v] for k, v in fixed.items()}}}
     counts, results = {}, {}
     for name, ci in runs.items():
         calls.clear()
@@ -179,16 +175,15 @@ def test_engine_calls_and_fixed_gains_as_a_one_point_grid(monkeypatch, tmp_path)
         results[name] = run_experiment(build_experiment(variant, GEO20.parent), tmp_path / name)
         counts[name] = [len(c) for c in calls]
         if name == "grid":
-            assert calls[1][0] is results[name].ci_best
-    assert counts == {"grid": [18, 1], "fixed": [1], "one-point grid": [1]}
-    metrics = {name: (tmp_path / name / "metrics.csv").read_bytes() for name in runs}
-    assert metrics["fixed"] == metrics["one-point grid"]
-    assert results["fixed"].grid.scores[0][1] == results["fixed"].grid.curve[-1]
+            assert calls[1][0] is results[name].grid.best
+    assert counts == {"grid": [18, 1], "one-point grid": [1]}
+    one_point = results["one-point grid"]
+    assert one_point.grid.scores[0][1] == one_point.metrics["rmse_ci_network"].values[-1]
 
     # the grid winner's metric is its standalone run reduced over trials
     experiment, standalone = build_experiment(cfg, GEO20.parent), SeriesRows(80, "netavg")
     original(
-        experiment.model, experiment.graph, [results["grid"].ci_best], horizon=80, trials=5,
+        experiment.model, experiment.graph, [results["grid"].grid.best], horizon=80, trials=5,
         master_seed=experiment.seed, readers=standalone.readers,
     )
     expected = rmse_network_ci(tick_stats(standalone["netavg"]), experiment.model)

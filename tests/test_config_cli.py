@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 import yaml
 
-from roamtoken import ConfigError, relative_degree
+from roamtoken import ConfigError, relative_degree, run_experiment
 from roamtoken.cli import main
 from roamtoken.config import apply_overrides, build_experiment, load_config
-from roamtoken.graphs import read_adjacency, window_union_connected, write_frames_csv
+from roamtoken.graphs import read_adjacency, smallest_connected_window, write_frames_csv
 
 BASE_CONFIG = textwrap.dedent(
     """
@@ -215,8 +215,8 @@ def test_cli_short_sequence_is_config_error(short_sequence_file, tmp_path, capsy
 
 
 def test_cli_runtime_failure_exit_code(tmp_path, capsys):
-    # fixed gains far beyond stability make the baseline diverge mid-run
-    text = re.sub(r"^  grid: .*$", "  a: 1.0\n  b: 80.0\n  tau1: 1.0\n  tau2: 0.01",
+    # a one-point grid far beyond stability makes the baseline diverge mid-run
+    text = re.sub(r"^  grid: .*$", "  grid: {a: [1.0], b: [80.0], tau1: [1.0], tau2: [0.01]}",
                   GEO20_CONFIG.read_text(), flags=re.M)
     path = tmp_path / "diverging.yaml"
     path.write_text(text)
@@ -534,12 +534,13 @@ def test_cli_empty_section_is_config_error(tmp_path, capsys, section):
 
 @pytest.mark.parametrize("key", ["a", "b", "tau1", "tau2"])
 def test_cli_fixed_gains_next_to_a_grid_rejected(tmp_path, capsys, key):
-    # the grid won and the fixed value was never read, though meta.yaml echoed it
+    # fixed gains are a one-point grid; a gain beside the grid was never read, though
+    # meta.yaml echoed it
     out = tmp_path / "out"
     argv = ["compare", str(GEO20_CONFIG), "--out", str(out), "--set", f"ci.{key}=0.2"]
     assert main(argv + ["--set", "run.horizon=2", "--set", "run.trials=2"]) == 1
     captured = capsys.readouterr()
-    assert f"config error: ci.{key}: not read when ci.grid is set" in captured.err
+    assert f"config error: ci.{key}: unknown key" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -553,7 +554,6 @@ _BOOL_NUMBERS = {
     "chain.delta_self": ["chain.rule=lazy", "chain.delta_self=true"],
     "token.alpha_params.c": ["token.alpha_form=power", "token.alpha_params.c=true"],
     "token.alpha_params.q": ["token.alpha_form=power", "token.alpha_params.q=true"],
-    **{f"ci.{key}": [f"ci.{key}=true"] for key in ("a", "b", "tau1", "tau2")},
     **{f"ci.grid.{key}": [f"ci.grid.{key}=[true]"] for key in ("a", "b", "tau1", "tau2")},
 }
 
@@ -651,7 +651,7 @@ def _cycle_halves() -> list[np.ndarray]:
 
 def test_cli_verify_on_a_window_connected_sequence(tmp_path, capsys):
     frames = _cycle_halves()
-    assert not window_union_connected(frames, 1) and window_union_connected(frames * 2, 2)
+    assert smallest_connected_window(frames, cycle=True) == 2
     code, out = _verify_frames(tmp_path, capsys, frames)
     assert code == 0
     assert "PASS window connectivity: b=2 frames=2 cycle=true" in out.splitlines()
@@ -723,7 +723,7 @@ def test_cli_gen_graph_targets(tmp_path, capsys):
     assert main(["gen-graph", "-n", "6", "--seed", "0", "--out", str(full)]) == 1
 
 
-def test_cli_compare_and_gridsearch(config_file, tmp_path, capsys):
+def test_cli_compare(config_file, tmp_path, capsys):
     text = BASE_CONFIG.replace("kind: static", "kind: iid_failure\n  p_fail: 0.4")
     text += textwrap.dedent(
         """
@@ -739,31 +739,67 @@ def test_cli_compare_and_gridsearch(config_file, tmp_path, capsys):
     header = (out / "compare.csv").read_text().splitlines()[0]
     assert "rmse_token" in header and "rmse_ci_network" in header
 
-    # the side-by-side file restates the harness series exactly
     import csv as csv_mod
 
-    with open(out / "metrics.csv", newline="") as fh:
-        long_rows = {
-            (row["metric"], int(row["t"])): row["value"] for row in csv_mod.DictReader(fh)
-        }
+    def long_rows(out):
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = csv_mod.DictReader(fh)
+            return {(row["metric"], int(row["t"])): row["value"] for row in rows}
+
+    def score_rows(out):
+        with open(out / "grid_scores.csv", newline="") as fh:
+            return list(csv_mod.DictReader(fh))
+
+    # the side-by-side file restates the harness series exactly
+    metrics = long_rows(out)
     with open(out / "compare.csv", newline="") as fh:
         for row in csv_mod.DictReader(fh):
             t = int(row["t"])
             for name in ("rmse_token", "rmse_ci_network"):
-                assert row[name] == long_rows[(name, t)]
+                assert row[name] == metrics[(name, t)]
 
-    gs_out = tmp_path / "gs_out"
-    assert main(["gridsearch", str(path), "--out", str(gs_out)]) == 0
-    assert (gs_out / "grid_scores.csv").exists()
-    assert (gs_out / "grid_best_curve.csv").exists()
+    # grid_scores.csv holds every candidate's score in grid order, and the winner's score
+    # is the horizon row of its metric
+    experiment = build_experiment(load_config(path), tmp_path)
+    experiment.algorithms = ("ci",)
+    result = run_experiment(experiment)
+    rows = score_rows(out)
+    keys = ("a", "b", "tau1", "tau2")
+    assert [tuple(float(row[k]) for k in keys) for row in rows] == [
+        tuple(getattr(c, k) for k in keys) for c, _ in result.grid.scores
+    ]
+    assert [float(row["rmse_at_horizon"]) for row in rows] == [s for _, s in result.grid.scores]
+    best = next(k for k, (c, _) in enumerate(result.grid.scores) if c is result.grid.best)
+    assert rows[best]["rmse_at_horizon"] == metrics[("rmse_ci_network", 30)]
 
-    # fixed gains are a one-point grid to compare, but gridsearch needs a grid to search
+    # a one-point grid runs once and writes one row
+    one = tmp_path / "one_out"
+    grid = "ci.grid={a: [1.0], b: [0.2], tau1: [1.0], tau2: [0.5]}"
+    assert main(["compare", str(path), "--out", str(one), "--set", grid]) == 0
+    rows = score_rows(one)
+    assert [[row[k] for k in keys] for row in rows] == [["1.0", "0.2", "1.0", "0.5"]]
+    assert rows[0]["rmse_at_horizon"] == long_rows(one)[("rmse_ci_network", 30)]
+
+
+def test_cli_ci_without_a_grid_is_a_config_error(tmp_path, capsys):
+    # fixed gains are given as a one-point grid
     fixed = tmp_path / "fixed.yaml"
     fixed.write_text(re.sub(r"^  grid: .*$", "  a: 1.0\n  b: 0.2\n  tau1: 1.0\n  tau2: 0.5",
-                            text, flags=re.M))
-    assert main(["compare", str(fixed), "--out", str(tmp_path / "fixed_out")]) == 0
-    assert main(["gridsearch", str(fixed), "--out", str(tmp_path / "fixed_gs")]) == 1
-    assert "ci.grid: required for gridsearch" in capsys.readouterr().err
+                            GEO20_CONFIG.read_text(), flags=re.M))
+    out = tmp_path / "out"
+    assert main(["compare", str(fixed), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: ci.grid: required key missing" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_gridsearch_is_an_unknown_subcommand(tmp_path, capsys):
+    # compare writes the grid's scores; the separate search and its curve file are gone
+    out = tmp_path / "out"
+    assert main(["gridsearch", str(GEO20_CONFIG), "--out", str(out)]) == 1
+    assert "invalid choice: 'gridsearch'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SHIPPED_CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml"))
@@ -789,7 +825,7 @@ def test_meta_config_echo_round_trips(config_file, tmp_path, name):
     files = sorted(p.name for p in first.iterdir())
     assert {"metrics.csv", "trace_trial0.csv", "meta.yaml"} <= set(files)
     assert files == sorted(p.name for p in second.iterdir())
-    assert ("compare.csv" in files) == (command == "compare")
+    assert ("compare.csv" in files) == ("grid_scores.csv" in files) == (command == "compare")
     for f in files:
         assert (first / f).read_bytes() == (second / f).read_bytes(), f
 

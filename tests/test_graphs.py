@@ -17,7 +17,6 @@ from roamtoken import (
     generate_geometric_backbone,
     is_strongly_connected,
     relative_degree,
-    window_union_connected,
 )
 from roamtoken.graphs import (
     as_adjacency,
@@ -171,26 +170,13 @@ def test_strong_connectivity_exhaustive_up_to_four_nodes():
 
 
 def test_window_union_connected_cases():
+    # read once: strongly connected frames, alternating halves, two empty frames between
     sc = _adj(2, [(0, 1), (1, 0)])
-    assert window_union_connected([sc, sc, sc], 1)
-    assert window_union_connected([sc, sc, sc], 3)
+    assert smallest_connected_window([sc, sc, sc], cycle=False) == 1
     alternating = [_adj(2, [(0, 1)]), _adj(2, [(1, 0)]), _adj(2, [(0, 1)]), _adj(2, [(1, 0)])]
-    assert window_union_connected(alternating, 2)
-    assert not window_union_connected(alternating, 1)
+    assert smallest_connected_window(alternating, cycle=False) == 2
     with_empty = [sc, np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool), sc]
-    assert not window_union_connected(with_empty, 2)
-
-
-def test_window_union_connected_matches_each_window_union():
-    # the sliding counts and the batched closure against each window's OR and path search
-    rng = np.random.default_rng(21)
-    for _ in range(500):
-        n, length = int(rng.integers(1, 7)), int(rng.integers(1, 9))
-        b = int(rng.integers(1, length + 1))
-        frames = [rng.random((n, n)) < rng.uniform(0.05, 0.6) for _ in range(length)]
-        unions = [np.logical_or.reduce(frames[s : s + b]) for s in range(length - b + 1)]
-        expected = all(map(_brute_force_strongly_connected, unions))
-        assert window_union_connected(frames, b) == expected
+    assert smallest_connected_window(with_empty, cycle=False) == 3
 
 
 def test_smallest_connected_window():
@@ -218,7 +204,6 @@ def test_smallest_connected_window():
             assert smallest_connected_window(frames, cycle) == expected
 
 
-
 def test_smallest_connected_window_allocates_little():
     # a random 20-node, 2,001-frame sequence read once: the traced peak was 13.6 MB with
     # int64 running counts taken again at each bisection step and an int64 difference per
@@ -232,6 +217,7 @@ def test_smallest_connected_window_allocates_little():
         tracemalloc.stop()
     assert b == 14
     assert peak <= 5_000_000
+
 
 def test_sequential_connectivity_basics():
     reach = sequential_reachability([_adj(3, [(1, 2)])])
@@ -271,8 +257,7 @@ def test_assumption_window_rejects_single_frames_but_accepts_pairs():
     # two frames each weakly connected; union strongly connected
     f1 = _adj(3, [(0, 1), (1, 2)])
     f2 = _adj(3, [(2, 0)])
-    assert not window_union_connected([f1, f2], 1)
-    assert window_union_connected([f1, f2], 2)
+    assert smallest_connected_window([f1, f2], cycle=False) == 2
 
 
 def test_adjacency_file_round_trip(tmp_path):

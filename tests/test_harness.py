@@ -305,20 +305,36 @@ def test_run_experiment_same_seed_byte_identical(tmp_path):
     assert hashes[0] == hashes[1]
 
 
-def test_run_experiment_pairs_token_and_ci(tmp_path):
+def _token_and_ci_config() -> ExperimentConfig:
     from roamtoken import IidFailureGraph
 
-    config = _smoke_config(
+    return _smoke_config(
         graph=IidFailureGraph(ref5_adjacency(), p_fail=0.3),
         algorithms=("token", "ci"),
         ci_grid={"a": [1.0], "b": [0.2], "tau1": [1.0], "tau2": [0.5]},
         horizon=60,
         trials=4,
     )
-    result = run_experiment(config, out_dir=tmp_path)
+
+
+def test_run_experiment_pairs_token_and_ci(tmp_path):
+    result = run_experiment(_token_and_ci_config(), out_dir=tmp_path)
     assert set(result.metrics) >= {"rmse_token", "rmse_token_last_seen", "rmse_ci_network"}
     for series in result.metrics.values():
         assert np.isfinite(series.values).all()
+    names = ["metrics.csv", "grid_scores.csv", "trace_trial0.csv", "meta.yaml"]
+    assert [path.name for path in result.files] == names
+
+
+def test_failed_write_removes_every_file_the_run_wrote(tmp_path, monkeypatch):
+    # metrics.csv and grid_scores.csv are written before the trace
+    def full(*args):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(roamtoken.harness, "write_trace_csv", full)
+    with pytest.raises(OSError, match="no space left"):
+        run_experiment(_token_and_ci_config(), out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_experiment_central_only_matches_paired_run():

@@ -14,19 +14,28 @@ import roamtoken._kernels as kernels
 import roamtoken._sharding as sharding
 import roamtoken.engine as engine
 from roamtoken import (
+    AgentModel,
     AlphaSchedule,
     CiConfig,
     DeterministicSequence,
+    GlobalModel,
     IidFailureGraph,
     Lazy,
     NonFiniteMetric,
     OutDegreeReciprocal,
     SequenceExhausted,
     SolveFailed,
+    StaticGraph,
+    run_episode,
 )
 from roamtoken._streams import trial_seed
 from roamtoken.cli import main
-from roamtoken.engine import run_chain_trials, run_ci_trials, run_token_trials
+from roamtoken.engine import (
+    run_central_trials,
+    run_chain_trials,
+    run_ci_trials,
+    run_token_trials,
+)
 
 from conftest import make_ref5_model, ref5_adjacency, slow_ring
 from references import ignore
@@ -200,6 +209,36 @@ def test_solve_failure_in_every_block_at_once_names_the_worst_residual(monkeypat
     )
     assert type(sharded) is SolveFailed and str(serial).endswith(" at t=0")
     assert str(sharded) == str(serial)
+
+
+def _nan_model() -> tuple:
+    """Three agents on a static triangle whose noise sampler returns only NaN."""
+    rows = ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
+    agents = [AgentModel(i, h, [[1.0]]) for i, h in enumerate(rows)]
+    model = GlobalModel(agents, [2.0, -1.0], noise=lambda rng, shape: np.full(shape, np.nan))
+    return model, StaticGraph(~np.eye(3, dtype=bool)), OutDegreeReciprocal(), AlphaSchedule.linear()
+
+
+_NAN_RUNS = {
+    "estimate solve residual nan at t=0": lambda args: run_token_trials(
+        *args, horizon=10, trials=64, readers={"sq_err": ignore}
+    ),
+    "oracle solve residual nan": lambda args: run_central_trials(
+        args[0], 10, 64, readers={"central": ignore}
+    ),
+}
+
+
+@pytest.mark.parametrize("message", list(_NAN_RUNS), ids=["estimate", "oracle"])
+def test_nan_residual_fails_the_guard_as_in_the_scalar_path(monkeypatch, message):
+    # a NaN residual fails `worst > rtol`, so the engine's estimate and oracle guards let
+    # an all-NaN run through, while run_episode's `not rel <= rtol` raised at t=0
+    args = _nan_model()
+    with pytest.raises(SolveFailed, match=r"^estimate solve at t=0: solve residual nan "):
+        run_episode(*args, horizon=10, seed=trial_seed(0, 0))
+    serial, sharded = _serial_and_sharded(monkeypatch, lambda: _NAN_RUNS[message](args))
+    assert type(serial) is type(sharded) is SolveFailed
+    assert str(serial) == str(sharded) == message
 
 
 def test_diverging_ci_config_raises_as_in_one_process(monkeypatch, ref5_iid):
