@@ -18,8 +18,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
     """Solve ``a x = b`` for symmetric positive definite ``a``.
 
     Raises ``np.linalg.LinAlgError`` when ``a`` is not positive definite and
-    ``ArithmeticError`` when the relative residual exceeds ``rtol``.  Callers
-    translate these into their module-specific error types.
+    ``ArithmeticError``, with the relative residual as its ``residual``, when
+    that residual exceeds ``rtol``.  Callers translate these into their
+    module-specific error types.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -29,7 +30,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
     scale = np.linalg.norm(b)
     rel = residual / scale if scale > 0 else residual
     if not rel <= rtol:
-        raise ArithmeticError(f"solve residual {rel:.3e} exceeds tolerance {rtol:.3e}")
+        exc = ArithmeticError(f"solve residual {rel:.3e} exceeds tolerance {rtol:.3e}")
+        exc.residual = float(rel)
+        raise exc
     return x
 
 

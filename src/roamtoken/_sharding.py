@@ -1,7 +1,7 @@
 """The process layer of the engines: trial blocks, the series ring and the forked workers.
 
-All four engines (token, central, consensus+innovations and chain) shard
-their trials across the usable cores through one function, ``_sharded``.  Each
+All three engines (token, consensus+innovations and chain) shard their
+trials across the usable cores through one function, ``_sharded``.  Each
 forked worker runs the same serial loop on a contiguous block of at least
 ``MIN_BLOCK_TRIALS`` trials, with trial ``lo + r`` seeded
 ``trial_seed(master, lo + r)``.  Every per-trial value is computed row by row,
@@ -70,8 +70,8 @@ class _TrialBlocks:
     draws cost trials × CHUNK_TICKS × (m + draws + 1) × 8 bytes, with ``m``
     the model's stacked measurements (0 without a model) and ``draws`` the
     graph's uniforms per tick.  A block without a model neither makes a noise
-    generator nor draws noise, and one whose graph draws no uniforms (none,
-    static or a sequence) makes no graph generator; the three streams are
+    generator nor draws noise, and one whose graph draws no uniforms (static
+    or a sequence) makes no graph generator; the three streams are
     independent, so what a block skips never shifts what it draws.
 
     ``_sharded`` sets ``ring``, the block's (trials, CHUNK_TICKS) rows of
@@ -86,12 +86,12 @@ class _TrialBlocks:
         trials: int,
         master_seed: SeedLike,
         model: GlobalModel | None,
-        spec: GraphSpec | None,
+        spec: GraphSpec,
         first: int = 0,
     ) -> None:
         self.trials, self.first = trials, first
         self.model = model
-        self.draws = 0 if spec is None else spec.draws
+        self.draws = spec.draws
         self.t0 = 0  # first tick of the chunk being run
         self.noise_gens, self.graph_gens, self.move_gens = [], [], []
         for r in range(first, first + trials):
@@ -256,7 +256,7 @@ def _sharded(
     trials: int,
     master_seed: SeedLike,
     model: GlobalModel | None,
-    spec: GraphSpec | None,
+    spec: GraphSpec,
     rows: dict[str, tuple[tuple[int, ...], type]],
     run_block: Callable[[_TrialBlocks, dict, dict], None],
     per_block: dict[str, tuple[tuple[int, ...], type]] | None = None,

@@ -62,6 +62,15 @@ class GridSearchResult:
     best_trials: "TickStats"
 
 
+def grid_configs(grid: dict[str, Sequence[float]]) -> list[CiConfig]:
+    """Every candidate of ``grid``, in grid order; a bad value raises ValueError."""
+    keys = ("a", "b", "tau1", "tau2")
+    missing = [k for k in keys if k not in grid or not len(grid[k])]
+    if missing:
+        raise ValueError(f"grid is missing values for: {missing}")
+    return [CiConfig(*values) for values in itertools.product(*(grid[k] for k in keys))]
+
+
 def grid_search(
     model: GlobalModel,
     spec: GraphSpec,
@@ -83,27 +92,18 @@ def grid_search(
     """
     from .engine import TickStats, run_ci_trials
 
-    keys = ("a", "b", "tau1", "tau2")
-    missing = [k for k in keys if k not in grid or not len(grid[k])]
-    if missing:
-        raise ValueError(f"grid is missing values for: {missing}")
-    cfgs = [
-        CiConfig(a=a, b=b, tau1=tau1, tau2=tau2)
-        for a, b, tau1, tau2 in itertools.product(*(grid[k] for k in keys))
-    ]
+    cfgs = grid_configs(grid)
     theta_sq = float(model.theta @ model.theta)
     best = 0
     if len(cfgs) > 1:
         stacked = run_ci_trials(model, spec, cfgs, horizon=horizon, trials=trials, master_seed=seed)
-        # Sum trial by trial: the mean over trials of a full (trials, horizon + 1)
-        # series adds up its last column in this order, whereas a mean over a
+        # A mean over the outer axis of the C-contiguous (trials, K) errors adds the
+        # trials one by one, in the order in which the mean over trials of a full
+        # (trials, horizon + 1) series adds up its last column, whereas a mean over a
         # single column sums pairwise and can differ in the last bit.  So a
         # candidate's score equals its relative MSE at the horizon bit for bit.  A
         # diverged candidate's errors are inf, so its score is inf.
-        total = stacked.final_sq_err[0].copy()
-        for row in stacked.final_sq_err[1:]:
-            total += row
-        values = total / trials / theta_sq
+        values = stacked.final_sq_err.mean(axis=0) / theta_sq
         best = min(range(len(cfgs)), key=lambda k: values[k])
         if math.isinf(values[best]):
             raise RuntimeError("every grid candidate diverged")

@@ -11,7 +11,6 @@ over file values.
 from __future__ import annotations
 
 import copy
-import itertools
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -20,7 +19,7 @@ import numpy as np
 import yaml
 
 from ._streams import derived_stream
-from .baseline import CiConfig
+from .baseline import grid_configs
 from .chain import Lazy, OutDegreeReciprocal, TransitionRule
 from .errors import ConfigError, GenerationFailed, SingularModel
 from .graphs import (
@@ -345,11 +344,10 @@ def build_ci(cfg: dict) -> dict | None:
     if ci is None:
         return None
     grid = ci["grid"]
-    for candidate in itertools.product(*(grid[name] for name in _GAINS)):
-        try:
-            CiConfig(**dict(zip(_GAINS, map(float, candidate))))
-        except ValueError as exc:
-            raise ConfigError(f"ci.grid: {exc}") from None
+    try:
+        grid_configs({name: [float(v) for v in grid[name]] for name in _GAINS})
+    except ValueError as exc:
+        raise ConfigError(f"ci.grid: {exc}") from None
     return grid
 
 

@@ -8,11 +8,11 @@ standalone via ``run_episode(seed=trial_seed(master, r))``.
 This module holds the engines' entry points, the walk and the oracle.  The
 token chunk's kernels (running means, payload and estimate) are in
 ``_kernels``; the trial blocks, the series ring and the forked workers that
-every engine runs on are in ``_sharding``.  The oracle's estimates are one
-matmul of the running means by a gain matrix solved once per run
-(``observation.central_solver``).  The walk and the oracle look up
-``bulk_step`` and ``central_solver`` in this module's globals at call time,
-where perfbench's traced pass wraps them.
+every engine runs on are in ``_sharding``.  The oracle is scored inside the
+token engine: its estimates are one matmul of the running means by a gain
+matrix solved once per run (``observation.central_solver``).  The walk and the
+oracle look up ``bulk_step`` and ``central_solver`` in this module's globals at
+call time, where perfbench's traced pass wraps them.
 
 The walk (``_walk``, shared with the chain engine) steps on compact,
 CSR-style out-rows (``_OutRows``): a node's columns are its possible
@@ -73,11 +73,11 @@ class TickStats:
 
 @dataclass(eq=False)
 class Trials:
-    """What a token or oracle run returns; its series went to the readers."""
+    """What a token run returns; its series went to the readers."""
 
     trials: int
     horizon: int
-    trial0: EpisodeTrace | None = None  # the token engine's trial 0
+    trial0: EpisodeTrace
 
 
 @dataclass(eq=False)
@@ -294,27 +294,6 @@ def run_token_trials(
         mean_last_seen_sq_err=own["last_seen"][0] if last_seen else None,
     )
     return Trials(trials, horizon, trial0)
-
-
-def run_central_trials(
-    model: GlobalModel,
-    horizon: int,
-    trials: int,
-    master_seed: SeedLike = 0,
-    readers: Mapping[str, Reader] | None = None,
-) -> Trials:
-    """Oracle-only runs: the series ``central`` is the centralized estimate's squared error."""
-    size = horizon + 1
-    series = _series(readers, {"central": float})
-    oracle = _CentralOracle(model)
-
-    def run(blocks: _TrialBlocks, _: dict, __: dict) -> None:
-        means = _RunningMeans(model, blocks.trials)
-        for _ in blocks.chunks(size):
-            blocks.series["central"] = oracle.score(means.advance(blocks)[1:], blocks)
-
-    _sharded(trials, master_seed, model, None, {}, run, series=series, ticks=size)
-    return Trials(trials, horizon)
 
 
 def run_ci_trials(

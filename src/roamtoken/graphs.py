@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -238,13 +238,17 @@ def smallest_connected_window(frames: Sequence[np.ndarray], cycle: bool) -> int 
     """
     stack = np.asarray(frames, dtype=bool)
     k = len(stack)
-    if cycle:  # k - 1 repeated frames let a window start at each of the k frames and wrap
-        stack = np.concatenate([stack, stack[:-1]])
-    # each edge's count in the first 0..len(stack) frames, in the narrowest unsigned type
-    counts = np.zeros((len(stack) + 1, *stack.shape[1:]), dtype=np.min_scalar_type(len(stack)))
+    # each edge's count in the first 0..k frames, in the narrowest unsigned type
+    counts = np.zeros((k + 1, *stack.shape[1:]), dtype=np.min_scalar_type(k))
     np.cumsum(stack, axis=0, dtype=counts.dtype, out=counts[1:])
+
+    def unions(w: int) -> Iterator[np.ndarray]:
+        yield counts[w:] > counts[:-w]  # the w-windows within ``frames``
+        if cycle:  # those that wrap, from frames k - w + 1..k - 1 on to frames 0..w - 2
+            yield (counts[k - w + 1 : k] < counts[k]) | (counts[1:w] > 0)
+
     b = bisect.bisect_left(
-        range(1, k + 1), True, key=lambda w: is_strongly_connected(counts[w:] > counts[:-w])
+        range(1, k + 1), True, key=lambda w: all(map(is_strongly_connected, unions(w)))
     )
     return b + 1 if b < k else None
 

@@ -18,7 +18,7 @@ import yaml
 from . import __version__
 from ._linalg import trace_of_inverse
 from ._streams import SeedLike, trial_seed
-from .baseline import CiConfig, GridSearchResult, grid_search
+from .baseline import CiConfig, GridSearchResult, grid_configs, grid_search
 from .chain import (
     TailConstants,
     TransitionRule,
@@ -33,7 +33,6 @@ from .chain import (
 from .engine import (
     CHUNK_TICKS,
     TickStats,
-    run_central_trials,
     run_chain_trials,
     run_ci_trials,  # noqa: F401 - unused here; perfbench/layers.py patches this binding
     run_token_trials,
@@ -321,6 +320,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         if "ci" in self.algorithms and self.ci_grid is None:
             raise ValueError("ci runs need a gain grid; fixed gains are a one-point grid")
+        if self.ci_grid is not None:  # every candidate is checked before any engine runs
+            grid_configs(self.ci_grid)
 
 
 @dataclass(eq=False)
@@ -347,10 +348,10 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
     grid_result: GridSearchResult | None = None
     trace: EpisodeTrace | None = None
 
-    model, want_central = config.model, "central" in config.algorithms
-    reduce = _reducers(config)
-    if "token" in config.algorithms:
-        series = ("sq_err", "last_seen", "central") if want_central else ("sq_err", "last_seen")
+    model, reduce = config.model, _reducers(config)
+    want = {"token": ("sq_err", "last_seen"), "central": ("central",)}
+    series = [k for name in config.algorithms for k in want.get(name, ())]
+    if series:  # one run of the token engine, which scores the oracle on its running means
         token = run_token_trials(
             model,
             config.graph,
@@ -362,6 +363,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             master_seed=config.seed,
             readers={k: reduce[k] for k in series},
         )
+    if "token" in config.algorithms:
         metrics["rmse_token"] = rmse_token(reduce["sq_err"], model)
         metrics["rmse_token_last_seen"] = rmse_last_seen(reduce["last_seen"], model)
         trace = token.trial0
@@ -369,12 +371,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             metrics["optimality_ratio_token"] = optimality_ratio(
                 reduce["sq_err"], model, name="optimality_ratio_token"
             )
-    elif want_central:
-        run_central_trials(
-            model, config.horizon, config.trials, master_seed=config.seed,
-            readers={"central": reduce["central"]},
-        )
-    if want_central:
+    if "central" in config.algorithms:
         metrics["rmse_central"] = rmse_central(reduce["central"], model)
         if config.trials >= 2:
             metrics["optimality_ratio_central"] = optimality_ratio(

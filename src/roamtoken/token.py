@@ -142,8 +142,11 @@ def run_episode(
             raise ValueError(f"alpha({t}) = {a} must be positive")
         try:
             s = solve_spd(K + np.eye(dim) / a, d, rtol=ESTIMATE_RTOL)
-        except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        except np.linalg.LinAlgError as exc:
             raise SolveFailed(f"estimate solve at t={t}: {exc}") from None
+        except ArithmeticError as exc:  # the engine's message, residual and tick
+            msg = f"estimate solve residual {exc.residual:.3e} at t={t}"
+            raise SolveFailed(msg, residual=exc.residual, tick=t) from None
 
         err = s - theta
         sq = float(err @ err)

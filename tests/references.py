@@ -10,7 +10,9 @@ exports row by row through ``csv.writer``, as the package once did; its
 joined-line writers must match their bytes.  The engines hand each per-tick
 series to a reader a chunk at a time: ``SeriesRows`` keeps whole rows of the
 series a test reads, ``ignore`` drops them, and ``tick_stats`` reduces whole
-rows as a run's ``TickStats`` reduces its chunks.
+rows as a run's ``TickStats`` reduces its chunks.  ``central_trials`` runs
+the oracle alone as ``algorithms: [central]`` does: through the token engine,
+whose ``central`` series it reads.
 ``verify_sequential_connectivity`` samples window-connected sequences and
 checks acceptance 5's lemma, all-pairs sequential reachability, on each.
 """
@@ -21,14 +23,24 @@ import csv
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from roamtoken import AgentModel, CiConfig, GlobalModel, SingularModel, fisher_information
+from roamtoken import (
+    AgentModel,
+    AlphaSchedule,
+    CiConfig,
+    GlobalModel,
+    OutDegreeReciprocal,
+    SingularModel,
+    StaticGraph,
+    fisher_information,
+)
 from roamtoken._linalg import solve_spd
+from roamtoken._sharding import Reader
 from roamtoken._streams import derived_stream
-from roamtoken.engine import CHUNK_TICKS, TickStats
+from roamtoken.engine import CHUNK_TICKS, TickStats, Trials, run_token_trials
 from roamtoken.graphs import sequential_reachability, smallest_connected_window
 from roamtoken.observation import SOLVE_RTOL
 
@@ -64,6 +76,26 @@ def tick_stats(rows: np.ndarray) -> TickStats:
     for t0 in range(0, rows.shape[1], CHUNK_TICKS):
         stats(rows[:, t0 : t0 + CHUNK_TICKS], t0)
     return stats
+
+
+def central_trials(
+    model: GlobalModel,
+    horizon: int,
+    trials: int,
+    master_seed: int = 0,
+    readers: Mapping[str, Reader] | None = None,
+) -> Trials:
+    """``run_token_trials`` on the complete static graph, its series read by ``readers``.
+
+    By default only ``central`` is read, by ``ignore``.  The oracle's series
+    depends on the noise streams alone, so the graph, the rule and the
+    schedule do not change it.
+    """
+    spec = StaticGraph(~np.eye(model.n_agents, dtype=bool))
+    return run_token_trials(
+        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, trials,
+        master_seed=master_seed, readers={"central": ignore} if readers is None else readers,
+    )
 
 
 def ci_step(

@@ -34,7 +34,6 @@ from roamtoken.engine import (
     _OutRows,
     _TrialBlocks,
     _walk,
-    run_central_trials,
     run_chain_trials,
     run_ci_trials,
     run_token_trials,
@@ -42,7 +41,7 @@ from roamtoken.engine import (
 from roamtoken.observation import central_solver
 
 from conftest import make_ref5_model, random_spd, ref5_adjacency, slow_ring
-from references import SeriesRows, central_estimate, ci_step, ignore, tick_stats
+from references import SeriesRows, central_estimate, central_trials, ci_step, ignore, tick_stats
 
 TOKEN_SERIES = ("sq_err", "last_seen", "visited")
 
@@ -197,23 +196,23 @@ def test_ci_batch_matches_step_loop(ref5_model, ref5_iid):
 
 
 def test_token_and_ci_share_noise_and_graph_draws(ref5_model, ref5_iid):
-    # pairing: blocks without a graph (central) or without a model (chain) draw
-    # the same per-trial streams as the full blocks of the token and CI engines
+    # pairing: blocks whose graph draws nothing (static) or without a model (chain)
+    # draw the same per-trial streams as the full blocks of the token and CI engines
     from roamtoken.engine import _TrialBlocks
 
     seed, trials = 21, 3
     full = _TrialBlocks(trials, seed, ref5_model, ref5_iid)
-    central = _TrialBlocks(trials, seed, ref5_model, None)
+    static = _TrialBlocks(trials, seed, ref5_model, StaticGraph(ref5_iid.backbone))
     chain = _TrialBlocks(trials, seed, None, ref5_iid)
     seen = []
-    for (t0, length), *others in zip(full.chunks(300), central.chunks(300), chain.chunks(300)):
+    for (t0, length), *others in zip(full.chunks(300), static.chunks(300), chain.chunks(300)):
         assert all(other == (t0, length) for other in others)
         seen.append((t0, length))
-        assert np.array_equal(full.noise, central.noise)
+        assert np.array_equal(full.noise, static.noise)
         assert np.array_equal(full.graph_u, chain.graph_u)
-        assert np.array_equal(full.move_u, central.move_u)
+        assert np.array_equal(full.move_u, static.move_u)
         assert np.array_equal(full.move_u, chain.move_u)
-        assert central.graph_u.shape == (trials, length, 0)
+        assert static.graph_u.shape == (trials, length, 0)
         assert chain.noise is None
     assert [t0 for t0, _ in seen] == list(range(0, 300, CHUNK_TICKS))
     assert [length for _, length in seen] == [CHUNK_TICKS] * (len(seen) - 1) + [300 - seen[-1][0]]
@@ -258,7 +257,7 @@ def test_readers_name_only_series_the_run_makes(
         "token": lambda readers: run_token_trials(
             ref5_model, ref5_iid, reciprocal, linear_alpha, 10, 2, readers=readers
         ),
-        "central": lambda readers: run_central_trials(ref5_model, 10, 2, readers=readers),
+        "central": lambda readers: central_trials(ref5_model, 10, 2, readers=readers),
         "ci": lambda readers: run_ci_trials(ref5_model, ref5_iid, [cfg], 10, 2, readers=readers),
         "ci grid": lambda readers: run_ci_trials(
             ref5_model, ref5_iid, [cfg, cfg], 10, 2, readers=readers
@@ -267,8 +266,6 @@ def test_readers_name_only_series_the_run_makes(
     for run in runs.values():
         with pytest.raises(ValueError, match="no series 'bogus'"):
             run({"bogus": ignore})
-    with pytest.raises(ValueError, match="no series 'sq_err'"):
-        runs["central"]({"sq_err": ignore})
     with pytest.raises(ValueError, match="no series 'netavg'"):
         runs["ci grid"]({"netavg": ignore})
 
@@ -313,7 +310,7 @@ def test_call_time_bindings_see_every_step_and_oracle(monkeypatch, ref5_model, r
     assert steps == [trials] * (horizon + 1) and solves == [3]
     run_chain_trials(ref5_static, rule, 0, horizon, trials)
     assert steps == [trials] * 2 * (horizon + 1)
-    run_central_trials(ref5_model, horizon, trials, readers={"central": ignore})
+    central_trials(ref5_model, horizon, trials)
     assert solves == [3, 3]
 
 def test_custom_noise_blocks_fill_rows_in_trial_streams():
@@ -375,13 +372,14 @@ def _vector_model() -> GlobalModel:
 
 @pytest.mark.parametrize("make_model", [make_ref5_model, _vector_model], ids=["ref5", "vector"])
 def test_central_trials_match_direct_estimates(make_model, reciprocal, linear_alpha):
-    # the oracle-only engine and the token engine's in-loop oracle, per tick; the
-    # horizon crosses several chunk edges, where the running means carry over
+    # the oracle alone on a static graph, as `[central]` runs it, and the token engine's
+    # oracle on an i.i.d. graph, per tick; the horizon crosses several chunk edges, where
+    # the running means carry over
     horizon, seed, model = 300, 2, make_model()
     assert horizon > CHUNK_TICKS
     spec = IidFailureGraph(~np.eye(model.n_agents, dtype=bool), p_fail=0.5)
     central, token = SeriesRows(horizon, "central"), SeriesRows(horizon, "central")
-    run_central_trials(model, horizon, trials=2, master_seed=seed, readers=central.readers)
+    central_trials(model, horizon, trials=2, master_seed=seed, readers=central.readers)
     run_token_trials(
         model, spec, reciprocal, linear_alpha, horizon, trials=2, master_seed=seed,
         readers=token.readers,
@@ -536,7 +534,7 @@ def test_engines_build_no_per_tick_adjacency_on_iid_graphs(monkeypatch):
 
 
 def _noise_draw_ticks(monkeypatch, horizon: int, trials: int) -> list[int]:
-    """The ticks each noise draw of an oracle-only run covers, in call order."""
+    """The ticks each noise draw of an oracle-only run (``central_trials``) covers, in call order."""
     calls = []
     fill_noise = GlobalModel.fill_noise
 
@@ -545,7 +543,7 @@ def _noise_draw_ticks(monkeypatch, horizon: int, trials: int) -> list[int]:
         return fill_noise(self, rng, out)
 
     monkeypatch.setattr(GlobalModel, "fill_noise", counted)
-    run_central_trials(make_ref5_model(), horizon, trials, master_seed=4)
+    central_trials(make_ref5_model(), horizon, trials, master_seed=4)
     return calls
 
 
@@ -560,7 +558,7 @@ def test_each_generator_call_draws_one_chunk(monkeypatch):
 def test_block_draws_hold_one_chunk_of_every_stream(monkeypatch, ref5_model, ref5_iid):
     # each block's draw buffers, whatever the horizon: trials × CHUNK_TICKS × (m + draws +
     # 1) × 8 bytes, for m stacked measurements (none without a model) and the graph's
-    # uniforms a tick (none without a graph).  verify's 10,000 chain trials run as two
+    # uniforms a tick (none on a static graph).  verify's 10,000 chain trials run as two
     # 5,000-trial blocks, where one process's 256-tick loads once took a 410 MB buffer.
     root = Path(__file__).resolve().parents[1] / "configs"
     verify = build_experiment(load_config(root / "ref5_iid_verify.yaml"), root)
@@ -579,7 +577,7 @@ def test_block_draws_hold_one_chunk_of_every_stream(monkeypatch, ref5_model, ref
     token = (rule, AlphaSchedule.linear(), horizon, trials)
     runs = {
         "token": (lambda: run_token_trials(ref5_model, ref5_iid, *token), m + draws + 1),
-        "central": (lambda: run_central_trials(ref5_model, horizon, trials), m + 1),
+        "central": (lambda: central_trials(ref5_model, horizon, trials), m + 1),
         "ci": (lambda: run_ci_trials(ref5_model, ref5_iid, ci, horizon, trials), m + draws + 1),
         "chain": (lambda: run_chain_trials(ref5_iid, rule, 0, horizon, trials), draws + 1),
     }

@@ -34,13 +34,14 @@ from roamtoken import (
 )
 from roamtoken.chain import apply_rule
 from roamtoken.config import apply_overrides, build_experiment, load_config
-from roamtoken.engine import ChainTrials, TickStats, run_central_trials, run_token_trials
+from roamtoken.engine import ChainTrials, TickStats, run_token_trials
 from roamtoken.harness import write_compare_csv, write_metrics_csv
 from roamtoken._streams import derived_stream, trial_seed
 from roamtoken.token import EpisodeTrace, write_trace_csv
 
 from conftest import make_ref5_model, ref5_adjacency
 from references import (
+    central_trials,
     csv_compare,
     csv_metrics,
     csv_trace,
@@ -92,7 +93,7 @@ def test_rmse_ci_hand_fixture():
 def test_optimality_ratio_of_central_is_near_one():
     model = make_ref5_model()
     stats = TickStats(400, 401)
-    run_central_trials(model, horizon=400, trials=400, master_seed=8, readers={"central": stats})
+    central_trials(model, horizon=400, trials=400, master_seed=8, readers={"central": stats})
     series = optimality_ratio(stats, model)
     t = np.arange(401)
     with np.errstate(invalid="ignore"):
@@ -338,13 +339,42 @@ def test_failed_write_removes_every_file_the_run_wrote(tmp_path, monkeypatch):
 
 
 def test_run_experiment_central_only_matches_paired_run():
-    # the oracle-only engine and the token engine's oracle see the same draws
+    # an oracle-only run reads the same token engine's oracle series as a paired run
     paired = run_experiment(_smoke_config(horizon=300, trials=5))
     alone = run_experiment(_smoke_config(algorithms=("central",), horizon=300, trials=5))
     assert set(alone.metrics) == {"rmse_central", "optimality_ratio_central"}
     for name in alone.metrics:
         assert np.array_equal(alone.metrics[name].values, paired.metrics[name].values)
         assert np.array_equal(alone.metrics[name].half_widths, paired.metrics[name].half_widths)
+
+
+def test_central_only_run_is_one_token_engine_run(tmp_path, monkeypatch):
+    # `[central]` runs the token engine once, reads only the oracle's series and writes no
+    # trace
+    calls, run = [], roamtoken.harness.run_token_trials
+
+    def counted(*args, **kwargs):
+        calls.append(sorted(kwargs["readers"]))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(roamtoken.harness, "run_token_trials", counted)
+    config = _smoke_config(algorithms=("central",), horizon=100, trials=4)
+    result = run_experiment(config, out_dir=tmp_path)
+    assert calls == [["central"]]
+    assert [path.name for path in result.files] == ["metrics.csv", "meta.yaml"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["meta.yaml", "metrics.csv"]
+
+
+def test_bad_grid_candidate_fails_before_any_engine_runs(monkeypatch):
+    # a library config with an out-of-range candidate used to run the whole token engine
+    # before grid_search built that candidate's CiConfig
+    def refuse(*args, **kwargs):
+        raise AssertionError("the token engine ran")
+
+    monkeypatch.setattr(roamtoken.harness, "run_token_trials", refuse)
+    grid = {"a": [1.0], "b": [0.2], "tau1": [1.0, 0.3], "tau2": [0.5]}
+    with pytest.raises(ValueError, match=r"^\(tau1, tau2\) = \(0.3, 0.5\) outside "):
+        run_experiment(_smoke_config(algorithms=("token", "ci"), ci_grid=grid))
 
 
 def test_run_experiment_ci_requires_parameters():

@@ -30,15 +30,10 @@ from roamtoken import (
 )
 from roamtoken._streams import trial_seed
 from roamtoken.cli import main
-from roamtoken.engine import (
-    run_central_trials,
-    run_chain_trials,
-    run_ci_trials,
-    run_token_trials,
-)
+from roamtoken.engine import run_chain_trials, run_ci_trials, run_token_trials
 
 from conftest import make_ref5_model, ref5_adjacency, slow_ring
-from references import ignore
+from references import central_trials, ignore
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -133,7 +128,7 @@ def test_blocks_hold_two_trials_or_more_and_keep_their_seeds(monkeypatch, cpus):
 
     for trials in range(1, 12):
         out, own = engine._sharded(
-            trials, 5, None, None, {"move": ((1,), float)}, run,
+            trials, 5, None, StaticGraph(~np.eye(2, dtype=bool)), {"move": ((1,), float)}, run,
             per_block={"size": ((1,), np.int64)},
         )
         sizes = own["size"][:, 0]
@@ -152,7 +147,7 @@ def test_worker_that_dies_without_a_report_is_an_error(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
 
     with pytest.raises(RuntimeError, match=r"worker for trials 2\.\.4 exited with -9"):
-        engine._sharded(5, 0, None, None, {}, run)
+        engine._sharded(5, 0, None, StaticGraph(~np.eye(2, dtype=bool)), {}, run)
     _no_worker_left()
 
 
@@ -223,19 +218,20 @@ _NAN_RUNS = {
     "estimate solve residual nan at t=0": lambda args: run_token_trials(
         *args, horizon=10, trials=64, readers={"sq_err": ignore}
     ),
-    "oracle solve residual nan": lambda args: run_central_trials(
-        args[0], 10, 64, readers={"central": ignore}
-    ),
+    "oracle solve residual nan": lambda args: central_trials(args[0], 10, 64),
 }
 
 
 @pytest.mark.parametrize("message", list(_NAN_RUNS), ids=["estimate", "oracle"])
 def test_nan_residual_fails_the_guard_as_in_the_scalar_path(monkeypatch, message):
     # a NaN residual fails `worst > rtol`, so the engine's estimate and oracle guards let
-    # an all-NaN run through, while run_episode's `not rel <= rtol` raised at t=0
+    # an all-NaN run through, while run_episode's `not rel <= rtol` raised at t=0.  The
+    # scalar path's failure has the engine's text, tick and residual
     args = _nan_model()
-    with pytest.raises(SolveFailed, match=r"^estimate solve at t=0: solve residual nan "):
+    with pytest.raises(SolveFailed) as scalar:
         run_episode(*args, horizon=10, seed=trial_seed(0, 0))
+    assert str(scalar.value) == "estimate solve residual nan at t=0" == next(iter(_NAN_RUNS))
+    assert scalar.value.tick == 0 and np.isnan(scalar.value.residual)
     serial, sharded = _serial_and_sharded(monkeypatch, lambda: _NAN_RUNS[message](args))
     assert type(serial) is type(sharded) is SolveFailed
     assert str(serial) == str(sharded) == message
@@ -407,7 +403,7 @@ _SERIES_RUNS = {
         model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, 7, master_seed=5,
         readers=readers,
     ),
-    "central": lambda model, _, horizon, readers: engine.run_central_trials(
+    "central": lambda model, _, horizon, readers: central_trials(
         model, horizon, 7, master_seed=5, readers=readers
     ),
     "ci": lambda model, spec, horizon, readers: run_ci_trials(
@@ -459,7 +455,7 @@ def test_workers_run_no_exit_handler_and_flush_nothing():
         import roamtoken.engine as engine
         from roamtoken import CiConfig, IidFailureGraph, NonFiniteMetric
         from conftest import make_ref5_model
-        from references import ignore
+        from references import central_trials, ignore
         import numpy as np
 
         sharding.SHARD_MIN_TRIALS = 0
@@ -467,7 +463,7 @@ def test_workers_run_no_exit_handler_and_flush_nothing():
         atexit.register(print, "exit handler")
         print("before the runs")
         model = make_ref5_model()
-        engine.run_central_trials(model, horizon=10, trials=4, readers={"central": ignore})
+        central_trials(model, horizon=10, trials=4)
         graph = IidFailureGraph(~np.eye(5, dtype=bool), p_fail=0.5)
         cfg = CiConfig(1.0, 80.0, 1.0, 0.01)
         try:
