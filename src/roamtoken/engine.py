@@ -87,7 +87,7 @@ class CiTrials:
     trials: int
     horizon: int
     final_sq_err: np.ndarray  # (trials, K) network-average squared error at the horizon
-    diverged: np.ndarray  # (K,) bool; a diverged candidate's errors are inf
+    diverged: np.ndarray  # (K,) bool: an error at the horizon was not finite; its errors are inf
 
 
 @dataclass(eq=False)
@@ -316,8 +316,11 @@ def run_ci_trials(
     tick.  Every candidate's values equal those of its own one-candidate run
     bit for bit.  A one-candidate run also makes the series ``netavg``, the
     network-average squared error at every tick, for its reader in
-    ``readers``.  A diverged candidate raises NonFiniteMetric if that series
-    is read; otherwise it is flagged, and its error at the horizon is inf.
+    ``readers``; a state that turns non-finite raises NonFiniteMetric at the
+    end of its chunk if that series is read.  Otherwise every candidate steps
+    to the horizon, and one whose error there is not finite in some trial is
+    flagged as diverged, its errors inf in every trial.  A non-finite state
+    stays non-finite, so no diverged candidate escapes the flag.
     """
     _check_sizes(model, spec)
     if not cfgs:
@@ -333,30 +336,24 @@ def run_ci_trials(
     w_rows = np.stack([a.W[:, 0] for a in model.agents]) if all_scalar else None
     slices = model.measurement_slices
 
-    def net_err(s_k: np.ndarray) -> np.ndarray:
-        """Each trial's network-average squared error of one candidate's (trials, n, L) state."""
-        err = s_k - theta
+    def net_err(state: np.ndarray) -> np.ndarray:
+        """The network-average squared error of each (n, L) state in ``state``."""
+        err = state - theta
         return (err * err).sum(axis=-1).mean(axis=-1)
 
-    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], own: dict[str, np.ndarray]) -> None:
+    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], _: dict) -> None:
         R = blocks.trials
         s = np.zeros((K, R, n, dim))
-        buffers = np.empty_like(s), np.empty_like(s), np.empty(s.shape[:3])  # over the live ones
+        consensus, innovation, resid = np.empty_like(s), np.empty_like(s), np.empty(s.shape[:3])
         y, adj = np.empty((R, model.total_measurements)), np.empty((R, n, n))
         deg = np.empty((R, n, dim))
-        live = np.arange(K)
-        diverged, final = own["diverged"], out["final"]
-        final[...] = theta_sq
         if series:  # staged tick by tick, and handed over once the chunk is done
             netavg = blocks.series["netavg"] = blocks.buffer("netavg", (CHUNK_TICKS, R))
         with np.errstate(over="ignore", invalid="ignore"):
             for t0, length in blocks.chunks(size):
-                if not live.size:
-                    break
-                consensus, innovation, resid = (b[: live.size] for b in buffers)
-                ticks = range(t0, t0 + length)  # the chunk's gains of the live candidates
+                ticks = range(t0, t0 + length)  # the chunk's gains
                 gain = np.array([[(c.beta(t), c.alpha(t)) for c in cfgs] for t in ticks])
-                beta, alpha = gain[:, live, 0, None, None, None], gain[:, live, 1, None, None, None]
+                beta, alpha = gain[:, :, 0, None, None, None], gain[:, :, 1, None, None, None]
                 for ti in range(length):
                     t = t0 + ti
                     if series:  # the error at tick t, before the step to t + 1
@@ -384,22 +381,15 @@ def run_ci_trials(
                     innovation *= alpha[ti]
                     s -= consensus
                     s += innovation
-                    if t + 1 == horizon:
-                        for k, s_k in zip(live, s):
-                            final[:, k] = net_err(s_k)
-                finite = np.isfinite(s).all(axis=(1, 2, 3))
-                if not finite.all():
-                    if series:
-                        raise NonFiniteMetric("consensus+innovations trajectory diverged")
-                    diverged[live[~finite]] = True
-                    live, s = live[finite], s[finite]
+                if series and not np.isfinite(s).all():
+                    raise NonFiniteMetric("consensus+innovations trajectory diverged")
+            out["final"][...] = net_err(s).T
 
-    out, own = _sharded(
-        trials, master_seed, model, spec, {"final": ((K,), float)}, run,
-        per_block={"diverged": ((K,), bool)}, series=series, ticks=size,
+    out, _ = _sharded(
+        trials, master_seed, model, spec, {"final": ((K,), float)}, run, series=series, ticks=size,
     )
-    diverged = own["diverged"].any(axis=0)  # a candidate diverged if it did in any block
     final = out["final"]
+    diverged = ~np.isfinite(final).all(axis=0)  # not finite at the horizon in some trial
     final[:, diverged] = np.inf
     return CiTrials(trials=trials, horizon=horizon, final_sq_err=final, diverged=diverged)
 

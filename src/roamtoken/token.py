@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._linalg import solve_spd
+from ._sharding import CHUNK_TICKS
 from ._streams import SeedLike, episode_streams
 from .chain import TransitionRule, bulk_step
 from .errors import MissingTrace, SolveFailed
@@ -189,8 +190,6 @@ def write_trace_csv(trace: EpisodeTrace, path) -> None:
 
 def column_rows(*columns: np.ndarray) -> Iterator[tuple]:
     """Equally long ``columns`` row by row, in Python scalars converted a chunk at a time."""
-    from .engine import CHUNK_TICKS  # the engine imports this module
-
     for t0 in range(0, len(columns[0]), CHUNK_TICKS):
         yield from zip(*(c[t0 : t0 + CHUNK_TICKS].tolist() for c in columns))
 

@@ -136,6 +136,25 @@ def test_stacked_grid_diverging_candidate_isolated(ref5_model, ref5_iid):
     assert math.isfinite(scores[(0.3, 0.01)]) and math.isfinite(scores[(0.3, 0.5)])
 
 
+def test_grid_whose_every_candidate_diverges_raises_before_the_winners_run(
+    monkeypatch, ref5_model, ref5_iid
+):
+    import roamtoken.engine
+
+    calls = []
+    original = roamtoken.engine.run_ci_trials
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(roamtoken.engine, "run_ci_trials", counted)
+    grid = {"a": [1.0], "b": [80.0, 90.0], "tau1": [1.0], "tau2": [0.01]}
+    with pytest.raises(RuntimeError, match="every grid candidate diverged"):
+        grid_search(ref5_model, ref5_iid, grid, trials=4, horizon=400, seed=0)
+    assert calls == [2]  # the stacked pass alone
+
+
 def test_stacked_grid_tie_goes_to_first_candidate(ref5_model, ref5_iid):
     # b=0.4 is best on these draws; it appears at grid positions 1, 2, 4 and 5
     grid = {"a": [1.0, 1.0], "b": [0.2, 0.4, 0.4], "tau1": [1.0], "tau2": [0.5]}

@@ -33,7 +33,7 @@ from roamtoken.cli import main
 from roamtoken.engine import run_chain_trials, run_ci_trials, run_token_trials
 
 from conftest import make_ref5_model, ref5_adjacency, slow_ring
-from references import central_trials, ignore
+from references import SeriesRows, central_trials, ignore
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -259,6 +259,22 @@ def test_ci_grid_divergence_in_one_block_flags_the_candidate(monkeypatch, ref5_m
     assert serial.diverged.tolist() == sharded.diverged.tolist() == [True, False]
     assert np.array_equal(serial.final_sq_err, sharded.final_sq_err)
     _no_worker_left()
+
+
+def test_diverged_candidate_does_not_leak_into_its_neighbours(monkeypatch, ref5_model, ref5_iid):
+    # every candidate steps to the horizon, the first one's non-finite state in the stacked arrays
+    stable = CiConfig(a=1.0, b=0.2, tau1=1.0, tau2=0.5)
+    cfgs = [CiConfig(a=1.0, b=80.0, tau1=1.0, tau2=0.01), stable]
+    for cpus in (1, 2):
+        with monkeypatch.context() as m:
+            _shard(m, cpus)
+            stacked = run_ci_trials(ref5_model, ref5_iid, cfgs, 400, trials=4, master_seed=0)
+            alone = SeriesRows(400, "netavg")
+            run_ci_trials(ref5_model, ref5_iid, [stable], 400, 4, readers=alone.readers)
+        _no_worker_left()
+        assert stacked.diverged.tolist() == [True, False]
+        assert np.isinf(stacked.final_sq_err[:, 0]).all()
+        assert np.array_equal(stacked.final_sq_err[:, 1], alone["netavg"][:, -1])
 
 
 def test_exhausted_sequence_raises_as_in_one_process(monkeypatch, ref5_model, ref5_static):
