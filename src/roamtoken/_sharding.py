@@ -24,9 +24,10 @@ ring costs series × trials × CHUNK_TICKS × 8 bytes.  A block's draws, one
 generator call per trial, stream and chunk, cost trials × CHUNK_TICKS ×
 (m + draws + 1) × 8 bytes, for m stacked measurements and ``draws`` graph
 uniforms a tick.  With one block the slot is read in-process right after
-each chunk is written.  Other outputs, such as trial 0's trace (written by
-trial 0's block alone), the CI candidates' horizon column or the chain's
-exact counts, are written straight into shared arrays.
+each chunk is written.  Every other output is per-trial rows written straight
+into shared arrays, each block into its own trials' rows: trial 0's trace
+(one row, so only trial 0's block has any), the CI candidates' horizon column
+and each chain trial's first-hold tick of every node.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ class _Ring:
 def _worker(
     up: int,
     credit: int,
-    block: Callable[[], tuple[_TrialBlocks, dict, dict]],
-    run_block: Callable[[_TrialBlocks, dict, dict], None],
+    block: Callable[[], tuple[_TrialBlocks, dict]],
+    run_block: Callable[[_TrialBlocks, dict], None],
 ) -> NoReturn:
     """A forked worker's life: run its block; send up ``up`` any failure and where it was.
 
@@ -236,9 +237,9 @@ def _worker(
                 out.flush()
 
             try:
-                streams, part, mine = block()
+                streams, part = block()
                 streams.wait, streams.filled = wait, filled
-                run_block(streams, part, mine)
+                run_block(streams, part)
                 code = 0
             except BaseException as exc:
                 where = _serial_order(exc, 0 if streams is None else streams.t0)
@@ -258,21 +259,20 @@ def _sharded(
     model: GlobalModel | None,
     spec: GraphSpec,
     rows: dict[str, tuple[tuple[int, ...], type]],
-    run_block: Callable[[_TrialBlocks, dict, dict], None],
-    per_block: dict[str, tuple[tuple[int, ...], type]] | None = None,
+    run_block: Callable[[_TrialBlocks, dict], None],
     series: Mapping[str, tuple[type, Reader]] | None = None,
     ticks: int = 0,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> dict[str, np.ndarray]:
     """Run ``run_block`` over contiguous blocks of trials, one forked worker per block.
 
-    ``rows`` names the per-trial outputs, each ``(trials, *width)``, and
-    ``per_block`` those each block keeps for itself, ``(blocks, *width)``.
+    ``rows`` names the per-trial outputs, each with its shape and dtype: an
+    output of shape ``(k, *width)`` holds the rows of trials ``0..k-1``.
     ``series`` names the per-tick series of a ``ticks``-tick run that pass
     through the ring, each with its dtype and reader.  Block ``b`` holds
-    trials ``lo..hi-1``; ``run_block(streams, rows[lo:hi], per_block[b])``
-    fills its part and puts each chunk of its series in ``streams.series``,
+    trials ``lo..hi-1``; ``run_block(streams, {k: v[lo:hi]})`` fills its rows,
+    none past ``k``, and puts each chunk of its series in ``streams.series``,
     where ``streams`` are those trials' ``_TrialBlocks``, which copy it into
-    the block's rows of the slot.
+    the block's rows of the slot.  The outputs are returned by name.
 
     The parent reads chunk ``c`` once every worker has signalled it, then,
     if a chunk follows, grants each worker a credit to fill the slot with
@@ -288,22 +288,21 @@ def _sharded(
         workers = max(1, min(_usable_cpus(), trials // MIN_BLOCK_TRIALS))
     bounds = [trials * b // workers for b in range(workers + 1)]
     alloc = np.zeros if workers == 1 else _shared_zeros
-    out = {k: alloc((trials, *width), dtype) for k, (width, dtype) in rows.items()}
-    own = {k: alloc((workers, *width), dtype) for k, (width, dtype) in (per_block or {}).items()}
+    out = {k: alloc(shape, dtype) for k, (shape, dtype) in rows.items()}
     ring = _Ring(ticks, trials, series or {}, alloc)
 
-    def block(b: int) -> tuple[_TrialBlocks, dict, dict]:
-        """Block ``b``'s streams, with its rows of the ring, and its parts of the outputs."""
+    def block(b: int) -> tuple[_TrialBlocks, dict]:
+        """Block ``b``'s streams, with its rows of the ring, and its rows of the outputs."""
         lo, hi = bounds[b], bounds[b + 1]
         streams = _TrialBlocks(hi - lo, master_seed, model, spec, lo)
         streams.ring = {k: v[lo:hi] for k, v in ring.slots.items()}
-        return streams, {k: v[lo:hi] for k, v in out.items()}, {k: v[b] for k, v in own.items()}
+        return streams, {k: v[lo:hi] for k, v in out.items()}
 
     if workers == 1:
-        streams, part, mine = block(0)
+        streams, part = block(0)
         streams.filled = ring.read
-        run_block(streams, part, mine)
-        return out, own
+        run_block(streams, part)
+        return out
 
     pids: dict[int, int] = {}  # unreaped worker -> its block
     ups, credits = [], []  # the parent's ends of each worker's pipes
@@ -357,4 +356,4 @@ def _sharded(
             os.waitpid(pid, 0)
     if failures:
         raise min(failures, key=lambda f: (f[0], f[2]))[1]
-    return out, own
+    return out

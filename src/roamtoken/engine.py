@@ -262,13 +262,12 @@ def run_token_trials(
     if last_seen:
         trace["last_seen"] = float
 
-    def run(blocks: _TrialBlocks, _: dict, own: dict[str, np.ndarray]) -> None:
+    def run(blocks: _TrialBlocks, trace0: dict[str, np.ndarray]) -> None:
         R = blocks.trials
         means = _RunningMeans(model, R)
         payload = _TokenPayload(model, blocks)
         holder = np.full(R, int(start_node))
         out_rows = _OutRows(spec, rule)
-        trace0 = own if blocks.first == 0 else {}  # only trial 0's block writes the trace
         for t0, length in blocks.chunks(size):
             path, holder = _walk(out_rows, blocks, t0, length, holder)
             stack = means.advance(blocks)
@@ -277,21 +276,18 @@ def run_token_trials(
                 values["central"] = oracle.score(stack[1:], blocks)
             sq, counts, mean_seen = payload.advance(path, stack, t0, schedule, last_seen)
             values.update(sq_err=sq, visited=counts, last_seen=mean_seen)
-            for key, value in values.items():
-                if key in trace0:
-                    trace0[key][t0 : t0 + length] = value[:, 0]
+            for key, rows in trace0.items():  # no rows but in trial 0's block
+                rows[:, t0 : t0 + length] = values[key][:, : len(rows)].T
             blocks.series = values
 
-    _, own = _sharded(
-        trials, master_seed, model, spec, {}, run,
-        per_block={k: ((size,), dtype) for k, dtype in trace.items()}, series=series, ticks=size,
-    )
+    rows = {k: ((1, size), dtype) for k, dtype in trace.items()}  # trial 0's row alone
+    trace0 = _sharded(trials, master_seed, model, spec, rows, run, series=series, ticks=size)
     trial0 = EpisodeTrace(
         horizon=horizon,
-        holder=own["holder"][0],
-        visited_count=own["visited"][0],
-        token_sq_err=own["sq_err"][0],
-        mean_last_seen_sq_err=own["last_seen"][0] if last_seen else None,
+        holder=trace0["holder"][0],
+        visited_count=trace0["visited"][0],
+        token_sq_err=trace0["sq_err"][0],
+        mean_last_seen_sq_err=trace0["last_seen"][0] if last_seen else None,
     )
     return Trials(trials, horizon, trial0)
 
@@ -341,7 +337,7 @@ def run_ci_trials(
         err = state - theta
         return (err * err).sum(axis=-1).mean(axis=-1)
 
-    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray], _: dict) -> None:
+    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray]) -> None:
         R = blocks.trials
         s = np.zeros((K, R, n, dim))
         consensus, innovation, resid = np.empty_like(s), np.empty_like(s), np.empty(s.shape[:3])
@@ -385,9 +381,8 @@ def run_ci_trials(
                     raise NonFiniteMetric("consensus+innovations trajectory diverged")
             out["final"][...] = net_err(s).T
 
-    out, _ = _sharded(
-        trials, master_seed, model, spec, {"final": ((K,), float)}, run, series=series, ticks=size,
-    )
+    rows = {"final": ((trials, K), float)}
+    out = _sharded(trials, master_seed, model, spec, rows, run, series=series, ticks=size)
     final = out["final"]
     diverged = ~np.isfinite(final).all(axis=0)  # not finite at the horizon in some trial
     final[:, diverged] = np.inf
@@ -404,30 +399,31 @@ def run_chain_trials(
 ) -> ChainTrials:
     """Token-motion-only trials for visitation tail statistics.
 
-    A chunk's visited flags come from its path at once: a running OR over the
-    ticks of ``path == node``, seeded with the flags carried from the chunk
-    before.  Each block counts, per tick, its trials that have seen each node
-    and those that have seen every node.  The counts are exact, so their sums
-    over the blocks, divided once by ``trials``, do not depend on the worker
-    count.
+    Each trial keeps a row ``first``: the tick at which it first held each
+    node, or ``horizon + 1`` if it never did, taken chunk by chunk as the
+    earlier of the carried tick and the chunk's first ``path == node``.  The
+    parent counts, per tick, the trials that have held each node and those
+    that have held every node (by the latest of a row's ticks).  The counts
+    are exact, so the fractions do not depend on the worker count.
     """
     n, size = spec.n, horizon + 1
 
-    def run(blocks: _TrialBlocks, _: dict, own: dict[str, np.ndarray]) -> None:
+    def run(blocks: _TrialBlocks, out: dict[str, np.ndarray]) -> None:
         holder = np.full(blocks.trials, int(start_node))
-        visited = np.zeros((blocks.trials, n), dtype=bool)
+        first = out["first"]
+        first[...] = size
         out_rows = _OutRows(spec, rule)
         for t0, length in blocks.chunks(size):
             path, holder = _walk(out_rows, blocks, t0, length, holder)
-            seen = path[:, :, None] == np.arange(n)
-            seen[0] |= visited
-            np.logical_or.accumulate(seen, axis=0, out=seen)
-            visited = seen[-1]
-            own["seen"][t0 : t0 + length] = seen.sum(axis=1)
-            own["covered"][t0 : t0 + length] = seen.all(axis=2).sum(axis=1)
+            hit = path[:, :, None] == np.arange(n)
+            np.minimum(first, np.where(hit.any(0), t0 + hit.argmax(0), size), out=first)
 
-    counts = {"seen": ((size, n), np.int64), "covered": ((size,), np.int64)}
-    _, own = _sharded(trials, master_seed, None, spec, {}, run, per_block=counts)
-    nonvisit = 1.0 - own["seen"].sum(axis=0) / trials
-    gap = 1.0 - own["covered"].sum(axis=0) / trials
+    rows = {"first": ((trials, n), np.int64)}
+    first = _sharded(trials, master_seed, None, spec, rows, run)["first"]
+    # the trials that have held node j by tick t: first-hold ticks counted per (tick, node)
+    hits = np.bincount((first * n + np.arange(n)).ravel(), minlength=(size + 1) * n)
+    seen = hits.reshape(size + 1, n)[:size].cumsum(axis=0)
+    covered = np.bincount(first.max(axis=1), minlength=size + 1)[:size].cumsum()
+    nonvisit = 1.0 - seen / trials
+    gap = 1.0 - covered / trials
     return ChainTrials(trials=trials, horizon=horizon, nonvisit_frac=nonvisit, gap_frac=gap)

@@ -92,8 +92,8 @@ def test_outputs_do_not_depend_on_the_worker_count(
 def test_chain_fractions_and_verify_do_not_depend_on_the_worker_count(
     capsys, monkeypatch, ref5_iid, ref5_static
 ):
-    # each block counts its trials exactly, so the fractions summed over 1, 2 or 3
-    # blocks are the same bits; 150 ticks cross two chunk edges
+    # each block writes its trials' first-hold ticks, which the parent counts exactly, so
+    # the fractions over 1, 2 or 3 blocks are the same bits; 150 ticks cross two chunk edges
     config = str(ROOT / "configs" / "ref5_iid_verify.yaml")
     overrides = ["--set", "run.trials=2000", "--set", "run.horizon=150"]
 
@@ -122,16 +122,15 @@ def test_blocks_hold_two_trials_or_more_and_keep_their_seeds(monkeypatch, cpus):
     # algebra takes another path for a single row), so no block may hold one trial
     _shard(monkeypatch, cpus)
 
-    def run(streams, out, own):
+    def run(streams, out):
         out["move"][:, 0] = [g.random() for g in streams.move_gens]
-        own["size"][0] = streams.trials
+        out["first"][:, 0] = streams.first
 
     for trials in range(1, 12):
-        out, own = engine._sharded(
-            trials, 5, None, StaticGraph(~np.eye(2, dtype=bool)), {"move": ((1,), float)}, run,
-            per_block={"size": ((1,), np.int64)},
-        )
-        sizes = own["size"][:, 0]
+        rows = {"move": ((trials, 1), float), "first": ((trials, 1), np.int64)}
+        out = engine._sharded(trials, 5, None, StaticGraph(~np.eye(2, dtype=bool)), rows, run)
+        # each block writes its first trial into every row it holds
+        sizes = np.unique(out["first"][:, 0], return_counts=True)[1]
         assert len(sizes) == max(1, min(cpus, trials // 2))
         assert sizes.sum() == trials and (len(sizes) == 1 or sizes.min() >= 2)
         moves = [np.random.default_rng(trial_seed(5, r).spawn(3)[2]) for r in range(trials)]
@@ -142,7 +141,7 @@ def test_blocks_hold_two_trials_or_more_and_keep_their_seeds(monkeypatch, cpus):
 def test_worker_that_dies_without_a_report_is_an_error(monkeypatch):
     _shard(monkeypatch, 2)
 
-    def run(streams, out, own):
+    def run(streams, out):
         if streams.trials == 3:  # the second block
             os.kill(os.getpid(), signal.SIGKILL)
 
@@ -368,8 +367,8 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
 
 
 def test_ring_holds_one_chunk_of_each_read_series(monkeypatch, ref5_model, ref5_static):
-    # two workers and the CLI's three token readers: besides trial 0's trace, one
-    # (trials, CHUNK_TICKS) slot per series read, whatever the horizon
+    # two workers and the CLI's three token readers: besides trial 0's trace, one row per
+    # series, one (trials, CHUNK_TICKS) slot per series read, whatever the horizon
     _shard(monkeypatch, 2)
     shared = sharding._shared_zeros
     allocs = []
@@ -386,15 +385,14 @@ def test_ring_holds_one_chunk_of_each_read_series(monkeypatch, ref5_model, ref5_
         readers=readers,
     )
     _no_worker_left()
-    trace = [((2, horizon + 1), 8)] * 4  # holder, visited, sq_err and last_seen, per block
+    trace = [((1, horizon + 1), 8)] * 4  # holder, visited, sq_err and last_seen
     assert allocs[:4] == trace
     ring = sum(int(np.prod(shape)) * size for shape, size in allocs[4:])
     assert ring == 3 * trials * engine.CHUNK_TICKS * 8
 
 
 def test_only_trial_0s_block_writes_the_trace(monkeypatch, ref5_model, ref5_static):
-    # two workers: the parent reads trial 0's trace from block 0's row, and block 1's
-    # rows stay zero
+    # two workers: trial 0's trace is one row of each array, which only block 0 holds
     _shard(monkeypatch, 2)
     shared = sharding._shared_zeros
     allocs = []
@@ -405,9 +403,8 @@ def test_only_trial_0s_block_writes_the_trace(monkeypatch, ref5_model, ref5_stat
         readers=TOKEN_READERS,
     )
     _no_worker_left()
-    trace = allocs[:4]  # holder, visited, sq_err and last_seen, per block
-    assert [rows.shape for rows in trace] == [(2, horizon + 1)] * 4
-    assert not any(rows[1].any() for rows in trace)
+    trace = allocs[:4]  # holder, visited, sq_err and last_seen
+    assert [rows.shape for rows in trace] == [(1, horizon + 1)] * 4
     trial0 = token.trial0
     expected = (trial0.holder, trial0.visited_count, trial0.token_sq_err)
     assert all(np.array_equal(rows[0], e) for rows, e in zip(trace, expected))

@@ -12,7 +12,8 @@ Three properties hold on every draw:
 - the oracle's series ``central`` equals ``references.central_estimate`` on each trial's
   running means, at rtol 1e-9;
 - ``run_chain_trials`` walks the same paths: its ``gap_frac`` is exactly the share of
-  token trials that have not yet visited every node.
+  token trials that have not yet visited every node, and its ``nonvisit_frac`` the share
+  of ``run_episode`` holder paths that have not yet held each node.
 """
 
 import numpy as np
@@ -71,10 +72,12 @@ def test_token_engine_replays_through_run_episode_and_central_estimate(setup):
         model, graph, rule, schedule, horizon, trials, start_node=start, master_seed=seed,
         readers=rows.readers,
     ).trial0
+    holders = []
     for r in range(trials):
         trace = run_episode(
             model, graph, rule, schedule, horizon, start_node=start, seed=trial_seed(seed, r)
         )
+        holders.append(trace.holder)
         if r == 0:
             assert np.array_equal(trial0.holder, trace.holder)
         assert np.array_equal(rows["visited"][r], trace.visited_count)
@@ -87,3 +90,6 @@ def test_token_engine_replays_through_run_episode_and_central_estimate(setup):
     chain = run_chain_trials(graph, rule, start, horizon, trials, master_seed=seed)
     covered = rows["visited"] == model.n_agents
     assert np.array_equal(chain.gap_frac, 1 - covered.mean(axis=0))
+    held = np.array(holders)[:, :, None] == np.arange(model.n_agents)
+    np.logical_or.accumulate(held, axis=1, out=held)  # held by tick t, per trial and node
+    assert np.array_equal(chain.nonvisit_frac, 1 - held.mean(axis=0))
