@@ -37,9 +37,7 @@ from .graphs import (
     IidFailureGraph,
     StaticGraph,
     generate_backbone_with_degree,
-    generate_geometric_backbone,
     is_strongly_connected,
-    relative_degree,
 )
 from .harness import (
     ExperimentConfig,

@@ -6,11 +6,9 @@ Exit codes: 0 success, 1 config error, 2 runtime failure, 3 verification FAIL.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from ._streams import derived_stream
 from .chain import is_irreducible, mean_transition_matrix
 from .config import (
     CONFIG_KEYS,
@@ -20,14 +18,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, RoamTokenError
-from .graphs import (
-    DeterministicSequence,
-    generate_backbone_with_degree,
-    generate_geometric_backbone,
-    relative_degree,
-    smallest_connected_window,
-    write_adjacency,
-)
+from .graphs import DeterministicSequence, smallest_connected_window
 from .harness import (
     run_experiment,
     verify_state_identity,
@@ -150,28 +141,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
-def cmd_gen_graph(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ConfigError("gen-graph --seed: must be a non-negative integer")
-    if args.n < 2:
-        raise ConfigError("gen-graph -n: must be an integer of at least 2")
-    if (args.radius is None) == (args.target_degree is None):
-        raise ConfigError("gen-graph needs exactly one of --radius, --target-degree")
-    if args.radius is not None and not 0 < args.radius < math.inf:  # NaN included
-        raise ConfigError("gen-graph --radius: must be a finite positive number")
-    if args.target_degree is not None and not 0 < args.target_degree <= 1:
-        raise ConfigError("gen-graph --target-degree: must be in (0, 1]")
-    rng = derived_stream(args.seed, 3)
-    if args.radius is not None:
-        backbone = generate_geometric_backbone(args.n, args.radius, rng)
-        radius = args.radius
-    else:
-        backbone, radius = generate_backbone_with_degree(args.n, args.target_degree, rng)
-    write_adjacency(args.out, backbone)
-    print(f"wrote {args.out}: n={args.n} radius={radius:.6g} relative_degree={relative_degree(backbone):.6g}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roamtoken",
@@ -198,14 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run bound and identity checks; exit 3 on FAIL")
     add_common(p)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("gen-graph", help="emit a strongly connected geometric backbone")
-    p.add_argument("-n", type=int, required=True, help="node count")
-    p.add_argument("--radius", type=float, default=None, help="connection radius")
-    p.add_argument("--target-degree", type=float, default=None, help="target relative degree")
-    p.add_argument("--seed", type=int, default=0, help="generation seed")
-    p.add_argument("--out", required=True, help="output adjacency file")
-    p.set_defaults(func=cmd_gen_graph)
     return parser
 
 

@@ -29,7 +29,6 @@ from .graphs import (
     StaticGraph,
     as_adjacency,
     generate_backbone_with_degree,
-    generate_geometric_backbone,
     read_adjacency,
     read_frames_csv,
 )
@@ -121,8 +120,8 @@ CONFIG_KEYS: dict[str, Key] = {
         "p_fail": Key(Kind(lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
                       "per-edge failure probability (iid_failure, geometric)",
                       only=("kind", ("iid_failure", "geometric"))),
-        "radius": Key(_NUMBER, "geometric connection radius", only=_GEO),
-        "target_degree": Key(_NUMBER, "geometric target relative degree (alternative)", only=_GEO),
+        "target_degree": Key(Kind(lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+                             "target relative degree (geometric)", only=_GEO),
         "frames_file": Key(_PATH, "edge-list CSV t,from,to (deterministic)", only=_FRAMES),
         "frames_count": Key(_POSITIVE, "frame count override (deterministic)", only=_FRAMES),
         "cycle": Key(Kind(lambda v: isinstance(v, bool), "true or false"),
@@ -240,8 +239,8 @@ def validate_config(cfg: dict) -> None:
     kind = graph["kind"]
     if kind in ("static", "iid_failure") and ("backbone" in graph) == ("backbone_file" in graph):
         raise ConfigError(f"graph: kind {kind} needs exactly one of backbone, backbone_file")
-    if kind == "geometric" and ("radius" in graph) == ("target_degree" in graph):
-        raise ConfigError("graph: geometric needs exactly one of radius, target_degree")
+    if kind == "geometric" and "target_degree" not in graph:
+        raise ConfigError("graph.target_degree: required for geometric")
     if kind == "iid_failure" and "p_fail" not in graph:
         raise ConfigError("graph.p_fail: required for iid_failure")
     if kind == "deterministic" and "frames_file" not in graph:
@@ -298,12 +297,7 @@ def build_graph(cfg: dict, base_dir: Path, seed: int) -> GraphSpec:
             return DeterministicSequence(frames, cycle=_setting(cfg, "graph.cycle"))
         if kind == "geometric":
             rng = derived_stream(graph.get("seed", seed), 3)
-            if "radius" in graph:
-                backbone = generate_geometric_backbone(n, float(graph["radius"]), rng)
-            else:
-                backbone, _ = generate_backbone_with_degree(
-                    n, float(graph["target_degree"]), rng
-                )
+            backbone = generate_backbone_with_degree(n, float(graph["target_degree"]), rng)
         elif "backbone" in graph:
             backbone = as_adjacency(np.asarray(graph["backbone"]))
         else:

@@ -19,13 +19,11 @@ from __future__ import annotations
 import bisect
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import GenerationFailed, SequenceExhausted
-
-DEFAULT_MAX_RETRIES = 1000
 
 
 def as_adjacency(a: np.ndarray | Sequence) -> np.ndarray:
@@ -151,80 +149,41 @@ def is_strongly_connected(a: np.ndarray) -> bool:
     return bool(_closure(a).all())
 
 
-def relative_degree(a: np.ndarray) -> float:
-    """Directed edge count over n(n-1), the number of possible edges."""
-    a = as_adjacency(a)
-    n = a.shape[0]
-    if n < 2:
-        raise ValueError("relative degree needs at least two nodes")
-    return float(a.sum()) / (n * (n - 1))
-
-
-def _geometric(
-    n: int,
-    radius_of: Callable[[np.ndarray], float],
-    rng: np.random.Generator,
-    max_retries: int,
-    what: str,
-) -> tuple[np.ndarray, float]:
-    """Draw points in the unit square until their radius graph is strongly connected.
-
-    Each attempt draws all ``n`` points afresh, keeping the geometric
-    distribution clean, and joins every pair closer than the radius that
-    ``radius_of`` picks from the (n, n) distances.  Returns the adjacency
-    and the radius.
-    """
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    for _ in range(max_retries):
-        pts = rng.random((n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        radius = radius_of(dist)
-        a = dist < radius
-        np.fill_diagonal(a, False)
-        if is_strongly_connected(a):
-            return a, float(radius)
-    raise GenerationFailed(f"no strongly connected {what} in {max_retries} tries")
-
-
-def generate_geometric_backbone(
-    n: int,
-    radius: float,
-    rng: np.random.Generator,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> np.ndarray:
-    """A strongly connected geometric graph on uniform points in the unit square."""
-    if not radius > 0:  # NaN included
-        raise ValueError("radius must be positive")
-    return _geometric(n, lambda dist: radius, rng, max_retries, "geometric graph")[0]
-
-
 def generate_backbone_with_degree(
     n: int,
     target_degree: float,
     rng: np.random.Generator,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> tuple[np.ndarray, float]:
-    """Geometric backbone whose relative degree matches ``target_degree``.
+    max_retries: int = 1000,
+) -> np.ndarray:
+    """A strongly connected geometric backbone whose relative degree matches ``target_degree``.
 
-    For each sampled point set the radius is placed between order statistics
-    of the pairwise distances, so the realized relative degree differs from
-    the target by at most one edge pair.  Returns ``(adjacency, radius)``.
+    Each attempt draws all ``n`` points afresh in the unit square, keeping the
+    geometric distribution clean, and joins every pair closer than a radius
+    placed between order statistics of the pairwise distances, so the realized
+    relative degree differs from the target by at most one edge pair.
     """
     if not 0.0 < target_degree <= 1.0:
         raise ValueError("target relative degree must be in (0, 1]")
+    if n < 2:
+        raise ValueError("need at least two nodes")
     pairs_wanted = int(round(target_degree * n * (n - 1) / 2.0))
     pairs_wanted = max(1, min(pairs_wanted, n * (n - 1) // 2))
-
-    def radius_of(dist: np.ndarray) -> float:
+    for _ in range(max_retries):
+        pts = rng.random((n, 2))
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
         upper = np.sort(dist[np.triu_indices(n, k=1)])
         if pairs_wanted >= len(upper):
-            return upper[-1] * (1.0 + 1e-9)
-        return (upper[pairs_wanted - 1] + upper[pairs_wanted]) / 2.0
-
-    what = f"backbone at relative degree {target_degree}"
-    return _geometric(n, radius_of, rng, max_retries, what)
+            radius = upper[-1] * (1.0 + 1e-9)
+        else:
+            radius = (upper[pairs_wanted - 1] + upper[pairs_wanted]) / 2.0
+        a = dist < radius
+        np.fill_diagonal(a, False)
+        if is_strongly_connected(a):
+            return a
+    raise GenerationFailed(
+        f"no strongly connected backbone at relative degree {target_degree} in {max_retries} tries"
+    )
 
 
 def smallest_connected_window(frames: Sequence[np.ndarray], cycle: bool) -> int | None:
@@ -262,22 +221,8 @@ def sequential_reachability(frames: Sequence[np.ndarray] | np.ndarray) -> np.nda
     return reach
 
 
-def write_adjacency(path, a: np.ndarray) -> None:
-    np.savetxt(path, as_adjacency(a).astype(int), fmt="%d")
-
-
 def read_adjacency(path) -> np.ndarray:
     return as_adjacency(np.atleast_2d(np.loadtxt(path)))
-
-
-def write_frames_csv(path, frames: Sequence[np.ndarray]) -> None:
-    """Edge-list export, one row per edge: t, from, to."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "from", "to"])
-        for t, frame in enumerate(frames):
-            for src, dst in np.argwhere(np.asarray(frame, dtype=bool)):
-                writer.writerow([t, int(src), int(dst)])
 
 
 def read_frames_csv(path, n: int, count: int | None = None) -> list[np.ndarray]:

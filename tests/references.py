@@ -15,6 +15,8 @@ the oracle alone as ``algorithms: [central]`` does: through the token engine,
 whose ``central`` series it reads.
 ``verify_sequential_connectivity`` samples window-connected sequences and
 checks acceptance 5's lemma, all-pairs sequential reachability, on each.
+``relative_degree``, ``write_adjacency`` and ``write_frames_csv`` measure a
+generated backbone and write the two graph files that configs read.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from roamtoken._linalg import solve_spd
 from roamtoken._sharding import Reader
 from roamtoken._streams import derived_stream
 from roamtoken.engine import CHUNK_TICKS, TickStats, Trials, run_token_trials
-from roamtoken.graphs import sequential_reachability, smallest_connected_window
+from roamtoken.graphs import as_adjacency, sequential_reachability, smallest_connected_window
 from roamtoken.observation import SOLVE_RTOL
 
 # Draws of a random window-connected sequence before a sample is given up.
@@ -192,6 +194,30 @@ def csv_trace(trace, path) -> None:
                     f"{trace.mean_last_seen_sq_err[t]:.17g}",
                 ]
             )
+
+
+def relative_degree(a: np.ndarray) -> float:
+    """Directed edge count over n(n-1), the number of possible edges."""
+    a = as_adjacency(a)
+    n = a.shape[0]
+    if n < 2:
+        raise ValueError("relative degree needs at least two nodes")
+    return float(a.sum()) / (n * (n - 1))
+
+
+def write_adjacency(path, a: np.ndarray) -> None:
+    """The 0/1 matrix rows that ``graph.backbone_file`` names."""
+    np.savetxt(path, as_adjacency(a).astype(int), fmt="%d")
+
+
+def write_frames_csv(path, frames: Sequence[np.ndarray]) -> None:
+    """Edge-list export, one row per edge: t, from, to."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "from", "to"])
+        for t, frame in enumerate(frames):
+            for src, dst in np.argwhere(np.asarray(frame, dtype=bool)):
+                writer.writerow([t, int(src), int(dst)])
 
 
 @dataclass(eq=False)

@@ -23,7 +23,6 @@ from roamtoken import (
     is_strongly_connected,
     mean_transition_matrix,
     optimality_ratio,
-    relative_degree,
     rmse_network_ci,
     run_episode,
     verify_state_identity,
@@ -39,6 +38,7 @@ from conftest import ACCEPTANCE_LINES, make_ref5_model, random_spd, ref5_adjacen
 from references import (
     SeriesRows,
     central_estimate,
+    relative_degree,
     tick_stats,
     verify_sequential_connectivity,
 )
@@ -228,7 +228,7 @@ def test_criterion_7_mean_chain_irreducible():
         "ref5_static": StaticGraph(ref5_adjacency()),
         "ref5_iid_complete": IidFailureGraph(~np.eye(5, dtype=bool), p_fail=0.5),
         "geo20_iid": IidFailureGraph(
-            generate_backbone_with_degree(20, 0.12, derived_stream(7, 0))[0], p_fail=0.5
+            generate_backbone_with_degree(20, 0.12, derived_stream(7, 0)), p_fail=0.5
         ),
     }
     results = {}
@@ -242,7 +242,7 @@ def test_criterion_7_mean_chain_irreducible():
 
 def test_criterion_8_token_beats_tuned_baseline():
     rng = derived_stream(2025, 0)
-    backbone, _ = generate_backbone_with_degree(20, 0.12, rng)
+    backbone = generate_backbone_with_degree(20, 0.12, rng)
     degree = relative_degree(backbone)
     assert abs(degree - 0.12) < 0.02
     spec = IidFailureGraph(backbone, p_fail=0.5)

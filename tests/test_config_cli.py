@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 import yaml
 
-from roamtoken import ConfigError, relative_degree, run_experiment
+from roamtoken import ConfigError, run_experiment
 from roamtoken.cli import main
 from roamtoken.config import apply_overrides, build_experiment, load_config
-from roamtoken.graphs import read_adjacency, smallest_connected_window, write_frames_csv
+from roamtoken.graphs import smallest_connected_window
+
+from references import write_frames_csv
 
 BASE_CONFIG = textwrap.dedent(
     """
@@ -102,6 +104,9 @@ def test_graph_validation_errors(tmp_path):
     path.write_text(missing_pfail)
     with pytest.raises(ConfigError, match="p_fail"):
         load_config(path)
+    path.write_text(GEO20_CONFIG.read_text().replace("  target_degree: 0.12\n", ""))
+    with pytest.raises(ConfigError, match="graph.target_degree: required for geometric"):
+        load_config(path)
 
 
 def test_geometric_graph_deterministic(tmp_path):
@@ -119,7 +124,7 @@ def test_geometric_graph_deterministic(tmp_path):
         graph:
           kind: geometric
           n: 5
-          radius: 0.8
+          target_degree: 0.5
           p_fail: 0.5
         run:
           horizon: 5
@@ -343,7 +348,6 @@ _BAD_INTEGERS = [
     (["--seed", "-1"], "run.seed: must be a non-negative integer"),
     (["--set", "graph.seed=-1"], "graph.seed: must be a non-negative integer"),
     (["--set", "token.start_node=true"], "token.start_node: must be an integer"),
-    (["gen-graph", "-n", "6", "--radius", "2.0", "--seed", "-1"], "gen-graph --seed"),
 ]
 
 
@@ -353,42 +357,26 @@ _BAD_INTEGERS = [
 def test_cli_bool_and_negative_integers_rejected(config_file, tmp_path, capsys, args, message):
     # YAML's true is an int to isinstance, and a negative seed used to fail in the engine
     out = tmp_path / "out"
-    if args[0] == "gen-graph":
-        argv = args + ["--out", str(out)]
-    else:
-        argv = ["simulate", str(config_file), "--out", str(out)] + args
+    argv = ["simulate", str(config_file), "--out", str(out)] + args
     assert main(argv) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-_BAD_GEN_GRAPH = [
-    (["-n", "1", "--radius", "0.5"], "gen-graph -n: must be an integer of at least 2"),
-    (["-n", "-3", "--target-degree", "0.5"], "gen-graph -n: must be an integer of at least 2"),
-    (["-n", "6", "--radius", "0"], "gen-graph --radius: must be a finite positive number"),
-    (["-n", "6", "--radius", "-1"], "gen-graph --radius: must be a finite positive number"),
-    (["-n", "6", "--radius", "nan"], "gen-graph --radius: must be a finite positive number"),
-    (["-n", "6", "--radius", "inf"], "gen-graph --radius: must be a finite positive number"),
-    (["-n", "6", "--target-degree", "0"], "gen-graph --target-degree: must be in (0, 1]"),
-    (["-n", "6", "--target-degree", "1.5"], "gen-graph --target-degree: must be in (0, 1]"),
-    (["-n", "6", "--target-degree", "nan"], "gen-graph --target-degree: must be in (0, 1]"),
-]
-
-
-@pytest.mark.parametrize(
-    "args, message", _BAD_GEN_GRAPH, ids=[" ".join(args) for args, _ in _BAD_GEN_GRAPH]
-)
-def test_cli_gen_graph_rejects_bad_flags_before_drawing(
-    tmp_path, capsys, monkeypatch, args, message
+@pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+def test_cli_target_degree_out_of_range_rejected_before_drawing(
+    tmp_path, capsys, monkeypatch, value
 ):
-    # these used to exit 2 from the generator, and a NaN radius only after 1,000 draws
+    # these passed load_config and failed in build_experiment without the key path
     def no_draws(*_):
         raise AssertionError("drew a graph")
 
-    monkeypatch.setattr("roamtoken.cli.derived_stream", no_draws)
-    out = tmp_path / "g.txt"
-    assert main(["gen-graph", *args, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    monkeypatch.setattr("roamtoken.config.derived_stream", no_draws)
+    out = tmp_path / "out"
+    argv = ["simulate", str(GEO20_CONFIG), "--out", str(out)]
+    assert main(argv + ["--set", f"graph.target_degree={value}"]) == 1
+    message = "config error: graph.target_degree: must be a number in (0, 1]\n"
+    assert capsys.readouterr().err == message
     assert not out.exists()
 
 
@@ -446,7 +434,6 @@ REF5_STATIC_CONFIG = ROOT / "configs" / "ref5_static.yaml"
 # A key that the config's variant never reads: the fixture config, its overrides and the message.
 _UNREAD_KEYS = [
     ("config_file", ["graph.p_fail=0.25"], "graph.p_fail: not read when graph.kind is static"),
-    ("config_file", ["graph.radius=0.5"], "graph.radius: not read when graph.kind is static"),
     ("config_file", ["graph.target_degree=0.3"], "graph.target_degree: not read when graph.kind"),
     ("config_file", ["graph.seed=3"], "graph.seed: not read when graph.kind is static"),
     ("config_file", ["graph.frames_file=f.csv"], "graph.frames_file: not read when graph.kind"),
@@ -549,7 +536,6 @@ def test_cli_fixed_gains_next_to_a_grid_rejected(tmp_path, capsys, key):
 _BOOL_NUMBERS = {
     "model.theta": ["model.theta=[true, 2.0, 3.0, 4.0, 5.0]"],
     "graph.p_fail": ["graph.p_fail=true"],
-    "graph.radius": ["graph.radius=true"],
     "graph.target_degree": ["graph.target_degree=true"],
     "chain.delta_self": ["chain.rule=lazy", "chain.delta_self=true"],
     "token.alpha_params.c": ["token.alpha_form=power", "token.alpha_params.c=true"],
@@ -561,14 +547,9 @@ _BOOL_NUMBERS = {
 @pytest.mark.parametrize("key", list(_BOOL_NUMBERS))
 def test_cli_bool_in_number_keys_rejected(tmp_path, capsys, key):
     # isinstance(True, (int, float)) holds and float(True) is 1.0, so these used to run
-    text = GEO20_CONFIG.read_text()
-    if key == "graph.radius":
-        text = text.replace("target_degree: 0.12", "radius: 0.5")
-    path = tmp_path / "geo20.yaml"
-    path.write_text(text)
     out = tmp_path / "out"
     sets = ["run.horizon=2", "run.trials=2", *_BOOL_NUMBERS[key]]
-    argv = ["simulate", str(path), "--out", str(out)]
+    argv = ["simulate", str(GEO20_CONFIG), "--out", str(out)]
     for item in sets:
         argv += ["--set", item]
     assert main(argv) == 1
@@ -705,24 +686,6 @@ def test_cli_verify_high_degree_delta_is_exact(tmp_path, capsys):
     assert "PASS tail bounds: delta=0.047619 " in capsys.readouterr().out
 
 
-def test_cli_gen_graph_targets(tmp_path, capsys):
-    out20 = tmp_path / "g20.txt"
-    assert main(["gen-graph", "-n", "20", "--target-degree", "0.12", "--seed", "1", "--out", str(out20)]) == 0
-    a20 = read_adjacency(out20)
-    assert abs(relative_degree(a20) - 0.12) < 0.02
-
-    out50 = tmp_path / "g50.txt"
-    assert main(["gen-graph", "-n", "50", "--target-degree", "0.09", "--seed", "1", "--out", str(out50)]) == 0
-    assert abs(relative_degree(read_adjacency(out50)) - 0.09) < 0.02
-
-    full = tmp_path / "full.txt"
-    assert main(["gen-graph", "-n", "6", "--radius", "2.0", "--seed", "0", "--out", str(full)]) == 0
-    a = read_adjacency(full)
-    assert np.array_equal(a, ~np.eye(6, dtype=bool))
-
-    assert main(["gen-graph", "-n", "6", "--seed", "0", "--out", str(full)]) == 1
-
-
 def test_cli_compare(config_file, tmp_path, capsys):
     text = BASE_CONFIG.replace("kind: static", "kind: iid_failure\n  p_fail: 0.4")
     text += textwrap.dedent(
@@ -799,6 +762,24 @@ def test_cli_gridsearch_is_an_unknown_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["gridsearch", str(GEO20_CONFIG), "--out", str(out)]) == 1
     assert "invalid choice: 'gridsearch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_gen_graph_is_an_unknown_subcommand(capsys):
+    # a config builds its geometric backbone from graph.target_degree; the separate writer is gone
+    assert main(["gen-graph", "-n", "6"]) == 1
+    assert "invalid choice: 'gen-graph'" in capsys.readouterr().err
+
+
+def test_cli_graph_radius_is_an_unknown_key(tmp_path, capsys):
+    # graph.target_degree is the one way to size a geometric backbone
+    path = tmp_path / "geo20.yaml"
+    path.write_text(GEO20_CONFIG.read_text().replace("target_degree: 0.12", "radius: 0.5"))
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: graph.radius: unknown key\n"
+    assert captured.out == ""
     assert not out.exists()
 
 
