@@ -24,7 +24,6 @@ from .chain import (
 from .errors import (
     ConfigError,
     GenerationFailed,
-    MissingTrace,
     NonFiniteMetric,
     RoamTokenError,
     SequenceExhausted,

@@ -102,15 +102,14 @@ class _TokenPayload:
         self.err_seen = np.zeros((R, n))  # 0 until visited, so a plain sum covers the visited
 
     def advance(
-        self, path: np.ndarray, means: np.ndarray, t0: int, schedule: AlphaSchedule,
-        last_seen: bool,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        self, path: np.ndarray, means: np.ndarray, t0: int, schedule: AlphaSchedule
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One chunk's (length, trials) squared errors, visited counts and last-seen means.
 
         ``path`` is the chunk's holders from tick ``t0`` and ``means`` the
-        running means' stack, whose row 0 is overwritten here.  The last-seen
-        means are None unless ``last_seen``.  Raises SolveFailed at the first
-        tick whose estimate residual exceeds ``ESTIMATE_RTOL`` or is NaN.
+        running means' stack, whose row 0 is overwritten here.  Raises
+        SolveFailed at the first tick whose estimate residual exceeds
+        ``ESTIMATE_RTOL`` or is NaN.
         """
         (length, R), n = path.shape, len(self.b_stack)
         last = self.buffer("last", (length, R * n), np.int64)
@@ -131,8 +130,7 @@ class _TokenPayload:
         sq = self.buffer("sq", (length + 1, R))
         sq[0] = 0.0
         np.einsum("tri,tri->tr", s, s, out=sq[1:])
-        mean_seen = self._last_seen(last, sq, counts[1:]) if last_seen else None
-        return sq[1:], counts[1:], mean_seen
+        return sq[1:], counts[1:], self._last_seen(last, sq, counts[1:])
 
     def _add_versions(self, path: np.ndarray, counts: np.ndarray) -> None:
         """Add a K version at each first visit; row 0 of ``counts`` holds the counts before."""

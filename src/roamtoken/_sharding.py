@@ -11,8 +11,8 @@ row, which changes the last bits.  A worker's failure is re-raised in the
 parent as the serial loop would raise it.
 
 A run keeps no per-tick series: it hands each to the caller's reader for it,
-one ``Reader`` per series name, and computes the oracle's and the last-seen
-errors only for a reader.  A series with a reader passes through a ring
+one ``Reader`` per series name, and computes the oracle's errors only for a
+reader.  A series with a reader passes through a ring
 (``_Ring``) of one trial-major (trials, CHUNK_TICKS) slot in anonymous shared
 memory.  A worker computes a chunk into its own buffers first; only then does
 it wait for the parent's credit for the chunk, copy its rows of the chunk into

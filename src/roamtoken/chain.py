@@ -22,7 +22,6 @@ from .graphs import (
     IidFailureGraph,
     as_adjacency,
     is_strongly_connected,
-    sequential_reachability,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -159,8 +158,8 @@ def support_diameter(q: np.ndarray) -> int:
     reach = np.eye(support.shape[0], dtype=bool)
     steps = 0
     while not reach.all():
-        # the reach so far as a first frame (it holds each node itself), then one support step
-        grown = sequential_reachability([reach, support])
+        # every node reached so far, and one support step on from each
+        grown = reach | reach @ support
         if np.array_equal(grown, reach):
             raise ValueError("chain support is not strongly connected")
         reach, steps = grown, steps + 1

@@ -241,6 +241,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"graph: kind {kind} needs exactly one of backbone, backbone_file")
     if kind == "geometric" and "target_degree" not in graph:
         raise ConfigError("graph.target_degree: required for geometric")
+    if kind == "geometric" and graph["n"] < 2:
+        raise ConfigError("graph.n: a geometric graph needs at least two nodes")
     if kind == "iid_failure" and "p_fail" not in graph:
         raise ConfigError("graph.p_fail: required for iid_failure")
     if kind == "deterministic" and "frames_file" not in graph:

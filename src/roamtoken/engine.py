@@ -249,18 +249,14 @@ def run_token_trials(
     estimates and the series are computed once per chunk (``_TokenPayload``).
     The series are ``sq_err``, ``visited``, ``last_seen`` and the oracle's
     ``central``; ``readers`` maps those it wants to their readers, and the
-    last two are computed only for one.  ``trial0`` holds trial 0's trace,
-    its last-seen errors only where ``last_seen`` is read.
+    oracle is computed only for one.  ``trial0`` holds trial 0's trace.
     """
     _check_sizes(model, spec)
     size = horizon + 1
     dtypes = {"sq_err": float, "visited": np.int64, "last_seen": float, "central": float}
     series = _series(readers, dtypes)
-    last_seen = "last_seen" in series
     oracle = _CentralOracle(model) if "central" in series else None
-    trace = {"holder": np.int64, "visited": np.int64, "sq_err": float}
-    if last_seen:
-        trace["last_seen"] = float
+    trace = {"holder": np.int64, "visited": np.int64, "sq_err": float, "last_seen": float}
 
     def run(blocks: _TrialBlocks, trace0: dict[str, np.ndarray]) -> None:
         R = blocks.trials
@@ -274,7 +270,7 @@ def run_token_trials(
             values = {"holder": path}
             if oracle is not None:  # before the estimate, whose failure comes later
                 values["central"] = oracle.score(stack[1:], blocks)
-            sq, counts, mean_seen = payload.advance(path, stack, t0, schedule, last_seen)
+            sq, counts, mean_seen = payload.advance(path, stack, t0, schedule)
             values.update(sq_err=sq, visited=counts, last_seen=mean_seen)
             for key, rows in trace0.items():  # no rows but in trial 0's block
                 rows[:, t0 : t0 + length] = values[key][:, : len(rows)].T
@@ -287,7 +283,7 @@ def run_token_trials(
         holder=trace0["holder"][0],
         visited_count=trace0["visited"][0],
         token_sq_err=trace0["sq_err"][0],
-        mean_last_seen_sq_err=trace0["last_seen"][0] if last_seen else None,
+        mean_last_seen_sq_err=trace0["last_seen"][0],
     )
     return Trials(trials, horizon, trial0)
 

@@ -34,10 +34,6 @@ class SolveFailed(RoamTokenError):
         self.tick = tick
 
 
-class MissingTrace(RoamTokenError):
-    """A metric was requested from traces that did not record the needed series."""
-
-
 class NonFiniteMetric(RoamTokenError):
     """A metric series contains NaN or infinity."""
 

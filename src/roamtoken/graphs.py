@@ -212,15 +212,6 @@ def smallest_connected_window(frames: Sequence[np.ndarray], cycle: bool) -> int 
     return b + 1 if b < k else None
 
 
-def sequential_reachability(frames: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """All-pairs sequential connectivity with self-loops over (T, n, n) or (T, W, n, n) frames."""
-    frames = np.asarray(frames, dtype=bool)
-    reach = np.broadcast_to(np.eye(frames.shape[-1], dtype=bool), frames.shape[1:]).copy()
-    for f in frames:
-        reach |= reach @ f
-    return reach
-
-
 def read_adjacency(path) -> np.ndarray:
     return as_adjacency(np.atleast_2d(np.loadtxt(path)))
 
@@ -251,6 +242,8 @@ def read_frames_csv(path, n: int, count: int | None = None) -> list[np.ndarray]:
                     f"{path} line {reader.line_num}: need t >= 0 and node ids in [0, {n}), "
                     f"got t={t} from={src} to={dst}"
                 )
+            if src == dst:
+                raise ValueError(f"{path} line {reader.line_num}: self-edge {src} -> {dst}")
             rows.append((t, src, dst))
     n_frames = count if count is not None else (max((t for t, _, _ in rows), default=-1) + 1)
     if n_frames < 1:

@@ -37,7 +37,7 @@ from .engine import (
     run_ci_trials,  # noqa: F401 - unused here; perfbench/layers.py patches this binding
     run_token_trials,
 )
-from .errors import MissingTrace, NonFiniteMetric
+from .errors import NonFiniteMetric
 from .graphs import GraphSpec
 from .observation import GlobalModel
 from .token import (
@@ -73,32 +73,22 @@ class MetricSeries:
             raise ValueError("half-widths must be nonnegative")
 
 
-# The token and oracle metrics a run reports, each with the engine series it reduces.
-# A relative MSE is the series' mean over trials divided by ||theta||^2; an optimality
-# ratio scales the same series' mean and half-widths by t / trace(sigma_c^{-1}).
-# ``grid_search`` reduces the CI series ``netavg`` of the winner's run itself.
-METRICS = (
-    ("rmse_token", "sq_err"),
-    ("rmse_token_last_seen", "last_seen"),
-    ("optimality_ratio_token", "sq_err"),
-    ("rmse_central", "central"),
-    ("optimality_ratio_central", "central"),
-)
+# The token engine series each algorithm's metrics reduce.  A relative MSE is the
+# series' mean over trials divided by ||theta||^2; an optimality ratio scales the same
+# series' mean and half-widths by t / trace(sigma_c^{-1}).  ``grid_search`` reduces
+# the CI series ``netavg`` of the winner's run itself.
+SERIES = {"token": ("sq_err", "last_seen"), "central": ("central",)}
 
 
 def _reducers(config: ExperimentConfig) -> dict[str, TickStats]:
-    """One chunk-at-a-time reduction of each engine series that ``METRICS`` reads."""
+    """One chunk-at-a-time reduction of each engine series the requested algorithms read."""
     size, scratch = config.horizon + 1, np.empty((config.trials, CHUNK_TICKS))
-    return {
-        series: TickStats(config.trials, size, scratch)
-        for series in dict.fromkeys(series for _, series in METRICS)
-    }
+    read = [k for name, keys in SERIES.items() if name in config.algorithms for k in keys]
+    return {k: TickStats(config.trials, size, scratch) for k in read}
 
 
-def _aggregate(name: str, source: TickStats | None, scale: float = 1.0) -> MetricSeries:
+def _aggregate(name: str, source: TickStats, scale: float = 1.0) -> MetricSeries:
     """The per-tick mean over trials of ``source``'s series over ``scale``, with 95% half-widths."""
-    if source is None:
-        raise MissingTrace(f"the series behind {name} was not recorded")
     hw = Z_95 * source.std / math.sqrt(source.trials) / scale  # 0 for a single trial
     return MetricSeries(name=name, values=source.mean / scale, half_widths=hw, trials=source.trials)
 
@@ -112,7 +102,7 @@ def rmse_token(stats: TickStats, model: GlobalModel) -> MetricSeries:
     return _aggregate("rmse_token", stats, _theta_sq(model))
 
 
-def rmse_last_seen(stats: TickStats | None, model: GlobalModel) -> MetricSeries:
+def rmse_last_seen(stats: TickStats, model: GlobalModel) -> MetricSeries:
     """Relative MSE of a network where each agent keeps the last estimate it saw.
 
     Per trial, the series ``last_seen``: the sum of last-seen squared errors
@@ -349,9 +339,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
     trace: EpisodeTrace | None = None
 
     model, reduce = config.model, _reducers(config)
-    want = {"token": ("sq_err", "last_seen"), "central": ("central",)}
-    series = [k for name in config.algorithms for k in want.get(name, ())]
-    if series:  # one run of the token engine, which scores the oracle on its running means
+    if reduce:  # one run of the token engine, which scores the oracle on its running means
         token = run_token_trials(
             model,
             config.graph,
@@ -361,7 +349,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | str | None = None) 
             trials=config.trials,
             start_node=config.start_node,
             master_seed=config.seed,
-            readers={k: reduce[k] for k in series},
+            readers=reduce,
         )
     if "token" in config.algorithms:
         metrics["rmse_token"] = rmse_token(reduce["sq_err"], model)

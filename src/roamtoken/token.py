@@ -23,7 +23,7 @@ from ._linalg import solve_spd
 from ._sharding import CHUNK_TICKS
 from ._streams import SeedLike, episode_streams
 from .chain import TransitionRule, bulk_step
-from .errors import MissingTrace, SolveFailed
+from .errors import SolveFailed
 from .graphs import GraphSpec
 from .observation import GlobalModel, sample_measurements
 
@@ -71,15 +71,14 @@ class EpisodeTrace:
     """Per-tick series of one episode.
 
     ``run_episode`` fills every field.  The token engine's trial 0 fills the
-    first four, and ``mean_last_seen_sq_err`` only where its run reads the
-    series ``last_seen``; the spec-only fields from ``estimates`` on stay None.
+    first five; the spec-only fields from ``estimates`` on stay None.
     """
 
     horizon: int
     holder: np.ndarray
     visited_count: np.ndarray
     token_sq_err: np.ndarray
-    mean_last_seen_sq_err: np.ndarray | None = None
+    mean_last_seen_sq_err: np.ndarray
     estimates: np.ndarray | None = None
     d_hist: np.ndarray | None = None
     K_hist: np.ndarray | None = None
@@ -178,8 +177,6 @@ def run_episode(
 
 def write_trace_csv(trace: EpisodeTrace, path) -> None:
     """Per-tick trace export: t, holder, visited_count, token_sq_err, mean_last_seen_sq_err."""
-    if trace.mean_last_seen_sq_err is None:
-        raise MissingTrace("trace export needs the last-seen errors")
     series = (trace.holder, trace.visited_count, trace.token_sq_err, trace.mean_last_seen_sq_err)
     rows = enumerate(column_rows(*(a[: trace.horizon + 1] for a in series)))
     write_csv_lines(

@@ -14,7 +14,7 @@ rows as a run's ``TickStats`` reduces its chunks.  ``central_trials`` runs
 the oracle alone as ``algorithms: [central]`` does: through the token engine,
 whose ``central`` series it reads.
 ``verify_sequential_connectivity`` samples window-connected sequences and
-checks acceptance 5's lemma, all-pairs sequential reachability, on each.
+checks acceptance 5's lemma, all-pairs ``sequential_reachability``, on each.
 ``relative_degree``, ``write_adjacency`` and ``write_frames_csv`` measure a
 generated backbone and write the two graph files that configs read.
 """
@@ -43,7 +43,7 @@ from roamtoken._linalg import solve_spd
 from roamtoken._sharding import Reader
 from roamtoken._streams import derived_stream
 from roamtoken.engine import CHUNK_TICKS, TickStats, Trials, run_token_trials
-from roamtoken.graphs import as_adjacency, sequential_reachability, smallest_connected_window
+from roamtoken.graphs import as_adjacency, smallest_connected_window
 from roamtoken.observation import SOLVE_RTOL
 
 # Draws of a random window-connected sequence before a sample is given up.
@@ -218,6 +218,15 @@ def write_frames_csv(path, frames: Sequence[np.ndarray]) -> None:
         for t, frame in enumerate(frames):
             for src, dst in np.argwhere(np.asarray(frame, dtype=bool)):
                 writer.writerow([t, int(src), int(dst)])
+
+
+def sequential_reachability(frames: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """All-pairs sequential connectivity with self-loops over (T, n, n) or (T, W, n, n) frames."""
+    frames = np.asarray(frames, dtype=bool)
+    reach = np.broadcast_to(np.eye(frames.shape[-1], dtype=bool), frames.shape[1:]).copy()
+    for f in frames:
+        reach |= reach @ f
+    return reach
 
 
 @dataclass(eq=False)

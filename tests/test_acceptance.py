@@ -32,13 +32,14 @@ from roamtoken._linalg import trace_of_inverse
 from roamtoken._streams import derived_stream, trial_seed
 from roamtoken.baseline import grid_search
 from roamtoken.engine import run_token_trials
-from roamtoken.graphs import sequential_reachability, smallest_connected_window
+from roamtoken.graphs import smallest_connected_window
 
 from conftest import ACCEPTANCE_LINES, make_ref5_model, random_spd, ref5_adjacency
 from references import (
     SeriesRows,
     central_estimate,
     relative_degree,
+    sequential_reachability,
     tick_stats,
     verify_sequential_connectivity,
 )

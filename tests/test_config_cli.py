@@ -294,9 +294,10 @@ def test_cli_frames_csv_malformed_is_config_error(tmp_path, capsys, frames_text,
     assert "graph:" in err and message in err
 
 
-@pytest.mark.parametrize("bad_row", ["0,-1,0", "-1,0,1", "0,0,3"])
+@pytest.mark.parametrize("bad_row", ["0,-1,0", "-1,0,1", "0,0,3", "1,2,2"])
 def test_cli_frames_out_of_range_rejected(tmp_path, capsys, bad_row):
-    # negative ids and ticks used to wrap onto node n-1 and the last frame
+    # negative ids and ticks used to wrap onto node n-1 and the last frame; a self-edge
+    # was reported by the adjacency check, without the file and line
     frames = tmp_path / "frames.csv"
     frames.write_text(f"t,from,to\n0,0,1\n{bad_row}\n")
     path = tmp_path / "frames.yaml"
@@ -376,6 +377,39 @@ def test_cli_target_degree_out_of_range_rejected_before_drawing(
     argv = ["simulate", str(GEO20_CONFIG), "--out", str(out)]
     assert main(argv + ["--set", f"graph.target_degree={value}"]) == 1
     message = "config error: graph.target_degree: must be a number in (0, 1]\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_cli_one_node_geometric_graph_rejected_before_drawing(tmp_path, capsys, monkeypatch):
+    # this passed load_config and failed in build_experiment without the key path
+    def no_draws(*_):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr("roamtoken.config.derived_stream", no_draws)
+    path = tmp_path / "geo1.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """
+            model:
+              L: 1
+              theta: [1.0]
+              agents:
+                - {H: [[1.0]], C: [[1.0]]}
+            graph:
+              kind: geometric
+              n: 1
+              target_degree: 0.5
+            run:
+              horizon: 5
+              trials: 1
+              seed: 0
+            """
+        )
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    message = "config error: graph.n: a geometric graph needs at least two nodes\n"
     assert capsys.readouterr().err == message
     assert not out.exists()
 

@@ -269,14 +269,15 @@ def test_readers_name_only_series_the_run_makes(
     with pytest.raises(ValueError, match="no series 'netavg'"):
         runs["ci grid"]({"netavg": ignore})
 
-    # without a central reader the token engine never builds the oracle, and without a
-    # last_seen reader trial 0 has no last-seen errors
+    # without a central reader the token engine never builds the oracle; trial 0's
+    # last-seen errors do not depend on whether a reader reads them
     monkeypatch.undo()
     monkeypatch.setattr(engine, "central_solver", refuse)
     token = runs["token"]({"sq_err": ignore})
     assert isinstance(token, Trials) and (token.trials, token.horizon) == (2, 10)
-    assert token.trial0.mean_last_seen_sq_err is None
     assert token.trial0.token_sq_err.shape == (11,)
+    read = runs["token"]({"sq_err": ignore, "last_seen": ignore}).trial0
+    assert np.array_equal(token.trial0.mean_last_seen_sq_err, read.mean_last_seen_sq_err)
 
 
 

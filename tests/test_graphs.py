@@ -22,12 +22,16 @@ from roamtoken.graphs import (
     as_adjacency,
     read_adjacency,
     read_frames_csv,
-    sequential_reachability,
     smallest_connected_window,
 )
 
 from conftest import ref5_adjacency
-from references import relative_degree, write_adjacency, write_frames_csv
+from references import (
+    relative_degree,
+    sequential_reachability,
+    write_adjacency,
+    write_frames_csv,
+)
 
 
 def _adj(n, edges):

@@ -20,7 +20,6 @@ from roamtoken import (
     IidFailureGraph,
     Lazy,
     MetricSeries,
-    MissingTrace,
     NonFiniteMetric,
     OutDegreeReciprocal,
     StaticGraph,
@@ -76,13 +75,11 @@ def test_rmse_token_hand_fixture():
     assert series.trials == 2
 
 
-def test_rmse_last_seen_trivial_and_missing():
+def test_rmse_last_seen_trivial():
     model = _model([1.0])
     assert np.array_equal(rmse_last_seen(tick_stats(np.zeros((2, 3))), model).values, np.zeros(3))
     single = tick_stats(np.full((2, 3), 1.0))
     assert np.allclose(rmse_last_seen(single, model).values, np.ones(3))
-    with pytest.raises(MissingTrace):
-        rmse_last_seen(None, model)
 
 
 def test_rmse_ci_hand_fixture():
@@ -443,6 +440,9 @@ def test_reducers_hold_one_mean_and_std_per_series():
     assert list(reducers) == ["sq_err", "last_seen", "central"]
     sizes = sorted(trace.size for trace in arrays)
     assert sizes == [(horizon + 1) * 8] * 3 * 2 + [trials * engine.CHUNK_TICKS * 8]
+    # a run of the token alone reduces only the two series the token's metrics read
+    token_only = _smoke_config(algorithms=("token",))
+    assert list(roamtoken.harness._reducers(token_only)) == ["sq_err", "last_seen"]
 
 
 def test_metrics_csv_long_format(tmp_path):

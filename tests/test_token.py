@@ -8,14 +8,12 @@ from roamtoken import (
     AlphaSchedule,
     DeterministicSequence,
     GlobalModel,
-    MissingTrace,
     OutDegreeReciprocal,
     StaticGraph,
     run_episode,
     sample_measurements,
 )
 from roamtoken._streams import episode_streams
-from roamtoken.engine import run_token_trials
 from roamtoken.token import write_trace_csv
 
 from conftest import make_ref5_model, ref5_adjacency
@@ -197,10 +195,6 @@ def test_trace_export(tmp_path, ref5_model, ref5_static, reciprocal, linear_alph
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,holder,visited_count,token_sq_err,mean_last_seen_sq_err"
     assert len(lines) == 7
-    # the engine's trial 0 of a run that reads no last-seen errors has none to export
-    bare = run_token_trials(ref5_model, ref5_static, reciprocal, linear_alpha, 5, 2).trial0
-    with pytest.raises(MissingTrace):
-        write_trace_csv(bare, tmp_path / "bare.csv")
 
 
 def test_episode_requires_matching_sizes(ref5_model, reciprocal, linear_alpha):
