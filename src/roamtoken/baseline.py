@@ -39,10 +39,10 @@ class CiConfig:
     tau2: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ValueError("a must be > 0")
-        if self.b < 0:
-            raise ValueError("b must be >= 0")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"a must be finite and > 0, got {self.a}")
+        if not (math.isfinite(self.b) and self.b >= 0):
+            raise ValueError(f"b must be finite and >= 0, got {self.b}")
         if not 0.0 < self.tau2 < self.tau1 <= 1.0:
             raise ValueError(
                 f"(tau1, tau2) = ({self.tau1}, {self.tau2}) outside 0 < tau2 < tau1 <= 1"

@@ -29,7 +29,9 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OutDegreeReciprocal:
-    """Uniform over the currently available out-neighbors."""
+    """Uniform over the currently available out-neighbors: a self-weight of 0."""
+
+    delta_self = 0.0
 
 
 @dataclass(frozen=True)
@@ -57,20 +59,15 @@ def transition_rows(rule: TransitionRule, rows: np.ndarray, pos: np.ndarray) -> 
     ``pos[r]`` the walker's own column in it; the result's row ``r`` is the
     probability of each column.  A row may be dense, one column per node, or
     compact: the node's possible out-neighbours and the node itself, padded
-    with columns that are never edges.  The own column is never an edge.  A
-    node with no outgoing edge holds the token with probability one.
+    with columns that are never edges.  The own column is never an edge.
+    Every rule is one formula: the token holds with ``rule.delta_self`` and
+    spreads the rest evenly over the out-edges that are up; a node with no
+    outgoing edge up holds it with probability one.
     """
     walkers, n = rows.shape
     out = rows @ np.ones(n)  # out-degrees, exact as floats
-    hold = out == 0
-    if isinstance(rule, OutDegreeReciprocal):
-        probs, own = rows / np.maximum(out, 1.0)[:, None], 0.0
-    elif isinstance(rule, Lazy):
-        probs = rows * ((1.0 - rule.delta_self) / np.maximum(out, 1.0))[:, None]
-        own = rule.delta_self
-    else:
-        raise TypeError(f"unknown transition rule {type(rule).__name__}")
-    probs[np.arange(walkers), pos] = np.where(hold, 1.0, own)
+    probs = rows * ((1.0 - rule.delta_self) / np.maximum(out, 1.0))[:, None]
+    probs[np.arange(walkers), pos] = np.where(out == 0, 1.0, rule.delta_self)
     return probs
 
 
@@ -122,13 +119,12 @@ def mean_transition_matrix(spec: GraphSpec, rule: TransitionRule) -> np.ndarray:
 
     Let node ``i`` have backbone out-degree ``k`` and each edge fail with
     probability ``p`` (0 for a static graph).  With probability ``p**k`` every
-    out-edge is down and the token holds; otherwise each rule weights the
-    surviving edges uniformly around a self-weight that does not depend on how
-    many survive, so by symmetry every backbone edge carries ``1 - p**k``
-    times its weight under the rule on the full backbone.  Hence
+    out-edge is down and the token holds; otherwise ``transition_rows`` holds
+    it with ``rule.delta_self`` and spreads the rest evenly over the surviving
+    edges, so by symmetry every backbone edge carries ``1 - p**k`` times its
+    weight under the rule on the full backbone.  Hence
     ``q = (1 - p**k) * apply_rule(rule, backbone) + diag(p**k)`` at any
-    degree.  A rule without that uniform, fixed-self-weight form would need
-    its own average.  Undefined for deterministic sequences.
+    degree.  Undefined for deterministic sequences.
     """
     if isinstance(spec, DeterministicSequence):
         raise UnsupportedProcess("mean transition matrix is undefined for deterministic sequences")

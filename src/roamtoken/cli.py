@@ -72,7 +72,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for name, series in result.metrics.items()
         if name.startswith("rmse_")
     }
-    write_compare_csv(compare_path, side_by_side)
+    try:
+        write_compare_csv(compare_path, side_by_side)
+    except BaseException:  # as run_experiment does, leave no file of a failed run
+        for f in result.files:
+            f.unlink(missing_ok=True)
+        raise
     result.files.append(compare_path)
     best = result.grid.best
     print(f"ci parameters: a={best.a} b={best.b} tau1={best.tau1} tau2={best.tau2}")

@@ -135,10 +135,8 @@ CONFIG_KEYS: dict[str, Key] = {
         "delta_self": Key(_NUMBER, "lazy self-weight (default 1/n)", only=("rule", ("lazy",))),
     }),
     "token": Key(_MAPPING, fields={
-        "alpha_form": _choice(("linear", "power"), "linear (default) | power"),
-        "alpha_params": Key(_MAPPING, "{c, q} for the power schedule (needs q > 1/2)",
-                            fields={"c": Key(_NUMBER, default=1.0), "q": Key(_NUMBER, default=1.0)},
-                            only=("alpha_form", ("power",))),
+        "alpha_params": Key(_MAPPING, "{c, q}: alpha=c*(t+1)^q, c > 0, q > 1/2 (default 1, 1)",
+                            fields={"c": Key(_NUMBER, default=1.0), "q": Key(_NUMBER, default=1.0)}),
         "start_node": Key(_integer(0, "an integer in [0, graph.n)"),
                           "initial token holder (default 0)", 0),
     }),
@@ -325,11 +323,9 @@ def build_rule(cfg: dict, n: int) -> TransitionRule:
 
 
 def build_schedule(cfg: dict) -> AlphaSchedule:
-    if _setting(cfg, "token.alpha_form") != "power":
-        return AlphaSchedule.linear()
     params = [float(_setting(cfg, f"token.alpha_params.{name}")) for name in ("c", "q")]
     try:
-        return AlphaSchedule.power(*params)
+        return AlphaSchedule(*params)
     except ValueError as exc:
         raise ConfigError(f"token.alpha_params: {exc}") from None
 

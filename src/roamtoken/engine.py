@@ -38,7 +38,7 @@ from ._streams import SeedLike
 from .baseline import CiConfig
 from .chain import TransitionRule, bulk_step, transition_rows
 from .errors import NonFiniteMetric
-from .graphs import DeterministicSequence, GraphSpec
+from .graphs import DeterministicSequence, GraphSpec, check_start_node
 from .observation import GlobalModel, central_solver
 from .token import AlphaSchedule, EpisodeTrace
 
@@ -252,6 +252,7 @@ def run_token_trials(
     oracle is computed only for one.  ``trial0`` holds trial 0's trace.
     """
     _check_sizes(model, spec)
+    check_start_node(spec, start_node)
     size = horizon + 1
     dtypes = {"sq_err": float, "visited": np.int64, "last_seen": float, "central": float}
     series = _series(readers, dtypes)
@@ -402,6 +403,7 @@ def run_chain_trials(
     that have held every node (by the latest of a row's ticks).  The counts
     are exact, so the fractions do not depend on the worker count.
     """
+    check_start_node(spec, start_node)
     n, size = spec.n, horizon + 1
 
     def run(blocks: _TrialBlocks, out: dict[str, np.ndarray]) -> None:

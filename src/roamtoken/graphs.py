@@ -133,6 +133,13 @@ class DeterministicSequence:
 GraphSpec = Union[StaticGraph, IidFailureGraph, DeterministicSequence]
 
 
+def check_start_node(spec: GraphSpec, start_node: int) -> None:
+    """Raise ValueError unless ``start_node`` is a node of ``spec``; a negative one would
+    wrap silently in the engines' node arrays."""
+    if not 0 <= start_node < spec.n:
+        raise ValueError(f"start node {start_node} is not in [0, {spec.n})")
+
+
 def _closure(a: np.ndarray) -> np.ndarray:
     """Reflexive transitive closure of ``(..., n, n)`` adjacencies: a path leads from i to j."""
     a = np.asarray(a, dtype=bool)

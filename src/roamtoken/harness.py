@@ -38,7 +38,7 @@ from .engine import (
     run_token_trials,
 )
 from .errors import NonFiniteMetric
-from .graphs import GraphSpec
+from .graphs import GraphSpec, check_start_node
 from .observation import GlobalModel
 from .token import (
     AlphaSchedule,
@@ -308,6 +308,7 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        check_start_node(self.graph, self.start_node)
         if "ci" in self.algorithms and self.ci_grid is None:
             raise ValueError("ci runs need a gain grid; fixed gains are a one-point grid")
         if self.ci_grid is not None:  # every candidate is checked before any engine runs

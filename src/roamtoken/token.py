@@ -14,6 +14,7 @@ semidefinite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -24,7 +25,7 @@ from ._sharding import CHUNK_TICKS
 from ._streams import SeedLike, episode_streams
 from .chain import TransitionRule, bulk_step
 from .errors import SolveFailed
-from .graphs import GraphSpec
+from .graphs import GraphSpec, check_start_node
 from .observation import GlobalModel, sample_measurements
 
 ESTIMATE_RTOL = 1e-8
@@ -32,38 +33,21 @@ ESTIMATE_RTOL = 1e-8
 
 @dataclass(eq=False)
 class AlphaSchedule:
-    """Regularization schedule ``alpha(t)``.
+    """Regularization schedule ``alpha(t) = c * (t + 1)**q``.
 
-    ``linear`` is ``t + 1`` (positive at t=0, linear growth satisfies both
-    rate conditions).  ``power`` is ``c * (t + 1)**q`` and requires q > 1/2 so
-    that ``t / alpha(t)^2`` still vanishes.
+    Positive at t=0; q > 1/2 keeps ``t / alpha(t)^2`` vanishing.  The default
+    ``c = q = 1`` is ``t + 1`` bit for bit.
     """
 
-    form: str = "linear"
     c: float = 1.0
     q: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.form not in ("linear", "power"):
-            raise ValueError(f"unknown alpha form {self.form!r}")
-        if self.form == "power":
-            if self.c <= 0:
-                raise ValueError("power schedule needs c > 0")
-            if self.q <= 0.5:
-                raise ValueError("power schedule needs q > 1/2 for rate-optimal runs")
+        if not (math.isfinite(self.c) and math.isfinite(self.q) and self.c > 0 and self.q > 0.5):
+            raise ValueError(f"schedule needs finite c > 0 and q > 1/2, got c={self.c} q={self.q}")
 
     def alpha(self, t: int) -> float:
-        if self.form == "linear":
-            return float(t + 1)
         return self.c * float(t + 1) ** self.q
-
-    @classmethod
-    def linear(cls) -> "AlphaSchedule":
-        return cls("linear")
-
-    @classmethod
-    def power(cls, c: float, q: float) -> "AlphaSchedule":
-        return cls("power", c, q)
 
 
 @dataclass(eq=False)
@@ -109,6 +93,7 @@ def run_episode(
     """
     if spec.n != model.n_agents:
         raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
+    check_start_node(spec, start_node)
     n, dim = model.n_agents, model.dim
     streams = episode_streams(seed)
     x = np.zeros((n, dim))
@@ -137,11 +122,8 @@ def run_episode(
         if not visited[node]:
             visited[node] = True
             K += model.agents[node].B
-        a = schedule.alpha(t)
-        if a <= 0:
-            raise ValueError(f"alpha({t}) = {a} must be positive")
         try:
-            s = solve_spd(K + np.eye(dim) / a, d, rtol=ESTIMATE_RTOL)
+            s = solve_spd(K + np.eye(dim) / schedule.alpha(t), d, rtol=ESTIMATE_RTOL)
         except np.linalg.LinAlgError as exc:
             raise SolveFailed(f"estimate solve at t={t}: {exc}") from None
         except ArithmeticError as exc:  # the engine's message, residual and tick

@@ -66,7 +66,7 @@ def reciprocal() -> OutDegreeReciprocal:
 
 @pytest.fixture
 def linear_alpha() -> AlphaSchedule:
-    return AlphaSchedule.linear()
+    return AlphaSchedule()
 
 
 def random_spd(rng: np.random.Generator, m: int) -> np.ndarray:

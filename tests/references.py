@@ -95,7 +95,7 @@ def central_trials(
     """
     spec = StaticGraph(~np.eye(model.n_agents, dtype=bool))
     return run_token_trials(
-        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, trials,
+        model, spec, OutDegreeReciprocal(), AlphaSchedule(), horizon, trials,
         master_seed=master_seed, readers={"central": ignore} if readers is None else readers,
     )
 

@@ -61,7 +61,7 @@ def test_criterion_1_optimality_ratio():
         model,
         spec,
         OutDegreeReciprocal(),
-        AlphaSchedule.linear(),
+        AlphaSchedule(),
         horizon=horizon,
         trials=trials,
         master_seed=2024,
@@ -86,7 +86,7 @@ def test_criterion_2_consistency():
         model,
         spec,
         OutDegreeReciprocal(),
-        AlphaSchedule.linear(),
+        AlphaSchedule(),
         horizon=horizon,
         trials=trials,
         master_seed=512,
@@ -150,7 +150,7 @@ def test_criterion_4_state_identity_oracle():
             model,
             spec,
             rule,
-            AlphaSchedule.linear(),
+            AlphaSchedule(),
             episodes=1,
             horizon=200,
             master_seed=trial_seed(4242, e),
@@ -257,7 +257,7 @@ def test_criterion_8_token_beats_tuned_baseline():
         model,
         spec,
         OutDegreeReciprocal(),
-        AlphaSchedule.linear(),
+        AlphaSchedule(),
         horizon=horizon,
         trials=trials,
         master_seed=seed,
@@ -302,7 +302,7 @@ def test_criterion_9_chain_mechanics():
 
     # every move in these episodes passes the exact edge-or-self-hold assertion
     model = make_ref5_model()
-    sched = AlphaSchedule.linear()
+    sched = AlphaSchedule()
     specs = [
         StaticGraph(ref5_adjacency()),
         IidFailureGraph(ref5_adjacency(), p_fail=0.6),

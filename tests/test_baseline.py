@@ -5,6 +5,7 @@ import pytest
 
 from roamtoken import (
     AgentModel,
+    AlphaSchedule,
     CiConfig,
     GlobalModel,
     grid_search,
@@ -31,6 +32,23 @@ def test_config_validation():
         CiConfig(a=1.0, b=0.1, tau1=0.5, tau2=0.5)
     with pytest.raises(ValueError):
         CiConfig(a=1.0, b=0.1, tau1=1.2, tau2=0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: CiConfig(a=v, b=0.1, tau1=1.0, tau2=0.5),
+        lambda v: CiConfig(a=1.0, b=v, tau1=1.0, tau2=0.5),
+        lambda v: AlphaSchedule(c=v),
+        lambda v: AlphaSchedule(q=v),
+    ],
+    ids=["ci.a", "ci.b", "schedule.c", "schedule.q"],
+)
+def test_non_finite_gains_rejected(make, bad):
+    # CiConfig(a=nan) and CiConfig(b=inf) constructed, as did the power schedule with c=nan
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
 
 
 def test_step_matches_from_scratch_recomputation(ref5_model):

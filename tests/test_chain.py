@@ -19,8 +19,8 @@ from roamtoken import (
     mean_transition_matrix,
     tail_constants,
 )
-from roamtoken.chain import bulk_step, nonvisit_bound, support_diameter
-from roamtoken.engine import run_chain_trials
+from roamtoken.chain import bulk_step, nonvisit_bound, support_diameter, transition_rows
+from roamtoken.engine import _OutRows, run_chain_trials
 
 from conftest import ref5_adjacency
 from references import stationary_distribution
@@ -79,6 +79,29 @@ def test_rows_stochastic_and_supported(n, seed, lazy):
     assert positive.min() >= floor - 1e-15
     if lazy:
         assert np.diagonal(q).min() >= 0.3 - 1e-15
+
+
+def test_reciprocal_rows_are_out_degree_reciprocals_bit_for_bit():
+    # the reciprocal rule is the lazy formula at self-weight 0; its rows must keep the bits
+    # of rows / max(out, 1), with the own column 0, or 1 on a row with no out-edge up
+    spec = IidFailureGraph(ref5_adjacency(), p_fail=0.5)
+    u = np.random.default_rng(11).random((200, spec.draws))
+    dense = spec.adjacency(0, u).reshape(-1, spec.n)
+    compact = _OutRows(spec, OutDegreeReciprocal())
+    cases = {
+        "dense": (dense, np.tile(np.arange(spec.n), len(u))),
+        "compact": (
+            (u[:, compact.slot] < compact.keep).reshape(-1, compact.width),
+            np.tile(compact.own, len(u)),
+        ),
+    }
+    for kind, (rows, pos) in cases.items():
+        out = rows.sum(axis=1)
+        assert (out == 0).any() and (out > 1).any(), kind
+        expected = rows / np.maximum(out, 1)[:, None]
+        expected[np.arange(len(rows)), pos] = np.where(out == 0, 1.0, 0.0)
+        got = transition_rows(OutDegreeReciprocal(), rows, pos)
+        assert got.tobytes() == expected.tobytes(), kind
 
 
 def _step_one(node, a, rule, rng):

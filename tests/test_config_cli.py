@@ -232,6 +232,20 @@ def test_cli_runtime_failure_exit_code(tmp_path, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+def test_cli_compare_failure_leaves_no_files(tmp_path, capsys):
+    # a compare.csv that cannot be written left metrics.csv, grid_scores.csv,
+    # trace_trial0.csv and meta.yaml behind, though the run exited 2
+    out = tmp_path / "out"
+    (out / "compare.csv").mkdir(parents=True)
+    argv = ["compare", str(GEO20_CONFIG), "--out", str(out)]
+    assert main(argv + ["--set", "run.horizon=20", "--set", "run.trials=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: IsADirectoryError:")
+    assert captured.out == ""
+    assert [p.name for p in out.iterdir()] == ["compare.csv"]
+    assert not any((out / "compare.csv").iterdir())
+
+
 _BAD_SEQUENCE_KEYS = [
     ("graph.cycle='false'", "graph.cycle: must be true or false"),
     ("graph.cycle=3", "graph.cycle: must be true or false"),
@@ -430,7 +444,7 @@ _ESCAPED_TYPES = {
         {("model", "agents", 0, "C"): [[True]]}, "model.agents[0].C: must be a matrix"
     ),
     "token.alpha_params.zz": (
-        {("token",): {"alpha_form": "power", "alpha_params": {"c": 1, "zz": 3}}},
+        {("token",): {"alpha_params": {"c": 1, "zz": 3}}},
         "token.alpha_params.zz: unknown key",
     ),
     "mixed-type-sections": ({(1,): {}, ("extra",): {}}, "1: unknown key"),
@@ -477,11 +491,6 @@ _UNREAD_KEYS = [
         "config_file",
         ["chain.delta_self=0.3"],
         "chain.delta_self: not read when chain.rule is out_degree_reciprocal",
-    ),
-    (
-        "config_file",
-        ["token.alpha_params.c=2.0"],
-        "token.alpha_params: not read when token.alpha_form is linear",
     ),
     (
         "short_sequence_file",
@@ -572,8 +581,8 @@ _BOOL_NUMBERS = {
     "graph.p_fail": ["graph.p_fail=true"],
     "graph.target_degree": ["graph.target_degree=true"],
     "chain.delta_self": ["chain.rule=lazy", "chain.delta_self=true"],
-    "token.alpha_params.c": ["token.alpha_form=power", "token.alpha_params.c=true"],
-    "token.alpha_params.q": ["token.alpha_form=power", "token.alpha_params.q=true"],
+    "token.alpha_params.c": ["token.alpha_params.c=true"],
+    "token.alpha_params.q": ["token.alpha_params.q=true"],
     **{f"ci.grid.{key}": [f"ci.grid.{key}=[true]"] for key in ("a", "b", "tau1", "tau2")},
 }
 
@@ -817,6 +826,19 @@ def test_cli_graph_radius_is_an_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_alpha_form_is_an_unknown_key(tmp_path, capsys):
+    # token.alpha_params gives the one schedule c * (t + 1)**q; the form switch is gone
+    path = tmp_path / "ref5.yaml"
+    text = REF5_STATIC_CONFIG.read_text().replace("token:\n", "token:\n  alpha_form: linear\n")
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: token.alpha_form: unknown key\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 SHIPPED_CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.yaml"))
 
 
@@ -848,7 +870,7 @@ def test_meta_config_echo_round_trips(config_file, tmp_path, name):
 def test_cli_help_documents_config_keys(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
-    for key in ("model.theta", "graph.p_fail", "chain.rule", "token.alpha_form", "ci.grid", "run.seed"):
+    for key in ("model.theta", "graph.p_fail", "chain.rule", "token.alpha_params", "ci.grid", "run.seed"):
         assert key in out
 
 

@@ -49,7 +49,7 @@ _SEQUENCE = {
     },
     "graph": {"kind": "deterministic", "n": 3, "frames_file": "frames.csv", "cycle": True},
     "chain": {"rule": "lazy", "delta_self": 0.3},
-    "token": {"alpha_form": "power", "alpha_params": {"c": 1.0, "q": 0.75}, "start_node": 1},
+    "token": {"alpha_params": {"c": 1.0, "q": 0.75}, "start_node": 1},
     "run": {"horizon": 5, "trials": 3, "seed": 4, "algorithms": ["token", "central"]},
 }
 BASES = [

@@ -70,7 +70,7 @@ def test_batched_trials_match_single_episodes(spec_kind):
     else:
         spec = IidFailureGraph(ref5_adjacency(), p_fail=0.4)
     rule = OutDegreeReciprocal()
-    sched = AlphaSchedule.linear()
+    sched = AlphaSchedule()
     # 300 ticks cross several chunk edges, where the walker carries each holder over
     horizon, trials, seed = 300, 4, 99
     assert horizon > CHUNK_TICKS
@@ -93,7 +93,7 @@ def test_batched_trials_match_single_episodes_when_cover_spans_chunks():
     # K gains versions, and each is eigendecomposed, in chunks after the first; the
     # last-seen means and errors are carried over every chunk edge
     model, spec, rule = slow_ring()
-    sched = AlphaSchedule.linear()
+    sched = AlphaSchedule()
     horizon, trials, seed = 400, 4, 0
     assert horizon > 3 * CHUNK_TICKS
     batch = SeriesRows(horizon, *TOKEN_SERIES)
@@ -116,7 +116,7 @@ def test_batched_trials_match_single_episodes_when_cover_spans_chunks():
 
 def test_estimate_guard_names_first_failing_tick(monkeypatch):
     model, spec, rule = slow_ring()
-    args = (model, spec, rule, AlphaSchedule.linear())
+    args = (model, spec, rule, AlphaSchedule())
     with monkeypatch.context() as m:
         m.setattr("roamtoken._kernels.ESTIMATE_RTOL", -1.0)
         with pytest.raises(SolveFailed, match=r"estimate solve residual .* at t=0$"):
@@ -151,7 +151,7 @@ def test_engine_heterogeneous_measurement_sizes():
     backbone = ~np.eye(3, dtype=bool)
     spec = IidFailureGraph(backbone, p_fail=0.3)
     rule = OutDegreeReciprocal()
-    sched = AlphaSchedule.linear()
+    sched = AlphaSchedule()
     batch = SeriesRows(120, "sq_err", "visited")
     run_token_trials(
         model, spec, rule, sched, horizon=120, trials=3, master_seed=5, readers=batch.readers
@@ -304,7 +304,7 @@ def test_call_time_bindings_see_every_step_and_oracle(monkeypatch, ref5_model, r
 
     monkeypatch.setattr(engine, "bulk_step", counted_step)
     monkeypatch.setattr(engine, "central_solver", counted_solver)
-    rule, schedule, horizon = OutDegreeReciprocal(), AlphaSchedule.linear(), 150
+    rule, schedule, horizon = OutDegreeReciprocal(), AlphaSchedule(), 150
     trials = sharding.SHARD_MIN_TRIALS  # sharded but for the one usable core
     readers = {"sq_err": ignore, "central": ignore}
     run_token_trials(ref5_model, ref5_static, rule, schedule, horizon, trials, readers=readers)
@@ -342,7 +342,7 @@ def test_misshaped_noise_sampler_rejected_by_both_paths():
 
     model = GlobalModel(make_ref5_model().agents, [1.0, -0.7], noise=one_extra)
     spec = StaticGraph(ref5_adjacency())
-    args = (model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
+    args = (model, spec, OutDegreeReciprocal(), AlphaSchedule())
     with pytest.raises(ValueError, match=r"noise sampler gave shape \(6,\), not \(5,\)"):
         run_episode(*args, horizon=20, seed=trial_seed(3, 0))
     with pytest.raises(ValueError, match=r"noise sampler gave shape \(6,\), not \(21, 5\)"):
@@ -475,7 +475,7 @@ def test_batched_walk_keeps_the_nonexistent_edge_guard(kind, monkeypatch):
     with pytest.raises(RuntimeError, match=named):
         run_chain_trials(spec, OutDegreeReciprocal(), start_node=start, horizon=10, trials=3)
     model = GlobalModel([AgentModel(i, [[1.0, 0.5 * i]], [[1.0]]) for i in range(spec.n)], [1, 2])
-    args = (model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
+    args = (model, spec, OutDegreeReciprocal(), AlphaSchedule())
     with pytest.raises(RuntimeError, match=named):
         run_token_trials(*args, horizon=10, trials=3, start_node=start)
     with pytest.raises(RuntimeError, match=r"token jumped a nonexistent edge at t=0$"):
@@ -527,7 +527,7 @@ def test_engines_build_no_per_tick_adjacency_on_iid_graphs(monkeypatch):
     monkeypatch.setattr(IidFailureGraph, "adjacency", refuse)
     token = SeriesRows(150, "visited")
     run_token_trials(
-        make_ref5_model(), spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon=150,
+        make_ref5_model(), spec, OutDegreeReciprocal(), AlphaSchedule(), horizon=150,
         trials=4, master_seed=2, readers=token.readers,
     )
     chain = run_chain_trials(spec, OutDegreeReciprocal(), 0, horizon=150, trials=4, master_seed=2)
@@ -575,7 +575,7 @@ def test_block_draws_hold_one_chunk_of_every_stream(monkeypatch, ref5_model, ref
     horizon, trials = 2 * CHUNK_TICKS + 10, 3
     m, draws = ref5_model.total_measurements, ref5_iid.draws  # 5 and 20
     rule, ci = OutDegreeReciprocal(), [CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)]
-    token = (rule, AlphaSchedule.linear(), horizon, trials)
+    token = (rule, AlphaSchedule(), horizon, trials)
     runs = {
         "token": (lambda: run_token_trials(ref5_model, ref5_iid, *token), m + draws + 1),
         "central": (lambda: central_trials(ref5_model, horizon, trials), m + 1),

@@ -34,7 +34,7 @@ from roamtoken import (
 )
 from roamtoken.chain import apply_rule
 from roamtoken.config import apply_overrides, build_experiment, load_config
-from roamtoken.engine import ChainTrials, TickStats, run_token_trials
+from roamtoken.engine import ChainTrials, TickStats, run_chain_trials, run_token_trials
 from roamtoken.harness import write_compare_csv, write_metrics_csv
 from roamtoken._streams import derived_stream, trial_seed
 from roamtoken.token import EpisodeTrace, write_trace_csv
@@ -105,7 +105,7 @@ def test_optimality_ratio_zero_noise_vanishes():
     spec = StaticGraph(ref5_adjacency())
     stats = TickStats(4, 2001)
     run_token_trials(
-        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), 2000, 4, master_seed=0,
+        model, spec, OutDegreeReciprocal(), AlphaSchedule(), 2000, 4, master_seed=0,
         readers={"sq_err": stats},
     )
     series = optimality_ratio(stats, model)
@@ -244,7 +244,7 @@ def _smoke_config(**kw):
         model=make_ref5_model(),
         graph=StaticGraph(ref5_adjacency()),
         rule=OutDegreeReciprocal(),
-        schedule=AlphaSchedule.linear(),
+        schedule=AlphaSchedule(),
         algorithms=("token", "central"),
         horizon=40,
         trials=3,
@@ -265,6 +265,23 @@ def test_run_experiment_smoke_files_and_rows(tmp_path):
     assert len(trace_rows) == 1 + 2  # header + horizon+1 ticks
     assert "rmse_token" in result.metrics
     assert "rmse_central" in result.metrics
+
+
+@pytest.mark.parametrize("start", [-1, 5])
+def test_start_node_outside_the_graph_rejected(start):
+    # -1 wrapped to node 4: run_episode and the token engine wrote holder -1 into trial 0's
+    # trace, the chain engine reported node 4 unvisited at t=0, and a start node of 5 failed
+    # inside the engine with a bare IndexError
+    model, spec, rule = make_ref5_model(), StaticGraph(ref5_adjacency()), OutDegreeReciprocal()
+    named = rf"start node {start} is not in \[0, 5\)"
+    with pytest.raises(ValueError, match=named):
+        run_episode(model, spec, rule, AlphaSchedule(), horizon=3, start_node=start)
+    with pytest.raises(ValueError, match=named):
+        run_token_trials(model, spec, rule, AlphaSchedule(), 3, 2, start_node=start)
+    with pytest.raises(ValueError, match=named):
+        run_chain_trials(spec, rule, start, horizon=3, trials=2)
+    with pytest.raises(ValueError, match=named):
+        _smoke_config(start_node=start)
 
 
 def test_meta_reports_the_package_version(tmp_path):

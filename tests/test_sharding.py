@@ -182,7 +182,7 @@ def _skewed_eigh(monkeypatch) -> None:
 @pytest.mark.parametrize("seed, first", [(4, 20), (1, 17), (19, 36)])
 def test_solve_failure_met_first_by_the_serial_loop_wins(monkeypatch, seed, first):
     model, spec, rule = slow_ring()
-    args = (model, spec, rule, AlphaSchedule.linear(), 400, 4)
+    args = (model, spec, rule, AlphaSchedule(), 400, 4)
     _skewed_eigh(monkeypatch)
     serial, sharded = _serial_and_sharded(
         monkeypatch, lambda: run_token_trials(*args, master_seed=seed, readers=TOKEN_READERS)
@@ -197,7 +197,7 @@ def test_solve_failure_in_every_block_at_once_names_the_worst_residual(monkeypat
     # trials; at this seed it is in block 1
     monkeypatch.setattr(kernels, "ESTIMATE_RTOL", -1.0)
     model, spec, rule = slow_ring()
-    args = (model, spec, rule, AlphaSchedule.linear(), 100, 6)
+    args = (model, spec, rule, AlphaSchedule(), 100, 6)
     serial, sharded = _serial_and_sharded(
         monkeypatch, lambda: run_token_trials(*args, master_seed=1, readers=TOKEN_READERS)
     )
@@ -210,7 +210,7 @@ def _nan_model() -> tuple:
     rows = ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
     agents = [AgentModel(i, h, [[1.0]]) for i, h in enumerate(rows)]
     model = GlobalModel(agents, [2.0, -1.0], noise=lambda rng, shape: np.full(shape, np.nan))
-    return model, StaticGraph(~np.eye(3, dtype=bool)), OutDegreeReciprocal(), AlphaSchedule.linear()
+    return model, StaticGraph(~np.eye(3, dtype=bool)), OutDegreeReciprocal(), AlphaSchedule()
 
 
 _NAN_RUNS = {
@@ -279,7 +279,7 @@ def test_diverged_candidate_does_not_leak_into_its_neighbours(monkeypatch, ref5_
 def test_exhausted_sequence_raises_as_in_one_process(monkeypatch, ref5_model, ref5_static):
     frames = [ref5_static.backbone] * 3
     spec = DeterministicSequence(frames, cycle=False)
-    args = (ref5_model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
+    args = (ref5_model, spec, OutDegreeReciprocal(), AlphaSchedule())
     serial, sharded = _serial_and_sharded(
         monkeypatch, lambda: run_token_trials(*args, horizon=100, trials=4, readers=TOKEN_READERS)
     )
@@ -321,7 +321,7 @@ def test_failure_while_a_worker_waits_on_a_full_ring():
 
         solver = engine.central_solver
         model, spec = make_ref5_model(), StaticGraph(ref5_adjacency())
-        args = (model, spec, OutDegreeReciprocal(), AlphaSchedule.linear())
+        args = (model, spec, OutDegreeReciprocal(), AlphaSchedule())
         seen = []
         readers = dict.fromkeys(("sq_err", "last_seen", "visited", "central"), ignore)
 
@@ -381,7 +381,7 @@ def test_ring_holds_one_chunk_of_each_read_series(monkeypatch, ref5_model, ref5_
     readers = dict.fromkeys(("sq_err", "last_seen", "central"), ignore)
     trials, horizon = 10, 300
     run_token_trials(
-        ref5_model, ref5_static, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, trials,
+        ref5_model, ref5_static, OutDegreeReciprocal(), AlphaSchedule(), horizon, trials,
         readers=readers,
     )
     _no_worker_left()
@@ -399,7 +399,7 @@ def test_only_trial_0s_block_writes_the_trace(monkeypatch, ref5_model, ref5_stat
     monkeypatch.setattr(sharding, "_shared_zeros", lambda *a: allocs.append(shared(*a)) or allocs[-1])
     horizon = 150
     token = run_token_trials(
-        ref5_model, ref5_static, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, 10,
+        ref5_model, ref5_static, OutDegreeReciprocal(), AlphaSchedule(), horizon, 10,
         readers=TOKEN_READERS,
     )
     _no_worker_left()
@@ -413,7 +413,7 @@ def test_only_trial_0s_block_writes_the_trace(monkeypatch, ref5_model, ref5_stat
 
 _SERIES_RUNS = {
     "token": lambda model, spec, horizon, readers: run_token_trials(
-        model, spec, OutDegreeReciprocal(), AlphaSchedule.linear(), horizon, 7, master_seed=5,
+        model, spec, OutDegreeReciprocal(), AlphaSchedule(), horizon, 7, master_seed=5,
         readers=readers,
     ),
     "central": lambda model, _, horizon, readers: central_trials(

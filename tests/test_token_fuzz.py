@@ -34,9 +34,9 @@ def setups(draw):
     model, graph = draw(models_and_graphs())
     rule = Lazy(draw(st.floats(0.05, 0.95))) if draw(st.booleans()) else OutDegreeReciprocal()
     if draw(st.booleans()):
-        schedule = AlphaSchedule.power(draw(st.floats(0.5, 2.0)), draw(st.floats(0.6, 1.5)))
+        schedule = AlphaSchedule(draw(st.floats(0.5, 2.0)), draw(st.floats(0.6, 1.5)))
     else:
-        schedule = AlphaSchedule.linear()
+        schedule = AlphaSchedule()
     start = draw(st.integers(0, model.n_agents - 1))
     return model, graph, rule, schedule, start, draw(st.integers(1, 199)), draw(
         st.integers(2, 4)
@@ -66,7 +66,8 @@ def _central_errors(model, horizon, seed, r) -> np.ndarray:
 @given(setups())
 def test_token_engine_replays_through_run_episode_and_central_estimate(setup):
     model, graph, rule, schedule, start, horizon, trials, seed = setup
-    event(f"{type(graph).__name__}, {type(rule).__name__}, {schedule.form}")
+    form = "t + 1" if (schedule.c, schedule.q) == (1.0, 1.0) else "c * (t + 1)**q"
+    event(f"{type(graph).__name__}, {type(rule).__name__}, {form}")
     rows = SeriesRows(horizon, "sq_err", "last_seen", "visited", "central")
     trial0 = run_token_trials(
         model, graph, rule, schedule, horizon, trials, start_node=start, master_seed=seed,
