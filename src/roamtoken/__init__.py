@@ -17,7 +17,6 @@ from .chain import (
     TailConstants,
     apply_rule,
     chain_floor,
-    is_irreducible,
     mean_transition_matrix,
     tail_constants,
 )

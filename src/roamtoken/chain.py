@@ -16,13 +16,7 @@ from typing import Union
 import numpy as np
 
 from .errors import UnsupportedProcess
-from .graphs import (
-    DeterministicSequence,
-    GraphSpec,
-    IidFailureGraph,
-    as_adjacency,
-    is_strongly_connected,
-)
+from .graphs import DeterministicSequence, GraphSpec, IidFailureGraph, as_adjacency
 
 ROW_SUM_TOL = 1e-12
 
@@ -135,33 +129,6 @@ def mean_transition_matrix(spec: GraphSpec, rule: TransitionRule) -> np.ndarray:
     return q
 
 
-def is_irreducible(q: np.ndarray) -> bool:
-    """True iff the support digraph of the stochastic matrix is strongly connected."""
-    return is_strongly_connected(np.asarray(q, dtype=float) > 0)
-
-
-def support_diameter(q: np.ndarray) -> int:
-    """Largest shortest-path distance between two nodes of the chain's support, at least 1.
-
-    The support is ``q > 0`` with the diagonal excluded.  Every step of a
-    shortest path has probability at least ``chain_floor(q)``, so from any
-    node any target is entered within this many steps with probability at
-    least ``chain_floor(q) ** support_diameter(q)``.  Raises ValueError when
-    the support is not strongly connected.
-    """
-    support = np.asarray(q, dtype=float) > 0
-    np.fill_diagonal(support, False)
-    reach = np.eye(support.shape[0], dtype=bool)
-    steps = 0
-    while not reach.all():
-        # every node reached so far, and one support step on from each
-        grown = reach | reach @ support
-        if np.array_equal(grown, reach):
-            raise ValueError("chain support is not strongly connected")
-        reach, steps = grown, steps + 1
-    return max(steps, 1)
-
-
 def bulk_step(
     pos: np.ndarray,
     rows: np.ndarray,
@@ -222,9 +189,4 @@ def nonvisit_bound(consts: TailConstants, t: np.ndarray | float) -> np.ndarray:
     if not math.isfinite(consts.c1):
         return np.where(t > 0, 0.0, 1.0)
     return np.minimum(1.0, consts.c1 * np.exp(-consts.c2 * t))
-
-
-def cover_gap_bound(consts: TailConstants, n: int, t: np.ndarray | float) -> np.ndarray:
-    """Envelope for the probability that some node is still unvisited at ``t``."""
-    return np.minimum(1.0, n * nonvisit_bound(consts, t))
 

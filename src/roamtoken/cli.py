@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .chain import is_irreducible, mean_transition_matrix
+from .chain import mean_transition_matrix
 from .config import (
     CONFIG_KEYS,
     apply_overrides,
@@ -18,7 +18,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, RoamTokenError
-from .graphs import DeterministicSequence, smallest_connected_window
+from .graphs import DeterministicSequence, is_strongly_connected, smallest_connected_window
 from .harness import (
     run_experiment,
     verify_state_identity,
@@ -109,7 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("SKIP tail bounds: need a static or i.i.d. failure process")
     else:
         try:
-            irreducible = is_irreducible(mean_transition_matrix(spec, rule))
+            irreducible = is_strongly_connected(mean_transition_matrix(spec, rule) > 0)
             print(("PASS" if irreducible else "FAIL") + " mean-chain irreducibility")
             failed |= not irreducible
             tails = verify_tail_bounds(

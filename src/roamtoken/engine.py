@@ -38,7 +38,7 @@ from ._streams import SeedLike
 from .baseline import CiConfig
 from .chain import TransitionRule, bulk_step, transition_rows
 from .errors import NonFiniteMetric
-from .graphs import DeterministicSequence, GraphSpec, check_start_node
+from .graphs import DeterministicSequence, GraphSpec, check_run
 from .observation import GlobalModel, central_solver
 from .token import AlphaSchedule, EpisodeTrace
 
@@ -216,11 +216,6 @@ def _walk(
     return path, pos
 
 
-def _check_sizes(model: GlobalModel, spec: GraphSpec) -> None:
-    if spec.n != model.n_agents:
-        raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
-
-
 def _series(
     readers: Mapping[str, Reader] | None, dtypes: Mapping[str, type]
 ) -> dict[str, tuple[type, Reader]]:
@@ -251,8 +246,7 @@ def run_token_trials(
     ``central``; ``readers`` maps those it wants to their readers, and the
     oracle is computed only for one.  ``trial0`` holds trial 0's trace.
     """
-    _check_sizes(model, spec)
-    check_start_node(spec, start_node)
+    check_run(spec, horizon, trials, start_node, model.n_agents)
     size = horizon + 1
     dtypes = {"sq_err": float, "visited": np.int64, "last_seen": float, "central": float}
     series = _series(readers, dtypes)
@@ -315,7 +309,7 @@ def run_ci_trials(
     flagged as diverged, its errors inf in every trial.  A non-finite state
     stays non-finite, so no diverged candidate escapes the flag.
     """
-    _check_sizes(model, spec)
+    check_run(spec, horizon, trials, agents=model.n_agents)
     if not cfgs:
         raise ValueError("need at least one CiConfig")
     size = horizon + 1
@@ -403,7 +397,7 @@ def run_chain_trials(
     that have held every node (by the latest of a row's ticks).  The counts
     are exact, so the fractions do not depend on the worker count.
     """
-    check_start_node(spec, start_node)
+    check_run(spec, horizon, trials, start_node)
     n, size = spec.n, horizon + 1
 
     def run(blocks: _TrialBlocks, out: dict[str, np.ndarray]) -> None:

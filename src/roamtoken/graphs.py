@@ -133,27 +133,40 @@ class DeterministicSequence:
 GraphSpec = Union[StaticGraph, IidFailureGraph, DeterministicSequence]
 
 
-def check_start_node(spec: GraphSpec, start_node: int) -> None:
-    """Raise ValueError unless ``start_node`` is a node of ``spec``; a negative one would
+def check_run(
+    spec: GraphSpec, horizon: int, trials: int = 1, start_node: int = 0, agents: int | None = None
+) -> None:
+    """Raise ValueError unless ``trials`` runs of ``horizon`` ticks from ``start_node`` fit
+    ``spec`` and, where the run has a model, its ``agents``.  A negative start node would
     wrap silently in the engines' node arrays."""
+    if agents is not None and spec.n != agents:
+        raise ValueError(f"graph has {spec.n} nodes but model has {agents} agents")
     if not 0 <= start_node < spec.n:
         raise ValueError(f"start node {start_node} is not in [0, {spec.n})")
+    if trials < 1 or horizon < 0:
+        raise ValueError(f"need trials >= 1 and horizon >= 0, got {trials} and {horizon}")
 
 
-def _closure(a: np.ndarray) -> np.ndarray:
-    """Reflexive transitive closure of ``(..., n, n)`` adjacencies: a path leads from i to j."""
-    a = np.asarray(a, dtype=bool)
-    n = a.shape[-1]
-    reach = a | np.eye(n, dtype=bool)
-    for _ in range(max(n - 2, 0).bit_length()):  # paths of up to 2^k >= n - 1 edges
-        reach = reach @ reach
-    return reach
+def diameter(a: np.ndarray) -> int | None:
+    """The fewest steps, at least 1, in which every node of every ``(..., n, n)`` adjacency
+    reaches every other, or None when some node never does.  The diagonal is ignored.
+
+    One breadth-first search from every node at once: ``reach`` holds the pairs joined by
+    a path of at most ``steps`` edges, and a step that joins no new pair ends the search.
+    """
+    step = np.asarray(a, dtype=bool) | np.eye(np.shape(a)[-1], dtype=bool)
+    reach, steps, seen = step, 1, 0
+    while (count := np.count_nonzero(reach)) < reach.size:
+        if count == seen:
+            return None
+        reach, steps, seen = reach @ step, steps + 1, count
+    return steps
 
 
 def is_strongly_connected(a: np.ndarray) -> bool:
     """True iff every ordered node pair of every ``(..., n, n)`` adjacency is joined by a
-    directed path, read off ``_closure``."""
-    return bool(_closure(a).all())
+    directed path."""
+    return diameter(a) is not None
 
 
 def generate_backbone_with_degree(

@@ -23,11 +23,8 @@ from .chain import (
     TailConstants,
     TransitionRule,
     chain_floor,
-    cover_gap_bound,
-    is_irreducible,
     mean_transition_matrix,
     nonvisit_bound,
-    support_diameter,
     tail_constants,
 )
 from .engine import (
@@ -38,7 +35,7 @@ from .engine import (
     run_token_trials,
 )
 from .errors import NonFiniteMetric
-from .graphs import GraphSpec, check_start_node
+from .graphs import GraphSpec, check_run, diameter
 from .observation import GlobalModel
 from .token import (
     AlphaSchedule,
@@ -177,21 +174,22 @@ def verify_tail_bounds(
     irreducible; a deterministic sequence raises ``UnsupportedProcess``.  The
     envelopes use the exact floor ``delta = chain_floor(mean_transition_matrix)``
     at any out-degree, so ``master_seed`` reaches only the chain trials, and
-    block length ``support_diameter`` of that matrix: any target is entered
-    within that many steps with probability at least ``delta**diameter``.  PASS
-    means every sampled tick satisfies
+    block length ``m = diameter(q_mean > 0)``, the diameter of that matrix's
+    support: any target is entered within ``m`` steps with probability at least
+    ``delta**m``, and some node is unvisited with probability at most ``n``
+    times a node's envelope.  PASS means every sampled tick satisfies
     ``empirical <= envelope + 3 * binomial standard error``.
     """
     q_mean = mean_transition_matrix(spec, rule)
-    if not is_irreducible(q_mean):
+    m = diameter(q_mean > 0)
+    if m is None:
         raise ValueError("averaged chain is not irreducible; tail bounds do not apply")
     delta = chain_floor(q_mean)
     n = spec.n
-    consts = tail_constants(delta, support_diameter(q_mean))
+    consts = tail_constants(delta, m)
     result = run_chain_trials(spec, rule, start_node, horizon, trials, master_seed)
-    t = np.arange(horizon + 1, dtype=float)
-    env = nonvisit_bound(consts, t)
-    gap_env = cover_gap_bound(consts, n, t)
+    env = nonvisit_bound(consts, np.arange(horizon + 1, dtype=float))
+    gap_env = np.minimum(1.0, n * env)
     # one check of the n node columns and the cover-gap column against their envelopes
     frac = np.column_stack([result.nonvisit_frac, result.gap_frac])
     envelope = np.column_stack([*[env] * n, gap_env])
@@ -300,15 +298,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        try:  # alpha grows in t: a float at the horizon, it is one at every tick
+            self.schedule.alpha(self.horizon)
+        except OverflowError:
+            raise ValueError(
+                f"token.alpha_params: alpha = c * (t + 1)**q overflows a float by t={self.horizon}"
+            ) from None
         self.algorithms = tuple(self.algorithms)
         if not self.algorithms:
             raise ValueError("at least one algorithm must be requested")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        check_start_node(self.graph, self.start_node)
+        check_run(self.graph, self.horizon, self.trials, self.start_node, self.model.n_agents)
         if "ci" in self.algorithms and self.ci_grid is None:
             raise ValueError("ci runs need a gain grid; fixed gains are a one-point grid")
         if self.ci_grid is not None:  # every candidate is checked before any engine runs

@@ -25,7 +25,7 @@ from ._sharding import CHUNK_TICKS
 from ._streams import SeedLike, episode_streams
 from .chain import TransitionRule, bulk_step
 from .errors import SolveFailed
-from .graphs import GraphSpec, check_start_node
+from .graphs import GraphSpec, check_run
 from .observation import GlobalModel, sample_measurements
 
 ESTIMATE_RTOL = 1e-8
@@ -91,9 +91,7 @@ def run_episode(
     Strictly sequential and reproducible from ``seed``, which feeds three
     independent streams (noise, graph, move).
     """
-    if spec.n != model.n_agents:
-        raise ValueError(f"graph has {spec.n} nodes but model has {model.n_agents} agents")
-    check_start_node(spec, start_node)
+    check_run(spec, horizon, start_node=start_node, agents=model.n_agents)
     n, dim = model.n_agents, model.dim
     streams = episode_streams(seed)
     x = np.zeros((n, dim))

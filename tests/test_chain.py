@@ -14,13 +14,13 @@ from roamtoken import (
     UnsupportedProcess,
     apply_rule,
     chain_floor,
-    is_irreducible,
     is_strongly_connected,
     mean_transition_matrix,
     tail_constants,
 )
-from roamtoken.chain import bulk_step, nonvisit_bound, support_diameter, transition_rows
+from roamtoken.chain import bulk_step, nonvisit_bound, transition_rows
 from roamtoken.engine import _OutRows, run_chain_trials
+from roamtoken.graphs import diameter
 
 from conftest import ref5_adjacency
 from references import stationary_distribution
@@ -208,20 +208,19 @@ def test_mean_matrix_rejects_deterministic_sequences():
 
 
 def test_irreducibility_simple_cases():
-    assert is_irreducible(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert not is_irreducible(np.array([[0.5, 0.5], [0.0, 1.0]]))
+    assert is_strongly_connected(np.array([[0.0, 1.0], [1.0, 0.0]]) > 0)
+    assert not is_strongly_connected(np.array([[0.5, 0.5], [0.0, 1.0]]) > 0)
 
 
 def test_support_diameter():
     ring = _adj(6, [(i, (i + 1) % 6) for i in range(6)])
-    assert support_diameter(apply_rule(OutDegreeReciprocal(), ring)) == 5
+    assert diameter(apply_rule(OutDegreeReciprocal(), ring) > 0) == 5
     complete = ~np.eye(22, dtype=bool)
-    assert support_diameter(mean_transition_matrix(IidFailureGraph(complete, 0.5), Lazy(0.3))) == 1
-    assert support_diameter(np.ones((1, 1))) == 1  # a block is at least one step
+    assert diameter(mean_transition_matrix(IidFailureGraph(complete, 0.5), Lazy(0.3)) > 0) == 1
+    assert diameter(np.ones((1, 1)) > 0) == 1  # a block is at least one step
     # the diagonal is not an edge, so only the support's shortest paths count
-    assert support_diameter(apply_rule(Lazy(0.5), ref5_adjacency())) == 3
-    with pytest.raises(ValueError, match="not strongly connected"):
-        support_diameter(apply_rule(OutDegreeReciprocal(), _adj(3, [(0, 1), (1, 2)])))
+    assert diameter(apply_rule(Lazy(0.5), ref5_adjacency()) > 0) == 3
+    assert diameter(apply_rule(OutDegreeReciprocal(), _adj(3, [(0, 1), (1, 2)])) > 0) is None
 
 
 def test_mean_chain_irreducible_for_connected_random_backbones():
@@ -236,7 +235,7 @@ def test_mean_chain_irreducible_for_connected_random_backbones():
         found += 1
         spec = IidFailureGraph(a, p_fail=float(rng.uniform(0.0, 0.8)))
         for rule in (OutDegreeReciprocal(), Lazy(0.35)):
-            assert is_irreducible(mean_transition_matrix(spec, rule))
+            assert is_strongly_connected(mean_transition_matrix(spec, rule) > 0)
 
 
 # The hitting tails below are a node's non-visit fractions from the chain

@@ -630,9 +630,12 @@ def test_cli_verify_pass_and_fail(tmp_path, capsys):
     )
     broken.write_text(broken_text)
     code = main(["verify", str(broken), "--out", str(tmp_path / "v2")])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == 3
-    assert "FAIL" in out
+    assert lines[:2] == [
+        "FAIL mean-chain irreducibility",
+        "FAIL tail bounds: averaged chain is not irreducible; tail bounds do not apply",
+    ]
 
 
 def _verify_frames(tmp_path, capsys, frames, cycle=True, horizon=30) -> tuple[int, str]:
@@ -835,6 +838,20 @@ def test_cli_alpha_form_is_an_unknown_key(tmp_path, capsys):
     assert main(["simulate", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "config error: token.alpha_form: unknown key\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_schedule_that_overflows_by_the_horizon_is_a_config_error(tmp_path, capsys):
+    # (t + 1)**100 overflows a float near t = 1,200: the run stopped there with exit 2 and a
+    # bare OverflowError, after all the ticks before it had run
+    out = tmp_path / "out"
+    argv = ["simulate", str(REF5_STATIC_CONFIG), "--out", str(out), "--set", "run.trials=2"]
+    overrides = ["--set", "token.alpha_params.q=100", "--set", "run.horizon=3000"]
+    assert main(argv + overrides) == 1
+    captured = capsys.readouterr()
+    message = "token.alpha_params: alpha = c * (t + 1)**q overflows a float by t=3000"
+    assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
 

@@ -21,6 +21,7 @@ from roamtoken import (
     StaticGraph,
     run_episode,
     sample_measurements,
+    verify_tail_bounds,
 )
 import roamtoken._sharding as sharding
 import roamtoken.engine as engine
@@ -240,6 +241,28 @@ def test_engines_reject_graph_model_size_mismatch(ref5_model, reciprocal, linear
     cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)
     with pytest.raises(ValueError, match="graph has 3 nodes but model has 5 agents"):
         run_ci_trials(ref5_model, spec, [cfg], horizon=5, trials=2)
+
+
+@pytest.mark.parametrize("trials, horizon", [(0, 5), (2, -1)])
+def test_entry_points_reject_runs_without_trials_or_ticks(
+    ref5_model, ref5_static, reciprocal, linear_alpha, trials, horizon
+):
+    # with no trials the token and chain engines and the tail check divided by zero and the
+    # baseline engine returned an empty result; every entry point took a horizon of -1
+    model, spec, rule, schedule = ref5_model, ref5_static, reciprocal, linear_alpha
+    cfg = CiConfig(a=1.0, b=0.3, tau1=1.0, tau2=0.5)
+    runs = [
+        lambda: run_token_trials(model, spec, rule, schedule, horizon, trials),
+        lambda: run_ci_trials(model, spec, [cfg], horizon, trials),
+        lambda: run_chain_trials(spec, rule, 0, horizon, trials),
+        lambda: verify_tail_bounds(spec, rule, trials=trials, horizon=horizon),
+    ]
+    if trials:  # a single episode has no trial count
+        runs.append(lambda: run_episode(model, spec, rule, schedule, horizon))
+    named = rf"need trials >= 1 and horizon >= 0, got \d+ and {horizon}"
+    for run in runs:
+        with pytest.raises(ValueError, match=named):
+            run()
 
 
 def test_readers_name_only_series_the_run_makes(

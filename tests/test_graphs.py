@@ -20,6 +20,7 @@ from roamtoken import (
 from roamtoken._streams import derived_stream
 from roamtoken.graphs import (
     as_adjacency,
+    diameter,
     read_adjacency,
     read_frames_csv,
     smallest_connected_window,
@@ -154,33 +155,44 @@ def test_strong_connectivity_simple_cases():
     assert is_strongly_connected(np.zeros((1, 1), dtype=bool))
 
 
-def _brute_force_strongly_connected(a):
-    n = a.shape[0]
-
-    def reaches(i, j):
-        stack, seen = [i], {i}
-        while stack:
-            u = stack.pop()
-            if u == j:
-                return True
-            for v in range(n):
-                if a[u, v] and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return True if i == j else j in seen
-
-    return all(reaches(i, j) for i in range(n) for j in range(n))
+def _brute_force_diameter(a):
+    """The largest shortest-path distance over ordered node pairs, by a breadth-first search
+    from each node; at least 1, and None when some pair is not joined."""
+    n, longest = a.shape[0], 1
+    for i in range(n):
+        dist, frontier = {i: 0}, [i]
+        while frontier:
+            reached = []
+            for u in frontier:
+                for v in map(int, np.flatnonzero(a[u])):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        reached.append(v)
+            frontier = reached
+        if len(dist) < n:
+            return None
+        longest = max(longest, *dist.values())
+    return longest
 
 
 def test_strong_connectivity_exhaustive_up_to_four_nodes():
     for n in (2, 3, 4):
         offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+        graphs, diameters = [], []
         for bits in range(1 << len(offdiag)):
             a = np.zeros((n, n), dtype=bool)
             for k, (i, j) in enumerate(offdiag):
                 if bits >> k & 1:
                     a[i, j] = True
-            assert is_strongly_connected(a) == _brute_force_strongly_connected(a)
+            expected = _brute_force_diameter(a)
+            assert diameter(a) == expected
+            assert is_strongly_connected(a) == (expected is not None)
+            graphs.append(a)
+            diameters.append(expected)
+        # a batch with a disconnected graph is disconnected; else it takes its largest diameter
+        connected = [d is not None for d in diameters]
+        assert diameter(np.array(graphs)) is None
+        assert diameter(np.array(graphs)[connected]) == max(d for d in diameters if d is not None)
 
 
 def test_window_union_connected_cases():
@@ -212,7 +224,8 @@ def test_smallest_connected_window():
             def connected(b):
                 starts = range(k) if cycle else range(k - b + 1)
                 windows = ([frames[(s + i) % k] for i in range(b)] for s in starts)
-                return all(_brute_force_strongly_connected(np.logical_or.reduce(w)) for w in windows)
+                unions = map(np.logical_or.reduce, windows)
+                return all(_brute_force_diameter(u) is not None for u in unions)
 
             expected = next((b for b in range(1, k + 1) if connected(b)), None)
             assert smallest_connected_window(frames, cycle) == expected

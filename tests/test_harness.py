@@ -284,6 +284,14 @@ def test_start_node_outside_the_graph_rejected(start):
         _smoke_config(start_node=start)
 
 
+def test_schedule_that_overflows_by_the_horizon_rejected():
+    # alpha grows in t, so the horizon's alpha is the one to check; the run used to fail at
+    # the tick where it overflowed, after every tick before it had run
+    with pytest.raises(ValueError, match=r"overflows a float by t=3000"):
+        _smoke_config(schedule=AlphaSchedule(q=100.0), horizon=3000)
+    _smoke_config(schedule=AlphaSchedule(q=100.0), horizon=1000)  # 1001**100 is a float
+
+
 def test_meta_reports_the_package_version(tmp_path):
     # read from the package itself, so a source checkout reports it too
     run_experiment(_smoke_config(horizon=1, trials=1), out_dir=tmp_path)
