@@ -19,7 +19,6 @@ import numpy as np
 import yaml
 
 from ._streams import derived_stream
-from .baseline import grid_configs
 from .chain import Lazy, OutDegreeReciprocal, TransitionRule
 from .errors import ConfigError, GenerationFailed, SingularModel
 from .graphs import (
@@ -91,7 +90,7 @@ _NUMBERS = _list_of(_is_number, "a nonempty list of numbers")
 _MATRIX = _matrix(_is_number, "a matrix (list of rows of numbers)")
 _MAPPING = Kind(lambda v: isinstance(v, dict), "a mapping")
 _POSITIVE = _integer(1, "a positive integer")
-_SEED = _integer(0, "a non-negative integer")
+_NON_NEGATIVE = _integer(0, "a non-negative integer")
 _PATH = Kind(lambda v: isinstance(v, str) and v != "", "a file path")
 _GAINS = ("a", "b", "tau1", "tau2")
 # the graph kinds that read a key: a given backbone, a geometric one, a frame sequence
@@ -126,7 +125,8 @@ CONFIG_KEYS: dict[str, Key] = {
         "frames_count": Key(_POSITIVE, "frame count override (deterministic)", only=_FRAMES),
         "cycle": Key(Kind(lambda v: isinstance(v, bool), "true or false"),
                      "repeat the frame sequence (deterministic)", False, only=_FRAMES),
-        "seed": Key(_SEED, "generation stream for geometric (defaults to run.seed)", only=_GEO),
+        "seed": Key(_NON_NEGATIVE, "generation stream for geometric (defaults to run.seed)",
+                    only=_GEO),
     }),
     "chain": Key(_MAPPING, fields={
         "rule": _choice(
@@ -145,10 +145,10 @@ CONFIG_KEYS: dict[str, Key] = {
                     REQUIRED, dict.fromkeys(_GAINS, Key(_NUMBERS, default=REQUIRED))),
     }),
     "run": Key(_MAPPING, default=REQUIRED, fields={
-        "horizon": Key(_POSITIVE, "ticks per trial", REQUIRED),
+        "horizon": Key(_NON_NEGATIVE, "last tick: a trial runs ticks 0..horizon", REQUIRED),
         "trials": Key(_POSITIVE, "Monte Carlo trials", REQUIRED),
         # an empty `seed:` line loads as null, which counts as unset
-        "seed": Key(Kind(lambda v: v is None or _SEED.ok(v), _SEED.must),
+        "seed": Key(Kind(lambda v: v is None or _NON_NEGATIVE.ok(v), _NON_NEGATIVE.must),
                     "non-negative master seed (warned + defaulted to 0 if absent)", 0),
         "algorithms": Key(_list_of(lambda v: v in ALGORITHMS, f"a nonempty subset of {ALGORITHMS}"),
                           "subset of [token, ci, central]", ("token",)),
@@ -230,8 +230,10 @@ def validate_config(cfg: dict) -> None:
     model = cfg["model"]
     if len(model["theta"]) != model["L"]:
         raise ConfigError(f"model.theta: must be a list of {model['L']} numbers")
-    if sum(v * v for v in model["theta"]) == 0:
-        raise ConfigError("model.theta: must be nonzero (metrics are normalized by ||theta||^2)")
+    if not 0 < sum(float(v) * float(v) for v in model["theta"]) < np.inf:
+        raise ConfigError(
+            "model.theta: must be nonzero with a finite ||theta||^2 (metrics are normalized by it)"
+        )
 
     graph = cfg["graph"]
     kind = graph["kind"]
@@ -330,19 +332,6 @@ def build_schedule(cfg: dict) -> AlphaSchedule:
         raise ConfigError(f"token.alpha_params: {exc}") from None
 
 
-def build_ci(cfg: dict) -> dict | None:
-    """The gain grid, each candidate checked before any engine runs."""
-    ci = cfg.get("ci")
-    if ci is None:
-        return None
-    grid = ci["grid"]
-    try:
-        grid_configs({name: [float(v) for v in grid[name]] for name in _GAINS})
-    except ValueError as exc:
-        raise ConfigError(f"ci.grid: {exc}") from None
-    return grid
-
-
 def build_experiment(cfg: dict, base_dir: str | Path = ".") -> ExperimentConfig:
     """Construct the full experiment description from a validated config dict."""
     seed, _ = default_seed(cfg)
@@ -356,7 +345,6 @@ def build_experiment(cfg: dict, base_dir: str | Path = ".") -> ExperimentConfig:
                 f"graph.frames_file: {len(graph.frames)} frames, but run.horizon {horizon} "
                 f"reads {horizon + 1}; add frames or set graph.cycle: true"
             )
-    ci_grid = build_ci(cfg)
     try:
         return ExperimentConfig(
             model=model,
@@ -368,7 +356,7 @@ def build_experiment(cfg: dict, base_dir: str | Path = ".") -> ExperimentConfig:
             trials=cfg["run"]["trials"],
             seed=seed,
             start_node=_setting(cfg, "token.start_node"),
-            ci_grid=ci_grid,
+            ci_grid=cfg.get("ci", {}).get("grid"),
             echo=copy.deepcopy(cfg),
         )
     except ValueError as exc:

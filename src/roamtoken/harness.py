@@ -258,18 +258,20 @@ def verify_state_identity(
             start_node=start_node,
             seed=trial_seed(master_seed, e),
         )
-        for t in range(horizon + 1):
-            tau_t = trace.tau[t]
-            seen = tau_t >= 0
-            d_ref = trace.x_hist[tau_t[seen], np.flatnonzero(seen)].sum(axis=0)
-            k_ref = b_stack[seen].sum(axis=0)
-            d_dev = float(np.abs(trace.d_hist[t] - d_ref).max())
-            k_dev = float(np.abs(trace.K_hist[t] - k_ref).max())
-            max_d = max(max_d, d_dev)
-            max_k = max(max_k, k_dev)
-            limit = IDENTITY_TOL * (1.0 + float(np.abs(trace.d_hist[t]).max()))
-            if first_failure is None and (d_dev > limit or k_dev > limit):
-                first_failure = f"episode {e}, t={t}: d_dev={d_dev:.3e} k_dev={k_dev:.3e}"
+        # every tick at once: the statistic each agent last sent, zero for agents never seen
+        seen = trace.tau >= 0
+        sent = trace.x_hist[np.maximum(trace.tau, 0), np.arange(model.n_agents)]
+        d_ref = np.where(seen[..., None], sent, 0.0).sum(axis=1)
+        k_ref = np.where(seen[..., None, None], b_stack, 0.0).sum(axis=1)
+        d_dev = np.abs(trace.d_hist - d_ref).max(axis=1)
+        k_dev = np.abs(trace.K_hist - k_ref).max(axis=(1, 2))
+        max_d = max(max_d, float(d_dev.max()))
+        max_k = max(max_k, float(k_dev.max()))
+        limit = IDENTITY_TOL * (1.0 + np.abs(trace.d_hist).max(axis=1))
+        failed = (d_dev > limit) | (k_dev > limit)
+        if first_failure is None and failed.any():
+            t = int(failed.argmax())
+            first_failure = f"episode {e}, t={t}: d_dev={d_dev[t]:.3e} k_dev={k_dev[t]:.3e}"
     return StateIdentityReport(
         passed=first_failure is None,
         episodes=episodes,
@@ -296,8 +298,6 @@ class ExperimentConfig:
     echo: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         try:  # alpha grows in t: a float at the horizon, it is one at every tick
             self.schedule.alpha(self.horizon)
         except OverflowError:
@@ -314,7 +314,10 @@ class ExperimentConfig:
         if "ci" in self.algorithms and self.ci_grid is None:
             raise ValueError("ci runs need a gain grid; fixed gains are a one-point grid")
         if self.ci_grid is not None:  # every candidate is checked before any engine runs
-            grid_configs(self.ci_grid)
+            try:
+                grid_configs(self.ci_grid)
+            except ValueError as exc:
+                raise ValueError(f"ci.grid: {exc}") from None
 
 
 @dataclass(eq=False)

@@ -17,6 +17,8 @@ whose ``central`` series it reads.
 checks acceptance 5's lemma, all-pairs ``sequential_reachability``, on each.
 ``relative_degree``, ``write_adjacency`` and ``write_frames_csv`` measure a
 generated backbone and write the two graph files that configs read.
+``identity_deviations`` recomputes an episode's payload tick by tick: the
+loop that ``harness.verify_state_identity`` runs over all ticks at once.
 """
 
 from __future__ import annotations
@@ -289,3 +291,16 @@ def verify_sequential_connectivity(
     return SequentialConnectivityReport(
         passed=not counterexamples, checked=checked, counterexamples=counterexamples
     )
+
+
+def identity_deviations(model: GlobalModel, trace) -> tuple[np.ndarray, np.ndarray]:
+    """Each tick's largest deviation of the logged ``d`` and ``K`` from their sums over
+    the agents seen so far: each one's statistic as of its latest visit, and its ``B``."""
+    b_stack = np.stack([a.B for a in model.agents])
+    d_dev, k_dev = np.zeros(trace.horizon + 1), np.zeros(trace.horizon + 1)
+    for t in range(trace.horizon + 1):
+        seen = trace.tau[t] >= 0
+        d_ref = trace.x_hist[trace.tau[t][seen], np.flatnonzero(seen)].sum(axis=0)
+        d_dev[t] = np.abs(trace.d_hist[t] - d_ref).max()
+        k_dev[t] = np.abs(trace.K_hist[t] - b_stack[seen].sum(axis=0)).max()
+    return d_dev, k_dev

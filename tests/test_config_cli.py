@@ -342,10 +342,12 @@ def test_cli_frames_out_of_range_rejected(tmp_path, capsys, bad_row):
     assert "frames.csv line 3" in capsys.readouterr().err
 
 
-def test_cli_zero_theta_rejected_at_config_time(tmp_path, capsys):
-    # every metric divides by ||theta||^2, so a zero theta used to fail after the run
-    path = tmp_path / "zero.yaml"
-    path.write_text(BASE_CONFIG.replace("theta: [1.0, -0.7]", "theta: [0.0, 0]"))
+@pytest.mark.parametrize("theta", ["[0.0, 0]", "[1.0e+160, -0.7]"], ids=["zero", "overflow"])
+def test_cli_zero_theta_rejected_at_config_time(tmp_path, capsys, theta):
+    # every metric divides by ||theta||^2, so a zero theta, or one whose ||theta||^2 overflows,
+    # used to fail after the whole run
+    path = tmp_path / "theta.yaml"
+    path.write_text(BASE_CONFIG.replace("theta: [1.0, -0.7]", f"theta: {theta}"))
     code = main(["simulate", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
@@ -356,7 +358,7 @@ def test_cli_zero_theta_rejected_at_config_time(tmp_path, capsys):
 _BAD_INTEGERS = [
     (["--set", "model.L=true"], "model.L: must be a positive integer"),
     (["--set", "graph.n=true"], "graph.n: must be a positive integer"),
-    (["--set", "run.horizon=true"], "run.horizon: must be a positive integer"),
+    (["--set", "run.horizon=true"], "run.horizon: must be a non-negative integer"),
     (["--set", "run.trials=true"], "run.trials: must be a positive integer"),
     (["--set", "run.seed=true"], "run.seed: must be a non-negative integer"),
     (["--set", "run.seed=-1"], "run.seed: must be a non-negative integer"),
@@ -449,14 +451,19 @@ _ESCAPED_TYPES = {
     ),
     "mixed-type-sections": ({(1,): {}, ("extra",): {}}, "1: unknown key"),
     "mixed-type-run-keys": ({("run", "zz"): 1, ("run", 2): 1}, "run.zz: unknown key"),
+    "overflowed-information": (
+        {("model", "agents", 0, "H"): [[1.0e200, 0.0]]},
+        "config error: model: information matrix min eigenvalue nan, not above 1e-10",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(_ESCAPED_TYPES))
 def test_cli_inputs_that_escaped_the_type_checks_rejected(tmp_path, capsys, name):
     # an unhashable kind, Path / int and a string in H escaped as TypeError or ValueError with
-    # exit code 2, as did sorting unknown keys of mixed types; [[true]] ran as C = 1.0 and an
-    # unknown alpha_params key was ignored
+    # exit code 2, as did sorting unknown keys of mixed types; [[true]] ran as C = 1.0, an
+    # unknown alpha_params key was ignored, and an H whose information overflows to a NaN
+    # eigenvalue passed the singularity check, then failed the first estimate solve
     edits, message = _ESCAPED_TYPES[name]
     cfg = yaml.safe_load(BASE_CONFIG)
     for (*parents, key), value in edits.items():

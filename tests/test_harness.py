@@ -45,6 +45,7 @@ from references import (
     csv_compare,
     csv_metrics,
     csv_trace,
+    identity_deviations,
     tick_stats,
     verify_sequential_connectivity,
 )
@@ -199,13 +200,20 @@ def test_verify_tail_bounds_names_each_violation(monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, reason="the tail gate has no slack where the fraction is 1")
-def test_verify_tail_bounds_passes_a_slow_correct_walker():
+@pytest.mark.parametrize("case", ["ref5-lazy", "geo20"])
+def test_verify_tail_bounds_passes_a_slow_correct_walker(case):
     # known defect: under Lazy(0.999) no trial has held node 3 or 4 by t=4, so their
     # fractions are 1 and the plug-in error sqrt(p(1 - p) / R) is 0.  The envelope there,
     # 1 - 4e-11, bounds the exact probability of not yet holding node 3 (0.9999985 at t=4),
-    # yet the gate FAILs both nodes.  An exact-law gate is the mend
-    spec = StaticGraph(ref5_adjacency())
-    report = verify_tail_bounds(spec, Lazy(0.999), trials=2000, horizon=10)
+    # yet the gate FAILs both nodes.  An exact-law gate is the mend.  The shipped geo20
+    # config meets the same gate: `verify` on it FAILs nodes 6, 8, 9, 12 and 19 at t=15
+    if case == "geo20":
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        experiment = build_experiment(load_config(configs / "geo20_compare.yaml"), configs)
+        spec, rule, horizon = experiment.graph, experiment.rule, 20
+    else:
+        spec, rule, horizon = StaticGraph(ref5_adjacency()), Lazy(0.999), 10
+    report = verify_tail_bounds(spec, rule, trials=2000, horizon=horizon)
     assert report.passed, report.violations
 
 
@@ -215,6 +223,37 @@ def test_verify_state_identity_passes(ref5_model, ref5_iid, reciprocal, linear_a
     )
     assert report.passed
     assert report.max_d_dev < 1e-10
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+@pytest.mark.parametrize("case", ["ref5-iid", "ten-scalar-agents"])
+def test_verify_state_identity_matches_its_per_tick_loop(monkeypatch, case, fault):
+    # every tick is checked at once; the deviations and the first failure must be the
+    # per-tick loop's, bit for bit, ten one-parameter agents included, where numpy may sum
+    # over the agents in another order
+    if case == "ref5-iid":
+        model, spec = make_ref5_model(), IidFailureGraph(ref5_adjacency(), p_fail=0.3)
+    else:
+        rng = np.random.default_rng(5)
+        agents = [AgentModel(i, rng.standard_normal((1, 1)), [[1.0]]) for i in range(10)]
+        model = GlobalModel(agents, [0.8])
+        spec = StaticGraph(~np.eye(10, dtype=bool))
+    traces = []
+
+    def logged(*args, **kwargs):
+        traces.append(run_episode(*args, **kwargs))
+        if fault and len(traces) == 2:
+            traces[-1].d_hist[17:] += 1e-6
+        return traces[-1]
+
+    monkeypatch.setattr(roamtoken.harness, "run_episode", logged)
+    report = verify_state_identity(
+        model, spec, OutDegreeReciprocal(), AlphaSchedule(), episodes=3, horizon=60, master_seed=2
+    )
+    d_dev, k_dev = np.array([identity_deviations(model, trace) for trace in traces]).swapaxes(0, 1)
+    assert (report.max_d_dev, report.max_k_dev) == (d_dev.max(), k_dev.max())
+    failure = f"episode 1, t=17: d_dev={d_dev[1, 17]:.3e} k_dev={k_dev[1, 17]:.3e}"
+    assert report.first_failure == (failure if fault else None)
 
 
 def test_verify_sequential_connectivity_small_sample():
@@ -405,7 +444,7 @@ def test_bad_grid_candidate_fails_before_any_engine_runs(monkeypatch):
 
     monkeypatch.setattr(roamtoken.harness, "run_token_trials", refuse)
     grid = {"a": [1.0], "b": [0.2], "tau1": [1.0, 0.3], "tau2": [0.5]}
-    with pytest.raises(ValueError, match=r"^\(tau1, tau2\) = \(0.3, 0.5\) outside "):
+    with pytest.raises(ValueError, match=r"^ci\.grid: \(tau1, tau2\) = \(0.3, 0.5\) outside "):
         run_experiment(_smoke_config(algorithms=("token", "ci"), ci_grid=grid))
 
 

@@ -71,8 +71,14 @@ def test_fisher_singular_raises():
         fisher_information([a0, a1])
 
 
-def test_global_model_requires_invertible_stacked_h():
-    agents = [AgentModel(i, [[1.0, 0.0]], [[1.0]]) for i in range(3)]
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.0, 0.0]] * 3, [[np.nan, 0.0], [0.0, 1.0]]],
+    # a NaN information matrix passed: its NaN eigenvalue is not <= the floor
+    ids=["rank-deficient", "nan"],
+)
+def test_global_model_requires_invertible_stacked_h(rows):
+    agents = [AgentModel(i, [row], [[1.0]]) for i, row in enumerate(rows)]
     with pytest.raises(SingularModel):
         GlobalModel(agents, [1.0, 2.0])
 

@@ -49,3 +49,11 @@ def test_every_error_type_is_raised_or_is_the_base_of_one_that_is():
             todo += bases[name]
     assert len(bases) > 5
     assert sorted(set(bases) - used) == []
+
+
+def test_source_stays_under_the_line_ceiling():
+    # ROADMAP item 11's ceiling: a capability that adds lines pays for them with cuts.  Lines
+    # are counted as `wc -l src/roamtoken/*.py` counts them, one per newline
+    lines = {path.name: path.read_bytes().count(b"\n") for path in SRC.glob("*.py")}
+    assert len(lines) > 10
+    assert sum(lines.values()) <= 3_205, lines
