@@ -56,7 +56,7 @@ MIN_BLOCK_TRIALS = 2
 # about 32 trials and were faster sharded from 64.
 SHARD_MIN_TRIALS = 64
 
-# A series reader: called with a chunk's (trials, length) rows from tick t0, chunk by chunk.
+# A series reader: called with a chunk's (trials, length) rows from tick t0; may overwrite them.
 Reader = Callable[[np.ndarray, int], None]
 
 

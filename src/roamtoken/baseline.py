@@ -93,7 +93,6 @@ def grid_search(
     from .engine import TickStats, run_ci_trials
 
     cfgs = grid_configs(grid)
-    theta_sq = float(model.theta @ model.theta)
     best = 0
     if len(cfgs) > 1:
         stacked = run_ci_trials(model, spec, cfgs, horizon=horizon, trials=trials, master_seed=seed)
@@ -103,7 +102,7 @@ def grid_search(
         # single column sums pairwise and can differ in the last bit.  So a
         # candidate's score equals its relative MSE at the horizon bit for bit.  A
         # diverged candidate's errors are inf, so its score is inf.
-        values = stacked.final_sq_err.mean(axis=0) / theta_sq
+        values = stacked.final_sq_err.mean(axis=0) / model.theta_sq
         best = min(range(len(cfgs)), key=lambda k: values[k])
         if math.isinf(values[best]):
             raise RuntimeError("every grid candidate diverged")
@@ -113,6 +112,6 @@ def grid_search(
         readers={"netavg": stats},
     )
     if len(cfgs) == 1:
-        values = stats.mean[-1:] / theta_sq
+        values = stats.mean[-1:] / model.theta_sq
     scores = [(c, float(v)) for c, v in zip(cfgs, values)]
     return GridSearchResult(best=cfgs[best], scores=scores, best_trials=stats)

@@ -51,22 +51,21 @@ class TickStats:
     ticks) array's ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` bit for bit;
     tick-major slots or sums of per-block partial sums would differ in the
     last bits.  The std stays 0 for a single trial.  It takes numpy's
-    ``_var`` steps from the mean in a (trials, CHUNK_TICKS) ``scratch`` that
-    readers may share.
+    ``_var`` steps from the mean in the rows it is handed, which it
+    overwrites with the squared deviations.
     """
 
-    def __init__(self, trials: int, size: int, scratch: np.ndarray | None = None) -> None:
+    def __init__(self, trials: int, size: int) -> None:
         self.trials = trials
         self.mean, self.std = np.zeros(size), np.zeros(size)
-        self.scratch = np.empty((trials, CHUNK_TICKS)) if scratch is None else scratch
 
     def __call__(self, rows: np.ndarray, t0: int) -> None:
         span = slice(t0, t0 + rows.shape[1])
         mean = np.mean(rows, axis=0, out=self.mean[span])
         if self.trials >= 2:
-            d, std = self.scratch[:, : rows.shape[1]], self.std[span]  # d: the deviations
-            np.square(np.subtract(rows, mean, out=d), out=d)
-            np.add.reduce(d, axis=0, out=std)
+            std = self.std[span]
+            np.square(np.subtract(rows, mean, out=rows), out=rows)
+            np.add.reduce(rows, axis=0, out=std)
             std /= self.trials - 1
             np.sqrt(std, out=std)
 
@@ -316,7 +315,6 @@ def run_ci_trials(
     n, dim, K = model.n_agents, model.dim, len(cfgs)
     series = _series(readers, {"netavg": float} if K == 1 else {})
     theta = model.theta
-    theta_sq = float(theta @ theta)
     measure = _MeasurementMap(model)
     all_scalar = all(a.n_measurements == 1 for a in model.agents)
     h_rows = np.stack([a.H[0] for a in model.agents]) if all_scalar else None
@@ -344,7 +342,7 @@ def run_ci_trials(
                 for ti in range(length):
                     t = t0 + ti
                     if series:  # the error at tick t, before the step to t + 1
-                        netavg[ti] = theta_sq if t == 0 else net_err(s[0])
+                        netavg[ti] = model.theta_sq if t == 0 else net_err(s[0])
                     if t == horizon:
                         break
                     measure(blocks.noise[:, ti], out=y)

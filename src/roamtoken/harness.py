@@ -28,13 +28,12 @@ from .chain import (
     tail_constants,
 )
 from .engine import (
-    CHUNK_TICKS,
     TickStats,
     run_chain_trials,
     run_ci_trials,  # noqa: F401 - unused here; perfbench/layers.py patches this binding
     run_token_trials,
 )
-from .errors import NonFiniteMetric
+from .errors import NonFiniteMetric, UnsupportedProcess
 from .graphs import GraphSpec, check_run, diameter
 from .observation import GlobalModel
 from .token import (
@@ -79,9 +78,8 @@ SERIES = {"token": ("sq_err", "last_seen"), "central": ("central",)}
 
 def _reducers(config: ExperimentConfig) -> dict[str, TickStats]:
     """One chunk-at-a-time reduction of each engine series the requested algorithms read."""
-    size, scratch = config.horizon + 1, np.empty((config.trials, CHUNK_TICKS))
     read = [k for name, keys in SERIES.items() if name in config.algorithms for k in keys]
-    return {k: TickStats(config.trials, size, scratch) for k in read}
+    return {k: TickStats(config.trials, config.horizon + 1) for k in read}
 
 
 def _aggregate(name: str, source: TickStats, scale: float = 1.0) -> MetricSeries:
@@ -90,13 +88,9 @@ def _aggregate(name: str, source: TickStats, scale: float = 1.0) -> MetricSeries
     return MetricSeries(name=name, values=source.mean / scale, half_widths=hw, trials=source.trials)
 
 
-def _theta_sq(model: GlobalModel) -> float:
-    return float(model.theta @ model.theta)
-
-
 def rmse_token(stats: TickStats, model: GlobalModel) -> MetricSeries:
     """Relative MSE of the token-carried estimate, from the series ``sq_err``."""
-    return _aggregate("rmse_token", stats, _theta_sq(model))
+    return _aggregate("rmse_token", stats, model.theta_sq)
 
 
 def rmse_last_seen(stats: TickStats, model: GlobalModel) -> MetricSeries:
@@ -106,17 +100,17 @@ def rmse_last_seen(stats: TickStats, model: GlobalModel) -> MetricSeries:
     over visited agents divided by the visited count; unvisited agents
     contribute nothing.
     """
-    return _aggregate("rmse_token_last_seen", stats, _theta_sq(model))
+    return _aggregate("rmse_token_last_seen", stats, model.theta_sq)
 
 
 def rmse_network_ci(stats: TickStats, model: GlobalModel) -> MetricSeries:
     """Agent-averaged relative MSE of the consensus+innovations network (series ``netavg``)."""
-    return _aggregate("rmse_ci_network", stats, _theta_sq(model))
+    return _aggregate("rmse_ci_network", stats, model.theta_sq)
 
 
 def rmse_central(stats: TickStats, model: GlobalModel) -> MetricSeries:
     """Relative MSE of the centralized oracle on the same draws (series ``central``)."""
-    return _aggregate("rmse_central", stats, _theta_sq(model))
+    return _aggregate("rmse_central", stats, model.theta_sq)
 
 
 def optimality_ratio(
@@ -171,8 +165,9 @@ def verify_tail_bounds(
     """Check that empirical visitation tails sit under the analytic envelopes.
 
     Requires a static or i.i.d.-failure process whose averaged chain is
-    irreducible; a deterministic sequence raises ``UnsupportedProcess``.  The
-    envelopes use the exact floor ``delta = chain_floor(mean_transition_matrix)``
+    irreducible; a deterministic sequence or a reducible chain raises
+    ``UnsupportedProcess``, so this is ``verify``'s one irreducibility check.
+    The envelopes use the exact floor ``delta = chain_floor(mean_transition_matrix)``
     at any out-degree, so ``master_seed`` reaches only the chain trials, and
     block length ``m = diameter(q_mean > 0)``, the diameter of that matrix's
     support: any target is entered within ``m`` steps with probability at least
@@ -183,7 +178,7 @@ def verify_tail_bounds(
     q_mean = mean_transition_matrix(spec, rule)
     m = diameter(q_mean > 0)
     if m is None:
-        raise ValueError("averaged chain is not irreducible; tail bounds do not apply")
+        raise UnsupportedProcess("averaged chain is not irreducible; tail bounds do not apply")
     delta = chain_floor(q_mean)
     n = spec.n
     consts = tail_constants(delta, m)

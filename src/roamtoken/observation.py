@@ -53,7 +53,8 @@ class AgentModel:
             raise ValueError(f"agent {self.id}: C must be positive definite") from None
         cinv_h = np.linalg.solve(self.C, self.H)
         self.W = np.ascontiguousarray(cinv_h.T)
-        b = self.H.T @ cinv_h
+        with np.errstate(over="ignore", invalid="ignore"):  # fisher_information rejects overflow
+            b = self.H.T @ cinv_h
         self.B = (b + b.T) / 2.0
 
     @property
@@ -80,6 +81,7 @@ class GlobalModel:
     theta: np.ndarray
     noise: str | NoiseSampler = "gaussian"
     sigma_c: np.ndarray = field(init=False)
+    theta_sq: float = field(init=False)  # ||theta||^2, every estimate's initial squared error
     measurement_slices: list[slice] = field(init=False)  # per agent, into the stacked vector
 
     def __post_init__(self) -> None:
@@ -93,6 +95,7 @@ class GlobalModel:
         if isinstance(self.noise, str) and self.noise not in ("gaussian", "zero"):
             raise ValueError(f"unknown noise kind {self.noise!r}")
         self.sigma_c = fisher_information(self.agents)
+        self.theta_sq = float(self.theta @ self.theta)
         ends = list(itertools.accumulate([a.n_measurements for a in self.agents], initial=0))
         self.measurement_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
 

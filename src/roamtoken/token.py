@@ -108,7 +108,7 @@ def run_episode(
     k_hist = np.zeros((size, dim, dim))
     tau, x_hist = np.zeros((size, n), dtype=np.int64), np.zeros((size, n, dim))
 
-    last_seen_err = np.full(n, float(model.theta @ model.theta))
+    last_seen_err = np.full(n, model.theta_sq)
     theta = model.theta
 
     for t in range(size):

@@ -75,10 +75,13 @@ def ignore(chunk: np.ndarray, t0: int) -> None:
 
 
 def tick_stats(rows: np.ndarray) -> TickStats:
-    """The ``TickStats`` of whole (trials, ticks) rows, read a chunk at a time."""
+    """The ``TickStats`` of whole (trials, ticks) rows, read a chunk at a time.
+
+    Each chunk is handed over as a copy, since a reader may overwrite its rows.
+    """
     stats = TickStats(*rows.shape)
     for t0 in range(0, rows.shape[1], CHUNK_TICKS):
-        stats(rows[:, t0 : t0 + CHUNK_TICKS], t0)
+        stats(rows[:, t0 : t0 + CHUNK_TICKS].copy(), t0)
     return stats
 
 

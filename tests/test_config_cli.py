@@ -641,7 +641,7 @@ def test_cli_verify_pass_and_fail(tmp_path, capsys):
     assert code == 3
     assert lines[:2] == [
         "FAIL mean-chain irreducibility",
-        "FAIL tail bounds: averaged chain is not irreducible; tail bounds do not apply",
+        "SKIP tail bounds: need an irreducible mean chain",
     ]
 
 

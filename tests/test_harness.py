@@ -171,11 +171,13 @@ def test_verify_tail_bounds_envelope_is_not_vacuous_on_large_graphs():
 
 
 def test_verify_tail_bounds_rejects_deterministic():
+    # a sequence has no mean chain, and a path backbone's mean chain is reducible
     from roamtoken import DeterministicSequence, UnsupportedProcess
 
     frames = [np.array([[False, True], [True, False]])]
-    with pytest.raises(UnsupportedProcess):
-        verify_tail_bounds(DeterministicSequence(frames, cycle=True), OutDegreeReciprocal())
+    for spec in (DeterministicSequence(frames, cycle=True), StaticGraph(np.eye(5, k=1, dtype=bool))):
+        with pytest.raises(UnsupportedProcess):
+            verify_tail_bounds(spec, OutDegreeReciprocal())
 
 
 def test_verify_tail_bounds_names_each_violation(monkeypatch):
@@ -491,7 +493,7 @@ def test_peak_memory_is_flat_in_the_horizon(monkeypatch):
 
 def test_reducers_hold_one_mean_and_std_per_series():
     # sq_err, last_seen and central are each reduced once, into one mean and one std over
-    # the horizon; the optimality ratios scale those, and the readers share one scratch
+    # the horizon; the optimality ratios scale those, and the readers work in their slots
     horizon, trials = 20_000, 500
     config = _smoke_config(horizon=horizon, trials=trials)
     tracemalloc.start()
@@ -503,7 +505,7 @@ def test_reducers_hold_one_mean_and_std_per_series():
         tracemalloc.stop()
     assert list(reducers) == ["sq_err", "last_seen", "central"]
     sizes = sorted(trace.size for trace in arrays)
-    assert sizes == [(horizon + 1) * 8] * 3 * 2 + [trials * engine.CHUNK_TICKS * 8]
+    assert sizes == [(horizon + 1) * 8] * 3 * 2
     # a run of the token alone reduces only the two series the token's metrics read
     token_only = _smoke_config(algorithms=("token",))
     assert list(roamtoken.harness._reducers(token_only)) == ["sq_err", "last_seen"]
